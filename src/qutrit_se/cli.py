@@ -50,14 +50,14 @@ class RunConfig:
     output: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if min(self.a1, self.a2, self.a3) <= 0:
-            raise ValueError("decay rates a1, a2, a3 must be positive")
+        if not all(0 < rate < np.inf for rate in (self.a1, self.a2, self.a3)):
+            raise ValueError("decay rates a1, a2, a3 must be positive and finite")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
         if not 0.0 <= self.q <= 1.0:
             raise ValueError("q must lie in [0, 1]")
-        if self.t_max <= 0:
-            raise ValueError("t-max must be positive")
+        if not 0 < self.t_max < np.inf:
+            raise ValueError("t-max must be positive and finite")
         if self.steps < 2:
             raise ValueError("steps must be >= 2")
         if self.samples < 100:

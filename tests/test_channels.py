@@ -9,6 +9,7 @@ tables.
 import numpy as np
 import pytest
 
+from qutrit_se import channels
 from qutrit_se.channels import (
     AffineBlochMap,
     ChannelParams,
@@ -226,6 +227,61 @@ class TestLindblad:
                 worst_ode = max(worst_ode, np.max(np.abs(kraus - rho_ode)))
         assert worst_affine <= 1e-10
         assert worst_ode <= 1e-6
+
+    def test_matches_classical_rk4_loop(self):
+        # reference: k1..k4 written out from drho/dt = sum L rho L^dag - {G, rho}/2
+        rng = np.random.default_rng(20)
+        rho0 = random_density_matrix(3, rng)
+        par = ChannelParams(a2=1.0, a3=0.7)
+        jumps = lindblad_jump_ops(par.a2, par.a3)
+        gsum = sum(l.conj().T @ l for l in jumps)
+
+        def rhs(r):
+            return sum(l @ r @ l.conj().T for l in jumps) - 0.5 * (gsum @ r + r @ gsum)
+
+        def rk4_loop(rho, h, steps):
+            for _ in range(steps):
+                k1 = rhs(rho)
+                k2 = rhs(rho + 0.5 * h * k1)
+                k3 = rhs(rho + 0.5 * h * k2)
+                k4 = rhs(rho + h * k3)
+                rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            return rho
+
+        for t, steps, tol in ((0.3, 1, 1e-15), (2.0, 200, 1e-13)):
+            got = lindblad_evolve(rho0, par.with_time(t), steps=steps)
+            assert np.max(np.abs(got - rk4_loop(rho0, t / steps, steps))) <= tol
+
+    def test_fourth_order_convergence(self):
+        # error against the Kraus route at t = 1 must fall like h^4; an exact
+        # exponential in place of RK4 would not show this order
+        rng = np.random.default_rng(21)
+        rho = random_density_matrix(3, rng)
+        par = ChannelParams(a2=1.0, a3=0.7, t=1.0)
+        exact = apply_kraus(rho, se_kraus_qutrit(par))
+        errs = [
+            np.max(np.abs(lindblad_evolve(rho, par, steps=n) - exact))
+            for n in (4, 8, 16, 32)
+        ]
+        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all((orders >= 3.8) & (orders <= 4.3)), orders
+
+    def test_independent_of_other_routes(self, monkeypatch):
+        # RK4 must not be derived from the Kraus form, the affine map or an
+        # eigen-decomposition
+        rng = np.random.default_rng(22)
+        rho = random_density_matrix(3, rng)
+        par = ChannelParams(a2=1.3, a3=0.4, t=0.8)
+        expected = lindblad_evolve(rho, par, steps=800)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("lindblad_evolve used another route")
+
+        for name in ("se_kraus_qutrit", "qutrit_kraus_coefficients", "se_affine_map"):
+            monkeypatch.setattr(channels, name, forbidden)
+        monkeypatch.setattr(np.linalg, "eig", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        np.testing.assert_array_equal(channels.lindblad_evolve(rho, par, steps=800), expected)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 """Command-line behavior: CSV format, reports, self-checks, exit codes."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +198,20 @@ class TestUsageErrors:
         assert main(["curves", "--a2", "-1"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["threshold", "--a1", "nan"],
+            ["curves", "--t-max", "inf", "--steps", "5"],
+            ["curves", "--a2", "inf", "--steps", "5"],
+        ],
+    )
+    def test_non_finite_value(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+        assert "Traceback" not in err
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -208,10 +224,14 @@ class TestUsageErrors:
 
 
 def test_console_entry_point_smoke():
+    # the child interpreter imports the same package this test imported
+    package_root = str(Path(channels.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qutrit_se.cli", "threshold", "--p", "0.9"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "t_cross_qutrit=" in proc.stdout
