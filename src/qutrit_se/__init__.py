@@ -14,6 +14,7 @@ from .analysis import (
     fidelity_from_state,
     haar_bloch_vectors,
     haar_moment_check,
+    indicator_crossings,
     negativity,
     ppt_threshold,
     preservation_inequality,
@@ -34,6 +35,7 @@ from .channels import (
     se_affine_map,
     se_kraus_qubit,
     se_kraus_qutrit,
+    se_kraus_stack,
 )
 from .linalg import (
     NoConvergenceError,

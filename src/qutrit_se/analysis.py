@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .channels import ChannelParams, bipartite_channel, se_kraus_qubit, se_kraus_qutrit
+from .channels import ChannelParams, bipartite_channel, se_kraus_stack
 from .linalg import hermitian_eigenvalues, partial_transpose
 from .states import max_entangled, werner
 from .su import generator_basis
@@ -35,6 +35,7 @@ __all__ = [
     "fidelity_closed",
     "fidelity_from_state",
     "crossing_time",
+    "indicator_crossings",
     "qubit_crossing_closed",
     "preservation_inequality",
     "negativity",
@@ -48,6 +49,11 @@ __all__ = [
 
 QUBIT_SEP_THRESHOLD = 1.0 / 3.0
 QUTRIT_SEP_THRESHOLD = 0.25
+
+# Time points per batched negativity step of ``separability_report``: large
+# enough to amortise the per-call cost of the stacked Jacobi, small enough to
+# keep the (T, 9, 9) stacks from raising the peak memory of long grids.
+GRID_CHUNK = 64
 
 
 def s_qubit_closed(p: float, params: ChannelParams) -> float:
@@ -160,19 +166,25 @@ def preservation_inequality(p: float, a21: float, a31: float) -> bool:
     """Whether the qutrit pair is still entangled when the qubit pair is not.
 
     With alpha = sqrt(1 + 1/p) - 1 and u = alpha^(A2/A1) + alpha^(A3/A1),
-    tests u (u + 2) / 2 >= 1/p.
+    tests u (u + 2) / 2 >= 1/p. Defined for 1/3 < p <= 1 only: below that
+    alpha >= 1 and the qubit pair is separable from the start.
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must lie in (0, 1], got {p}")
+    if not QUBIT_SEP_THRESHOLD < p <= 1.0:
+        raise ValueError(f"inequality requires 1/3 < p <= 1, got p={p}")
     alpha = np.sqrt(1.0 + 1.0 / p) - 1.0
     u = alpha**a21 + alpha**a31
     return bool(0.5 * u * (u + 2.0) >= 1.0 / p)
 
 
-def negativity(rho: np.ndarray, dim_a: int, dim_b: int) -> float:
-    """Sum of |negative eigenvalues| of the partial transpose."""
+def negativity(rho: np.ndarray, dim_a: int, dim_b: int) -> float | np.ndarray:
+    """Sum of |negative eigenvalues| of the partial transpose.
+
+    A float for one state; an array of one value per state for a stack
+    (..., n, n), from one stacked Jacobi run.
+    """
     eigs = hermitian_eigenvalues(partial_transpose(rho, dim_a, dim_b, side="B"))
-    return float(-eigs[eigs < 0.0].sum())
+    neg = -np.where(eigs < 0.0, eigs, 0.0).sum(axis=-1)
+    return float(neg) if neg.ndim == 0 else neg
 
 
 def ppt_threshold(d: int, p_tol: float = 1e-6) -> float:
@@ -242,6 +254,26 @@ class SeparabilityReport:
     qutrit_preserves_longer: bool
 
 
+def indicator_crossings(p: float, params: ChannelParams) -> tuple:
+    """Crossing times of both indicators and the preservation verdict.
+
+    Returns (t_cross_qubit, t_cross_qutrit, qutrit_preserves_longer): the
+    a1*t at which s_qubit reaches 1/3 and s_qutrit reaches 1/4, each None
+    when the pair is separable at t = 0, and whether the qutrit crossing is
+    the later one. Rates must be positive.
+    """
+    cross_qb = crossing_time(
+        lambda tau: s_qubit_closed(p, params.with_time(tau / params.a1)),
+        QUBIT_SEP_THRESHOLD,
+    )
+    cross_qt = crossing_time(
+        lambda tau: s_qutrit_closed(p, params.with_time(tau / params.a1)),
+        QUTRIT_SEP_THRESHOLD,
+    )
+    longer = cross_qt is not None and (cross_qb is None or cross_qt >= cross_qb)
+    return cross_qb, cross_qt, longer
+
+
 def separability_report(
     p: float,
     params: ChannelParams,
@@ -250,9 +282,11 @@ def separability_report(
 ) -> SeparabilityReport:
     """Tabulate both species' survival curves over a1*t in [0, t_max].
 
-    Closed forms supply s and F; the negativity columns are measured on
-    Kraus-evolved Werner states, so the two routes can disagree only if one
-    of them is wrong.
+    Closed forms supply s and F, one time point at a time; the negativity
+    columns are measured on Kraus-evolved Werner states, so the two routes
+    can disagree only if one of them is wrong. The negativities are computed
+    GRID_CHUNK time points at a time: one Kraus stack, one bipartite
+    contraction and one stacked Jacobi run per species and chunk.
     """
     if params.a1 <= 0 or params.a2 <= 0 or params.a3 <= 0:
         raise ValueError("separability report requires strictly positive rates")
@@ -263,33 +297,26 @@ def separability_report(
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"Werner weight p={p} outside [0, 1]")
 
-    w2 = werner(2, p)
-    w3 = werner(3, p)
     taus = np.linspace(0.0, t_max, steps + 1)
     rows = np.empty((steps + 1, 7))
     for i, tau in enumerate(taus):
         at = params.with_time(tau / params.a1)
-        rho2 = bipartite_channel(w2, se_kraus_qubit(at), "symmetric", params.q)
-        rho3 = bipartite_channel(w3, se_kraus_qutrit(at), "symmetric", params.q)
-        rows[i] = (
+        rows[i, :5] = (
             tau,
             s_qubit_closed(p, at),
             s_qutrit_closed(p, at),
             fidelity_closed(2, at),
             fidelity_closed(3, at),
-            negativity(rho2, 2, 2),
-            negativity(rho3, 3, 3),
         )
+    for col, d in ((5, 2), (6, 3)):
+        w = werner(d, p)
+        for lo in range(0, steps + 1, GRID_CHUNK):
+            chunk = slice(lo, lo + GRID_CHUNK)
+            kraus = se_kraus_stack(d, params, taus[chunk] / params.a1)
+            rho = bipartite_channel(w, kraus, "symmetric", params.q)
+            rows[chunk, col] = negativity(rho, d, d)
 
-    cross_qb = crossing_time(
-        lambda tau: s_qubit_closed(p, params.with_time(tau / params.a1)),
-        QUBIT_SEP_THRESHOLD,
-    )
-    cross_qt = crossing_time(
-        lambda tau: s_qutrit_closed(p, params.with_time(tau / params.a1)),
-        QUTRIT_SEP_THRESHOLD,
-    )
-    longer = cross_qt is not None and (cross_qb is None or cross_qt >= cross_qb)
+    cross_qb, cross_qt, longer = indicator_crossings(p, params)
     return SeparabilityReport(
         p=p,
         params=params,

@@ -17,6 +17,10 @@ point at t -> infinity.
 
 Bipartite use: ``bipartite_channel`` lifts a local channel to two qudits,
 either one-sided or as the mixture q (channel on A) + (1-q) (channel on B).
+
+Time grids: ``se_kraus_stack`` builds the Kraus operators at many times at
+once, from the same expressions as ``se_kraus_qubit``/``se_kraus_qutrit``,
+and ``bipartite_channel`` then returns one state per time.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, kron
+from .linalg import dagger
 from .su import generator_basis
 
 __all__ = [
@@ -37,6 +41,7 @@ __all__ = [
     "qutrit_kraus_coefficients",
     "se_kraus_qutrit",
     "se_kraus_qubit",
+    "se_kraus_stack",
     "apply_kraus",
     "lindblad_jump_ops",
     "lindblad_evolve",
@@ -89,7 +94,11 @@ class AffineBlochMap:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Operator-sum form sum_k K_k rho K_k^dag on a dim-level system."""
+    """Operator-sum form sum_k K_k rho K_k^dag on a dim-level system.
+
+    Each operator has shape (dim, dim), or (T, dim, dim) for a channel
+    tabulated at the T times in ``t`` (see ``se_kraus_stack``).
+    """
 
     dim: int
     operators: tuple
@@ -117,12 +126,15 @@ def se_affine_map(params: ChannelParams) -> AffineBlochMap:
     return AffineBlochMap(damping=d, shift=shift, t=params.t)
 
 
-def qutrit_kraus_coefficients(a2: float, a3: float, t: float) -> dict:
-    """Generator-expansion coefficients of the three qutrit Kraus operators."""
+def qutrit_kraus_coefficients(a2: float, a3: float, t) -> dict:
+    """Generator-expansion coefficients of the three qutrit Kraus operators.
+
+    ``t`` may be an array; each coefficient then has its shape.
+    """
     h2 = np.exp(-a2 * t / 2.0)
     h3 = np.exp(-a3 * t / 2.0)
-    w2 = np.sqrt(max(0.0, 1.0 - h2 * h2))
-    w3 = np.sqrt(max(0.0, 1.0 - h3 * h3))
+    w2 = np.sqrt(np.maximum(0.0, 1.0 - h2 * h2))
+    w3 = np.sqrt(np.maximum(0.0, 1.0 - h3 * h3))
     s3 = np.sqrt(3.0)
     return {
         "k00": (1.0 + h2 + h3) / 3.0,
@@ -135,26 +147,50 @@ def qutrit_kraus_coefficients(a2: float, a3: float, t: float) -> dict:
     }
 
 
+def _kraus_operators(dim: int, params: ChannelParams, t) -> tuple:
+    # Emission Kraus operators at time t: a scalar t gives (dim, dim)
+    # operators, t of shape (T, 1, 1) gives (T, dim, dim) stacks.
+    if dim not in (2, 3):
+        raise ValueError(f"local dimension must be 2 or 3, got {dim}")
+    g = generator_basis(dim).generators
+    ident = np.eye(dim, dtype=complex)
+    if dim == 2:
+        h1 = np.exp(-params.a1 * t / 2.0)
+        w1 = np.sqrt(np.maximum(0.0, 1.0 - h1 * h1))
+        return (
+            (1.0 + h1) / 2.0 * ident + (1.0 - h1) / 2.0 * g[2],
+            (w1 / 2.0) * g[0] + (0.5j * w1) * g[1],
+        )
+    k = qutrit_kraus_coefficients(params.a2, params.a3, t)
+    return (
+        k["k00"] * ident + k["k03"] * g[2] + k["k08"] * g[7],
+        k["k11"] * g[0] + k["k12"] * g[1],
+        k["k24"] * g[3] + k["k25"] * g[4],
+    )
+
+
 def se_kraus_qutrit(params: ChannelParams) -> KrausChannel:
     """Qutrit emission channel in operator-sum form (three operators)."""
-    g = generator_basis(3).generators
-    k = qutrit_kraus_coefficients(params.a2, params.a3, params.t)
-    ident = np.eye(3, dtype=complex)
-    k0 = k["k00"] * ident + k["k03"] * g[2] + k["k08"] * g[7]
-    k1 = k["k11"] * g[0] + k["k12"] * g[1]
-    k2 = k["k24"] * g[3] + k["k25"] * g[4]
-    return KrausChannel(dim=3, operators=(k0, k1, k2), t=params.t)
+    ops = _kraus_operators(3, params, params.t)
+    return KrausChannel(dim=3, operators=ops, t=params.t)
 
 
 def se_kraus_qubit(params: ChannelParams) -> KrausChannel:
     """Qubit emission channel in operator-sum form (two operators)."""
-    g = generator_basis(2).generators
-    h1 = np.exp(-params.a1 * params.t / 2.0)
-    w1 = np.sqrt(max(0.0, 1.0 - h1 * h1))
-    ident = np.eye(2, dtype=complex)
-    k0 = (1.0 + h1) / 2.0 * ident + (1.0 - h1) / 2.0 * g[2]
-    k1 = (w1 / 2.0) * g[0] + (0.5j * w1) * g[1]
-    return KrausChannel(dim=2, operators=(k0, k1), t=params.t)
+    ops = _kraus_operators(2, params, params.t)
+    return KrausChannel(dim=2, operators=ops, t=params.t)
+
+
+def se_kraus_stack(dim: int, params: ChannelParams, times) -> KrausChannel:
+    """Qubit (dim 2) or qutrit (dim 3) emission channel at each of ``times``.
+
+    The rates come from ``params`` (its ``t`` is ignored). Each operator has
+    shape (T, dim, dim) for T times, and equals the one ``se_kraus_qubit`` or
+    ``se_kraus_qutrit`` builds at that time.
+    """
+    times = np.asarray(times, dtype=float).reshape(-1)
+    ops = _kraus_operators(dim, params, times[:, None, None])
+    return KrausChannel(dim=dim, operators=ops, t=times)
 
 
 def apply_kraus(rho: np.ndarray, channel: KrausChannel) -> np.ndarray:
@@ -207,7 +243,10 @@ def bipartite_channel(
     """Act with a local channel on a two-qudit state.
 
     mode 'A' or 'B' applies the channel to that subsystem only; 'symmetric'
-    returns the mixture q.(on A) + (1-q).(on B).
+    returns the mixture q.(on A) + (1-q).(on B). A channel tabulated at T
+    times (see ``se_kraus_stack``) gives the T states, shape (T, d^2, d^2).
+    Each side is one contraction of the (d, d, d, d) tensor of ``rho`` with
+    the (T, k, d, d) Kraus stack.
     """
     rho = np.asarray(rho, dtype=complex)
     dim = channel.dim
@@ -217,14 +256,14 @@ def bipartite_channel(
         )
     if not 0.0 <= q <= 1.0:
         raise ValueError("mixing weight q must lie in [0, 1]")
-    ident = np.eye(dim, dtype=complex)
+    ops = np.stack(channel.operators, axis=-3)
+    tensor = rho.reshape(dim, dim, dim, dim)  # (a, b, a', b'), A slow
+    # K (x) I contracts with the A indices, I (x) K with the B indices
+    specs = {"A": "...kax,xbyc,...kzy->...abzc", "B": "...kbx,axcy,...kzy->...abcz"}
 
     def one_sided(side: str) -> np.ndarray:
-        out = np.zeros_like(rho)
-        for k in channel.operators:
-            lifted = kron(k, ident) if side == "A" else kron(ident, k)
-            out += lifted @ rho @ dagger(lifted)
-        return out
+        out = np.einsum(specs[side], ops, tensor, ops.conj(), optimize=True)
+        return out.reshape(out.shape[:-4] + rho.shape)
 
     if mode == "A":
         return one_sided("A")

@@ -62,6 +62,8 @@ class RunConfig:
             raise ValueError("steps must be >= 2")
         if self.samples < 100:
             raise ValueError("samples must be >= 100")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def params(self) -> ChannelParams:
@@ -92,7 +94,7 @@ def run_curves(cfg: RunConfig, out) -> int:
 
 
 def run_threshold(cfg: RunConfig, out) -> int:
-    report = analysis.separability_report(cfg.p, cfg.params, steps=2)
+    t_qb, t_qt, longer = analysis.indicator_crossings(cfg.p, cfg.params)
 
     def cross_line(key: str, value: Optional[float]) -> str:
         return f"{key}={_fmt(value) if value is not None else 'separable_at_t0'}\n"
@@ -100,21 +102,20 @@ def run_threshold(cfg: RunConfig, out) -> int:
     out.write(f"p={_fmt(cfg.p)}\n")
     out.write(f"a21={_fmt(cfg.a2 / cfg.a1)}\n")
     out.write(f"a31={_fmt(cfg.a3 / cfg.a1)}\n")
-    out.write(cross_line("t_cross_qubit", report.t_cross_qubit))
-    out.write(cross_line("t_cross_qutrit", report.t_cross_qutrit))
+    out.write(cross_line("t_cross_qubit", t_qb))
+    out.write(cross_line("t_cross_qutrit", t_qt))
     if cfg.p > analysis.QUBIT_SEP_THRESHOLD:
         closed = analysis.qubit_crossing_closed(cfg.p, cfg.a1) * cfg.a1
-        out.write(f"t_qubit_closed={_fmt(closed)}\n")
-    else:
-        out.write("t_qubit_closed=separable_at_t0\n")
-    if cfg.p > 0:
         verdict = analysis.preservation_inequality(
             cfg.p, cfg.a2 / cfg.a1, cfg.a3 / cfg.a1
         )
+        out.write(f"t_qubit_closed={_fmt(closed)}\n")
         out.write(f"preservation_inequality={str(verdict).lower()}\n")
     else:
+        # both are defined only while the qubit pair starts entangled
+        out.write("t_qubit_closed=separable_at_t0\n")
         out.write("preservation_inequality=undefined\n")
-    out.write(f"qutrit_preserves_longer={str(report.qutrit_preserves_longer).lower()}\n")
+    out.write(f"qutrit_preserves_longer={str(longer).lower()}\n")
     return 0
 
 

@@ -11,6 +11,7 @@ Hand-derived anchors used below:
 import numpy as np
 import pytest
 
+from qutrit_se import channels
 from qutrit_se.analysis import (
     QUBIT_SEP_THRESHOLD,
     QUTRIT_SEP_THRESHOLD,
@@ -19,6 +20,7 @@ from qutrit_se.analysis import (
     fidelity_from_state,
     haar_bloch_vectors,
     haar_moment_check,
+    indicator_crossings,
     negativity,
     ppt_threshold,
     preservation_inequality,
@@ -29,7 +31,13 @@ from qutrit_se.analysis import (
     separability_report,
 )
 from qutrit_se.channels import ChannelParams, bipartite_channel, se_kraus_qubit, se_kraus_qutrit
-from qutrit_se.linalg import kron, random_density_matrix
+from qutrit_se.linalg import (
+    dagger,
+    hermitian_eigenvalues,
+    kron,
+    partial_transpose,
+    random_density_matrix,
+)
 from qutrit_se.states import max_entangled, werner
 
 T_QUBIT_P1 = -2.0 * np.log(np.sqrt(2.0) - 1.0)
@@ -204,8 +212,10 @@ class TestPreservation:
                 assert preservation_inequality(1.0, a21, a31) == (t_qt >= t_qb)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            preservation_inequality(0.0, 1.0, 1.0)
+        # alpha >= 1 for p <= 1/3: the qubit pair is separable from the start
+        for p in (0.0, 0.2, 1.0 / 3.0):
+            with pytest.raises(ValueError):
+                preservation_inequality(p, 1.0, 1.0)
 
 
 class TestNegativity:
@@ -224,6 +234,16 @@ class TestNegativity:
                 assert negativity(werner(d, p), d, d) <= 1e-10
             for p in (thr + 0.01, 0.6, 1.0):
                 assert negativity(werner(d, p), d, d) > 1e-4
+
+    def test_stack_matches_per_state(self):
+        rng = np.random.default_rng(30)
+        rhos = np.stack([werner(3, 0.9), max_entangled(3), random_density_matrix(9, rng)])
+        negs = negativity(rhos, 3, 3)
+        assert negs.shape == (3,)
+        for k in range(3):
+            single = negativity(rhos[k], 3, 3)
+            assert type(single) is float
+            assert abs(negs[k] - single) <= 1e-15
 
     def test_ppt_threshold_bisection(self):
         assert abs(ppt_threshold(2) - 1.0 / 3.0) <= 1e-4
@@ -285,3 +305,52 @@ class TestReport:
             separability_report(0.5, ChannelParams(), steps=1)
         with pytest.raises(ValueError):
             separability_report(0.5, ChannelParams(), t_max=0.0)
+
+    def test_indicator_crossings(self):
+        t_qb, t_qt, longer = indicator_crossings(1.0, ChannelParams())
+        assert abs(t_qb - T_QUBIT_P1) < 1e-8 and abs(t_qt - T_QUTRIT_P1) < 1e-8
+        assert longer
+        assert indicator_crossings(0.2, ChannelParams()) == (None, None, False)
+
+    @pytest.mark.parametrize("q", [0.0, 0.3, 1.0])
+    def test_matches_per_point_reference(self, q):
+        # steps=130 gives 131 points: two full 64-point chunks and a short one
+        p, par = 0.85, ChannelParams(a1=1.3, a2=0.6, a3=2.2, q=q)
+        rep = separability_report(p, par, t_max=4.0, steps=130)
+        assert rep.rows.shape == (131, 7)
+        for row in rep.rows:
+            at = par.with_time(row[0] / par.a1)
+            expected = [row[0], s_qubit_closed(p, at), s_qutrit_closed(p, at),
+                        fidelity_closed(2, at), fidelity_closed(3, at)]
+            for d, build in ((2, se_kraus_qubit), (3, se_kraus_qutrit)):
+                ident = np.eye(d)
+                rho = np.zeros((d * d, d * d), dtype=complex)
+                for k in build(at).operators:
+                    lift_a, lift_b = kron(k, ident), kron(ident, k)
+                    rho += q * lift_a @ werner(d, p) @ dagger(lift_a)
+                    rho += (1 - q) * lift_b @ werner(d, p) @ dagger(lift_b)
+                eigs = hermitian_eigenvalues(partial_transpose(rho, d, d))
+                expected.append(-eigs[eigs < 0].sum())
+            assert np.max(np.abs(row - expected)) <= 1e-14
+            assert [format(x, ".9g") for x in row] == [format(x, ".9g") for x in expected]
+
+    def test_no_lapack_eigensolver(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("negativity must not use a LAPACK eigensolver")
+
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        rep = separability_report(0.9, ChannelParams(q=0.2), steps=70)
+        assert rep.rows.shape == (71, 7) and rep.rows[0, 6] > 0.5
+
+    def test_reads_kraus_coefficients_at_call_time(self, monkeypatch):
+        good = channels.qutrit_kraus_coefficients
+        seen = []
+
+        def recorded(a2, a3, t):
+            seen.append(np.shape(t))
+            return good(a2, a3, t)
+
+        monkeypatch.setattr(channels, "qutrit_kraus_coefficients", recorded)
+        separability_report(1.0, ChannelParams(), steps=70)
+        assert seen == [(64, 1, 1), (7, 1, 1)]

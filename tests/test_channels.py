@@ -21,8 +21,9 @@ from qutrit_se.channels import (
     se_affine_map,
     se_kraus_qubit,
     se_kraus_qutrit,
+    se_kraus_stack,
 )
-from qutrit_se.linalg import hermitian_eigenvalues, random_density_matrix
+from qutrit_se.linalg import dagger, hermitian_eigenvalues, kron, random_density_matrix
 from qutrit_se.states import correlation_matrix, max_entangled, validate_density, werner
 from qutrit_se.su import bloch_to_density, density_to_bloch
 
@@ -311,7 +312,62 @@ def test_choi_positivity_sampled_times():
         assert hermitian_eigenvalues(choi)[0] >= -1e-10
 
 
+class TestKrausStack:
+    @pytest.mark.parametrize("dim, build", [(2, se_kraus_qubit), (3, se_kraus_qutrit)])
+    def test_matches_single_time_builders(self, dim, build):
+        par = ChannelParams(a1=0.7, a2=1.9, a3=0.35)
+        times = np.array([0.0, 0.05, 0.9, 3.0, 40.0])
+        stack = se_kraus_stack(dim, par, times)
+        assert stack.dim == dim
+        np.testing.assert_array_equal(stack.t, times)
+        for i, t in enumerate(times):
+            single = build(par.with_time(t))
+            assert len(stack.operators) == len(single.operators)
+            for k_stack, k_single in zip(stack.operators, single.operators):
+                assert k_stack.shape == (len(times), dim, dim)
+                np.testing.assert_array_equal(k_stack[i], k_single)
+        assert stack.completeness_defect() <= 1e-12
+
+    def test_rejects_other_dimensions(self):
+        with pytest.raises(ValueError):
+            se_kraus_stack(4, ChannelParams(), [0.5])
+
+
+def kron_bipartite(rho, channel, mode, q=0.5):
+    """Reference: lift each Kraus operator to A (x) B with an explicit kron."""
+    ident = np.eye(channel.dim)
+
+    def one_sided(side):
+        lifted = [kron(k, ident) if side == "A" else kron(ident, k) for k in channel.operators]
+        return sum(l @ rho @ dagger(l) for l in lifted)
+
+    if mode == "symmetric":
+        return q * one_sided("A") + (1 - q) * one_sided("B")
+    return one_sided(mode)
+
+
 class TestBipartite:
+    @pytest.mark.parametrize("mode", ["A", "B", "symmetric"])
+    @pytest.mark.parametrize("dim, build", [(2, se_kraus_qubit), (3, se_kraus_qutrit)])
+    def test_matches_kron_lifting(self, mode, dim, build):
+        rng = np.random.default_rng(17 + dim)
+        rho = random_density_matrix(dim * dim, rng)
+        ch = build(ChannelParams(a1=1.2, a2=0.8, a3=2.1, t=0.65))
+        out = bipartite_channel(rho, ch, mode, 0.35)
+        np.testing.assert_allclose(out, kron_bipartite(rho, ch, mode, 0.35), rtol=0, atol=1e-15)
+
+    def test_stack_matches_per_time_calls(self):
+        rng = np.random.default_rng(18)
+        rho = random_density_matrix(9, rng)
+        par = ChannelParams(a2=1.4, a3=0.5)
+        times = np.linspace(0.0, 4.0, 7)
+        for mode in ("A", "B", "symmetric"):
+            out = bipartite_channel(rho, se_kraus_stack(3, par, times), mode, 0.7)
+            assert out.shape == (7, 9, 9)
+            for i, t in enumerate(times):
+                single = bipartite_channel(rho, se_kraus_qutrit(par.with_time(t)), mode, 0.7)
+                np.testing.assert_allclose(out[i], single, rtol=0, atol=1e-15)
+
     def test_t_zero_identity(self):
         rho = werner(3, 0.7)
         ch = se_kraus_qutrit(ChannelParams(t=0.0))

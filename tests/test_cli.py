@@ -116,6 +116,7 @@ class TestThreshold:
         rep = parse_report(capsys.readouterr().out)
         assert rep["t_cross_qubit"] == "separable_at_t0"
         assert rep["t_cross_qutrit"] == "separable_at_t0"
+        assert rep["preservation_inequality"] == "undefined"
         assert rep["qutrit_preserves_longer"] == "false"
 
 
@@ -211,6 +212,13 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["haar", "validate"])
+    def test_negative_seed(self, capsys, command):
+        assert main([command, "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:

@@ -24,6 +24,40 @@ from qutrit_se.su import pauli_matrices
 SX, SY, SZ = pauli_matrices()
 
 
+def scalar_jacobi(a, tol=1e-12):
+    """Reference: the one-matrix row-cyclic Jacobi loop the stacked solver replaces."""
+    m = (a + dagger(a)) / 2.0
+    n = m.shape[0]
+    for _ in range(100):
+        if np.abs(m - np.diag(m.diagonal())).max() <= tol:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                r = abs(m[p, q])
+                if r < 1e-300:
+                    continue
+                phase = m[p, q] / r
+                theta = (m[q, q].real - m[p, p].real) / (2.0 * r)
+                sgn = 1.0 if theta >= 0.0 else -1.0
+                t = sgn / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                col_p = m[:, p].copy()
+                col_q = m[:, q].copy()
+                m[:, p] = c * col_p - s * np.conj(phase) * col_q
+                m[:, q] = s * phase * col_p + c * col_q
+                row_p = m[p, :].copy()
+                row_q = m[q, :].copy()
+                m[p, :] = c * row_p - s * phase * row_q
+                m[q, :] = s * np.conj(phase) * row_p + c * row_q
+                m[p, q] = m[q, p] = 0.0
+                m[p, p] = m[p, p].real
+                m[q, q] = m[q, q].real
+    else:
+        raise NoConvergenceError("reference did not converge")
+    return np.sort(m.diagonal().real)
+
+
 def kron_loop(a, b):
     """Independent entrywise Kronecker oracle."""
     ra, ca = a.shape
@@ -117,6 +151,42 @@ class TestHermitianEigenvalues:
         with pytest.raises(NoConvergenceError):
             hermitian_eigenvalues(stuck, tol=1e-312)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # a NaN or inf must fail the Hermiticity guard, not exhaust the sweeps
+        with pytest.raises(NonHermitianError):
+            hermitian_eigenvalues(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 9])
+    def test_stack_matches_per_matrix_and_scalar_loop(self, n):
+        rng = np.random.default_rng(60 + n)
+        stack = np.stack([random_density_matrix(n, rng) for _ in range(12)])
+        stack[3] = np.diag(np.arange(n) / n)  # converged before the first sweep
+        stack[4] = partial_transpose(max_entangled(3), 3, 3)[:n, :n]  # sparse
+        stack[5] = partial_transpose(stack[5], 1, n)
+        eigs = hermitian_eigenvalues(stack)
+        assert eigs.shape == (12, n)
+        for k in range(12):
+            single = hermitian_eigenvalues(stack[k])
+            assert single.shape == (n,)
+            assert np.max(np.abs(eigs[k] - single)) <= 1e-15
+            np.testing.assert_allclose(single, scalar_jacobi(stack[k]), rtol=0, atol=1e-15)
+
+    def test_stack_shape_follows_leading_axes(self):
+        rng = np.random.default_rng(13)
+        stack = np.stack([random_density_matrix(4, rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+        eigs = hermitian_eigenvalues(stack)
+        assert eigs.shape == (2, 3, 4)
+        np.testing.assert_array_equal(eigs[1, 2], hermitian_eigenvalues(stack[1, 2]))
+
+    def test_stack_raises_for_any_failing_member(self):
+        stuck = np.array([[1.0, 1e-305], [1e-305, 2.0]])
+        with pytest.raises(NoConvergenceError):
+            hermitian_eigenvalues(np.stack([np.eye(2), stuck, SX]), tol=1e-312)
+        skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(NonHermitianError):
+            hermitian_eigenvalues(np.stack([np.eye(2), SX, skew]))
+
 
 class TestPartialTranspose:
     def test_max_entangled_qubit_matrix(self):
@@ -157,6 +227,15 @@ class TestPartialTranspose:
             eb = hermitian_eigenvalues(partial_transpose(rho, da, db, "B"))
             np.testing.assert_allclose(ea, eb, atol=1e-10)
 
+    def test_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(24)
+        rhos = np.stack([random_density_matrix(6, rng) for _ in range(4)])
+        for side in ("A", "B"):
+            stacked = partial_transpose(rhos, 2, 3, side)
+            assert stacked.shape == (4, 6, 6)
+            for k in range(4):
+                np.testing.assert_array_equal(stacked[k], partial_transpose(rhos[k], 2, 3, side))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             partial_transpose(np.eye(5) / 5, 2, 2)
@@ -180,6 +259,14 @@ class TestPartialTrace:
                 np.testing.assert_allclose(
                     partial_trace(rho, d, d, side), np.eye(d) / d, atol=1e-12
                 )
+
+    def test_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(33)
+        rhos = np.stack([random_density_matrix(6, rng) for _ in range(3)])
+        for side in ("A", "B"):
+            stacked = partial_trace(rhos, 2, 3, side)
+            for k in range(3):
+                np.testing.assert_array_equal(stacked[k], partial_trace(rhos[k], 2, 3, side))
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(32)
