@@ -11,11 +11,17 @@ Two independent routes are provided for every headline quantity:
 
 The indicator s(t) for a Werner input with weight p starts at s(0) = p and
 decays monotonically; the state stays distillable-entangled while it exceeds
-1/3 (two qubits) or 1/4 (two qutrits).
+1/(d+1): 1/3 (two qubits) or 1/4 (two qutrits).
+
+One closed-form core serves both species, which differ only in their arm
+rates (``ChannelParams.rates``): with h_k = exp(-a_k t/2) per arm and local
+dimension d, s_d = p/(d^2-1) sum_k h_k (h_k + 2 + 2 sum_{j<k} h_j) and
+F_d = (1 + sum_k h_k)^2/d^2, for a scalar t or a whole time grid at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -23,7 +29,7 @@ import numpy as np
 
 from .channels import ChannelParams, bipartite_channel, se_kraus_stack
 from .linalg import hermitian_eigenvalues, partial_transpose
-from .states import max_entangled, werner
+from .states import correlation_matrix, max_entangled, werner
 from .su import generator_basis
 
 __all__ = [
@@ -35,6 +41,7 @@ __all__ = [
     "fidelity_closed",
     "fidelity_from_state",
     "crossing_time",
+    "indicator_crossing",
     "indicator_crossings",
     "qubit_crossing_closed",
     "preservation_inequality",
@@ -56,51 +63,46 @@ QUTRIT_SEP_THRESHOLD = 0.25
 GRID_CHUNK = 64
 
 
+def _arm_factors(rates: tuple, t) -> list:
+    return [np.exp(-a * t / 2.0) for a in rates]
+
+
+def _indicator(p: float, h: list):
+    # s_d = p/(d^2-1) sum_k h_k (h_k + 2 + 2 sum_{j<k} h_j), d - 1 = len(h)
+    total, below = 0.0, 0.0
+    for hk in h:
+        total = total + hk * (hk + 2.0 + 2.0 * below)
+        below = below + hk
+    return p / (len(h) * (len(h) + 2)) * total
+
+
+def _fidelity(h: list):
+    return sum(h, 1.0) ** 2 / (len(h) + 1) ** 2
+
+
 def s_qubit_closed(p: float, params: ChannelParams) -> float:
     """Two-qubit separability indicator at time params.t."""
-    h1 = np.exp(-params.a1 * params.t / 2.0)
-    return (p / 3.0) * (2.0 * h1 + h1 * h1)
+    return _indicator(p, _arm_factors(params.rates(2), params.t))
 
 
 def s_qutrit_closed(p: float, params: ChannelParams) -> float:
     """Two-qutrit separability indicator at time params.t."""
-    t = params.t
-    e2 = np.exp(-params.a2 * t)
-    e3 = np.exp(-params.a3 * t)
-    h2 = np.exp(-params.a2 * t / 2.0)
-    h3 = np.exp(-params.a3 * t / 2.0)
-    h23 = np.exp(-(params.a2 + params.a3) * t / 2.0)
-    return (p / 8.0) * (e2 + e3 + 2.0 * h2 + 2.0 * h3 + 2.0 * h23)
+    return _indicator(p, _arm_factors(params.rates(3), params.t))
 
 
 def s_from_state(rho: np.ndarray, d: int) -> float:
     """Separability indicator read off a two-qudit state.
 
-    Sums the magnitudes of the diagonal generator-generator expansion
-    coefficients; normalized so a Werner state with weight p gives p at t=0.
+    Sums the magnitudes of the diagonal of the correlation matrix; each is
+    1/(d-1) for the maximally entangled state, so a Werner state with
+    weight p gives p at t=0.
     """
-    if d not in (2, 3):
-        raise ValueError(f"local dimension must be 2 or 3, got {d}")
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (d * d, d * d):
-        raise ValueError(f"expected shape {(d * d, d * d)}, got {rho.shape}")
-    g = generator_basis(d).generators
-    t = rho.reshape(d, d, d, d)
-    diag = np.einsum("ikjl,aji,alk->a", t, g, g).real
-    if d == 2:
-        return float(np.sum(np.abs(diag)) / 3.0)
-    return float(np.sum(np.abs(2.25 * diag)) / 12.0)
+    return float(np.sum(np.abs(np.diag(correlation_matrix(rho, d)))) / (d + 1))
 
 
 def fidelity_closed(d: int, params: ChannelParams) -> float:
     """Overlap of the evolved maximally entangled state with itself at t=0."""
-    if d == 2:
-        return (1.0 + np.exp(-params.a1 * params.t / 2.0)) ** 2 / 4.0
-    if d == 3:
-        h2 = np.exp(-params.a2 * params.t / 2.0)
-        h3 = np.exp(-params.a3 * params.t / 2.0)
-        return (1.0 + h2 + h3) ** 2 / 9.0
-    raise ValueError(f"local dimension must be 2 or 3, got {d}")
+    return _fidelity(_arm_factors(params.rates(d), params.t))
 
 
 def fidelity_from_state(rho: np.ndarray, d: int) -> float:
@@ -121,8 +123,9 @@ def crossing_time(
     """First time a nonincreasing f(t) reaches ``threshold``, by bisection.
 
     Returns None when f(0) is already below the threshold. When ``t_hi`` is
-    omitted a bracket is found by doubling; an explicit ``t_hi`` with
-    f(t_hi) still above the threshold raises ValueError.
+    omitted a bracket is found by doubling, and math.inf is returned when f
+    stays at or above the threshold up to t = 2^60; an explicit ``t_hi``
+    with f(t_hi) still above the threshold raises ValueError.
     """
     f0 = f(0.0)
     if f0 < threshold:
@@ -132,7 +135,7 @@ def crossing_time(
         while f(t_hi) >= threshold:
             t_hi *= 2.0
             if t_hi > 2.0**60:
-                raise ValueError("no crossing found below t = 2^60")
+                return math.inf
     elif f(t_hi) > threshold:
         raise ValueError(f"f({t_hi}) is still above the threshold; not bracketed")
     lo, hi = 0.0, float(t_hi)
@@ -193,8 +196,6 @@ def ppt_threshold(d: int, p_tol: float = 1e-6) -> float:
     Pure bisection on the measured negativity — no closed form enters, so
     this is an independent check of the 1/3 (qubit) and 1/4 (qutrit) values.
     """
-    if d not in (2, 3):
-        raise ValueError(f"local dimension must be 2 or 3, got {d}")
 
     def entangled(p: float) -> bool:
         return negativity(werner(d, p), d, d) > 1e-9
@@ -219,13 +220,13 @@ def haar_random_states(d: int, samples: int, rng: np.random.Generator) -> np.nda
 
 def haar_bloch_vectors(d: int, samples: int, seed: int) -> np.ndarray:
     """Bloch vectors of Haar-random pure states, shape (samples, d^2 - 1)."""
-    if d not in (2, 3):
-        raise ValueError(f"local dimension must be 2 or 3, got {d}")
+    basis = generator_basis(d)
     rng = np.random.default_rng(seed)
     v = haar_random_states(d, samples, rng)
-    g = generator_basis(d).generators
-    n = np.einsum("sa,iab,sb->si", v.conj(), g, v).real
-    return n if d == 2 else np.sqrt(3.0) / 2.0 * n
+    n = np.einsum("sa,iab,sb->si", v.conj(), basis.generators, v).real
+    # a unit scale (the qubit) keeps the strided view, whose second moments
+    # numpy sums in another order than those of a contiguous copy
+    return n if basis.bloch_scale == 1.0 else basis.bloch_scale * n
 
 
 def haar_moment_check(d: int, samples: int, seed: int) -> np.ndarray:
@@ -243,7 +244,8 @@ class SeparabilityReport:
     """Survival-curve grid and crossing summary for one parameter point.
 
     ``rows`` has columns (a1*t, s_qubit, s_qutrit, F_qubit, F_qutrit,
-    neg_qubit, neg_qutrit); times and crossings are in dimensionless a1*t.
+    neg_qubit, neg_qutrit); times and crossings are in dimensionless a1*t
+    (math.inf for an indicator that never reaches its threshold).
     """
 
     p: float
@@ -254,22 +256,27 @@ class SeparabilityReport:
     qutrit_preserves_longer: bool
 
 
+def indicator_crossing(p: float, params: ChannelParams, d: int) -> Optional[float]:
+    """a1*t at which the d-level pair's indicator s_d reaches 1/(d+1).
+
+    None when the pair is separable at t = 0, math.inf when s_d stays above
+    the threshold up to a1*t = 2^60 (an undamped arm). Rates must be positive.
+    """
+    rates, a1 = params.rates(d), params.a1
+    return crossing_time(
+        lambda tau: _indicator(p, _arm_factors(rates, tau / a1)), 1.0 / (d + 1)
+    )
+
+
 def indicator_crossings(p: float, params: ChannelParams) -> tuple:
     """Crossing times of both indicators and the preservation verdict.
 
     Returns (t_cross_qubit, t_cross_qutrit, qutrit_preserves_longer): the
-    a1*t at which s_qubit reaches 1/3 and s_qutrit reaches 1/4, each None
-    when the pair is separable at t = 0, and whether the qutrit crossing is
-    the later one. Rates must be positive.
+    ``indicator_crossing`` of each species and whether the qutrit crossing
+    is the later one.
     """
-    cross_qb = crossing_time(
-        lambda tau: s_qubit_closed(p, params.with_time(tau / params.a1)),
-        QUBIT_SEP_THRESHOLD,
-    )
-    cross_qt = crossing_time(
-        lambda tau: s_qutrit_closed(p, params.with_time(tau / params.a1)),
-        QUTRIT_SEP_THRESHOLD,
-    )
+    cross_qb = indicator_crossing(p, params, 2)
+    cross_qt = indicator_crossing(p, params, 3)
     longer = cross_qt is not None and (cross_qb is None or cross_qt >= cross_qb)
     return cross_qb, cross_qt, longer
 
@@ -282,7 +289,7 @@ def separability_report(
 ) -> SeparabilityReport:
     """Tabulate both species' survival curves over a1*t in [0, t_max].
 
-    Closed forms supply s and F, one time point at a time; the negativity
+    Closed forms supply s and F for the whole grid at once; the negativity
     columns are measured on Kraus-evolved Werner states, so the two routes
     can disagree only if one of them is wrong. The negativities are computed
     GRID_CHUNK time points at a time: one Kraus stack, one bipartite
@@ -298,23 +305,19 @@ def separability_report(
         raise ValueError(f"Werner weight p={p} outside [0, 1]")
 
     taus = np.linspace(0.0, t_max, steps + 1)
+    times = taus / params.a1
     rows = np.empty((steps + 1, 7))
-    for i, tau in enumerate(taus):
-        at = params.with_time(tau / params.a1)
-        rows[i, :5] = (
-            tau,
-            s_qubit_closed(p, at),
-            s_qutrit_closed(p, at),
-            fidelity_closed(2, at),
-            fidelity_closed(3, at),
-        )
-    for col, d in ((5, 2), (6, 3)):
+    rows[:, 0] = taus
+    for i, d in enumerate((2, 3)):
+        h = _arm_factors(params.rates(d), times)
+        rows[:, 1 + i] = _indicator(p, h)
+        rows[:, 3 + i] = _fidelity(h)
         w = werner(d, p)
         for lo in range(0, steps + 1, GRID_CHUNK):
             chunk = slice(lo, lo + GRID_CHUNK)
-            kraus = se_kraus_stack(d, params, taus[chunk] / params.a1)
+            kraus = se_kraus_stack(d, params, times[chunk])
             rho = bipartite_channel(w, kraus, "symmetric", params.q)
-            rows[chunk, col] = negativity(rho, d, d)
+            rows[chunk, 5 + i] = negativity(rho, d, d)
 
     cross_qb, cross_qt, longer = indicator_crossings(p, params)
     return SeparabilityReport(

@@ -1,9 +1,11 @@
 """Spontaneous-emission channels for a qubit and a V-configuration qutrit.
 
-The qutrit has one ground level and two excited levels that both decay to it
-with Einstein coefficients A2 and A3 (the qubit analogue has a single rate
-A1). The same channel is provided in three independent forms that the test
-suite cross-checks against each other:
+Both are V systems: one ground level and d - 1 excited levels (arms) that
+each decay to it. The qutrit has two arms with Einstein coefficients A2 and
+A3; the qubit is the one-arm case with rate A1. ``ChannelParams.rates`` maps
+a dimension to its arm rates, and that tuple is all that tells the two
+species apart. The qutrit channel is provided in three independent forms
+that the test suite cross-checks against each other:
 
 * an affine map n -> D(t) n + T(t) on the 8-dimensional Bloch vector,
 * an operator-sum (Kraus) form built from generator combinations,
@@ -18,6 +20,10 @@ point at t -> infinity.
 Bipartite use: ``bipartite_channel`` lifts a local channel to two qudits,
 either one-sided or as the mixture q (channel on A) + (1-q) (channel on B).
 
+Kraus form: K0 = diag(1, h_1, ..., h_n) and K_m = w_m |0><m| for the n arms,
+with h_m = exp(-a_m t/2) and w_m = sqrt(1 - h_m^2), expanded in generators;
+the qubit and the qutrit are built by the same code from their rate tuples.
+
 Time grids: ``se_kraus_stack`` builds the Kraus operators at many times at
 once, from the same expressions as ``se_kraus_qubit``/``se_kraus_qutrit``,
 and ``bipartite_channel`` then returns one state per time.
@@ -26,6 +32,7 @@ and ``bipartite_channel`` then returns one state per time.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +46,7 @@ __all__ = [
     "KrausChannel",
     "se_affine_map",
     "qutrit_kraus_coefficients",
+    "se_kraus",
     "se_kraus_qutrit",
     "se_kraus_qubit",
     "se_kraus_stack",
@@ -60,13 +68,17 @@ class ChannelParams:
     q: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("a1", "a2", "a3"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"decay rate {name} must be >= 0")
-        if self.t < 0:
-            raise ValueError("time t must be >= 0")
+        for name in ("a1", "a2", "a3", "t"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not 0.0 <= self.q <= 1.0:
             raise ValueError("mixing weight q must lie in [0, 1]")
+
+    def rates(self, dim: int) -> tuple:
+        """Arm decay rates of the dim-level system: (a1,) for 2, (a2, a3) for 3."""
+        generator_basis(dim)  # rejects an unsupported dim
+        return (self.a1,) if dim == 2 else (self.a2, self.a3)
 
     @property
     def a21(self) -> float:
@@ -131,54 +143,63 @@ def qutrit_kraus_coefficients(a2: float, a3: float, t) -> dict:
 
     ``t`` may be an array; each coefficient then has its shape.
     """
-    h2 = np.exp(-a2 * t / 2.0)
-    h3 = np.exp(-a3 * t / 2.0)
-    w2 = np.sqrt(np.maximum(0.0, 1.0 - h2 * h2))
-    w3 = np.sqrt(np.maximum(0.0, 1.0 - h3 * h3))
-    s3 = np.sqrt(3.0)
-    return {
-        "k00": (1.0 + h2 + h3) / 3.0,
-        "k03": (1.0 - h2) / 2.0,
-        "k08": (1.0 + h2 - 2.0 * h3) / (2.0 * s3),
-        "k11": w2 / 2.0,
-        "k12": 0.5j * w2,
-        "k24": w3 / 2.0,
-        "k25": 0.5j * w3,
-    }
+    return _kraus_coefficients((a2, a3), t)
+
+
+# Per arm m = 1, 2 (Gell-Mann labelling): key and 0-based generator of the term
+# it adds to K0, that coefficient's norm 2 sqrt(m(m+1)/2), and keys and
+# generators of K_m. Key "k<op><g>": generator g (1-based, 0 = I) in K_op.
+_ARMS = (
+    ("k03", 2, 2.0, "k11", 0, "k12", 1),
+    ("k08", 7, 2.0 * math.sqrt(3.0), "k24", 3, "k25", 4),
+)
+
+
+def _kraus_coefficients(rates: tuple, t) -> dict:
+    k = {}
+    upper = 1.0  # K0's diagonal summed over the levels before arm m
+    for m, (a, (diag, _, norm, x, _, y, _)) in enumerate(zip(rates, _ARMS), 1):
+        h = np.exp(-a * t / 2.0)
+        w = np.sqrt(np.maximum(0.0, 1.0 - h * h))
+        k[diag] = (upper - m * h) / norm
+        k[x] = w / 2.0
+        k[y] = 0.5j * w
+        upper = upper + h
+    k["k00"] = upper / (len(rates) + 1)
+    return k
 
 
 def _kraus_operators(dim: int, params: ChannelParams, t) -> tuple:
     # Emission Kraus operators at time t: a scalar t gives (dim, dim)
     # operators, t of shape (T, 1, 1) gives (T, dim, dim) stacks.
-    if dim not in (2, 3):
-        raise ValueError(f"local dimension must be 2 or 3, got {dim}")
+    rates = params.rates(dim)
     g = generator_basis(dim).generators
-    ident = np.eye(dim, dtype=complex)
-    if dim == 2:
-        h1 = np.exp(-params.a1 * t / 2.0)
-        w1 = np.sqrt(np.maximum(0.0, 1.0 - h1 * h1))
-        return (
-            (1.0 + h1) / 2.0 * ident + (1.0 - h1) / 2.0 * g[2],
-            (w1 / 2.0) * g[0] + (0.5j * w1) * g[1],
-        )
-    k = qutrit_kraus_coefficients(params.a2, params.a3, t)
-    return (
-        k["k00"] * ident + k["k03"] * g[2] + k["k08"] * g[7],
-        k["k11"] * g[0] + k["k12"] * g[1],
-        k["k24"] * g[3] + k["k25"] * g[4],
-    )
+    if len(rates) == 2:  # by its public name, so that a patched table is used
+        k = qutrit_kraus_coefficients(*rates, t)
+    else:
+        k = _kraus_coefficients(rates, t)
+    k0 = k["k00"] * np.eye(dim, dtype=complex)
+    jumps = []
+    for diag, gd, _, x, gx, y, gy in _ARMS[: len(rates)]:
+        k0 = k0 + k[diag] * g[gd]
+        jumps.append(k[x] * g[gx] + k[y] * g[gy])
+    return (k0, *jumps)
+
+
+def se_kraus(dim: int, params: ChannelParams) -> KrausChannel:
+    """Emission channel of the dim-level system at params.t (dim operators)."""
+    ops = _kraus_operators(dim, params, params.t)
+    return KrausChannel(dim=dim, operators=ops, t=params.t)
 
 
 def se_kraus_qutrit(params: ChannelParams) -> KrausChannel:
     """Qutrit emission channel in operator-sum form (three operators)."""
-    ops = _kraus_operators(3, params, params.t)
-    return KrausChannel(dim=3, operators=ops, t=params.t)
+    return se_kraus(3, params)
 
 
 def se_kraus_qubit(params: ChannelParams) -> KrausChannel:
     """Qubit emission channel in operator-sum form (two operators)."""
-    ops = _kraus_operators(2, params, params.t)
-    return KrausChannel(dim=2, operators=ops, t=params.t)
+    return se_kraus(2, params)
 
 
 def se_kraus_stack(dim: int, params: ChannelParams, times) -> KrausChannel:

@@ -31,6 +31,7 @@ from .linalg import random_density_matrix
 __all__ = ["RunConfig", "main"]
 
 _GENERATOR_NAME = "PCG64"
+_SPECIES = ((2, "qubit"), (3, "qutrit"))
 
 
 @dataclass(frozen=True)
@@ -50,12 +51,11 @@ class RunConfig:
     output: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not all(0 < rate < np.inf for rate in (self.a1, self.a2, self.a3)):
-            raise ValueError("decay rates a1, a2, a3 must be positive and finite")
+        params = self.params  # validates the rates (finite, >= 0) and q
+        if not min(params.a1, params.a2, params.a3) > 0:
+            raise ValueError("decay rates a1, a2, a3 must be positive")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError("q must lie in [0, 1]")
         if not 0 < self.t_max < np.inf:
             raise ValueError("t-max must be positive and finite")
         if self.steps < 2:
@@ -94,21 +94,19 @@ def run_curves(cfg: RunConfig, out) -> int:
 
 
 def run_threshold(cfg: RunConfig, out) -> int:
-    t_qb, t_qt, longer = analysis.indicator_crossings(cfg.p, cfg.params)
-
-    def cross_line(key: str, value: Optional[float]) -> str:
-        return f"{key}={_fmt(value) if value is not None else 'separable_at_t0'}\n"
+    params = cfg.params
+    t_qb, t_qt, longer = analysis.indicator_crossings(cfg.p, params)
+    # crossings that are not times print as words ("inf" would parse as one)
+    words = {None: "separable_at_t0", np.inf: "beyond_2^60"}
 
     out.write(f"p={_fmt(cfg.p)}\n")
-    out.write(f"a21={_fmt(cfg.a2 / cfg.a1)}\n")
-    out.write(f"a31={_fmt(cfg.a3 / cfg.a1)}\n")
-    out.write(cross_line("t_cross_qubit", t_qb))
-    out.write(cross_line("t_cross_qutrit", t_qt))
+    out.write(f"a21={_fmt(params.a21)}\n")
+    out.write(f"a31={_fmt(params.a31)}\n")
+    out.write(f"t_cross_qubit={words.get(t_qb) or _fmt(t_qb)}\n")
+    out.write(f"t_cross_qutrit={words.get(t_qt) or _fmt(t_qt)}\n")
     if cfg.p > analysis.QUBIT_SEP_THRESHOLD:
         closed = analysis.qubit_crossing_closed(cfg.p, cfg.a1) * cfg.a1
-        verdict = analysis.preservation_inequality(
-            cfg.p, cfg.a2 / cfg.a1, cfg.a3 / cfg.a1
-        )
+        verdict = analysis.preservation_inequality(cfg.p, params.a21, params.a31)
         out.write(f"t_qubit_closed={_fmt(closed)}\n")
         out.write(f"preservation_inequality={str(verdict).lower()}\n")
     else:
@@ -122,17 +120,10 @@ def run_threshold(cfg: RunConfig, out) -> int:
 def run_compare(cfg: RunConfig, out) -> int:
     grid = np.linspace(0.2, 5.0, 10)
     out.write("a21,a31,t_qubit,t_qutrit,inequality,agree\n")
-    t_qb = analysis.crossing_time(
-        lambda t: analysis.s_qubit_closed(cfg.p, ChannelParams(t=t)),
-        analysis.QUBIT_SEP_THRESHOLD,
-    )
+    t_qb = analysis.indicator_crossing(cfg.p, ChannelParams(), 2)
     for a21 in grid:
         for a31 in grid:
-            par = ChannelParams(a1=1.0, a2=a21, a3=a31)
-            t_qt = analysis.crossing_time(
-                lambda t: analysis.s_qutrit_closed(cfg.p, par.with_time(t)),
-                analysis.QUTRIT_SEP_THRESHOLD,
-            )
+            t_qt = analysis.indicator_crossing(cfg.p, ChannelParams(a2=a21, a3=a31), 3)
             verdict = analysis.preservation_inequality(cfg.p, a21, a31)
             agree = verdict == (t_qt >= t_qb)
             out.write(
@@ -145,11 +136,8 @@ def run_compare(cfg: RunConfig, out) -> int:
 def run_haar(cfg: RunConfig, out) -> int:
     out.write(f"generator={_GENERATOR_NAME}\n")
     out.write(f"seed={cfg.seed}\n")
-    for d, samples, target, quantum in (
-        (2, cfg.samples // 2, 1.0 / 3.0, 1.0),
-        (3, cfg.samples, 1.0 / 8.0, 0.5),
-    ):
-        name = "qubit" if d == 2 else "qutrit"
+    for (d, name), samples in zip(_SPECIES, (cfg.samples // 2, cfg.samples)):
+        target, quantum = 1.0 / (d * d - 1), 1.0 / (d - 1)
         m = analysis.haar_moment_check(d, samples, cfg.seed)
         diag_dev = np.max(np.abs(np.diag(m) - target))
         off_dev = np.max(np.abs(m - np.diag(np.diag(m))))
@@ -168,19 +156,13 @@ def _validate_checks(cfg: RunConfig):
     rate_pairs = ((1.0, 1.0), (2.0, 1.0), (0.5, 3.0))
     times = (0.0, 0.1, 1.0, 10.0)
 
-    defect = 0.0
-    for a2, a3 in rate_pairs:
-        for t in times:
-            par = ChannelParams(a1=a2, a2=a2, a3=a3, t=t)
-            defect = max(defect, channels.se_kraus_qubit(par).completeness_defect())
-    yield "kraus_completeness_qubit", defect, 1e-12
-
-    defect = 0.0
-    for a2, a3 in rate_pairs:
-        for t in times:
-            par = ChannelParams(a2=a2, a3=a3, t=t)
-            defect = max(defect, channels.se_kraus_qutrit(par).completeness_defect())
-    yield "kraus_completeness_qutrit", defect, 1e-12
+    for d, name in _SPECIES:
+        defect = 0.0
+        for a2, a3 in rate_pairs:
+            for t in times:
+                par = ChannelParams(a1=a2, a2=a2, a3=a3, t=t)
+                defect = max(defect, channels.se_kraus(d, par).completeness_defect())
+        yield f"kraus_completeness_{name}", defect, 1e-12
 
     par = ChannelParams(a2=1.0, a3=0.7)
     defect = 0.0
@@ -218,13 +200,12 @@ def _validate_checks(cfg: RunConfig):
         defect = max(defect, float(np.max(np.abs(su.star_product(n, n) - n))))
     yield "pure_state_conditions", defect, 1e-10
 
-    yield "ppt_threshold_qubit", abs(analysis.ppt_threshold(2) - 1.0 / 3.0), 1e-4
-    yield "ppt_threshold_qutrit", abs(analysis.ppt_threshold(3) - 0.25), 1e-4
-
-    m2 = analysis.haar_moment_check(2, 20_000, cfg.seed)
-    yield "haar_moments_qubit", float(np.max(np.abs(m2 - np.eye(3) / 3.0))), 0.02
-    m3 = analysis.haar_moment_check(3, 20_000, cfg.seed)
-    yield "haar_moments_qutrit", float(np.max(np.abs(m3 - np.eye(8) / 8.0))), 0.02
+    for d, name in _SPECIES:
+        yield f"ppt_threshold_{name}", abs(analysis.ppt_threshold(d) - 1.0 / (d + 1)), 1e-4
+    for d, name in _SPECIES:
+        m = analysis.haar_moment_check(d, 20_000, cfg.seed)
+        defect = float(np.max(np.abs(m - np.eye(d * d - 1) / (d * d - 1))))
+        yield f"haar_moments_{name}", defect, 0.02
 
     par = ChannelParams(a2=1.3, a3=0.4)
     m_a = channels.se_affine_map(par.with_time(0.6))
@@ -244,10 +225,7 @@ def _validate_checks(cfg: RunConfig):
     yield "fidelity_closed_vs_state", defect, 1e-10
 
     t_closed = analysis.qubit_crossing_closed(1.0)
-    t_bisect = analysis.crossing_time(
-        lambda t: analysis.s_qubit_closed(1.0, ChannelParams(t=t)),
-        analysis.QUBIT_SEP_THRESHOLD,
-    )
+    t_bisect = analysis.indicator_crossing(1.0, ChannelParams(), 2)
     yield "qubit_crossing_closed_vs_bisection", abs(t_closed - t_bisect), 1e-8
 
 

@@ -5,11 +5,12 @@ the maximally mixed state and the maximally entangled one,
 
     rho_W = (1 - p)/d^2 I + p |Psi><Psi|,   |Psi> = d^{-1/2} sum_i |ii>.
 
-Correlation matrices use the generator normalization of this package:
-C_ij = Tr[rho (sigma_i (x) sigma_j)] for qubits and
+Correlation matrices use the Bloch normalization of this package,
+C_ij = c^2 Tr[rho (g_i (x) g_j)] with c the Bloch scale of ``su`` and
+c^2 = d/(2(d-1)): C_ij = Tr[rho (sigma_i (x) sigma_j)] for qubits and
 C_ij = (3/4) Tr[rho (lambda_i (x) lambda_j)] for qutrits, so the maximally
-entangled state gives C = diag(s) resp. C = diag(s)/2 with
-s = (1,-1,1) resp. (1,-1,1,1,-1,1,-1,1).
+entangled state gives C = diag(s)/(d-1) with s = (1,-1,1) resp.
+(1,-1,1,1,-1,1,-1,1).
 """
 
 from __future__ import annotations
@@ -30,38 +31,31 @@ __all__ = [
 ]
 
 
-def _check_dim(d: int) -> None:
-    if d not in (2, 3):
-        raise ValueError(f"local dimension must be 2 or 3, got {d}")
-
-
 def max_entangled(d: int) -> np.ndarray:
     """Projector onto d^{-1/2} sum_i |ii>, shape (d^2, d^2)."""
-    _check_dim(d)
+    generator_basis(d)  # rejects an unsupported d
     psi = np.eye(d, dtype=complex).reshape(d * d) / np.sqrt(d)
     return np.outer(psi, psi.conj())
 
 
 def werner(d: int, p: float) -> np.ndarray:
     """Werner state: (1-p)/d^2 identity plus p times the entangled projector."""
-    _check_dim(d)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing parameter p={p} outside [0, 1]")
-    return (1.0 - p) / d**2 * np.eye(d * d, dtype=complex) + p * max_entangled(d)
+    # the projector first, so that an unsupported d fails before d**2 is used
+    return p * max_entangled(d) + (1.0 - p) / d**2 * np.eye(d * d, dtype=complex)
 
 
 def correlation_matrix(rho: np.ndarray, d: int) -> np.ndarray:
     """Generator-generator correlation matrix of a two-qudit state."""
-    _check_dim(d)
+    g = generator_basis(d).generators
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d * d, d * d):
         raise ValueError(f"expected shape {(d * d, d * d)}, got {rho.shape}")
-    g = generator_basis(d).generators
     t = rho.reshape(d, d, d, d)
     # Tr[rho (g_a (x) g_b)] with A as the slow index
     c = np.einsum("ikjl,aji,blk->ab", t, g, g)
-    scale = 1.0 if d == 2 else 0.75
-    return scale * c.real
+    return d / (2 * (d - 1)) * c.real
 
 
 @dataclass(frozen=True)

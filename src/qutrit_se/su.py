@@ -1,8 +1,9 @@
 """Pauli / Gell-Mann generator algebra and Bloch-vector dictionaries.
 
-A qubit state is written rho = (1/2)(I + n . sigma) with n in R^3, a qutrit
-state rho = (1/3)(I + sqrt(3) n . lambda) with n in R^8, so the inverse maps
-are n_i = Tr(rho sigma_i) and n_i = (sqrt(3)/2) Tr(rho lambda_i).
+A d-level state is written rho = (1/d)(I + b n . g) with b = sqrt(d(d-1)/2)
+and n in R^(d^2-1), so that pure states have |n| = 1: rho = (1/2)(I + n . sigma)
+for the qubit and rho = (1/3)(I + sqrt(3) n . lambda) for the qutrit. The
+inverse map is n_i = (b/(d-1)) Tr(rho g_i).
 
 Generators are normalized to Tr(g_i g_j) = 2 delta_ij. Structure constants are
 extracted from traces,
@@ -18,6 +19,7 @@ index i-1 throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -97,9 +99,8 @@ def structure_constants(generators: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 class GeneratorBasis:
     """An orthonormal su(d) generator set with its structure constants.
 
-    ``identity_element`` is the trace-orthogonal completion of the basis
-    (sqrt(2/3) I for the qutrit, I for the qubit). ``d`` is identically zero
-    for the qubit.
+    ``identity_element`` is the trace-orthogonal completion of the basis,
+    sqrt(2/d) I (I for the qubit). ``d`` is identically zero for the qubit.
     """
 
     dim: int
@@ -112,61 +113,65 @@ class GeneratorBasis:
     def n_generators(self) -> int:
         return self.dim * self.dim - 1
 
+    @property
+    def bloch_norm(self) -> float:
+        """b = sqrt(d(d-1)/2) in rho = (I + b n . g)/d."""
+        return math.sqrt(self.dim * (self.dim - 1) / 2.0)
+
+    @property
+    def bloch_scale(self) -> float:
+        """b/(d-1), the factor in n_i = bloch_scale Tr(rho g_i)."""
+        return self.bloch_norm / (self.dim - 1)
+
 
 @lru_cache(maxsize=None)
 def generator_basis(dim: int) -> GeneratorBasis:
-    """Shared immutable basis for dim 2 (Pauli) or 3 (Gell-Mann)."""
+    """Shared immutable basis for dim 2 (Pauli) or 3 (Gell-Mann).
+
+    The one place that rejects another dimension: every function taking a
+    dimension reaches it.
+    """
     if dim == 2:
         g = pauli_matrices()
-        ident = np.eye(2, dtype=complex)
     elif dim == 3:
         g = gell_mann_matrices()
-        ident = np.sqrt(2.0 / 3.0) * np.eye(3, dtype=complex)
     else:
         raise ValueError(f"only dim 2 and 3 are supported, got {dim}")
+    ident = np.sqrt(2.0 / dim) * np.eye(dim, dtype=complex)
     f, d = structure_constants(g)
     for arr in (g, ident, f, d):
         arr.setflags(write=False)
     return GeneratorBasis(dim=dim, generators=g, identity_element=ident, f=f, d=d)
 
 
-def _dim_for_bloch(n: np.ndarray) -> int:
-    if n.shape == (3,):
-        return 2
-    if n.shape == (8,):
-        return 3
-    raise ValueError(f"Bloch vector must have length 3 or 8, got shape {n.shape}")
+def _basis_for_bloch(n: np.ndarray) -> GeneratorBasis:
+    dim = math.isqrt(n.size + 1)
+    if n.ndim != 1 or dim * dim != n.size + 1:
+        raise ValueError(f"Bloch vector must have length d^2 - 1, got shape {n.shape}")
+    return generator_basis(dim)
 
 
 def bloch_to_density(n: np.ndarray) -> np.ndarray:
     """Density matrix of a Bloch vector (length 3 -> qubit, 8 -> qutrit)."""
     n = np.asarray(n, dtype=float)
-    dim = _dim_for_bloch(n)
-    basis = generator_basis(dim)
+    basis = _basis_for_bloch(n)
     weighted = np.einsum("i,iab->ab", n, basis.generators)
-    if dim == 2:
-        return (np.eye(2, dtype=complex) + weighted) / 2.0
-    return (np.eye(3, dtype=complex) + np.sqrt(3.0) * weighted) / 3.0
+    return (np.eye(basis.dim, dtype=complex) + basis.bloch_norm * weighted) / basis.dim
 
 
 def density_to_bloch(rho: np.ndarray) -> np.ndarray:
     """Bloch vector of a unit-trace Hermitian matrix (2x2 or 3x3)."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape == (2, 2):
-        dim = 2
-    elif rho.shape == (3, 3):
-        dim = 3
-    else:
-        raise ValueError(f"expected a 2x2 or 3x3 matrix, got shape {rho.shape}")
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {rho.shape}")
+    basis = generator_basis(rho.shape[0])
     defect = np.max(np.abs(rho - dagger(rho)))
     if defect > 1e-10:
         raise NonHermitianError(f"matrix deviates from Hermitian by {defect:.3e}")
     if abs(np.trace(rho).real - 1.0) > 1e-10:
         raise ValueError(f"matrix trace {np.trace(rho).real!r} is not 1")
-    basis = generator_basis(dim)
     coeffs = np.einsum("iab,ba->i", basis.generators, rho)
-    scale = 1.0 if dim == 2 else np.sqrt(3.0) / 2.0
-    return scale * coeffs.real
+    return basis.bloch_scale * coeffs.real
 
 
 def star_product(n: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -182,13 +187,11 @@ def star_product(n: np.ndarray, m: np.ndarray) -> np.ndarray:
 def is_pure_bloch(n: np.ndarray, tol: float = 1e-10) -> bool:
     """Purity test: |n|^2 = 1, and for qutrits also n * n = n, within tol."""
     n = np.asarray(n, dtype=float)
-    dim = _dim_for_bloch(n)
+    basis = _basis_for_bloch(n)
     if abs(n @ n - 1.0) > tol:
         return False
-    if dim == 3:
-        if np.max(np.abs(star_product(n, n) - n)) > tol:
-            return False
-    return True
+    # the qubit's d tensor vanishes, so |n| = 1 is its only condition
+    return not basis.d.any() or bool(np.max(np.abs(star_product(n, n) - n)) <= tol)
 
 
 def atom_vars_to_bloch(

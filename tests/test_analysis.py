@@ -8,10 +8,12 @@ Hand-derived anchors used below:
   F_qutrit(t=1, A=1) = (1 + 2 e^{-1/2})^2 / 9 = 0.54418226705958...
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from qutrit_se import channels
+from qutrit_se import analysis, channels
 from qutrit_se.analysis import (
     QUBIT_SEP_THRESHOLD,
     QUTRIT_SEP_THRESHOLD,
@@ -20,6 +22,7 @@ from qutrit_se.analysis import (
     fidelity_from_state,
     haar_bloch_vectors,
     haar_moment_check,
+    indicator_crossing,
     indicator_crossings,
     negativity,
     ppt_threshold,
@@ -76,6 +79,65 @@ class TestClosedForms:
         par = ChannelParams()
         assert abs(s_qubit_closed(1.0, par.with_time(T_QUBIT_P1)) - 1 / 3) < 1e-14
         assert abs(s_qutrit_closed(1.0, par.with_time(T_QUTRIT_P1)) - 0.25) < 1e-14
+
+
+def reference_closed_forms(p, a1, a2, a3, t):
+    """The per-species closed forms, each written out on its own."""
+    h1 = np.exp(-a1 * t / 2.0)
+    e2, e3 = np.exp(-a2 * t), np.exp(-a3 * t)
+    h2, h3 = np.exp(-a2 * t / 2.0), np.exp(-a3 * t / 2.0)
+    h23 = np.exp(-(a2 + a3) * t / 2.0)
+    return (
+        (p / 3.0) * (2.0 * h1 + h1 * h1),
+        (p / 8.0) * (e2 + e3 + 2.0 * h2 + 2.0 * h3 + 2.0 * h23),
+        (1.0 + h1) ** 2 / 4.0,
+        (1.0 + h2 + h3) ** 2 / 9.0,
+    )
+
+
+class TestSharedCore:
+    RATES = (0.05, 0.2, 0.7, 1.0, 2.3, 5.0, 40.0)
+    TIMES = np.concatenate([[0.0], np.geomspace(1e-6, 200.0, 97)])
+
+    def core(self, p, par, t):
+        h2 = analysis._arm_factors(par.rates(2), t)
+        h3 = analysis._arm_factors(par.rates(3), t)
+        return (analysis._indicator(p, h2), analysis._indicator(p, h3),
+                analysis._fidelity(h2), analysis._fidelity(h3))
+
+    def test_matches_per_species_reference(self):
+        rng = np.random.default_rng(41)
+        worst = 0.0
+        for a1 in self.RATES:
+            for a2 in self.RATES:
+                for a3 in self.RATES:
+                    p = float(rng.uniform())
+                    par = ChannelParams(a1=a1, a2=a2, a3=a3)
+                    want = reference_closed_forms(p, a1, a2, a3, self.TIMES)
+                    got = self.core(p, par, self.TIMES)
+                    for g, w in zip(got, want):
+                        worst = max(worst, float(np.max(np.abs(g - w))))
+        assert worst <= 1e-15
+
+    def test_scalar_time_and_public_names(self):
+        for a1, a2, a3 in ((0.2, 5.0, 0.7), (1.0, 1.0, 1.0), (40.0, 0.05, 2.3)):
+            for t in (0.0, 0.013, 0.9, 3.7, 61.0):
+                par = ChannelParams(a1=a1, a2=a2, a3=a3, t=t)
+                want = reference_closed_forms(0.8, a1, a2, a3, t)
+                got = (s_qubit_closed(0.8, par), s_qutrit_closed(0.8, par),
+                       fidelity_closed(2, par), fidelity_closed(3, par))
+                assert np.ndim(got[0]) == 0
+                for g, w, c in zip(got, want, self.core(0.8, par, t)):
+                    assert abs(g - w) <= 1e-15
+                    assert g == c  # the public names are the core
+
+    def test_fidelity_is_the_per_species_expression(self):
+        # F keeps its per-species summation order, so it matches bit for bit
+        par = ChannelParams(a1=1.3, a2=0.6, a3=2.2)
+        _, _, f2, f3 = reference_closed_forms(1.0, 1.3, 0.6, 2.2, self.TIMES)
+        _, _, g2, g3 = self.core(1.0, par, self.TIMES)
+        np.testing.assert_array_equal(g2, f2)
+        np.testing.assert_array_equal(g3, f3)
 
 
 class TestStateRoute:
@@ -191,6 +253,28 @@ class TestCrossings:
     def test_closed_form_domain(self):
         with pytest.raises(ValueError):
             qubit_crossing_closed(0.2)
+
+    def test_never_crossing_is_infinite(self):
+        assert crossing_time(lambda t: 1.0, 0.5) == math.inf
+        # an explicit bracket that does not bracket still raises
+        with pytest.raises(ValueError):
+            crossing_time(lambda t: 1.0, 0.5, t_hi=2.0**70)
+
+    def test_undamped_arm_never_crosses(self):
+        # with one arm frozen s_qutrit tends to 3p/8 > 1/4 for p > 2/3
+        par = ChannelParams(a2=1e-300)
+        assert indicator_crossing(1.0, par, 3) == math.inf
+        assert indicator_crossing(0.6, par, 3) < math.inf
+        t_qb, t_qt, longer = indicator_crossings(1.0, par)
+        assert abs(t_qb - T_QUBIT_P1) < 1e-8 and t_qt == math.inf and longer
+
+    def test_species_crossing_in_a1_units(self):
+        par = ChannelParams(a1=2.5, a2=1.5, a3=0.4)
+        for d, f, thr in ((2, s_qubit_closed, QUBIT_SEP_THRESHOLD),
+                          (3, s_qutrit_closed, QUTRIT_SEP_THRESHOLD)):
+            tau = indicator_crossing(0.9, par, d)
+            assert abs(f(0.9, par.with_time(tau / par.a1)) - thr) <= 1e-10
+        assert indicator_crossing(0.2, par, 3) is None
 
 
 class TestPreservation:
@@ -311,6 +395,11 @@ class TestReport:
         assert abs(t_qb - T_QUBIT_P1) < 1e-8 and abs(t_qt - T_QUTRIT_P1) < 1e-8
         assert longer
         assert indicator_crossings(0.2, ChannelParams()) == (None, None, False)
+
+    def test_never_crossing_report(self):
+        rep = separability_report(1.0, ChannelParams(a2=1e-300), t_max=2.0, steps=4)
+        assert rep.t_cross_qutrit == math.inf and rep.qutrit_preserves_longer
+        assert rep.rows[-1, 2] > QUTRIT_SEP_THRESHOLD
 
     @pytest.mark.parametrize("q", [0.0, 0.3, 1.0])
     def test_matches_per_point_reference(self, q):

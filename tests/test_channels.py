@@ -52,6 +52,16 @@ class TestChannelParams:
             ChannelParams(t=-0.1)
         with pytest.raises(ValueError):
             ChannelParams(q=1.5)
+        for bad in ({"a1": np.nan}, {"a2": np.inf}, {"a3": -np.inf}, {"t": np.nan},
+                    {"t": np.inf}, {"q": np.nan}):
+            with pytest.raises(ValueError):
+                ChannelParams(**bad)
+        with pytest.raises(ValueError):
+            ChannelParams(a2=1.0).with_time(np.inf)
+
+    def test_rate_map(self):
+        par = ChannelParams(a1=0.3, a2=1.7, a3=2.9)
+        assert par.rates(2) == (0.3,) and par.rates(3) == (1.7, 2.9)
 
 
 class TestAffineMap:

@@ -120,6 +120,16 @@ class TestThreshold:
         assert rep["qutrit_preserves_longer"] == "false"
 
 
+    def test_undamped_arm_never_crosses(self, capsys):
+        assert main(["threshold", "--a2", "1e-300"]) == 0
+        rep = parse_report(capsys.readouterr().out)
+        assert rep["t_cross_qutrit"] == "beyond_2^60"
+        assert abs(float(rep["t_cross_qubit"]) - 1.76274717) < 1e-5
+        assert rep["qutrit_preserves_longer"] == "true"
+        assert main(["curves", "--a2", "1e-300", "--steps", "10"]) == 0
+        assert len(capsys.readouterr().out.strip().split("\n")) == 12
+
+
 class TestCompare:
     def test_grid_agreement(self, capsys):
         assert main(["compare"]) == 0
@@ -205,6 +215,8 @@ class TestUsageErrors:
             ["threshold", "--a1", "nan"],
             ["curves", "--t-max", "inf", "--steps", "5"],
             ["curves", "--a2", "inf", "--steps", "5"],
+            ["threshold", "--a3=-inf"],
+            ["curves", "--t-max", "nan", "--steps", "5"],
         ],
     )
     def test_non_finite_value(self, capsys, argv):

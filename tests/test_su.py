@@ -12,7 +12,15 @@ is reconstructed entrywise for every pair.
 import numpy as np
 import pytest
 
+from qutrit_se.analysis import (
+    fidelity_closed,
+    haar_bloch_vectors,
+    ppt_threshold,
+    s_from_state,
+)
+from qutrit_se.channels import ChannelParams, se_kraus, se_kraus_stack
 from qutrit_se.linalg import NonHermitianError, dagger, random_density_matrix
+from qutrit_se.states import correlation_matrix, max_entangled, werner
 from qutrit_se.su import (
     atom_vars_to_bloch,
     bloch_to_density,
@@ -246,3 +254,28 @@ def test_gell_mann_count_and_shape():
     rho = random_density_matrix(3, np.random.default_rng(10))
     n = density_to_bloch(rho)
     assert n.shape == (8,) and np.max(np.abs(n.imag if np.iscomplexobj(n) else 0)) == 0
+
+
+DIMENSION_TAKERS = {
+    "generator_basis": generator_basis,
+    "werner": lambda d: werner(d, 0.5),
+    "max_entangled": max_entangled,
+    # states of the matching shape, so only the dimension can be at fault
+    "correlation_matrix": lambda d: correlation_matrix(np.eye(d * d) / (d * d), d),
+    "s_from_state": lambda d: s_from_state(np.eye(d * d) / (d * d), d),
+    "fidelity_closed": lambda d: fidelity_closed(d, ChannelParams(t=0.5)),
+    "haar_bloch_vectors": lambda d: haar_bloch_vectors(d, 10, 0),
+    "ppt_threshold": ppt_threshold,
+    "se_kraus_stack": lambda d: se_kraus_stack(d, ChannelParams(), [0.5]),
+    "se_kraus": lambda d: se_kraus(d, ChannelParams(t=0.5)),
+    "ChannelParams.rates": lambda d: ChannelParams().rates(d),
+    "bloch_to_density": lambda d: bloch_to_density(np.zeros(d * d - 1)),
+}
+
+
+@pytest.mark.parametrize("d", [1, 4])
+@pytest.mark.parametrize("name", sorted(DIMENSION_TAKERS))
+def test_unsupported_dimension_rejected_by_the_one_check(name, d):
+    # every public function taking a dimension reaches generator_basis
+    with pytest.raises(ValueError, match="only dim 2 and 3 are supported"):
+        DIMENSION_TAKERS[name](d)
