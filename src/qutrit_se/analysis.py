@@ -186,7 +186,8 @@ def negativity(rho: np.ndarray, dim_a: int, dim_b: int) -> float | np.ndarray:
     (..., n, n), from one stacked Jacobi run.
     """
     eigs = hermitian_eigenvalues(partial_transpose(rho, dim_a, dim_b, side="B"))
-    neg = -np.where(eigs < 0.0, eigs, 0.0).sum(axis=-1)
+    # negate before summing: a PPT state gets +0.0, not -0.0
+    neg = np.where(eigs < 0.0, -eigs, 0.0).sum(axis=-1)
     return float(neg) if neg.ndim == 0 else neg
 
 
@@ -218,15 +219,48 @@ def haar_random_states(d: int, samples: int, rng: np.random.Generator) -> np.nda
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def _conj_times(x: np.ndarray, y: np.ndarray, g: complex) -> tuple:
+    """(Re, Im) of conj(x + iy) g, rounded as numpy's complex product.
+
+    A unit entry (+-1, +-i) only copies or negates x and y.
+    """
+    if g in (1, -1):
+        return (x, -y) if g == 1 else (-x, y)
+    if g in (1j, -1j):
+        return (y, x) if g == 1j else (-y, -x)
+    return x * g.real + y * g.imag, x * g.imag - y * g.real
+
+
 def haar_bloch_vectors(d: int, samples: int, seed: int) -> np.ndarray:
-    """Bloch vectors of Haar-random pure states, shape (samples, d^2 - 1)."""
+    """Bloch vectors of Haar-random pure states, shape (samples, d^2 - 1).
+
+    n_i = bloch_scale Re(v^dagger g_i v), contracted over the nonzero entries
+    of each generator only (2 or 3 for the Pauli and Gell-Mann matrices), in
+    real arithmetic on the rows x = Re v and y = Im v: an entry g_ab adds
+    pr x_b - pi y_b with (pr, pi) = conj(v_a) g_ab, and a generator's terms
+    are summed in row-major (a, b) order. That is the scalar order of the
+    dense einsum over all d^2 entries, so the vectors are bitwise the same.
+
+    Layout: a unit scale (the qubit) returns the real part of a complex
+    (samples, d^2 - 1) buffer, a strided view; otherwise the scaled vectors
+    are C-contiguous. numpy sums the second moments ``n.T @ n`` of the two
+    layouts in different orders, and ``haar`` prints them to 17 digits.
+    """
     basis = generator_basis(d)
-    rng = np.random.default_rng(seed)
-    v = haar_random_states(d, samples, rng)
-    n = np.einsum("sa,iab,sb->si", v.conj(), basis.generators, v).real
-    # a unit scale (the qubit) keeps the strided view, whose second moments
-    # numpy sums in another order than those of a contiguous copy
-    return n if basis.bloch_scale == 1.0 else basis.bloch_scale * n
+    v = haar_random_states(d, samples, np.random.default_rng(seed))
+    x, y = np.ascontiguousarray(v.real.T), np.ascontiguousarray(v.imag.T)
+    rows = np.empty((basis.n_generators, samples))
+    for row, gen in zip(rows, basis.generators):
+        terms = []
+        for a, b in zip(*np.nonzero(gen)):
+            pr, pi = _conj_times(x[a], y[a], gen[a, b])
+            terms.append(pr * x[b] - pi * y[b])
+        row[...] = sum(terms[1:], terms[0])
+    if basis.bloch_scale == 1.0:
+        n = np.empty((samples, basis.n_generators), dtype=complex).real
+        n[...] = rows.T
+        return n
+    return np.multiply(basis.bloch_scale, rows.T, order="C")
 
 
 def haar_moment_check(d: int, samples: int, seed: int) -> np.ndarray:
@@ -256,12 +290,27 @@ class SeparabilityReport:
     qutrit_preserves_longer: bool
 
 
+def check_time_unit(a1: float) -> None:
+    """Reject an a1 too small to measure time in units of 1/a1.
+
+    A crossing search runs over a1*t up to 2^60 (``crossing_time``'s doubling
+    bound) and evaluates the arms at t = (a1*t)/a1. Below about 6.4e-291 that
+    t overflows to inf and the crossing would come out wrong, so raise.
+    """
+    search_max = 2.0**60
+    if not math.isfinite(search_max / a1):
+        smallest = search_max / np.finfo(float).max
+        raise ValueError(f"a1 must be above about {smallest:.3g}, got {a1!r}")
+
+
 def indicator_crossing(p: float, params: ChannelParams, d: int) -> Optional[float]:
     """a1*t at which the d-level pair's indicator s_d reaches 1/(d+1).
 
     None when the pair is separable at t = 0, math.inf when s_d stays above
-    the threshold up to a1*t = 2^60 (an undamped arm). Rates must be positive.
+    the threshold up to a1*t = 2^60 (an undamped arm). Rates must be positive
+    and a1 must pass ``check_time_unit``.
     """
+    check_time_unit(params.a1)
     rates, a1 = params.rates(d), params.a1
     return crossing_time(
         lambda tau: _indicator(p, _arm_factors(rates, tau / a1)), 1.0 / (d + 1)
@@ -297,6 +346,7 @@ def separability_report(
     """
     if params.a1 <= 0 or params.a2 <= 0 or params.a3 <= 0:
         raise ValueError("separability report requires strictly positive rates")
+    check_time_unit(params.a1)
     if steps < 2:
         raise ValueError("steps must be >= 2")
     if t_max <= 0:

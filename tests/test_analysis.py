@@ -42,6 +42,7 @@ from qutrit_se.linalg import (
     random_density_matrix,
 )
 from qutrit_se.states import max_entangled, werner
+from qutrit_se.su import generator_basis
 
 T_QUBIT_P1 = -2.0 * np.log(np.sqrt(2.0) - 1.0)
 T_QUTRIT_P1 = -2.0 * np.log((np.sqrt(3.0) - 1.0) / 2.0)
@@ -276,6 +277,19 @@ class TestCrossings:
             assert abs(f(0.9, par.with_time(tau / par.a1)) - thr) <= 1e-10
         assert indicator_crossing(0.2, par, 3) is None
 
+    def test_time_unit_too_small_is_rejected(self):
+        # t = (a1*t)/a1 overflows within the search range: no silent answer
+        for a1 in (5e-324, 1e-300, 6.4e-291):
+            par = ChannelParams(a1=a1)
+            for d in (2, 3):
+                with pytest.raises(ValueError, match="a1 must be above"):
+                    indicator_crossing(0.9, par, d)
+            with pytest.raises(ValueError, match="a1 must be above"):
+                separability_report(0.9, par, steps=4)
+        # just above the bound the crossing in a1*t units is still the closed form
+        tau = indicator_crossing(0.9, ChannelParams(a1=6.5e-291), 2)
+        assert abs(tau - qubit_crossing_closed(0.9)) <= 1e-7
+
 
 class TestPreservation:
     def test_equal_rates_verdicts(self):
@@ -333,6 +347,21 @@ class TestNegativity:
         assert abs(ppt_threshold(2) - 1.0 / 3.0) <= 1e-4
         assert abs(ppt_threshold(3) - 0.25) <= 1e-4
 
+    def test_separable_state_is_positive_zero(self):
+        for d, p in ((2, 0.2), (3, 0.1)):
+            neg = negativity(werner(d, p), d, d)
+            assert neg == 0.0 and math.copysign(1.0, neg) == 1.0
+        negs = negativity(np.stack([werner(2, 0.2), werner(2, 0.3)]), 2, 2)
+        assert np.all(negs == 0.0) and not np.any(np.signbit(negs))
+
+
+def dense_haar_bloch_vectors(d, samples, seed):
+    """Reference: every entry of every generator in one dense contraction."""
+    basis = generator_basis(d)
+    v = analysis.haar_random_states(d, samples, np.random.default_rng(seed))
+    n = np.einsum("sa,iab,sb->si", v.conj(), basis.generators, v).real
+    return n if basis.bloch_scale == 1.0 else basis.bloch_scale * n
+
 
 class TestHaar:
     def test_seed_determinism(self):
@@ -355,6 +384,29 @@ class TestHaar:
     def test_symmetric_matrix(self):
         m = haar_moment_check(2, 1000, seed=7)
         np.testing.assert_allclose(m, m.T, atol=1e-15)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("samples", [1, 7, 200, 20_000])
+    @pytest.mark.parametrize("seed", [0, 11, 2024])
+    def test_matches_dense_reference(self, d, samples, seed):
+        ref = dense_haar_bloch_vectors(d, samples, seed)
+        n = haar_bloch_vectors(d, samples, seed)
+        assert n.shape == ref.shape == (samples, d * d - 1)
+        assert np.max(np.abs(n - ref)) <= 1e-15
+        assert n.flags.c_contiguous == ref.flags.c_contiguous
+        assert n.flags.f_contiguous == ref.flags.f_contiguous
+        m = haar_moment_check(d, samples, seed)
+        assert np.max(np.abs(m - ref.T @ ref / samples)) <= 1e-15
+
+    def test_no_dense_einsum(self, monkeypatch):
+        ref = [dense_haar_bloch_vectors(d, 50, 3) for d in (2, 3)]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("haar_bloch_vectors must not call np.einsum")
+
+        monkeypatch.setattr(np, "einsum", forbidden)
+        for d, expected in zip((2, 3), ref):
+            assert np.max(np.abs(haar_bloch_vectors(d, 50, 3) - expected)) <= 1e-15
 
 
 class TestReport:
@@ -419,7 +471,8 @@ class TestReport:
                     rho += q * lift_a @ werner(d, p) @ dagger(lift_a)
                     rho += (1 - q) * lift_b @ werner(d, p) @ dagger(lift_b)
                 eigs = hermitian_eigenvalues(partial_transpose(rho, d, d))
-                expected.append(-eigs[eigs < 0].sum())
+                # a state without negative eigenvalues has negativity +0.0
+                expected.append((-eigs[eigs < 0]).sum())
             assert np.max(np.abs(row - expected)) <= 1e-14
             assert [format(x, ".9g") for x in row] == [format(x, ".9g") for x in expected]
 

@@ -56,6 +56,13 @@ class TestCurves:
         i202 = np.argmin(np.abs(rows[:, 0] - 2.02))
         assert rows[i200, 2] >= 0.25 >= rows[i202, 2]
 
+    def test_no_negative_zero(self, capsys):
+        assert main(["curves", "--steps", "10"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        # neg_qubit is 0 from a1*t = 2 on, where the qubit pair is PPT
+        assert [line.split(",")[5] for line in lines[5:]] == ["0"] * 7
+        assert all(field != "-0" for line in lines[1:] for field in line.split(","))
+
     def test_byte_identical_reruns(self, tmp_path):
         _, first = run_to_file(tmp_path, "a.csv", ["curves", "--steps", "40"])
         _, second = run_to_file(tmp_path, "b.csv", ["curves", "--steps", "40"])
@@ -224,6 +231,17 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["threshold", "--a1", "5e-324"], ["curves", "--a1", "5e-324", "--steps", "5"]],
+    )
+    def test_a1_too_small_for_the_crossing_search(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: a1 ")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["haar", "validate"])
     def test_negative_seed(self, capsys, command):
