@@ -1,4 +1,4 @@
-"""Entanglement survival analysis for emission channels on Werner states.
+"""Separability indicators for emission channels on Werner states.
 
 Two independent routes are provided for every headline quantity:
 
@@ -10,8 +10,10 @@ Two independent routes are provided for every headline quantity:
   none of the closed forms.
 
 The indicator s(t) for a Werner input with weight p starts at s(0) = p and
-decays monotonically; the state stays distillable-entangled while it exceeds
-1/(d+1): 1/3 (two qubits) or 1/4 (two qutrits).
+decays monotonically. While it exceeds 1/(d+1), 1/3 (two qubits) or 1/4 (two
+qutrits), it certifies entanglement (de Vicente's correlation-matrix
+criterion); once below, it certifies nothing, and the state may still be
+entangled. The time at which s falls to 1/(d+1) is the indicator crossing.
 
 One closed-form core serves both species, which differ only in their arm
 rates (``ChannelParams.rates``): with h_k = exp(-a_k t/2) per arm and local
@@ -118,14 +120,15 @@ def crossing_time(
     threshold: float,
     t_hi: Optional[float] = None,
     f_tol: float = 1e-10,
-    max_iter: int = 200,
 ) -> Optional[float]:
     """First time a nonincreasing f(t) reaches ``threshold``, by bisection.
 
     Returns None when f(0) is already below the threshold. When ``t_hi`` is
     omitted a bracket is found by doubling, and math.inf is returned when f
     stays at or above the threshold up to t = 2^60; an explicit ``t_hi``
-    with f(t_hi) still above the threshold raises ValueError.
+    with f(t_hi) still above the threshold raises ValueError. Bisection
+    stops once |f - threshold| <= f_tol, and raises ValueError when the
+    bracket can no longer be halved in floating point before that.
     """
     f0 = f(0.0)
     if f0 < threshold:
@@ -139,9 +142,12 @@ def crossing_time(
     elif f(t_hi) > threshold:
         raise ValueError(f"f({t_hi}) is still above the threshold; not bracketed")
     lo, hi = 0.0, float(t_hi)
-    mid = hi
-    for _ in range(max_iter):
+    while True:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            raise ValueError(
+                f"crossing not resolved in floating point: bracket [{lo!r}, {hi!r}]"
+            )
         val = f(mid)
         if abs(val - threshold) <= f_tol:
             return mid
@@ -149,7 +155,6 @@ def crossing_time(
             lo = mid
         else:
             hi = mid
-    return mid
 
 
 def qubit_crossing_closed(p: float, a1: float = 1.0) -> float:
@@ -275,11 +280,12 @@ def haar_moment_check(d: int, samples: int, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SeparabilityReport:
-    """Survival-curve grid and crossing summary for one parameter point.
+    """Indicator curves and indicator crossings for one parameter point.
 
     ``rows`` has columns (a1*t, s_qubit, s_qutrit, F_qubit, F_qutrit,
-    neg_qubit, neg_qutrit); times and crossings are in dimensionless a1*t
-    (math.inf for an indicator that never reaches its threshold).
+    neg_qubit, neg_qutrit); times and indicator crossings (where s_d falls
+    to 1/(d+1)) are in dimensionless a1*t (math.inf for an indicator that
+    never reaches its threshold).
     """
 
     p: float
@@ -336,7 +342,7 @@ def separability_report(
     t_max: float = 5.0,
     steps: int = 500,
 ) -> SeparabilityReport:
-    """Tabulate both species' survival curves over a1*t in [0, t_max].
+    """Tabulate both species' indicator curves over a1*t in [0, t_max].
 
     Closed forms supply s and F for the whole grid at once; the negativity
     columns are measured on Kraus-evolved Werner states, so the two routes

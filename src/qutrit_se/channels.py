@@ -1,28 +1,32 @@
 """Spontaneous-emission channels for a qubit and a V-configuration qutrit.
 
-Both are V systems: one ground level and d - 1 excited levels (arms) that
-each decay to it. The qutrit has two arms with Einstein coefficients A2 and
-A3; the qubit is the one-arm case with rate A1. ``ChannelParams.rates`` maps
-a dimension to its arm rates, and that tuple is all that tells the two
-species apart. The qutrit channel is provided in three independent forms
+Both are V systems: one ground level 0 and d - 1 excited levels (arms)
+m = 1, ..., d - 1 that each decay to it at rate a_m. The qutrit has two arms
+with Einstein coefficients A2 and A3; the qubit is the one-arm case with rate
+A1. ``ChannelParams.rates`` maps a dimension to its arm rates, and every
+route below is built from that rate tuple and the generalized Gell-Mann
+basis of ``su.generator_basis`` (order rule: level k's generators start at
+index k^2 - 1 with the pairs (j, k), j < k, symmetric then antisymmetric,
+and end with its diagonal generator at (k+1)^2 - 2). The builders work for
+any number of arms; the public entry points take d = 2 or 3 through
+``ChannelParams.rates``. The channel is provided in three independent forms
 that the test suite cross-checks against each other:
 
-* an affine map n -> D(t) n + T(t) on the 8-dimensional Bloch vector,
-* an operator-sum (Kraus) form built from generator combinations,
-* a Lindblad master equation integrated with fixed-step RK4, applied as a power
-  of the 9x9 step matrix of the jump operators (Havel, quant-ph/0201127).
-
-In the Bloch form D(t) is diagonal except for a single entry coupling the two
-diagonal generator directions (array element D[2, 7]), and the shift T(t)
-drives every initial state toward the ground state, which is the unique fixed
-point at t -> infinity.
+* an affine map n -> D(t) n + T(t) on the Bloch vector, in closed form per
+  generator type: a pair generator of levels (j, k) is damped by h_j h_k
+  (h_0 = 1), and the diagonal generators mix through the population
+  transfer matrix (for the qutrit the single off-diagonal entry D[2, 7]);
+  the shift T(t) drives every state toward the ground state, the unique
+  fixed point at t -> infinity;
+* an operator-sum (Kraus) form: K0 = diag(1, h_1, ..., h_n) and
+  K_m = w_m |0><m| with h_m = exp(-a_m t/2) and w_m = sqrt(1 - h_m^2),
+  expanded in generators;
+* a Lindblad master equation with jump operators sqrt(a_m) |0><m|,
+  integrated with fixed-step RK4, applied as a power of the d^2 x d^2 step
+  matrix of the jump operators (Havel, quant-ph/0201127).
 
 Bipartite use: ``bipartite_channel`` lifts a local channel to two qudits,
 either one-sided or as the mixture q (channel on A) + (1-q) (channel on B).
-
-Kraus form: K0 = diag(1, h_1, ..., h_n) and K_m = w_m |0><m| for the n arms,
-with h_m = exp(-a_m t/2) and w_m = sqrt(1 - h_m^2), expanded in generators;
-the qubit and the qutrit are built by the same code from their rate tuples.
 
 Time grids: ``se_kraus_stack`` builds the Kraus operators at many times at
 once, from the same expressions as ``se_kraus_qubit``/``se_kraus_qutrit``,
@@ -45,7 +49,6 @@ __all__ = [
     "AffineBlochMap",
     "KrausChannel",
     "se_affine_map",
-    "qutrit_kraus_coefficients",
     "se_kraus",
     "se_kraus_qutrit",
     "se_kraus_qubit",
@@ -77,7 +80,8 @@ class ChannelParams:
 
     def rates(self, dim: int) -> tuple:
         """Arm decay rates of the dim-level system: (a1,) for 2, (a2, a3) for 3."""
-        generator_basis(dim)  # rejects an unsupported dim
+        if dim not in (2, 3):
+            raise ValueError(f"arm rates exist for dim 2 and 3 only, got {dim}")
         return (self.a1,) if dim == 2 else (self.a2, self.a3)
 
     @property
@@ -123,72 +127,58 @@ class KrausChannel:
 
 def se_affine_map(params: ChannelParams) -> AffineBlochMap:
     """Qutrit emission channel as an affine map on R^8."""
-    e2 = np.exp(-params.a2 * params.t)
-    e3 = np.exp(-params.a3 * params.t)
-    h2 = np.exp(-params.a2 * params.t / 2.0)
-    h3 = np.exp(-params.a3 * params.t / 2.0)
-    h23 = np.exp(-(params.a2 + params.a3) * params.t / 2.0)
-    s3 = np.sqrt(3.0)
-
-    d = np.diag([h2, h2, e2, h3, h3, h23, h23, e3])
-    d[2, 7] = (e3 - e2) / s3
-    shift = np.zeros(8)
-    shift[2] = (3.0 - e3 - 2.0 * e2) / (2.0 * s3)
-    shift[7] = (1.0 - e3) / 2.0
-    return AffineBlochMap(damping=d, shift=shift, t=params.t)
+    return _affine_map(params.rates(3), params.t)
 
 
-def qutrit_kraus_coefficients(a2: float, a3: float, t) -> dict:
-    """Generator-expansion coefficients of the three qutrit Kraus operators.
+def _affine_map(rates: tuple, t: float) -> AffineBlochMap:
+    # Closed form per generator type. A pair generator of levels (j, k) is
+    # damped by h_j h_k, with h_0 = 1. The diagonal generators carry the
+    # populations, which move by the transfer matrix P = I + sum_m g_m
+    # (e_0 - e_m) e_m^T: arm m moves the share g_m = 1 - h_m^2 of level m to
+    # level 0. With Lambda holding every generator's diagonal as a row (zero
+    # for pair generators), Lambda Lambda^T = 2I and Lambda 1 = 0 on the
+    # diagonal generators, so their block (1/2) Lambda P Lambda^T is
+    # I + (1/2) sum_m u_m (Lambda e_m)^T with u_m = g_m Lambda (e_0 - e_m),
+    # and the shift is (b/(d-1))/d sum_m u_m. A diagonal generator of a
+    # level above m weighs levels 0 and m alike, so u_m is exactly zero
+    # there and the block is upper triangular.
+    basis = generator_basis(len(rates) + 1)
+    h = np.exp(-np.array((0.0, *rates)) * t / 2.0)
+    lam = basis.generators.diagonal(axis1=1, axis2=2).real
+    moved = (lam[:, :1] - lam) * (1.0 - h * h)
+    damping = np.eye(basis.n_generators) + 0.5 * moved @ lam.T
+    for k in range(1, basis.dim):
+        for j in range(k):
+            pair = k * k - 1 + 2 * j
+            damping[pair, pair] = damping[pair + 1, pair + 1] = h[j] * h[k]
+    shift = basis.bloch_scale / basis.dim * moved.sum(axis=1)
+    return AffineBlochMap(damping=damping, shift=shift, t=t)
 
-    ``t`` may be an array; each coefficient then has its shape.
-    """
-    return _kraus_coefficients((a2, a3), t)
 
-
-# Per arm m = 1, 2 (Gell-Mann labelling): key and 0-based generator of the term
-# it adds to K0, that coefficient's norm 2 sqrt(m(m+1)/2), and keys and
-# generators of K_m. Key "k<op><g>": generator g (1-based, 0 = I) in K_op.
-_ARMS = (
-    ("k03", 2, 2.0, "k11", 0, "k12", 1),
-    ("k08", 7, 2.0 * math.sqrt(3.0), "k24", 3, "k25", 4),
-)
-
-
-def _kraus_coefficients(rates: tuple, t) -> dict:
-    k = {}
+def _kraus_operators(rates: tuple, t) -> tuple:
+    # Emission Kraus operators of the len(rates)-arm system at time t: a
+    # scalar t gives (d, d) operators, t of shape (T, 1, 1) gives (T, d, d)
+    # stacks. Arm m adds to K0 the diagonal generator of level m, whose
+    # coefficient has the norm 2 sqrt(m(m+1)/2), and builds K_m from the
+    # generators of the pair (0, m).
+    dim = len(rates) + 1
+    g = generator_basis(dim).generators
     upper = 1.0  # K0's diagonal summed over the levels before arm m
-    for m, (a, (diag, _, norm, x, _, y, _)) in enumerate(zip(rates, _ARMS), 1):
+    diag, jumps = [], []
+    for m, a in enumerate(rates, 1):
         h = np.exp(-a * t / 2.0)
         w = np.sqrt(np.maximum(0.0, 1.0 - h * h))
-        k[diag] = (upper - m * h) / norm
-        k[x] = w / 2.0
-        k[y] = 0.5j * w
+        norm = 2.0 * math.sqrt(m * (m + 1) / 2.0)
+        diag.append((upper - m * h) / norm * g[(m + 1) ** 2 - 2])
+        jumps.append(w / 2.0 * g[m * m - 1] + 0.5j * w * g[m * m])
         upper = upper + h
-    k["k00"] = upper / (len(rates) + 1)
-    return k
-
-
-def _kraus_operators(dim: int, params: ChannelParams, t) -> tuple:
-    # Emission Kraus operators at time t: a scalar t gives (dim, dim)
-    # operators, t of shape (T, 1, 1) gives (T, dim, dim) stacks.
-    rates = params.rates(dim)
-    g = generator_basis(dim).generators
-    if len(rates) == 2:  # by its public name, so that a patched table is used
-        k = qutrit_kraus_coefficients(*rates, t)
-    else:
-        k = _kraus_coefficients(rates, t)
-    k0 = k["k00"] * np.eye(dim, dtype=complex)
-    jumps = []
-    for diag, gd, _, x, gx, y, gy in _ARMS[: len(rates)]:
-        k0 = k0 + k[diag] * g[gd]
-        jumps.append(k[x] * g[gx] + k[y] * g[gy])
+    k0 = sum(diag, upper / dim * np.eye(dim, dtype=complex))
     return (k0, *jumps)
 
 
 def se_kraus(dim: int, params: ChannelParams) -> KrausChannel:
     """Emission channel of the dim-level system at params.t (dim operators)."""
-    ops = _kraus_operators(dim, params, params.t)
+    ops = _kraus_operators(params.rates(dim), params.t)
     return KrausChannel(dim=dim, operators=ops, t=params.t)
 
 
@@ -210,7 +200,7 @@ def se_kraus_stack(dim: int, params: ChannelParams, times) -> KrausChannel:
     ``se_kraus_qutrit`` builds at that time.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
-    ops = _kraus_operators(dim, params, times[:, None, None])
+    ops = _kraus_operators(params.rates(dim), times[:, None, None])
     return KrausChannel(dim=dim, operators=ops, t=times)
 
 
@@ -224,38 +214,46 @@ def apply_kraus(rho: np.ndarray, channel: KrausChannel) -> np.ndarray:
     return sum(k @ rho @ dagger(k) for k in channel.operators)
 
 
-def lindblad_jump_ops(a2: float, a3: float) -> tuple:
-    """Jump operators of the qutrit emission generator."""
-    g = generator_basis(3).generators
-    l1 = (np.sqrt(a2) / 2.0) * (g[0] + 1j * g[1])
-    l2 = (np.sqrt(a3) / 2.0) * (g[3] + 1j * g[4])
-    return (l1, l2)
+def lindblad_jump_ops(*rates) -> tuple:
+    """Jump operators sqrt(a_m) |0><m| of the emission generator, one per arm."""
+    ops = np.zeros((len(rates), len(rates) + 1, len(rates) + 1), dtype=complex)
+    for m, a in enumerate(rates, 1):
+        ops[m - 1, 0, m] = np.sqrt(a)
+    return tuple(ops)
 
 
 def lindblad_evolve(rho0: np.ndarray, params: ChannelParams, steps: int) -> np.ndarray:
-    """Integrate the qutrit master equation with classical RK4, h = t/steps.
+    """Integrate the master equation with classical RK4, h = t/steps.
 
     drho/dt = sum_k ( L_k rho L_k^dag - (1/2){L_k^dag L_k, rho} )
 
-    The right-hand side is linear, so one RK4 step is exactly the 9x9 matrix
-    P = I + hS + (hS)^2/2 + (hS)^3/6 + (hS)^4/24 on the row-major vec, where
-    vec(A X B) = (A kron B^T) vec(X) and S is built from the jump operators
-    alone (Havel, J. Math. Phys. 44, 534 (2003)); the result is P^steps rho0.
+    The dimension d comes from ``rho0`` and the arm rates from
+    ``params.rates(d)``. The right-hand side is linear, so one RK4 step is
+    exactly the d^2 x d^2 matrix P = I + hS + (hS)^2/2 + (hS)^3/6 + (hS)^4/24
+    on the row-major vec, where vec(A X B) = (A kron B^T) vec(X) and S is
+    built from the jump operators alone (Havel, J. Math. Phys. 44, 534
+    (2003)); the result is P^steps rho0.
     """
     rho = np.asarray(rho0, dtype=complex)
-    if rho.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 state, got shape {rho.shape}")
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError(f"expected a square state, got shape {rho.shape}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    jumps = lindblad_jump_ops(params.a2, params.a3)
+    return _rk4_power(rho, params.rates(rho.shape[0]), params.t, steps)
+
+
+def _rk4_power(rho: np.ndarray, rates: tuple, t: float, steps: int) -> np.ndarray:
+    dim = len(rates) + 1
+    jumps = lindblad_jump_ops(*rates)
     gsum = sum(dagger(l) @ l for l in jumps)
+    eye = np.eye(dim)
     gen = sum(np.kron(l, l.conj()) for l in jumps) - 0.5 * (
-        np.kron(gsum, np.eye(3)) + np.kron(np.eye(3), gsum.T)
+        np.kron(gsum, eye) + np.kron(eye, gsum.T)
     )
-    hs = (params.t / steps) * gen
-    eye = np.eye(9)
+    hs = (t / steps) * gen
+    eye = np.eye(dim * dim)
     step = eye + hs @ (eye + hs @ (eye / 2 + hs @ (eye / 6 + hs / 24)))
-    return (np.linalg.matrix_power(step, steps) @ rho.reshape(9)).reshape(3, 3)
+    return (np.linalg.matrix_power(step, steps) @ rho.reshape(-1)).reshape(dim, dim)
 
 
 def bipartite_channel(

@@ -2,8 +2,8 @@
 
 Commands
 --------
-curves      CSV survival curves (s, fidelity, negativity) over a1*t
-threshold   crossing times and the preservation verdict for one parameter set
+curves      CSV indicator curves (s, fidelity, negativity) over a1*t
+threshold   indicator crossings and the preservation verdict for one parameter set
 compare     qubit-vs-qutrit verdict grid over the rate ratios (A2/A1, A3/A1)
 haar        second-moment report for Haar-random pure states
 validate    self-check suite with measured defects; exit 1 on any failure
@@ -11,14 +11,16 @@ validate    self-check suite with measured defects; exit 1 on any failure
 All times are reported in the dimensionless combination a1*t. CSV numbers
 carry at most 9 significant digits with '.' as the decimal separator and LF
 line endings; reports are key=value lines. Exit codes: 0 success, 1 failed
-validation, 2 bad usage.
+validation, 2 bad usage or an input that cannot be answered (an unwritable
+--output path, a report too large for memory, a crossing below the smallest
+float); output is written only once the report is complete.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,6 +59,8 @@ class RunConfig:
         analysis.check_time_unit(params.a1)
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
+        if self.command == "compare" and self.p <= analysis.QUBIT_SEP_THRESHOLD:
+            raise ValueError("compare requires p > 1/3 (qubit entangled at t=0)")
         if not 0 < self.t_max < np.inf:
             raise ValueError("t-max must be positive and finite")
         if self.steps < 2:
@@ -73,15 +77,6 @@ class RunConfig:
 
 def _fmt(x: float, digits: int = 9) -> str:
     return format(float(x), f".{digits}g")
-
-
-@contextmanager
-def _out_stream(path: Optional[str]):
-    if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w", newline="") as fh:
-            yield fh
 
 
 def run_curves(cfg: RunConfig, out) -> int:
@@ -293,23 +288,26 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     fields = ("a1", "a2", "a3", "p", "q", "t_max", "steps", "samples", "seed", "output")
     kwargs = {k: getattr(args, k) for k in fields if hasattr(args, k)}
-    try:
-        cfg = RunConfig(command=args.command, **kwargs)
-        if cfg.command == "compare" and cfg.p <= analysis.QUBIT_SEP_THRESHOLD:
-            raise ValueError("compare requires p > 1/3 (qubit entangled at t=0)")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
     handler = {
         "curves": run_curves,
         "threshold": run_threshold,
         "compare": run_compare,
         "haar": run_haar,
         "validate": run_validate,
-    }[cfg.command]
-    with _out_stream(cfg.output) as out:
-        return handler(cfg, out)
+    }[args.command]
+    report = io.StringIO()
+    try:
+        cfg = RunConfig(command=args.command, **kwargs)
+        code = handler(cfg, report)
+        if cfg.output is None:
+            sys.stdout.write(report.getvalue())
+        else:
+            with open(cfg.output, "w", newline="") as fh:
+                fh.write(report.getvalue())
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Bipartite reference states and their diagnostics.
 
-Werner states of two qubits (d=2) or two qutrits (d=3) interpolate between
-the maximally mixed state and the maximally entangled one,
+Werner states of two d-level systems (any d >= 2; the channels use two
+qubits and two qutrits) interpolate between the maximally mixed state and
+the maximally entangled one,
 
     rho_W = (1 - p)/d^2 I + p |Psi><Psi|,   |Psi> = d^{-1/2} sum_i |ii>.
 
@@ -9,8 +10,8 @@ Correlation matrices use the Bloch normalization of this package,
 C_ij = c^2 Tr[rho (g_i (x) g_j)] with c the Bloch scale of ``su`` and
 c^2 = d/(2(d-1)): C_ij = Tr[rho (sigma_i (x) sigma_j)] for qubits and
 C_ij = (3/4) Tr[rho (lambda_i (x) lambda_j)] for qutrits, so the maximally
-entangled state gives C = diag(s)/(d-1) with s = (1,-1,1) resp.
-(1,-1,1,1,-1,1,-1,1).
+entangled state gives C = diag(s)/(d-1) with s_i = -1 on the antisymmetric
+generators and +1 elsewhere: (1,-1,1) resp. (1,-1,1,1,-1,1,-1,1).
 """
 
 from __future__ import annotations

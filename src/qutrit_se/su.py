@@ -1,20 +1,26 @@
-"""Pauli / Gell-Mann generator algebra and Bloch-vector dictionaries.
+"""Generalized Gell-Mann generator algebra and Bloch-vector dictionaries.
 
 A d-level state is written rho = (1/d)(I + b n . g) with b = sqrt(d(d-1)/2)
 and n in R^(d^2-1), so that pure states have |n| = 1: rho = (1/2)(I + n . sigma)
 for the qubit and rho = (1/3)(I + sqrt(3) n . lambda) for the qutrit. The
 inverse map is n_i = (b/(d-1)) Tr(rho g_i).
 
+``generator_basis(d)`` builds the generalized Gell-Mann matrices (Bertlmann &
+Krammer, J. Phys. A 41, 235303 (2008)) for any d >= 2 by one order rule: for
+each level k = 1, ..., d-1, first the pairs (j, k) with j < k, each as the
+symmetric E_jk + E_kj then the antisymmetric -i E_jk + i E_kj, then the
+diagonal generator diag(1, ..., 1, -k, 0, ...)/sqrt(k(k+1)/2) with k ones.
+So level k's generators start at index k^2 - 1 and its diagonal one sits at
+(k+1)^2 - 2. For d = 2 this is (sigma_x, sigma_y, sigma_z), for d = 3 the
+usual lambda_1 ... lambda_8 (array index i-1 for label i).
+
 Generators are normalized to Tr(g_i g_j) = 2 delta_ij. Structure constants are
 extracted from traces,
 
     f_ijk = Tr([g_i, g_j] g_k) / (4i),   d_ijk = Tr({g_i, g_j} g_k) / 4,
 
-not hard-coded tables. The symmetric star product carries a sqrt(3) so that
-pure qutrit states satisfy n * n = n together with |n| = 1.
-
-Generator index i = 1..8 in the usual physics labelling corresponds to array
-index i-1 throughout.
+not hard-coded tables. The symmetric star product carries b/(d-2) so that
+pure states (d >= 3) satisfy n * n = n together with |n| = 1.
 """
 
 from __future__ import annotations
@@ -29,8 +35,6 @@ from .linalg import NonHermitianError, dagger
 
 __all__ = [
     "GeneratorBasis",
-    "pauli_matrices",
-    "gell_mann_matrices",
     "generator_basis",
     "structure_constants",
     "bloch_to_density",
@@ -41,37 +45,6 @@ __all__ = [
 ]
 
 _REALNESS_TOL = 1e-12
-
-
-def pauli_matrices() -> np.ndarray:
-    """The three Pauli matrices, shape (3, 2, 2)."""
-    return np.array(
-        [
-            [[0, 1], [1, 0]],
-            [[0, -1j], [1j, 0]],
-            [[1, 0], [0, -1]],
-        ],
-        dtype=complex,
-    )
-
-
-def gell_mann_matrices() -> np.ndarray:
-    """The eight Gell-Mann matrices, shape (8, 3, 3)."""
-    s3 = np.sqrt(3.0)
-    g = np.zeros((8, 3, 3), dtype=complex)
-    g[0, 0, 1] = g[0, 1, 0] = 1
-    g[1, 0, 1] = -1j
-    g[1, 1, 0] = 1j
-    g[2, 0, 0] = 1
-    g[2, 1, 1] = -1
-    g[3, 0, 2] = g[3, 2, 0] = 1
-    g[4, 0, 2] = -1j
-    g[4, 2, 0] = 1j
-    g[5, 1, 2] = g[5, 2, 1] = 1
-    g[6, 1, 2] = -1j
-    g[6, 2, 1] = 1j
-    g[7] = np.diag([1, 1, -2]) / s3
-    return g
 
 
 def structure_constants(generators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,17 +99,26 @@ class GeneratorBasis:
 
 @lru_cache(maxsize=None)
 def generator_basis(dim: int) -> GeneratorBasis:
-    """Shared immutable basis for dim 2 (Pauli) or 3 (Gell-Mann).
+    """Shared immutable generalized Gell-Mann basis of su(dim), dim >= 2.
 
-    The one place that rejects another dimension: every function taking a
-    dimension reaches it.
+    The one place that knows the generator order (see the module docstring)
+    and rejects a dimension below 2: every function taking a dimension
+    reaches it.
     """
-    if dim == 2:
-        g = pauli_matrices()
-    elif dim == 3:
-        g = gell_mann_matrices()
-    else:
-        raise ValueError(f"only dim 2 and 3 are supported, got {dim}")
+    if dim < 2:
+        raise ValueError(f"dimension must be at least 2, got {dim}")
+    gens = []
+    for k in range(1, dim):
+        for j in range(k):
+            sym = np.zeros((dim, dim), dtype=complex)
+            sym[j, k] = sym[k, j] = 1
+            anti = np.zeros((dim, dim), dtype=complex)
+            anti[j, k] = -1j
+            anti[k, j] = 1j
+            gens += [sym, anti]
+        diag = [1.0] * k + [-k] + [0.0] * (dim - 1 - k)
+        gens.append(np.diag(diag) / math.sqrt(k * (k + 1) / 2))
+    g = np.array(gens, dtype=complex)
     ident = np.sqrt(2.0 / dim) * np.eye(dim, dtype=complex)
     f, d = structure_constants(g)
     for arr in (g, ident, f, d):
@@ -175,17 +157,17 @@ def density_to_bloch(rho: np.ndarray) -> np.ndarray:
 
 
 def star_product(n: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Symmetric product (n * m)_i = sqrt(3) d_ijk n_j m_k on R^8."""
+    """Symmetric product (n * m)_i = (b/(d-2)) d_ijk n_j m_k, for d >= 3."""
     n = np.asarray(n, dtype=float)
     m = np.asarray(m, dtype=float)
-    if n.shape != (8,) or m.shape != (8,):
-        raise ValueError("star product is defined for length-8 Bloch vectors only")
-    d = generator_basis(3).d
-    return np.sqrt(3.0) * np.einsum("ijk,j,k->i", d, n, m)
+    basis = _basis_for_bloch(n)
+    if basis.dim < 3 or m.shape != n.shape:
+        raise ValueError("star product needs two Bloch vectors of one d >= 3")
+    return basis.bloch_norm / (basis.dim - 2) * np.einsum("ijk,j,k->i", basis.d, n, m)
 
 
 def is_pure_bloch(n: np.ndarray, tol: float = 1e-10) -> bool:
-    """Purity test: |n|^2 = 1, and for qutrits also n * n = n, within tol."""
+    """Purity test: |n|^2 = 1, and for d >= 3 also n * n = n, within tol."""
     n = np.asarray(n, dtype=float)
     basis = _basis_for_bloch(n)
     if abs(n @ n - 1.0) > tol:
@@ -204,16 +186,6 @@ def atom_vars_to_bloch(
     """
     if p2 < 0 or p3 < 0 or p2 + p3 > 1:
         raise ValueError(f"populations p2={p2}, p3={p3} are not a valid distribution")
-    s3 = np.sqrt(3.0)
-    return np.array(
-        [
-            s3 * np.real(d12),
-            -s3 * np.imag(d12),
-            (s3 / 2.0) * (1.0 - 2.0 * p2 - p3),
-            s3 * np.real(d13),
-            -s3 * np.imag(d13),
-            s3 * np.real(d23),
-            -s3 * np.imag(d23),
-            0.5 * (1.0 - 3.0 * p3),
-        ]
-    )
+    c12, c13, c23 = np.conj(d12), np.conj(d13), np.conj(d23)
+    rho = np.array([[1.0 - p2 - p3, d12, d13], [c12, p2, d23], [c13, c23, p3]], dtype=complex)
+    return density_to_bloch(rho)

@@ -291,6 +291,61 @@ class TestCrossings:
         assert abs(tau - qubit_crossing_closed(0.9)) <= 1e-7
 
 
+    @pytest.mark.parametrize("a", [0.3, 1.0, 4.0])
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.8, 1.0])
+    def test_equal_rate_qutrit_closed_form(self, p, a):
+        # a2 = a3 = a: s_3 = p (h^2 + h)/2, so t = -(2/a) ln((sqrt(1 + 2/p) - 1)/2)
+        closed = -2.0 / a * math.log((math.sqrt(1.0 + 2.0 / p) - 1.0) / 2.0)
+        assert abs(indicator_crossing(p, ChannelParams(a2=a, a3=a), 3) - closed) <= 1e-8 * closed
+        if p == 1.0 and a == 1.0:
+            assert format(closed, ".9g") == "2.01010508"
+
+    @pytest.mark.parametrize("rates", [(1.0, 1.0), (1.3, 0.4), (0.2, 5.0)])
+    def test_rate_scale_divides_the_qutrit_crossing(self, rates):
+        # scaling a2 and a3 by c (a1 fixed) divides the crossing by c; below
+        # c ~ 1e-60 this used to stop at 2^-200 instead
+        base = indicator_crossing(0.9, ChannelParams(a2=rates[0], a3=rates[1]), 3)
+        for c in np.geomspace(1e-15, 1e300, 64):
+            par = ChannelParams(a2=c * rates[0], a3=c * rates[1])
+            assert abs(c * indicator_crossing(0.9, par, 3) - base) <= 1e-8 * base, c
+
+    def test_unresolvable_crossing_raises(self):
+        # a jump larger than f_tol can never be met: no midpoint is returned
+        with pytest.raises(ValueError, match="not resolved"):
+            crossing_time(lambda t: 1.0 if t <= 0.3 else 0.0, 0.5)
+        # crossing below the smallest subnormal a1*t
+        with pytest.raises(ValueError, match="not resolved"):
+            indicator_crossing(1.0, ChannelParams(a1=1e-200, a2=1e308, a3=1e308), 3)
+
+
+class TestFourLevels:
+    """d = 4 (three arms) through the internal rate-tuple builders."""
+
+    RATES = (1.3, 0.4, 2.1)
+
+    @pytest.mark.parametrize("q", [0.0, 0.35, 1.0])
+    def test_closed_forms_match_the_state_route(self, q):
+        worst = 0.0
+        for p in (0.3, 0.7, 1.0):
+            for t in (0.0, 0.2, 0.9, 2.5, 8.0):
+                ops = channels._kraus_operators(self.RATES, t)
+                kraus = channels.KrausChannel(4, ops, t)
+                rho = bipartite_channel(werner(4, p), kraus, "symmetric", q)
+                h = analysis._arm_factors(self.RATES, t)
+                worst = max(worst, abs(s_from_state(rho, 4) - analysis._indicator(p, h)))
+                if p == 1.0:  # F_d is the overlap of the evolved |Psi><Psi|
+                    worst = max(worst, abs(fidelity_from_state(rho, 4) - analysis._fidelity(h)))
+        assert worst <= 1e-10
+
+    def test_ppt_threshold_is_one_fifth(self):
+        assert abs(ppt_threshold(4) - 0.2) <= 1e-4
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_haar_moments(self, seed):
+        m = haar_moment_check(4, 20_000, seed)
+        assert np.max(np.abs(m - np.eye(15) / 15)) <= 0.02
+
+
 class TestPreservation:
     def test_equal_rates_verdicts(self):
         assert preservation_inequality(1.0, 1.0, 1.0)
@@ -486,13 +541,14 @@ class TestReport:
         assert rep.rows.shape == (71, 7) and rep.rows[0, 6] > 0.5
 
     def test_reads_kraus_coefficients_at_call_time(self, monkeypatch):
-        good = channels.qutrit_kraus_coefficients
+        good = channels._kraus_operators
         seen = []
 
-        def recorded(a2, a3, t):
-            seen.append(np.shape(t))
-            return good(a2, a3, t)
+        def recorded(rates, t):
+            if len(rates) == 2:
+                seen.append(np.shape(t))
+            return good(rates, t)
 
-        monkeypatch.setattr(channels, "qutrit_kraus_coefficients", recorded)
+        monkeypatch.setattr(channels, "_kraus_operators", recorded)
         separability_report(1.0, ChannelParams(), steps=70)
         assert seen == [(64, 1, 1), (7, 1, 1)]

@@ -13,11 +13,11 @@ from qutrit_se import channels
 from qutrit_se.channels import (
     AffineBlochMap,
     ChannelParams,
+    KrausChannel,
     apply_kraus,
     bipartite_channel,
     lindblad_evolve,
     lindblad_jump_ops,
-    qutrit_kraus_coefficients,
     se_affine_map,
     se_kraus_qubit,
     se_kraus_qutrit,
@@ -133,10 +133,6 @@ class TestKrausQutrit:
     def test_completeness(self, rates, t):
         ch = se_kraus_qutrit(ChannelParams(a2=rates[0], a3=rates[1], t=t))
         assert ch.completeness_defect() <= 1e-12
-
-    def test_coefficient_table_keys(self):
-        k = qutrit_kraus_coefficients(1.0, 1.0, 0.3)
-        assert set(k) == {"k00", "k03", "k08", "k11", "k12", "k24", "k25"}
 
 
 class TestKrausQubit:
@@ -288,7 +284,7 @@ class TestLindblad:
         def forbidden(*args, **kwargs):
             raise AssertionError("lindblad_evolve used another route")
 
-        for name in ("se_kraus_qutrit", "qutrit_kraus_coefficients", "se_affine_map"):
+        for name in ("se_kraus_qutrit", "_kraus_operators", "se_affine_map", "_affine_map"):
             monkeypatch.setattr(channels, name, forbidden)
         monkeypatch.setattr(np.linalg, "eig", forbidden)
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
@@ -296,7 +292,7 @@ class TestLindblad:
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            lindblad_evolve(np.eye(2) / 2, ChannelParams(t=1.0), steps=10)
+            lindblad_evolve(np.eye(4) / 4, ChannelParams(t=1.0), steps=10)
         with pytest.raises(ValueError):
             lindblad_evolve(np.eye(3) / 3, ChannelParams(t=1.0), steps=0)
 
@@ -424,3 +420,88 @@ def test_affine_map_apply_type():
     m = AffineBlochMap(damping=np.eye(8), shift=np.zeros(8), t=0.0)
     n = np.arange(8.0)
     np.testing.assert_array_equal(m.apply(n), n)
+
+
+ARM_RATES = {2: (0.8,), 4: (1.3, 0.4, 2.1)}
+
+
+class TestEveryArmCount:
+    """The rate-tuple builders for one and three arms (d = 2, 4)."""
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_kraus_operator_entries(self, dim):
+        rates, t = ARM_RATES[dim], 0.9
+        k0, *jumps = channels._kraus_operators(rates, t)
+        h = np.exp(-np.array(rates) * t / 2)
+        np.testing.assert_allclose(k0, np.diag([1.0, *h]), atol=1e-15)
+        for m, (k, hm) in enumerate(zip(jumps, h), 1):
+            expected = np.zeros((dim, dim), dtype=complex)
+            expected[0, m] = np.sqrt(1 - hm * hm)
+            np.testing.assert_allclose(k, expected, atol=1e-15)
+        assert KrausChannel(dim, (k0, *jumps), t).completeness_defect() <= 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_jump_operators(self, dim):
+        jumps = lindblad_jump_ops(*(4.0, 9.0, 16.0)[: dim - 1])
+        for m, l in enumerate(jumps, 1):
+            expected = np.zeros((dim, dim), dtype=complex)
+            expected[0, m] = m + 1.0
+            np.testing.assert_array_equal(l, expected)
+
+    def test_qubit_affine_map_is_amplitude_damping(self):
+        a1, t = 0.8, 1.1
+        m = channels._affine_map((a1,), t)
+        h, e = np.exp(-a1 * t / 2), np.exp(-a1 * t)
+        np.testing.assert_allclose(m.damping, np.diag([h, h, e]), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(m.shift, [0, 0, 1 - e], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_affine_structure(self, dim):
+        rates = ARM_RATES[dim]
+        size = dim * dim - 1
+        ground = density_to_bloch(np.diag([1.0] + [0.0] * (dim - 1)))
+        m0 = channels._affine_map(rates, 0.0)
+        np.testing.assert_allclose(m0.damping, np.eye(size), atol=1e-15)
+        np.testing.assert_allclose(m0.shift, np.zeros(size), atol=1e-15)
+        for t in (0.2, 1.0, 7.0):
+            m = channels._affine_map(rates, t)
+            np.testing.assert_allclose(m.apply(ground), ground, atol=1e-14)
+            # only diagonal generators of a lower level feel a higher one
+            diag = [(k + 1) ** 2 - 2 for k in range(1, dim)]
+            off = m.damping - np.diag(np.diag(m.damping))
+            off[np.ix_(diag, diag)] = np.tril(off[np.ix_(diag, diag)])
+            assert not off.any()
+        late = channels._affine_map(rates, 200.0)
+        assert np.max(np.abs(late.damping)) < 1e-15
+        np.testing.assert_allclose(late.shift, ground, atol=1e-14)
+        m1, m2, m12 = (channels._affine_map(rates, t) for t in (0.6, 1.1, 1.7))
+        np.testing.assert_allclose(m2.damping @ m1.damping, m12.damping, atol=1e-12)
+        np.testing.assert_allclose(m2.damping @ m1.shift + m2.shift, m12.shift, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_three_way_agreement(self, dim):
+        # Kraus vs affine <= 1e-10, Kraus vs RK4 at h = 1e-3 <= 1e-6
+        rng = np.random.default_rng(30 + dim)
+        rates = ARM_RATES[dim]
+        worst_affine = worst_ode = 0.0
+        for _ in range(10):
+            rho0 = random_density_matrix(dim, rng)
+            rho_ode, t_prev = rho0, 0.0
+            for t in (0.1, 0.5, 1.0, 2.0):
+                ops = channels._kraus_operators(rates, t)
+                kraus = apply_kraus(rho0, KrausChannel(dim, ops, t))
+                n = channels._affine_map(rates, t).apply(density_to_bloch(rho0))
+                worst_affine = max(worst_affine, np.max(np.abs(kraus - bloch_to_density(n))))
+                steps = int(round((t - t_prev) / 1e-3))
+                rho_ode = channels._rk4_power(rho_ode, rates, t - t_prev, steps)
+                t_prev = t
+                worst_ode = max(worst_ode, np.max(np.abs(kraus - rho_ode)))
+        assert worst_affine <= 1e-10
+        assert worst_ode <= 1e-6
+
+    def test_qubit_lindblad_from_the_state_shape(self):
+        rho = random_density_matrix(2, np.random.default_rng(33))
+        par = ChannelParams(a1=0.8, a2=5.0, a3=7.0, t=1.2)
+        out = lindblad_evolve(rho, par, steps=1200)
+        np.testing.assert_array_equal(out, channels._rk4_power(rho, (0.8,), 1.2, 1200))
+        assert np.max(np.abs(out - apply_kraus(rho, se_kraus_qubit(par)))) <= 1e-6

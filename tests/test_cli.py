@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qutrit_se import channels
-from qutrit_se.cli import main
+from qutrit_se import analysis, channels
+from qutrit_se.cli import RunConfig, main
+from qutrit_se.su import generator_basis
 
 HEADER = "t,s_qubit,s_qutrit,F_qubit,F_qutrit,neg_qubit,neg_qutrit"
 
@@ -136,6 +137,21 @@ class TestThreshold:
         assert main(["curves", "--a2", "1e-300", "--steps", "10"]) == 0
         assert len(capsys.readouterr().out.strip().split("\n")) == 12
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["--a2", "1e70", "--a3", "1e70"], "2.01010508e-70"),
+            (["--a1", "1e-100"], "2.01010508e-100"),
+            (["--a2", "1e300", "--a3", "1e300"], "2.01010508e-300"),
+        ],
+    )
+    def test_crossing_far_below_the_time_unit(self, capsys, argv, expected):
+        # the bisection used to stop after 200 halvings, at 2^-200 = 6.22e-61
+        assert main(["threshold", *argv]) == 0
+        rep = parse_report(capsys.readouterr().out)
+        assert rep["t_cross_qutrit"] == expected
+        assert rep["t_cross_qubit"] == "1.76274717"
+
 
 class TestCompare:
     def test_grid_agreement(self, capsys):
@@ -151,6 +167,12 @@ class TestCompare:
     def test_requires_entangled_qubit(self, capsys):
         assert main(["compare", "--p", "0.3"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_run_config_checks_p(self):
+        # validated with the other inputs, before any command runs
+        with pytest.raises(ValueError, match=r"compare requires p > 1/3"):
+            RunConfig(command="compare", p=1.0 / 3.0)
+        assert RunConfig(command="threshold", p=0.3).p == 0.3
 
 
 class TestHaarCommand:
@@ -187,14 +209,17 @@ class TestValidate:
         assert "result=pass" in capsys.readouterr().out
 
     def test_corrupted_coefficient_fails(self, capsys, monkeypatch):
-        good = channels.qutrit_kraus_coefficients
+        good = channels._kraus_operators
+        lam3 = generator_basis(3).generators[2]
 
-        def corrupted(a2, a3, t):
-            k = good(a2, a3, t)
-            k["k03"] = -k["k03"]
-            return k
+        def corrupted(rates, t):
+            # flip the sign of the qutrit K0's lambda_3 coefficient
+            k0, *jumps = good(rates, t)
+            if len(rates) == 2:
+                k0 = k0 - np.trace(k0 @ lam3) * lam3
+            return (k0, *jumps)
 
-        monkeypatch.setattr(channels, "qutrit_kraus_coefficients", corrupted)
+        monkeypatch.setattr(channels, "_kraus_operators", corrupted)
         assert main(["validate"]) == 1
         out = capsys.readouterr().out
         line = next(l for l in out.split("\n") if "kraus_completeness_qutrit" in l)
@@ -249,6 +274,33 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "seed" in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_output_under_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        assert main(["curves", "--steps", "4", "--output", str(target)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "x.csv" in lines[0]
+        assert captured.out == "" and not target.parent.exists()
+
+    def test_out_of_memory(self, capsys, monkeypatch):
+        # stands in for haar --samples 100000000000, which numpy cannot allocate
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(analysis, "haar_moment_check", no_memory)
+        assert main(["haar", "--samples", "100000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: Unable to allocate 745. GiB for an array\n"
+        assert captured.out == ""
+
+    def test_unresolvable_crossing(self, capsys):
+        # the qutrit crossing lies below the smallest subnormal a1*t
+        assert main(["threshold", "--a1", "1e-200", "--a2", "1e308", "--a3", "1e308"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: crossing not resolved")
+        assert captured.out == ""
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,13 +1,19 @@
 """Property test over the CLI argument space: an answer or a one-line error.
 
 Every ``curves``/``threshold``/``compare`` command line built from ordinary
-floats and the edge values 0, negatives, 1e-300, 5e-324, 1e308, nan and inf
-must exit with 0 or 2, never raise, and on exit 2 print exactly one stderr
-line starting with ``error:``. An answered ``threshold`` with p > 1/3 must
-also print the closed-form qubit crossing time.
+floats and the edge values 0, negatives, 1e-300, 5e-324, 1e308, nan and inf,
+and every ``haar``/``validate`` command line with small integer
+``--samples``/``--seed`` values, must exit with 0 or 2, never raise, and on
+exit 2 print exactly one stderr line starting with ``error:`` and nothing on
+stdout. An ``--output`` path under a missing directory must end in exit 2.
+An answered ``threshold`` with p > 1/3 must also print the closed-form qubit
+crossing time.
 """
 
 import io
+import os
+import tempfile
+import uuid
 from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import example, given, settings
@@ -22,7 +28,15 @@ OPTIONS = {
     "curves": ("a1", "a2", "a3", "p", "q", "t-max"),
     "threshold": ("a1", "a2", "a3", "p"),
     "compare": ("p",),
+    "haar": (),
+    "validate": (),
 }
+INTEGERS = {
+    "curves": {"steps": (-3, 50)},
+    "haar": {"samples": (-3, 2000), "seed": (-3, 10**6)},
+    "validate": {"seed": (-3, 10**6)},
+}
+MISSING_DIR_OUTPUT = os.path.join(tempfile.gettempdir(), f"missing-{uuid.uuid4().hex}", "out.txt")
 
 
 @st.composite
@@ -32,8 +46,12 @@ def command_lines(draw):
     for name in OPTIONS[command]:
         if draw(st.booleans()):
             argv.append(f"--{name}={draw(VALUES)!r}")
-    if command == "curves":
-        argv.append(f"--steps={draw(st.integers(min_value=-3, max_value=50))}")
+    for name, (lo, hi) in INTEGERS.get(command, {}).items():
+        # haar's --samples defaults to 200,000, so it is always set small
+        if name != "seed" or draw(st.booleans()):
+            argv.append(f"--{name}={draw(st.integers(min_value=lo, max_value=hi))}")
+    if draw(st.integers(min_value=0, max_value=7)) == 0:
+        argv.append(f"--output={MISSING_DIR_OUTPUT}")
     return argv
 
 
@@ -44,11 +62,13 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@settings(derandomize=True, deadline=None, max_examples=250, database=None)
 @given(command_lines())
 @example(["threshold", "--a2=1e-300"])
 @example(["curves", "--a2=1e-300", "--steps=50"])
 @example(["threshold", "--a1=5e-324"])
+@example(["threshold", "--a1=1e-200", "--a2=1e308", "--a3=1e308"])
+@example(["haar", "--samples=100", f"--output={MISSING_DIR_OUTPUT}"])
 def test_answer_or_one_line_error(argv):
     code, out, err = run(argv)
     assert code in (0, 2)
@@ -59,6 +79,7 @@ def test_answer_or_one_line_error(argv):
         assert out == ""
     else:
         assert out
+    assert code == 2 or not any(arg.startswith("--output=") for arg in argv)
     p = next((float(arg[len("--p="):]) for arg in argv if arg.startswith("--p=")), 1.0)
     if argv[0] == "threshold" and code == 0 and p > QUBIT_SEP_THRESHOLD:
         # in a1*t units the qubit crossing depends on p only

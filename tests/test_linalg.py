@@ -19,9 +19,10 @@ from qutrit_se.linalg import (
     random_density_matrix,
 )
 from qutrit_se.states import max_entangled
-from qutrit_se.su import pauli_matrices
 
-SX, SY, SZ = pauli_matrices()
+SX, SY, SZ = np.array(
+    [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex
+)
 
 
 def scalar_jacobi(a, tol=1e-12):

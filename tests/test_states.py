@@ -68,7 +68,7 @@ class TestWerner:
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            werner(4, 0.5)
+            werner(1, 0.5)  # d = 4 is a valid ququart pair now
         with pytest.raises(ValueError):
             werner(3, 1.2)
 

@@ -26,14 +26,29 @@ from qutrit_se.su import (
     bloch_to_density,
     density_to_bloch,
     generator_basis,
-    gell_mann_matrices,
     is_pure_bloch,
-    pauli_matrices,
     star_product,
     structure_constants,
 )
 
 GROUND_BLOCH = np.array([0, 0, np.sqrt(3) / 2, 0, 0, 0, 0, 0.5])
+
+# literal Pauli and Gell-Mann tables in their textbook order
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+R3 = 1 / np.sqrt(3.0)
+GELL_MANN = np.array(
+    [
+        [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+        [[0, -1j, 0], [1j, 0, 0], [0, 0, 0]],
+        [[1, 0, 0], [0, -1, 0], [0, 0, 0]],
+        [[0, 0, 1], [0, 0, 0], [1, 0, 0]],
+        [[0, 0, -1j], [0, 0, 0], [1j, 0, 0]],
+        [[0, 0, 0], [0, 0, 1], [0, 1, 0]],
+        [[0, 0, 0], [0, 0, -1j], [0, 1j, 0]],
+        [[R3, 0, 0], [0, R3, 0], [0, 0, -2 * R3]],
+    ],
+    dtype=complex,
+)
 
 
 def haar_state(d, rng):
@@ -52,7 +67,23 @@ def mixed_from_haar(d, rng, k=4):
 
 
 class TestGeneratorSets:
-    @pytest.mark.parametrize("dim", [2, 3])
+    def test_literal_pauli_and_gell_mann_tables(self):
+        np.testing.assert_array_equal(generator_basis(2).generators, PAULI)
+        np.testing.assert_array_equal(generator_basis(3).generators, GELL_MANN)
+
+    def test_order_rule_for_d4(self):
+        g = generator_basis(4).generators
+        assert g.shape == (15, 4, 4)
+        # level 3 starts at index 8: pairs (0,3), (1,3), (2,3), then diagonal
+        for j in range(3):
+            sym, anti = g[8 + 2 * j], g[9 + 2 * j]
+            assert sym[j, 3] == sym[3, j] == 1 and np.count_nonzero(sym) == 2
+            assert anti[j, 3] == -1j and anti[3, j] == 1j and np.count_nonzero(anti) == 2
+        np.testing.assert_allclose(np.diag(g[14]), np.array([1, 1, 1, -3]) / np.sqrt(6))
+        np.testing.assert_array_equal(g[:8, :3, :3], GELL_MANN)
+        assert not g[:8, 3].any() and not g[:8, :, 3].any()
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_orthonormal_traceless_hermitian(self, dim):
         g = generator_basis(dim).generators
         k = len(g)
@@ -87,7 +118,7 @@ class TestGeneratorSets:
     def test_qubit_d_vanishes(self):
         assert np.max(np.abs(generator_basis(2).d)) < 1e-14
 
-    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_product_identity_reconstruction(self, dim):
         b = generator_basis(dim)
         g = b.generators
@@ -100,14 +131,15 @@ class TestGeneratorSets:
                 np.testing.assert_allclose(g[i] @ g[j], rebuilt, atol=1e-12)
 
     def test_rejects_non_orthonormal_basis(self):
-        bad = pauli_matrices().copy()
+        bad = PAULI.copy()
         bad[0] *= 2.0
         with pytest.raises(ValueError):
             structure_constants(bad)
 
     def test_unsupported_dimension(self):
-        with pytest.raises(ValueError):
-            generator_basis(4)
+        for dim in (0, 1):
+            with pytest.raises(ValueError, match="at least 2"):
+                generator_basis(dim)
 
 
 class TestBlochMaps:
@@ -170,6 +202,21 @@ class TestStarProduct:
     def test_qubit_rejected(self):
         with pytest.raises(ValueError):
             star_product(np.zeros(3), np.zeros(3))
+        with pytest.raises(ValueError):
+            star_product(np.zeros(8), np.zeros(15))
+
+    def test_pure_d4_states_are_idempotent(self):
+        # the factor b/(d-2) makes n * n = n for every pure state, here d = 4
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            v = haar_state(4, rng)
+            n = density_to_bloch(np.outer(v, v.conj()))
+            np.testing.assert_allclose(star_product(n, n), n, atol=1e-12)
+            assert is_pure_bloch(n)
+        assert not is_pure_bloch(np.zeros(15))
+        e15 = np.zeros(15)
+        e15[14] = 1.0  # |n| = 1, but the last level alone is not a pure direction
+        assert not is_pure_bloch(e15)
 
 
 class TestPurity:
@@ -249,7 +296,7 @@ class TestAtomVars:
 
 
 def test_gell_mann_count_and_shape():
-    g = gell_mann_matrices()
+    g = generator_basis(3).generators
     assert g.shape == (8, 3, 3)
     rho = random_density_matrix(3, np.random.default_rng(10))
     n = density_to_bloch(rho)
@@ -273,9 +320,21 @@ DIMENSION_TAKERS = {
 }
 
 
-@pytest.mark.parametrize("d", [1, 4])
-@pytest.mark.parametrize("name", sorted(DIMENSION_TAKERS))
+RATE_TAKERS = {"fidelity_closed", "se_kraus_stack", "se_kraus", "ChannelParams.rates"}
+REJECTED = [(name, 1) for name in sorted(DIMENSION_TAKERS)]
+REJECTED += [(name, 4) for name in sorted(RATE_TAKERS)]
+
+
+@pytest.mark.parametrize("name, d", REJECTED)
 def test_unsupported_dimension_rejected_by_the_one_check(name, d):
-    # every public function taking a dimension reaches generator_basis
-    with pytest.raises(ValueError, match="only dim 2 and 3 are supported"):
+    # every public function taking a dimension reaches generator_basis, which
+    # rejects d < 2; only d = 2 and 3 have arm rates, so rate-taking calls
+    # still raise for d = 4
+    match = "arm rates exist" if name in RATE_TAKERS else "dimension must be at least 2"
+    with pytest.raises(ValueError, match=match):
         DIMENSION_TAKERS[name](d)
+
+
+@pytest.mark.parametrize("name", sorted(set(DIMENSION_TAKERS) - RATE_TAKERS))
+def test_dimension_only_calls_accept_d4(name):
+    DIMENSION_TAKERS[name](4)
