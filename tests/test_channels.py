@@ -25,7 +25,7 @@ from qutrit_se.channels import (
 )
 from qutrit_se.linalg import dagger, hermitian_eigenvalues, kron, random_density_matrix
 from qutrit_se.states import correlation_matrix, max_entangled, validate_density, werner
-from qutrit_se.su import bloch_to_density, density_to_bloch
+from qutrit_se.su import bloch_to_density, density_to_bloch, generator_basis
 
 GROUND_BLOCH = np.array([0, 0, np.sqrt(3) / 2, 0, 0, 0, 0, 0.5])
 
@@ -133,6 +133,14 @@ class TestKrausQutrit:
     def test_completeness(self, rates, t):
         ch = se_kraus_qutrit(ChannelParams(a2=rates[0], a3=rates[1], t=t))
         assert ch.completeness_defect() <= 1e-12
+
+    def test_coefficient_table_keys(self):
+        # key k<m><j>: Kraus operator m has a nonzero tr(lambda_j K_m), j = 0 the identity
+        ops = se_kraus_qutrit(ChannelParams(a2=1.0, a3=1.0, t=0.3)).operators
+        basis = np.concatenate([np.eye(3)[None], generator_basis(3).generators])
+        coeff = np.einsum("jba,mab->mj", basis, np.array(ops))
+        keys = {f"k{m}{j}" for m, j in zip(*np.nonzero(coeff))}
+        assert keys == {"k00", "k03", "k08", "k11", "k12", "k24", "k25"}
 
 
 class TestKrausQubit:
