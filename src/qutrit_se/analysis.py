@@ -365,7 +365,8 @@ def separability_report(
     rows = np.empty((steps + 1, 7))
     rows[:, 0] = taus
     for i, d in enumerate((2, 3)):
-        h = _arm_factors(params.rates(d), times)
+        with np.errstate(over="ignore"):  # a*t = inf is meant: h = exp(-inf) = 0
+            h = _arm_factors(params.rates(d), times)
         rows[:, 1 + i] = _indicator(p, h)
         rows[:, 3 + i] = _fidelity(h)
         w = werner(d, p)

@@ -17,13 +17,15 @@ that the test suite cross-checks against each other:
   (h_0 = 1), and the diagonal generators mix through the population
   transfer matrix (for the qutrit the single off-diagonal entry D[2, 7]);
   the shift T(t) drives every state toward the ground state, the unique
-  fixed point at t -> infinity;
+  fixed point at t -> infinity; its rate-independent index data comes from
+  ``GeneratorBasis.diagonals`` and ``GeneratorBasis.pair_rows``;
 * an operator-sum (Kraus) form: K0 = diag(1, h_1, ..., h_n) and
   K_m = w_m |0><m| with h_m = exp(-a_m t/2) and w_m = sqrt(1 - h_m^2),
   expanded in generators;
 * a Lindblad master equation with jump operators sqrt(a_m) |0><m|,
   integrated with fixed-step RK4, applied as a power of the d^2 x d^2 step
-  matrix of the jump operators (Havel, quant-ph/0201127).
+  matrix of the jump operators (Havel, quant-ph/0201127), whose generator
+  is built with ``linalg.kron``.
 
 Bipartite use: ``bipartite_channel`` lifts a local channel to two qudits,
 either one-sided or as the mixture q (channel on A) + (1-q) (channel on B).
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger
+from .linalg import dagger, kron
 from .su import generator_basis
 
 __all__ = [
@@ -144,13 +146,11 @@ def _affine_map(rates: tuple, t: float) -> AffineBlochMap:
     # there and the block is upper triangular.
     basis = generator_basis(len(rates) + 1)
     h = np.exp(-np.array((0.0, *rates)) * t / 2.0)
-    lam = basis.generators.diagonal(axis1=1, axis2=2).real
+    lam = basis.diagonals
     moved = (lam[:, :1] - lam) * (1.0 - h * h)
     damping = np.eye(basis.n_generators) + 0.5 * moved @ lam.T
-    for k in range(1, basis.dim):
-        for j in range(k):
-            pair = k * k - 1 + 2 * j
-            damping[pair, pair] = damping[pair + 1, pair + 1] = h[j] * h[k]
+    pairs, js, ks = basis.pair_rows
+    damping[pairs, pairs] = h[js] * h[ks]
     shift = basis.bloch_scale / basis.dim * moved.sum(axis=1)
     return AffineBlochMap(damping=damping, shift=shift, t=t)
 
@@ -200,7 +200,8 @@ def se_kraus_stack(dim: int, params: ChannelParams, times) -> KrausChannel:
     ``se_kraus_qutrit`` builds at that time.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
-    ops = _kraus_operators(params.rates(dim), times[:, None, None])
+    with np.errstate(over="ignore"):  # a*t = inf is meant: h = exp(-inf) = 0
+        ops = _kraus_operators(params.rates(dim), times[:, None, None])
     return KrausChannel(dim=dim, operators=ops, t=times)
 
 
@@ -231,8 +232,8 @@ def lindblad_evolve(rho0: np.ndarray, params: ChannelParams, steps: int) -> np.n
     ``params.rates(d)``. The right-hand side is linear, so one RK4 step is
     exactly the d^2 x d^2 matrix P = I + hS + (hS)^2/2 + (hS)^3/6 + (hS)^4/24
     on the row-major vec, where vec(A X B) = (A kron B^T) vec(X) and S is
-    built from the jump operators alone (Havel, J. Math. Phys. 44, 534
-    (2003)); the result is P^steps rho0.
+    built with ``linalg.kron`` from the jump operators alone (Havel, J. Math.
+    Phys. 44, 534 (2003)); the result is P^steps rho0.
     """
     rho = np.asarray(rho0, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -247,8 +248,8 @@ def _rk4_power(rho: np.ndarray, rates: tuple, t: float, steps: int) -> np.ndarra
     jumps = lindblad_jump_ops(*rates)
     gsum = sum(dagger(l) @ l for l in jumps)
     eye = np.eye(dim)
-    gen = sum(np.kron(l, l.conj()) for l in jumps) - 0.5 * (
-        np.kron(gsum, eye) + np.kron(eye, gsum.T)
+    gen = sum(kron(l, l.conj()) for l in jumps) - 0.5 * (
+        kron(gsum, eye) + kron(eye, gsum.T)
     )
     hs = (t / steps) * gen
     eye = np.eye(dim * dim)

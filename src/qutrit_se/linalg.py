@@ -8,7 +8,9 @@ same code paths as the channel constructions they are meant to check.
 
 ``hermitian_eigenvalues``, ``partial_transpose``, ``partial_trace`` and
 ``dagger`` also take stacks (..., n, n) and act on each matrix, so a whole
-time grid of states is diagonalised by one Jacobi sweep loop.
+time grid of states is diagonalised by one Jacobi sweep loop. ``kron`` takes
+two matrices (2-D inputs only); ``channels`` builds the Lindblad generator's
+superoperator with it.
 
 Index convention for bipartite operators: subsystem A is the slow (outer)
 index, i.e. a matrix on A (x) B has row index i*dB + k for A-index i and
@@ -56,8 +58,19 @@ def _square(a: np.ndarray) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with A as the slow (outer) factor."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product of two matrices with A as the slow (outer) factor.
+
+    Both inputs must be 2-D (raises ValueError otherwise). The result is the
+    broadcast product a[i, j] b[k, l] at row i*p + k and column j*q + l for
+    b of shape (p, q): the same complex multiplications as numpy's kron, so
+    the same bits, without its general n-d bookkeeping.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"kron takes two matrices, got shapes {a.shape} and {b.shape}")
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 def hermitian_eigenvalues(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:

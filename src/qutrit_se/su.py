@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -95,6 +95,31 @@ class GeneratorBasis:
     def bloch_scale(self) -> float:
         """b/(d-1), the factor in n_i = bloch_scale Tr(rho g_i)."""
         return self.bloch_norm / (self.dim - 1)
+
+    @cached_property
+    def diagonals(self) -> np.ndarray:
+        """Lambda: each generator's diagonal as a row, shape (d^2-1, d).
+
+        Real and read-only; the rows of the pair generators are zero.
+        """
+        return self.generators.diagonal(axis1=1, axis2=2).real
+
+    @cached_property
+    def pair_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, j, k): every pair generator's index and its levels j < k.
+
+        In basis order, so each pair (j, k) gives two rows, its symmetric
+        then its antisymmetric generator. Read-only integer arrays.
+        """
+        rows, levels = [], []
+        for k in range(1, self.dim):
+            for j in range(k):
+                rows += [k * k - 1 + 2 * j, k * k + 2 * j]
+                levels += [(j, k), (j, k)]
+        out = (np.array(rows), *np.array(levels).T)
+        for arr in out:
+            arr.setflags(write=False)
+        return out
 
 
 @lru_cache(maxsize=None)

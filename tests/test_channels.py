@@ -298,11 +298,98 @@ class TestLindblad:
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
         np.testing.assert_array_equal(channels.lindblad_evolve(rho, par, steps=800), expected)
 
+    def test_generator_built_without_numpy_kron(self, monkeypatch):
+        # the superoperator comes from linalg.kron, not np.kron
+        rng = np.random.default_rng(23)
+        rho = random_density_matrix(3, rng)
+        par = ChannelParams(a2=0.9, a3=2.2, t=1.4)
+        expected = lindblad_evolve(rho, par, steps=1400)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("lindblad_evolve called np.kron")
+
+        monkeypatch.setattr(np, "kron", forbidden)
+        out = channels.lindblad_evolve(rho, par, steps=1400)
+        assert out.tobytes() == expected.tobytes()
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             lindblad_evolve(np.eye(4) / 4, ChannelParams(t=1.0), steps=10)
         with pytest.raises(ValueError):
             lindblad_evolve(np.eye(3) / 3, ChannelParams(t=1.0), steps=0)
+
+
+def reference_rk4_power(rho, rates, t, steps):
+    """The RK4 step-matrix power with the generator built by np.kron."""
+    dim = len(rates) + 1
+    jumps = lindblad_jump_ops(*rates)
+    gsum = sum(dagger(l) @ l for l in jumps)
+    eye = np.eye(dim)
+    gen = sum(np.kron(l, l.conj()) for l in jumps) - 0.5 * (
+        np.kron(gsum, eye) + np.kron(eye, gsum.T)
+    )
+    hs = (t / steps) * gen
+    eye = np.eye(dim * dim)
+    step = eye + hs @ (eye + hs @ (eye / 2 + hs @ (eye / 6 + hs / 24)))
+    return (np.linalg.matrix_power(step, steps) @ rho.reshape(-1)).reshape(dim, dim)
+
+
+def reference_affine_map(rates, t):
+    """The affine map with the pair damping written by a loop over (j, k)."""
+    basis = generator_basis(len(rates) + 1)
+    h = np.exp(-np.array((0.0, *rates)) * t / 2.0)
+    lam = basis.generators.diagonal(axis1=1, axis2=2).real
+    moved = (lam[:, :1] - lam) * (1.0 - h * h)
+    damping = np.eye(basis.n_generators) + 0.5 * moved @ lam.T
+    for k in range(1, basis.dim):
+        for j in range(k):
+            pair = k * k - 1 + 2 * j
+            damping[pair, pair] = damping[pair + 1, pair + 1] = h[j] * h[k]
+    shift = basis.bloch_scale / basis.dim * moved.sum(axis=1)
+    return damping, shift
+
+
+def assert_same_bytes(got, want):
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def random_rates(rng, dim, undamped_first):
+    """Log-uniform arm rates on [e^-3, e^3]; the first arm optionally at rate 0."""
+    rates = np.exp(rng.uniform(-3.0, 3.0, dim - 1))
+    if undamped_first:
+        rates[0] = 0.0
+    return tuple(rates)
+
+
+class TestBuildersMatchReferences:
+    """The Lindblad and affine builders return the references' exact bits."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_lindblad_evolve(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        for i, steps in enumerate((1, 2, 3, 17, 250, 300, 999, 1000, 2048, 3000)):
+            rates = random_rates(rng, dim, undamped_first=i == 5)
+            t = float(rng.uniform(0.0, 20.0))
+            rho = random_density_matrix(dim, rng)
+            want = reference_rk4_power(rho, rates, t, steps)
+            if dim == 4:  # ChannelParams maps d = 2 and 3 only
+                got = channels._rk4_power(rho, rates, t, steps)
+            else:
+                rate_args = {"a1": rates[0]} if dim == 2 else dict(zip(("a2", "a3"), rates))
+                got = lindblad_evolve(rho, ChannelParams(**rate_args, t=t), steps)
+            assert_same_bytes(got, want)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_affine_map(self, dim):
+        rng = np.random.default_rng(50 + dim)
+        for i, t in enumerate(np.concatenate(([0.0, 20.0], rng.uniform(0.0, 20.0, 30)))):
+            rates = random_rates(rng, dim, undamped_first=i % 8 == 3)
+            m = channels._affine_map(rates, float(t))
+            damping, shift = reference_affine_map(rates, float(t))
+            assert_same_bytes(m.damping, damping)
+            assert_same_bytes(m.shift, shift)
 
 
 def test_diffusive_short_time_order():

@@ -313,15 +313,31 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
-def test_console_entry_point_smoke():
+def run_cli_process(argv):
+    """Run the CLI in a child interpreter, with Python's default warning filters."""
     # the child interpreter imports the same package this test imported
     package_root = str(Path(channels.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qutrit_se.cli", "threshold", "--p", "0.9"],
+    return subprocess.run(
+        [sys.executable, "-m", "qutrit_se.cli", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_entry_point_smoke():
+    proc = run_cli_process(["threshold", "--p", "0.9"])
     assert proc.returncode == 0
     assert "t_cross_qutrit=" in proc.stdout
+
+
+def test_overflowing_decay_exponent_is_silent():
+    # a2*t = 1e308 * 5e200 overflows to inf: the arm factor is exp(-inf) = 0,
+    # an answer, so numpy must not warn on stderr
+    proc = run_cli_process(["curves", "--a1", "1e-200", "--a2", "1e308", "--steps", "4"])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    _, rows = parse_csv(proc.stdout.encode())
+    assert rows.shape == (5, 7)
+    assert np.all(rows[1:, 2] == 0.0)  # s_qutrit: the a2 arm has decayed

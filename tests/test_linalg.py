@@ -101,6 +101,32 @@ class TestKron:
         b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         assert abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "shape_a, shape_b", [((2, 3), (3, 2)), ((3, 3), (3, 3)), ((9, 9), (1, 1)), ((1, 4), (2, 1))]
+    )
+    def test_bitwise_equal_to_numpy_kron(self, shape_a, shape_b):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            a = rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)
+            b = rng.standard_normal(shape_b) + 1j * rng.standard_normal(shape_b)
+            for x, y in ((a, b), (a.real, b), (a, b.real), (-a, b * 0.0)):
+                got, want = kron(x, y), np.kron(x.astype(complex), y.astype(complex))
+                np.testing.assert_array_equal(got, want)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (np.ones(3), np.eye(2)),
+            (np.eye(2), np.ones((2, 2, 2))),
+            (np.float64(2.0), np.eye(2)),
+            (np.ones((1, 2, 2)), np.ones((1, 2, 2))),
+        ],
+    )
+    def test_rejects_inputs_that_are_not_matrices(self, a, b):
+        with pytest.raises(ValueError, match="two matrices"):
+            kron(a, b)
+
 
 class TestHermitianEigenvalues:
     def test_diagonal(self):

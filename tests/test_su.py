@@ -130,6 +130,24 @@ class TestGeneratorSets:
                 )
                 np.testing.assert_allclose(g[i] @ g[j], rebuilt, atol=1e-12)
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_diagonals_and_pair_rows(self, dim):
+        basis = generator_basis(dim)
+        g = basis.generators
+        np.testing.assert_array_equal(basis.diagonals, np.diagonal(g, axis1=1, axis2=2).real)
+        rows, js, ks = basis.pair_rows
+        assert len(rows) == len(js) == len(ks) == dim * (dim - 1)
+        # every generator with no diagonal is a pair row, each listed once
+        assert sorted(rows) == [i for i in range(len(g)) if not basis.diagonals[i].any()]
+        for r, j, k in zip(rows, js, ks):
+            assert j < k and g[r, j, k] != 0 and g[r, k, j] != 0
+            assert np.count_nonzero(g[r]) == 2
+        assert all(g[rows[::2], js[::2], ks[::2]] == 1)  # symmetric first
+        assert all(g[rows[1::2], js[1::2], ks[1::2]] == -1j)
+        for arr in (basis.diagonals, *basis.pair_rows):
+            assert not arr.flags.writeable
+        assert basis.pair_rows is generator_basis(dim).pair_rows  # built once
+
     def test_rejects_non_orthonormal_basis(self):
         bad = PAULI.copy()
         bad[0] *= 2.0
