@@ -347,16 +347,18 @@ def separability_report(
     Closed forms supply s and F for the whole grid at once; the negativity
     columns are measured on Kraus-evolved Werner states, so the two routes
     can disagree only if one of them is wrong. The negativities are computed
-    GRID_CHUNK time points at a time: one Kraus stack, one bipartite
-    contraction and one stacked Jacobi run per species and chunk.
+    GRID_CHUNK time points at a time: one Kraus stack, one stack of
+    superoperators applied to each side of the Werner state as a matrix
+    product (``bipartite_channel``) and one stacked Jacobi run per species
+    and chunk.
     """
     if params.a1 <= 0 or params.a2 <= 0 or params.a3 <= 0:
         raise ValueError("separability report requires strictly positive rates")
     check_time_unit(params.a1)
     if steps < 2:
         raise ValueError("steps must be >= 2")
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"Werner weight p={p} outside [0, 1]")
 

@@ -29,6 +29,10 @@ that the test suite cross-checks against each other:
 
 Bipartite use: ``bipartite_channel`` lifts a local channel to two qudits,
 either one-sided or as the mixture q (channel on A) + (1-q) (channel on B).
+It builds the channel's d^2 x d^2 superoperator sum_k K_k (x) conj(K_k) on
+the row-major vec, the convention of ``lindblad_evolve`` (Havel, J. Math.
+Phys. 44, 534 (2003)), and applies it to one side of the state as a single
+matrix product.
 
 Time grids: ``se_kraus_stack`` builds the Kraus operators at many times at
 once, from the same expressions as ``se_kraus_qubit``/``se_kraus_qutrit``,
@@ -265,8 +269,11 @@ def bipartite_channel(
     mode 'A' or 'B' applies the channel to that subsystem only; 'symmetric'
     returns the mixture q.(on A) + (1-q).(on B). A channel tabulated at T
     times (see ``se_kraus_stack``) gives the T states, shape (T, d^2, d^2).
-    Each side is one contraction of the (d, d, d, d) tensor of ``rho`` with
-    the (T, k, d, d) Kraus stack.
+    The superoperator S = sum_k K_k (x) conj(K_k), shape (..., d^2, d^2) with
+    rows (a, z) and columns (x, y), is built once per call. Side A is then
+    one matrix product S M_A over all times at once, with M_A[(x, y), (b, c)]
+    = rho[(x, b), (y, c)], followed by an axis swap back to (a, b), (z, c);
+    side B is the same with rho's B indices.
     """
     rho = np.asarray(rho, dtype=complex)
     dim = channel.dim
@@ -276,19 +283,25 @@ def bipartite_channel(
         )
     if not 0.0 <= q <= 1.0:
         raise ValueError("mixing weight q must lie in [0, 1]")
-    ops = np.stack(channel.operators, axis=-3)
+    if mode not in ("A", "B", "symmetric"):
+        raise ValueError(f"mode must be 'A', 'B' or 'symmetric', got {mode!r}")
+    ops = np.stack(channel.operators, axis=-3)  # (..., k, d, d)
+    lead = ops.shape[:-3]
+    # S[(a, z), (x, y)] = sum_k K_k[a, x] conj(K_k[z, y]), one row per (..., a, z)
+    terms = ops[..., :, None, :, None] * ops.conj()[..., None, :, None, :]
+    sup = terms.sum(axis=-5).reshape(-1, dim * dim)
     tensor = rho.reshape(dim, dim, dim, dim)  # (a, b, a', b'), A slow
-    # K (x) I contracts with the A indices, I (x) K with the B indices
-    specs = {"A": "...kax,xbyc,...kzy->...abzc", "B": "...kbx,axcy,...kzy->...abcz"}
+    # rows (x, y) of M are rho's indices on the acted-on side
+    lift = {"A": tensor.transpose(0, 2, 1, 3), "B": tensor.transpose(1, 3, 0, 2)}
 
     def one_sided(side: str) -> np.ndarray:
-        out = np.einsum(specs[side], ops, tensor, ops.conj(), optimize=True)
-        return out.reshape(out.shape[:-4] + rho.shape)
+        out = (sup @ lift[side].reshape(dim * dim, dim * dim)).reshape(lead + (dim,) * 4)
+        if side == "A":
+            out = out.swapaxes(-3, -2)  # (a, z, b, c) -> (a, b, z, c)
+        else:
+            out = np.moveaxis(out, -2, -4).swapaxes(-2, -1)  # (b, z, a, c) -> (a, b, c, z)
+        return out.reshape(lead + rho.shape)
 
-    if mode == "A":
-        return one_sided("A")
-    if mode == "B":
-        return one_sided("B")
     if mode == "symmetric":
         return q * one_sided("A") + (1.0 - q) * one_sided("B")
-    raise ValueError(f"mode must be 'A', 'B' or 'symmetric', got {mode!r}")
+    return one_sided(mode)

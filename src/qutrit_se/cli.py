@@ -84,8 +84,9 @@ def run_curves(cfg: RunConfig, out) -> int:
         cfg.p, cfg.params, t_max=cfg.t_max, steps=cfg.steps
     )
     out.write("t,s_qubit,s_qutrit,F_qubit,F_qutrit,neg_qubit,neg_qutrit\n")
-    for row in report.rows:
-        out.write(",".join(_fmt(x) for x in row) + "\n")
+    # "%.9g" formats a float exactly as _fmt does, -0 and inf included
+    row = ",".join(["%.9g"] * report.rows.shape[1]) + "\n"
+    out.write("".join(row % tuple(values) for values in report.rows.tolist()))
     return 0
 
 

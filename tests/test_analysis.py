@@ -497,6 +497,11 @@ class TestReport:
         with pytest.raises(ValueError):
             separability_report(0.5, ChannelParams(), t_max=0.0)
 
+    @pytest.mark.parametrize("t_max", [math.nan, math.inf])
+    def test_non_finite_t_max_is_rejected(self, t_max):
+        with pytest.raises(ValueError, match="t_max"):
+            separability_report(0.5, ChannelParams(), t_max=t_max, steps=4)
+
     def test_indicator_crossings(self):
         t_qb, t_qt, longer = indicator_crossings(1.0, ChannelParams())
         assert abs(t_qb - T_QUBIT_P1) < 1e-8 and abs(t_qt - T_QUTRIT_P1) < 1e-8

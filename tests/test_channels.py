@@ -19,6 +19,7 @@ from qutrit_se.channels import (
     lindblad_evolve,
     lindblad_jump_ops,
     se_affine_map,
+    se_kraus,
     se_kraus_qubit,
     se_kraus_qutrit,
     se_kraus_stack,
@@ -447,6 +448,22 @@ def kron_bipartite(rho, channel, mode, q=0.5):
     return one_sided(mode)
 
 
+def einsum_bipartite(rho, channel, mode, q=0.5):
+    """Reference: contract each side with the (d, d, d, d) tensor of rho by einsum."""
+    dim = channel.dim
+    ops = np.stack(channel.operators, axis=-3)
+    tensor = rho.reshape(dim, dim, dim, dim)
+    specs = {"A": "...kax,xbyc,...kzy->...abzc", "B": "...kbx,axcy,...kzy->...abcz"}
+
+    def one_sided(side):
+        out = np.einsum(specs[side], ops, tensor, ops.conj(), optimize=True)
+        return out.reshape(out.shape[:-4] + rho.shape)
+
+    if mode == "symmetric":
+        return q * one_sided("A") + (1 - q) * one_sided("B")
+    return one_sided(mode)
+
+
 class TestBipartite:
     @pytest.mark.parametrize("mode", ["A", "B", "symmetric"])
     @pytest.mark.parametrize("dim, build", [(2, se_kraus_qubit), (3, se_kraus_qutrit)])
@@ -456,6 +473,34 @@ class TestBipartite:
         ch = build(ChannelParams(a1=1.2, a2=0.8, a3=2.1, t=0.65))
         out = bipartite_channel(rho, ch, mode, 0.35)
         np.testing.assert_allclose(out, kron_bipartite(rho, ch, mode, 0.35), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("stack", [None, 1, 7, 64])
+    @pytest.mark.parametrize("mode", ["A", "B", "symmetric"])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_matches_einsum_contraction(self, dim, mode, stack, monkeypatch):
+        rng = np.random.default_rng(60 + dim)
+        rates = random_rates(rng, dim, undamped_first=False)
+        times = rng.uniform(0.0, 6.0, stack or 1)
+        if dim == 4:  # ChannelParams maps d = 2 and 3 only
+            t = times[:, None, None] if stack else times[0]
+            ch = KrausChannel(dim, channels._kraus_operators(rates, t), t)
+        else:
+            rate_args = {"a1": rates[0]} if dim == 2 else dict(zip(("a2", "a3"), rates))
+            par = ChannelParams(**rate_args)
+            if stack:
+                ch = se_kraus_stack(dim, par, times)
+            else:
+                ch = se_kraus(dim, par.with_time(times[0]))
+        rho = random_density_matrix(dim * dim, rng)
+        want = einsum_bipartite(rho, ch, mode, 0.35)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("bipartite_channel must not call np.einsum")
+
+        monkeypatch.setattr(np, "einsum", forbidden)
+        got = bipartite_channel(rho, ch, mode, 0.35)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
     def test_stack_matches_per_time_calls(self):
         rng = np.random.default_rng(18)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qutrit_se import analysis, channels
+from qutrit_se import analysis, channels, cli
 from qutrit_se.cli import RunConfig, main
 from qutrit_se.su import generator_basis
 
@@ -63,6 +63,26 @@ class TestCurves:
         # neg_qubit is 0 from a1*t = 2 on, where the qubit pair is PPT
         assert [line.split(",")[5] for line in lines[5:]] == ["0"] * 7
         assert all(field != "-0" for line in lines[1:] for field in line.split(","))
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {},
+            {"q": 0.0, "steps": 70},
+            {"q": 1.0, "p": 0.6, "a2": 3.0, "steps": 65},
+            {"a1": 0.3, "a3": 7.5, "t_max": 30.0, "steps": 9},
+            {"a1": 1e-200, "a2": 1e308, "steps": 4},
+        ],
+    )
+    def test_rows_render_as_fmt_values(self, capsys, options):
+        argv = ["curves"]
+        for key, value in options.items():
+            argv += [f"--{key.replace('_', '-')}", repr(value)]
+        assert main(argv) == 0
+        cfg = RunConfig(command="curves", **options)
+        rep = analysis.separability_report(cfg.p, cfg.params, t_max=cfg.t_max, steps=cfg.steps)
+        lines = [",".join(cli._fmt(x) for x in row) for row in rep.rows]
+        assert capsys.readouterr().out == "\n".join([HEADER, *lines]) + "\n"
 
     def test_byte_identical_reruns(self, tmp_path):
         _, first = run_to_file(tmp_path, "a.csv", ["curves", "--steps", "40"])
