@@ -363,7 +363,8 @@ def separability_report(
         raise ValueError(f"Werner weight p={p} outside [0, 1]")
 
     taus = np.linspace(0.0, t_max, steps + 1)
-    times = taus / params.a1
+    with np.errstate(over="ignore"):  # t = inf is meant: every arm has decayed
+        times = taus / params.a1
     rows = np.empty((steps + 1, 7))
     rows[:, 0] = taus
     for i, d in enumerate((2, 3)):

@@ -4,13 +4,11 @@ Both are V systems: one ground level 0 and d - 1 excited levels (arms)
 m = 1, ..., d - 1 that each decay to it at rate a_m. The qutrit has two arms
 with Einstein coefficients A2 and A3; the qubit is the one-arm case with rate
 A1. ``ChannelParams.rates`` maps a dimension to its arm rates, and every
-route below is built from that rate tuple and the generalized Gell-Mann
-basis of ``su.generator_basis`` (order rule: level k's generators start at
-index k^2 - 1 with the pairs (j, k), j < k, symmetric then antisymmetric,
-and end with its diagonal generator at (k+1)^2 - 2). The builders work for
-any number of arms; the public entry points take d = 2 or 3 through
-``ChannelParams.rates``. The channel is provided in three independent forms
-that the test suite cross-checks against each other:
+route below is built from that rate tuple; the Bloch-vector route also
+reads the generalized Gell-Mann basis, whose order only ``su`` knows. The
+builders work for any number of arms; the public entry points take d = 2 or
+3 through ``ChannelParams.rates``. The channel is provided in three
+independent forms that the test suite cross-checks against each other:
 
 * an affine map n -> D(t) n + T(t) on the Bloch vector, in closed form per
   generator type: a pair generator of levels (j, k) is damped by h_j h_k
@@ -21,7 +19,7 @@ that the test suite cross-checks against each other:
   ``GeneratorBasis.diagonals`` and ``GeneratorBasis.pair_rows``;
 * an operator-sum (Kraus) form: K0 = diag(1, h_1, ..., h_n) and
   K_m = w_m |0><m| with h_m = exp(-a_m t/2) and w_m = sqrt(1 - h_m^2),
-  expanded in generators;
+  in the level basis;
 * a Lindblad master equation with jump operators sqrt(a_m) |0><m|,
   integrated with fixed-step RK4, applied as a power of the d^2 x d^2 step
   matrix of the jump operators (Havel, quant-ph/0201127), whose generator
@@ -160,24 +158,18 @@ def _affine_map(rates: tuple, t: float) -> AffineBlochMap:
 
 
 def _kraus_operators(rates: tuple, t) -> tuple:
-    # Emission Kraus operators of the len(rates)-arm system at time t: a
-    # scalar t gives (d, d) operators, t of shape (T, 1, 1) gives (T, d, d)
-    # stacks. Arm m adds to K0 the diagonal generator of level m, whose
-    # coefficient has the norm 2 sqrt(m(m+1)/2), and builds K_m from the
-    # generators of the pair (0, m).
+    # Emission Kraus operators of the len(rates)-arm system in the level
+    # basis at time t >= 0: a scalar t gives (d, d) operators, a 1-D grid of
+    # T times gives (T, d, d) stacks.
     dim = len(rates) + 1
-    g = generator_basis(dim).generators
-    upper = 1.0  # K0's diagonal summed over the levels before arm m
-    diag, jumps = [], []
-    for m, a in enumerate(rates, 1):
-        h = np.exp(-a * t / 2.0)
-        w = np.sqrt(np.maximum(0.0, 1.0 - h * h))
-        norm = 2.0 * math.sqrt(m * (m + 1) / 2.0)
-        diag.append((upper - m * h) / norm * g[(m + 1) ** 2 - 2])
-        jumps.append(w / 2.0 * g[m * m - 1] + 0.5j * w * g[m * m])
-        upper = upper + h
-    k0 = sum(diag, upper / dim * np.eye(dim, dtype=complex))
-    return (k0, *jumps)
+    ops = np.zeros((dim, *np.shape(t), dim, dim), dtype=complex)
+    ops[0, ..., 0, 0] = 1.0
+    with np.errstate(over="ignore"):  # a*t = inf is meant: h = exp(-inf) = 0
+        for m, a in enumerate(rates, 1):
+            h = np.exp(-a * t / 2.0)
+            ops[0, ..., m, m] = h
+            ops[m, ..., 0, m] = np.sqrt(1.0 - h * h)
+    return tuple(ops)
 
 
 def se_kraus(dim: int, params: ChannelParams) -> KrausChannel:
@@ -201,11 +193,14 @@ def se_kraus_stack(dim: int, params: ChannelParams, times) -> KrausChannel:
 
     The rates come from ``params`` (its ``t`` is ignored). Each operator has
     shape (T, dim, dim) for T times, and equals the one ``se_kraus_qubit`` or
-    ``se_kraus_qutrit`` builds at that time.
+    ``se_kraus_qutrit`` builds at that time. A negative or NaN time raises
+    ValueError; t = inf is the fully decayed limit.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
-    with np.errstate(over="ignore"):  # a*t = inf is meant: h = exp(-inf) = 0
-        ops = _kraus_operators(params.rates(dim), times[:, None, None])
+    bad = times[~(times >= 0)]
+    if bad.size:
+        raise ValueError(f"times must be >= 0, got {bad[0]}")
+    ops = _kraus_operators(params.rates(dim), times)
     return KrausChannel(dim=dim, operators=ops, t=times)
 
 

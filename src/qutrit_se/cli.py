@@ -56,7 +56,6 @@ class RunConfig:
         params = self.params  # validates the rates (finite, >= 0) and q
         if not min(params.a1, params.a2, params.a3) > 0:
             raise ValueError("decay rates a1, a2, a3 must be positive")
-        analysis.check_time_unit(params.a1)
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
         if self.command == "compare" and self.p <= analysis.QUBIT_SEP_THRESHOLD:

@@ -111,12 +111,8 @@ class GeneratorBasis:
         In basis order, so each pair (j, k) gives two rows, its symmetric
         then its antisymmetric generator. Read-only integer arrays.
         """
-        rows, levels = [], []
-        for k in range(1, self.dim):
-            for j in range(k):
-                rows += [k * k - 1 + 2 * j, k * k + 2 * j]
-                levels += [(j, k), (j, k)]
-        out = (np.array(rows), *np.array(levels).T)
+        # a pair generator has one entry above the diagonal, at (j, k)
+        out = np.nonzero(np.triu(self.generators, 1))
         for arr in out:
             arr.setflags(write=False)
         return out

@@ -556,4 +556,4 @@ class TestReport:
 
         monkeypatch.setattr(channels, "_kraus_operators", recorded)
         separability_report(1.0, ChannelParams(), steps=70)
-        assert seen == [(64, 1, 1), (7, 1, 1)]
+        assert seen == [(64,), (7,)]

@@ -434,6 +434,21 @@ class TestKrausStack:
         with pytest.raises(ValueError):
             se_kraus_stack(4, ChannelParams(), [0.5])
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("times", [[-1.0], [0.5, -1e-300], [np.nan], [1.0, np.nan, 2.0]])
+    def test_rejects_negative_and_nan_times(self, dim, times):
+        # a negative time gives h > 1, not a channel; ChannelParams rejects it too
+        with pytest.raises(ValueError, match="times must be >= 0"):
+            se_kraus_stack(dim, ChannelParams(), times)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_infinite_time_is_fully_decayed(self, dim):
+        stack = se_kraus_stack(dim, ChannelParams(), [0.0, np.inf])
+        k0, *jumps = stack.operators
+        np.testing.assert_array_equal(k0[1], np.diag([1.0] + [0.0] * (dim - 1)))
+        for m, k in enumerate(jumps, 1):
+            np.testing.assert_array_equal(k[1], np.outer(np.eye(dim)[0], np.eye(dim)[m]))
+
 
 def kron_bipartite(rho, channel, mode, q=0.5):
     """Reference: lift each Kraus operator to A (x) B with an explicit kron."""
@@ -482,7 +497,7 @@ class TestBipartite:
         rates = random_rates(rng, dim, undamped_first=False)
         times = rng.uniform(0.0, 6.0, stack or 1)
         if dim == 4:  # ChannelParams maps d = 2 and 3 only
-            t = times[:, None, None] if stack else times[0]
+            t = times if stack else times[0]
             ch = KrausChannel(dim, channels._kraus_operators(rates, t), t)
         else:
             rate_args = {"a1": rates[0]} if dim == 2 else dict(zip(("a2", "a3"), rates))
@@ -562,23 +577,38 @@ def test_affine_map_apply_type():
     np.testing.assert_array_equal(m.apply(n), n)
 
 
-ARM_RATES = {2: (0.8,), 4: (1.3, 0.4, 2.1)}
+ARM_RATES = {2: (0.8,), 3: (1.9, 0.35), 4: (1.3, 0.4, 2.1), 5: (1.3, 0.4, 2.1, 0.05)}
 
 
 class TestEveryArmCount:
-    """The rate-tuple builders for one and three arms (d = 2, 4)."""
+    """The rate-tuple builders for one to four arms (d = 2 to 5)."""
 
-    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_kraus_operator_entries(self, dim):
         rates, t = ARM_RATES[dim], 0.9
         k0, *jumps = channels._kraus_operators(rates, t)
         h = np.exp(-np.array(rates) * t / 2)
-        np.testing.assert_allclose(k0, np.diag([1.0, *h]), atol=1e-15)
+        np.testing.assert_array_equal(k0, np.diag([1.0, *h]))
         for m, (k, hm) in enumerate(zip(jumps, h), 1):
             expected = np.zeros((dim, dim), dtype=complex)
             expected[0, m] = np.sqrt(1 - hm * hm)
-            np.testing.assert_allclose(k, expected, atol=1e-15)
+            np.testing.assert_array_equal(k, expected)
         assert KrausChannel(dim, (k0, *jumps), t).completeness_defect() <= 1e-12
+
+    def test_kraus_builders_read_no_generator(self, monkeypatch):
+        # the Kraus form is written in the level basis; only the Bloch-vector
+        # route reads the generator order
+        par = ChannelParams(a1=0.7, a2=1.3, a3=0.4, t=0.8)
+        expected = (se_kraus_qubit(par), se_kraus_qutrit(par), se_kraus_stack(3, par, [0.0, 2.0]))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the Kraus builder read the generator basis")
+
+        monkeypatch.setattr(channels, "generator_basis", forbidden)
+        built = (se_kraus_qubit(par), se_kraus_qutrit(par), se_kraus_stack(3, par, [0.0, 2.0]))
+        for got, want in zip(built, expected):
+            for k_got, k_want in zip(got.operators, want.operators):
+                np.testing.assert_array_equal(k_got, k_want)
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_jump_operators(self, dim):

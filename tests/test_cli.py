@@ -353,11 +353,15 @@ def test_console_entry_point_smoke():
 
 
 def test_overflowing_decay_exponent_is_silent():
-    # a2*t = 1e308 * 5e200 overflows to inf: the arm factor is exp(-inf) = 0,
-    # an answer, so numpy must not warn on stderr
-    proc = run_cli_process(["curves", "--a1", "1e-200", "--a2", "1e308", "--steps", "4"])
-    assert proc.returncode == 0
-    assert proc.stderr == ""
-    _, rows = parse_csv(proc.stdout.encode())
-    assert rows.shape == (5, 7)
-    assert np.all(rows[1:, 2] == 0.0)  # s_qutrit: the a2 arm has decayed
+    # a2*t = 1e308 * 5e200, or t = 1e308 / 0.5, overflows to inf: the arm
+    # factor is exp(-inf) = 0, an answer, so numpy must not warn on stderr
+    for argv in (
+        ["curves", "--a1", "1e-200", "--a2", "1e308", "--steps", "4"],
+        ["curves", "--t-max", "1e308", "--a1", "0.5", "--steps", "4"],
+    ):
+        proc = run_cli_process(argv)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        _, rows = parse_csv(proc.stdout.encode())
+        assert rows.shape == (5, 7)
+        assert np.all(rows[1:, 2] == 0.0)  # s_qutrit: the decaying arms are gone

@@ -68,6 +68,7 @@ def run(argv):
 @example(["curves", "--a2=1e-300", "--steps=50"])
 @example(["threshold", "--a1=5e-324"])
 @example(["threshold", "--a1=1e-200", "--a2=1e308", "--a3=1e308"])
+@example(["curves", "--t-max=1e308", "--a1=0.5", "--steps=4"])
 @example(["haar", "--samples=100", f"--output={MISSING_DIR_OUTPUT}"])
 def test_answer_or_one_line_error(argv):
     code, out, err = run(argv)
