@@ -66,7 +66,8 @@ GRID_CHUNK = 64
 
 
 def _arm_factors(rates: tuple, t) -> list:
-    return [np.exp(-a * t / 2.0) for a in rates]
+    # an undamped arm keeps h = 1, also at t = inf where a*t is nan
+    return [np.exp(-a * t / 2.0) if a else np.ones_like(t, dtype=float) for a in rates]
 
 
 def _indicator(p: float, h: list):

@@ -23,7 +23,8 @@ independent forms that the test suite cross-checks against each other:
 * a Lindblad master equation with jump operators sqrt(a_m) |0><m|,
   integrated with fixed-step RK4, applied as a power of the d^2 x d^2 step
   matrix of the jump operators (Havel, quant-ph/0201127), whose generator
-  is built with ``linalg.kron``.
+  is built with ``linalg.kron``; the step matrix and its squares are cached
+  read-only per (arm rates, step size h), in a bounded cache.
 
 Bipartite use: ``bipartite_channel`` lifts a local channel to two qudits,
 either one-sided or as the mixture q (channel on A) + (1-q) (channel on B).
@@ -40,7 +41,9 @@ and ``bipartite_channel`` then returns one state per time.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +65,9 @@ __all__ = [
     "lindblad_evolve",
     "bipartite_channel",
 ]
+
+# (arm rates, step size, rungs) keys of RK4 squaring ladders kept by _rk4_ladder
+RK4_LADDER_CACHE = 128
 
 
 @dataclass(frozen=True)
@@ -166,7 +172,8 @@ def _kraus_operators(rates: tuple, t) -> tuple:
     ops[0, ..., 0, 0] = 1.0
     with np.errstate(over="ignore"):  # a*t = inf is meant: h = exp(-inf) = 0
         for m, a in enumerate(rates, 1):
-            h = np.exp(-a * t / 2.0)
+            # an undamped arm keeps h = 1, also at t = inf where a*t is nan
+            h = np.exp(-a * t / 2.0) if a else np.ones_like(t, dtype=float)
             ops[0, ..., m, m] = h
             ops[m, ..., 0, m] = np.sqrt(1.0 - h * h)
     return tuple(ops)
@@ -232,7 +239,11 @@ def lindblad_evolve(rho0: np.ndarray, params: ChannelParams, steps: int) -> np.n
     exactly the d^2 x d^2 matrix P = I + hS + (hS)^2/2 + (hS)^3/6 + (hS)^4/24
     on the row-major vec, where vec(A X B) = (A kron B^T) vec(X) and S is
     built with ``linalg.kron`` from the jump operators alone (Havel, J. Math.
-    Phys. 44, 534 (2003)); the result is P^steps rho0.
+    Phys. 44, 534 (2003)); the result is P^steps rho0. P and its squares
+    P^2, P^4, ... are cached read-only per (arm rates, h), in a bounded LRU
+    cache, and multiplied in ``np.linalg.matrix_power``'s order, so a
+    repeated (rates, h), as in piecewise integration, rebuilds nothing and
+    gives the bits of the uncached power.
     """
     rho = np.asarray(rho0, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -243,6 +254,39 @@ def lindblad_evolve(rho0: np.ndarray, params: ChannelParams, steps: int) -> np.n
 
 
 def _rk4_power(rho: np.ndarray, rates: tuple, t: float, steps: int) -> np.ndarray:
+    # P^steps from the cached squares P^(2^k), multiplied in the order of
+    # np.linalg.matrix_power: its n = 3 shortcut (P P) P, else the squares of
+    # the set bits of n, lowest first
+    h = t / steps
+    steps = operator.index(steps)
+    ladder = _rk4_ladder(rates, h, steps.bit_length())
+    if steps == 3:
+        power = ladder[1] @ ladder[0]
+    else:
+        power = None
+        for bit, square in enumerate(ladder):
+            if steps >> bit & 1:
+                power = square if power is None else power @ square
+    dim = len(rates) + 1
+    return (power @ rho.reshape(-1)).reshape(dim, dim)
+
+
+@functools.lru_cache(maxsize=RK4_LADDER_CACHE)
+def _rk4_ladder(rates: tuple, h: float, rungs: int) -> tuple:
+    # (P, P^2, P^4, ..., P^(2^(rungs-1))) for the RK4 step matrix P of step
+    # h, each read-only: a shorter cached ladder plus squarings. Every 64th
+    # ladder starts from the one 64 rungs down (from P for the first), so a
+    # cold build recurses at most 64 + rungs/64 deep for any step count.
+    below = rungs - 1 if rungs % 64 else rungs - 64
+    ladder = list(_rk4_ladder(rates, h, below)) if below else [_rk4_step(rates, h)]
+    while len(ladder) < rungs:
+        top = ladder[-1] @ ladder[-1]
+        top.flags.writeable = False
+        ladder.append(top)
+    return tuple(ladder)
+
+
+def _rk4_step(rates: tuple, h: float) -> np.ndarray:
     dim = len(rates) + 1
     jumps = lindblad_jump_ops(*rates)
     gsum = sum(dagger(l) @ l for l in jumps)
@@ -250,10 +294,11 @@ def _rk4_power(rho: np.ndarray, rates: tuple, t: float, steps: int) -> np.ndarra
     gen = sum(kron(l, l.conj()) for l in jumps) - 0.5 * (
         kron(gsum, eye) + kron(eye, gsum.T)
     )
-    hs = (t / steps) * gen
+    hs = h * gen
     eye = np.eye(dim * dim)
     step = eye + hs @ (eye + hs @ (eye / 2 + hs @ (eye / 6 + hs / 24)))
-    return (np.linalg.matrix_power(step, steps) @ rho.reshape(-1)).reshape(dim, dim)
+    step.flags.writeable = False
+    return step
 
 
 def bipartite_channel(

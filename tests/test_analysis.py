@@ -9,6 +9,7 @@ Hand-derived anchors used below:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,15 @@ class TestSharedCore:
                 for g, w, c in zip(got, want, self.core(0.8, par, t)):
                     assert abs(g - w) <= 1e-15
                     assert g == c  # the public names are the core
+
+    @pytest.mark.parametrize("t", [np.inf, np.array([0.0, 2.0, np.inf])])
+    def test_undamped_arm_factor_is_one_at_infinite_time(self, t):
+        # exp(-a t/2) is exp(nan) for a = 0 at t = inf; the limit is h = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h2, h3 = analysis._arm_factors((0.0, 0.7), t)
+        np.testing.assert_array_equal(h2, np.ones_like(t))
+        assert np.ravel(h3)[-1] == 0.0
 
     def test_fidelity_is_the_per_species_expression(self):
         # F keeps its per-species summation order, so it matches bit for bit

@@ -6,6 +6,8 @@ equation — three constructions sharing no code path beyond the generator
 tables.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -297,7 +299,11 @@ class TestLindblad:
             monkeypatch.setattr(channels, name, forbidden)
         monkeypatch.setattr(np.linalg, "eig", forbidden)
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        # a cached ladder would skip the build this test guards
+        channels._rk4_ladder.cache_clear()
+        misses = channels._rk4_ladder.cache_info().misses
         np.testing.assert_array_equal(channels.lindblad_evolve(rho, par, steps=800), expected)
+        assert channels._rk4_ladder.cache_info().misses > misses
 
     def test_generator_built_without_numpy_kron(self, monkeypatch):
         # the superoperator comes from linalg.kron, not np.kron
@@ -310,8 +316,12 @@ class TestLindblad:
             raise AssertionError("lindblad_evolve called np.kron")
 
         monkeypatch.setattr(np, "kron", forbidden)
+        # a cached ladder would skip the build this test guards
+        channels._rk4_ladder.cache_clear()
+        misses = channels._rk4_ladder.cache_info().misses
         out = channels.lindblad_evolve(rho, par, steps=1400)
         assert out.tobytes() == expected.tobytes()
+        assert channels._rk4_ladder.cache_info().misses > misses
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -333,6 +343,60 @@ def reference_rk4_power(rho, rates, t, steps):
     eye = np.eye(dim * dim)
     step = eye + hs @ (eye + hs @ (eye / 2 + hs @ (eye / 6 + hs / 24)))
     return (np.linalg.matrix_power(step, steps) @ rho.reshape(-1)).reshape(dim, dim)
+
+
+class TestRk4Ladder:
+    """The cached squaring ladder gives the uncached power's exact bits."""
+
+    RATES = {"a2": 1.3, "a3": 0.4}
+
+    @pytest.mark.parametrize(
+        "steps",
+        [1, 2, 3, 4, 5, 7, 8, 700, 1023, 1024, 2000, np.int64(700),
+         pytest.param(2**600 + 5, id="2**600+5")],
+    )
+    def test_cold_and_warm_match_reference(self, steps):
+        rng = np.random.default_rng(60)
+        rho = random_density_matrix(3, rng)
+        par = ChannelParams(**self.RATES, t=0.9)
+        want = reference_rk4_power(rho, par.rates(3), par.t, steps)
+        channels._rk4_ladder.cache_clear()
+        cold = lindblad_evolve(rho, par, steps)
+        misses = channels._rk4_ladder.cache_info().misses
+        assert misses > 0
+        warm = lindblad_evolve(rho, par, steps)
+        assert channels._rk4_ladder.cache_info().misses == misses
+        assert_same_bytes(cold, want)
+        assert_same_bytes(warm, want)
+
+    def test_repeat_with_another_state_reuses_the_ladder(self):
+        rng = np.random.default_rng(61)
+        par = ChannelParams(**self.RATES, t=1.7)
+        first, second = random_density_matrix(3, rng), random_density_matrix(3, rng)
+        channels._rk4_ladder.cache_clear()
+        lindblad_evolve(first, par, 1700)
+        misses = channels._rk4_ladder.cache_info().misses
+        got = lindblad_evolve(second, par, 1700)
+        assert channels._rk4_ladder.cache_info().misses == misses
+        assert_same_bytes(got, reference_rk4_power(second, par.rates(3), par.t, 1700))
+
+    def test_cached_matrices_are_read_only(self):
+        ladder = channels._rk4_ladder((1.3, 0.4), 1e-3, 4)
+        assert isinstance(ladder, tuple) and len(ladder) == 4
+        for square in ladder:
+            assert not square.flags.writeable
+            with pytest.raises(ValueError):
+                square[0, 0] = 0.0
+        out = lindblad_evolve(np.eye(3) / 3, ChannelParams(**self.RATES, t=8e-3), 8)
+        assert out.flags.writeable
+
+    def test_cache_stays_bounded(self):
+        bound = channels.RK4_LADDER_CACHE
+        channels._rk4_ladder.cache_clear()
+        for i in range(bound + 10):
+            lindblad_evolve(np.eye(3) / 3, ChannelParams(a2=1.0 + i, t=0.5), 4)
+            assert channels._rk4_ladder.cache_info().currsize <= bound
+        assert channels._rk4_ladder.cache_info().currsize == bound
 
 
 def reference_affine_map(rates, t):
@@ -448,6 +512,17 @@ class TestKrausStack:
         np.testing.assert_array_equal(k0[1], np.diag([1.0] + [0.0] * (dim - 1)))
         for m, k in enumerate(jumps, 1):
             np.testing.assert_array_equal(k[1], np.outer(np.eye(dim)[0], np.eye(dim)[m]))
+
+    @pytest.mark.parametrize("times", [[np.inf], [0.0, 1.0, np.inf]])
+    def test_undamped_arm_stays_undamped_at_infinite_time(self, times):
+        # h = exp(-a t/2) is exp(nan) for a = 0 at t = inf; the limit is h = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stack = se_kraus_stack(3, ChannelParams(a2=0.0), times)
+        k0 = stack.operators[0][-1]
+        np.testing.assert_array_equal(k0, np.diag([1.0, 1.0, 0.0]))
+        np.testing.assert_array_equal(stack.operators[1][-1], np.zeros((3, 3)))
+        assert stack.completeness_defect() == 0.0
 
 
 def kron_bipartite(rho, channel, mode, q=0.5):
