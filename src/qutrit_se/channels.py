@@ -30,7 +30,8 @@ Bipartite use: ``bipartite_channel`` lifts a local channel to two qudits,
 either one-sided or as the mixture q (channel on A) + (1-q) (channel on B).
 It builds the channel's d^2 x d^2 superoperator sum_k K_k (x) conj(K_k) on
 the row-major vec, the convention of ``lindblad_evolve`` (Havel, J. Math.
-Phys. 44, 534 (2003)), and applies it to one side of the state as a single
+Phys. 44, 534 (2003)), with the time axis innermost and the k terms added in
+place in operator order, and applies it to one side of the state as a single
 matrix product.
 
 Time grids: ``se_kraus_stack`` builds the Kraus operators at many times at
@@ -310,38 +311,46 @@ def bipartite_channel(
     returns the mixture q.(on A) + (1-q).(on B). A channel tabulated at T
     times (see ``se_kraus_stack``) gives the T states, shape (T, d^2, d^2).
     The superoperator S = sum_k K_k (x) conj(K_k), shape (..., d^2, d^2) with
-    rows (a, z) and columns (x, y), is built once per call. Side A is then
-    one matrix product S M_A over all times at once, with M_A[(x, y), (b, c)]
-    = rho[(x, b), (y, c)], followed by an axis swap back to (a, b), (z, c);
-    side B is the same with rho's B indices.
+    rows (a, z) and columns (x, y), is built once per call: each K_k product
+    loops over the times innermost, and the k terms are added in place in
+    operator order. Side A is then one matrix product S M_A over all times at
+    once, with M_A[(x, y), (b, c)] = rho[(x, b), (y, c)], read back with axes
+    (a, b), (z, c) as the q-mix or the copy writes it; side B is the same with
+    rho's B indices.
     """
     rho = np.asarray(rho, dtype=complex)
     dim = channel.dim
-    if rho.shape != (dim * dim, dim * dim):
-        raise ValueError(
-            f"state shape {rho.shape} does not match two systems of dimension {dim}"
-        )
+    n = dim * dim
+    if rho.shape != (n, n):
+        raise ValueError(f"state shape {rho.shape} does not match two systems of dimension {dim}")
     if not 0.0 <= q <= 1.0:
         raise ValueError("mixing weight q must lie in [0, 1]")
     if mode not in ("A", "B", "symmetric"):
         raise ValueError(f"mode must be 'A', 'B' or 'symmetric', got {mode!r}")
-    ops = np.stack(channel.operators, axis=-3)  # (..., k, d, d)
-    lead = ops.shape[:-3]
-    # S[(a, z), (x, y)] = sum_k K_k[a, x] conj(K_k[z, y]), one row per (..., a, z)
-    terms = ops[..., :, None, :, None] * ops.conj()[..., None, :, None, :]
-    sup = terms.sum(axis=-5).reshape(-1, dim * dim)
+    ops = np.stack(channel.operators)  # (k, ..., d, d)
+    lead = ops.shape[1:-2]
+    ops = np.moveaxis(ops.reshape(len(ops), -1, dim, dim), 1, -1).copy()  # (k, a, x, t)
+    # S[(a, z), (x, y)] = sum_k K_k[a, x] conj(K_k[z, y]), one row per (t, a, z),
+    # written through (a, z, x, y, t) views so that t is the inner loop
+    sup, term = np.empty((2, ops.shape[-1]) + (dim,) * 4, dtype=ops.dtype)
+    for k, (op, op_conj) in enumerate(zip(ops, ops.conj())):
+        view = np.moveaxis(term if k else sup, 0, -1)
+        np.multiply(op[:, None, :, None], op_conj[None, :, None, :], out=view)
+        if k:
+            sup += term
     tensor = rho.reshape(dim, dim, dim, dim)  # (a, b, a', b'), A slow
     # rows (x, y) of M are rho's indices on the acted-on side
     lift = {"A": tensor.transpose(0, 2, 1, 3), "B": tensor.transpose(1, 3, 0, 2)}
 
-    def one_sided(side: str) -> np.ndarray:
-        out = (sup @ lift[side].reshape(dim * dim, dim * dim)).reshape(lead + (dim,) * 4)
+    def one_sided(side: str) -> np.ndarray:  # S M in term, as a (t, a, b, a', b') view
+        np.matmul(sup.reshape(-1, n), lift[side].reshape(n, n), out=term.reshape(-1, n))
         if side == "A":
-            out = out.swapaxes(-3, -2)  # (a, z, b, c) -> (a, b, z, c)
-        else:
-            out = np.moveaxis(out, -2, -4).swapaxes(-2, -1)  # (b, z, a, c) -> (a, b, c, z)
-        return out.reshape(lead + rho.shape)
+            return term.swapaxes(-3, -2)  # (a, z, b, c) -> (a, b, z, c)
+        return np.moveaxis(term, -2, -4).swapaxes(-2, -1)  # (b, z, a, c) -> (a, b, c, z)
 
-    if mode == "symmetric":
-        return q * one_sided("A") + (1.0 - q) * one_sided("B")
-    return one_sided(mode)
+    if mode != "symmetric":
+        return one_sided(mode).reshape(lead + rho.shape)
+    # the q-mix writes the permuted products; sup is free after the B product
+    out = np.multiply(one_sided("A"), q, out=np.empty_like(sup))
+    out += np.multiply(one_sided("B"), 1.0 - q, out=sup)
+    return out.reshape(lead + rho.shape)

@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_output(sp):
         sp.add_argument("--output", default=None, help="write to file instead of stdout")
 
-    sp = sub.add_parser("curves", help="survival-curve CSV over a1*t")
+    sp = sub.add_parser("curves", help="indicator-curve CSV over a1*t")
     add_rates(sp)
     sp.add_argument("--p", type=float, default=1.0, help="Werner weight")
     sp.add_argument("--q", type=float, default=0.5, help="two-sided mixing weight")

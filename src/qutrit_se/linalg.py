@@ -82,10 +82,10 @@ def hermitian_eigenvalues(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
     ``a`` may be one (n, n) matrix, giving shape (n,), or a stack
     (..., n, n), giving (..., n). A stack runs one sweep loop over all its
-    members (Golub & Van Loan, Matrix Computations, sec. 8.5): each member
-    sees the rotation sequence it would see alone, and a member that has
-    converged, or whose pivot is skipped, gets the identity rotation
-    (c = 1, s = 0), so its eigenvalues match a call on that member alone.
+    members (Golub & Van Loan, Matrix Computations, sec. 8.5), in place while
+    all are active: a converged member sits out later sweeps and a skipped
+    pivot gets the identity rotation (c = 1, s = 0), so each member's
+    eigenvalues are bitwise those of a call on that member alone.
 
     Raises
     ------
@@ -95,25 +95,34 @@ def hermitian_eigenvalues(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         if any member misses the target after 100 full sweeps.
     """
     a = _square(a)
+    lead, n = a.shape[:-2], a.shape[-1]
+    a = a.reshape((math.prod(lead), n, n))  # one batch axis
+    a_dag = dagger(a)
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
-        defect = np.max(np.abs(a - dagger(a))) if a.size else 0.0
+        m = a - a_dag
+        off = np.abs(m)
+        defect = off.max(initial=0.0)
     if not defect <= HERMITICITY_TOL:
         raise NonHermitianError(f"matrix deviates from Hermitian by {defect:.3e}")
-    n = a.shape[-1]
-    # symmetrize to kill roundoff drift (also copies); one batch axis
-    m = ((a + dagger(a)) / 2.0).reshape((math.prod(a.shape[:-2]), n, n))
+    # symmetrize to kill roundoff drift, in the buffer of the check
+    np.add(a, a_dag, out=m)
+    m /= 2.0
+    del a_dag  # free the conjugate copy before the sweeps
     diag = np.arange(n)
 
     for _ in range(100):
-        off = np.abs(m)
+        np.abs(m, out=off)
         off[:, diag, diag] = 0.0
         todo = np.flatnonzero(off.max(axis=(1, 2), initial=0.0) > tol)
         if todo.size == 0:
             break
-        m[todo] = _jacobi_sweep(m[todo])
+        if todo.size == len(m):
+            _jacobi_sweep(m)  # every member still active: no gather or scatter
+        else:
+            m[todo] = _jacobi_sweep(m[todo])
     else:
         raise NoConvergenceError("off-diagonal norm not below tol after 100 sweeps")
-    return np.sort(m[:, diag, diag].real, axis=-1).reshape(a.shape[:-1])
+    return np.sort(m[:, diag, diag].real, axis=-1).reshape(lead + (n,))
 
 
 def _jacobi_sweep(m: np.ndarray) -> np.ndarray:

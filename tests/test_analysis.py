@@ -9,6 +9,7 @@ Hand-derived anchors used below:
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -525,10 +526,11 @@ class TestReport:
 
     @pytest.mark.parametrize("q", [0.0, 0.3, 1.0])
     def test_matches_per_point_reference(self, q):
-        # steps=130 gives 131 points: two full 64-point chunks and a short one
+        # two full chunks and a short one of three points
+        steps = 2 * analysis.GRID_CHUNK + 2
         p, par = 0.85, ChannelParams(a1=1.3, a2=0.6, a3=2.2, q=q)
-        rep = separability_report(p, par, t_max=4.0, steps=130)
-        assert rep.rows.shape == (131, 7)
+        rep = separability_report(p, par, t_max=4.0, steps=steps)
+        assert rep.rows.shape == (steps + 1, 7)
         for row in rep.rows:
             at = par.with_time(row[0] / par.a1)
             expected = [row[0], s_qubit_closed(p, at), s_qutrit_closed(p, at),
@@ -565,5 +567,32 @@ class TestReport:
             return good(rates, t)
 
         monkeypatch.setattr(channels, "_kraus_operators", recorded)
-        separability_report(1.0, ChannelParams(), steps=70)
-        assert seen == [(64,), (7,)]
+        separability_report(1.0, ChannelParams(), steps=analysis.GRID_CHUNK + 6)
+        assert seen == [(analysis.GRID_CHUNK,), (7,)]
+
+    @pytest.mark.parametrize("q", [0.0, 0.3, 1.0])
+    def test_rows_do_not_depend_on_the_chunk_size(self, q, monkeypatch):
+        # two full chunks of the default size and a short one of three points
+        default = analysis.GRID_CHUNK
+        p, par = 0.9, ChannelParams(a1=0.7, a2=1.9, a3=0.45, q=q)
+        rows = {}
+        for chunk in (1, 7, default):
+            monkeypatch.setattr(analysis, "GRID_CHUNK", chunk)
+            rows[chunk] = separability_report(p, par, t_max=6.0, steps=2 * default + 2).rows
+        np.testing.assert_array_equal(rows[1], rows[default])
+        np.testing.assert_array_equal(rows[7], rows[default])
+
+    def test_peak_memory_of_a_long_grid(self):
+        # the chunked grid keeps the (T, 9, 9) temporaries bounded: a first
+        # call measured 2,005,505 bytes at GRID_CHUNK = 256 (numpy 2.4.6); the
+        # bound is that plus 25%
+        par = ChannelParams(a1=1.3, a2=0.4, a3=2.7, q=0.37)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            separability_report(0.83, par, steps=2000)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_507_000

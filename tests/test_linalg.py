@@ -8,6 +8,7 @@ spectra); randomized checks cross-check against an independent oracle
 import numpy as np
 import pytest
 
+from qutrit_se import linalg
 from qutrit_se.linalg import (
     NoConvergenceError,
     NonHermitianError,
@@ -196,8 +197,26 @@ class TestHermitianEigenvalues:
         for k in range(12):
             single = hermitian_eigenvalues(stack[k])
             assert single.shape == (n,)
-            assert np.max(np.abs(eigs[k] - single)) <= 1e-15
+            np.testing.assert_array_equal(eigs[k], single)
             np.testing.assert_allclose(single, scalar_jacobi(stack[k]), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [3, 4, 9])
+    def test_in_place_and_gather_sweeps_match_single_calls(self, n, monkeypatch):
+        # a stack whose members all stay active is swept in place; one whose
+        # members converge at different sweeps gathers the active ones
+        rng = np.random.default_rng(80 + n)
+        a = random_density_matrix(n, rng)
+        all_active = np.stack([a, a.conj(), 2.0 * a])  # mirrored or scaled sweeps
+        mixed = np.stack([random_density_matrix(n, rng) for _ in range(8)])
+        mixed[2] = np.diag(np.arange(n) / n)  # converged before the first sweep
+        sweep, batches = linalg._jacobi_sweep, []
+        monkeypatch.setattr(linalg, "_jacobi_sweep", lambda m: batches.append(len(m)) or sweep(m))
+        for stack, in_place in ((all_active, True), (mixed, False)):
+            batches.clear()
+            eigs = hermitian_eigenvalues(stack)
+            assert (set(batches) == {len(stack)}) == in_place
+            for k in range(len(stack)):
+                np.testing.assert_array_equal(eigs[k], hermitian_eigenvalues(stack[k]))
 
     def test_stack_shape_follows_leading_axes(self):
         rng = np.random.default_rng(13)
