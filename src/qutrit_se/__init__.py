@@ -6,22 +6,19 @@ negativity oracle, and Haar-moment checks.
 """
 
 from .analysis import (
-    QUBIT_SEP_THRESHOLD,
-    QUTRIT_SEP_THRESHOLD,
     SeparabilityReport,
     crossing_time,
     fidelity_closed,
     fidelity_from_state,
     haar_bloch_vectors,
     haar_moment_check,
+    indicator_closed,
     indicator_crossings,
     negativity,
     ppt_threshold,
     preservation_inequality,
     qubit_crossing_closed,
     s_from_state,
-    s_qubit_closed,
-    s_qutrit_closed,
     separability_report,
 )
 from .channels import (
@@ -33,9 +30,8 @@ from .channels import (
     lindblad_evolve,
     lindblad_jump_ops,
     se_affine_map,
-    se_kraus_qubit,
+    se_kraus,
     se_kraus_qutrit,
-    se_kraus_stack,
 )
 from .linalg import (
     NoConvergenceError,

@@ -15,9 +15,9 @@ qutrits), it certifies entanglement (de Vicente's correlation-matrix
 criterion); once below, it certifies nothing, and the state may still be
 entangled. The time at which s falls to 1/(d+1) is the indicator crossing.
 
-One closed-form core serves both species, which differ only in their arm
-rates (``ChannelParams.rates``): with h_k = exp(-a_k t/2) per arm and local
-dimension d, s_d = p/(d^2-1) sum_k h_k (h_k + 2 + 2 sum_{j<k} h_j) and
+``indicator_closed(p, rates, t)`` and ``fidelity_closed(rates, t)`` serve
+every d: they take the tuple of the d - 1 arm rates. With h_k = exp(-a_k t/2),
+s_d = p/(d^2-1) sum_k h_k (h_k + 2 + 2 sum_{j<k} h_j) and
 F_d = (1 + sum_k h_k)^2/d^2, for a scalar t or a whole time grid at once.
 """
 
@@ -29,16 +29,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .channels import ChannelParams, bipartite_channel, se_kraus_stack
+from .channels import ChannelParams, _arm_factors, _check_arms, bipartite_channel, se_kraus
 from .linalg import hermitian_eigenvalues, partial_transpose
 from .states import correlation_matrix, max_entangled, werner
 from .su import generator_basis
 
 __all__ = [
-    "QUBIT_SEP_THRESHOLD",
-    "QUTRIT_SEP_THRESHOLD",
-    "s_qubit_closed",
-    "s_qutrit_closed",
+    "indicator_closed",
     "s_from_state",
     "fidelity_closed",
     "fidelity_from_state",
@@ -56,9 +53,6 @@ __all__ = [
     "separability_report",
 ]
 
-QUBIT_SEP_THRESHOLD = 1.0 / 3.0
-QUTRIT_SEP_THRESHOLD = 0.25
-
 # Time points per batched negativity step of ``separability_report``: the
 # per-call cost of ``bipartite_channel`` and the stacked Jacobi is shared by a
 # chunk, and a chunk's (T, 9, 9) temporaries set the peak memory of long grids.
@@ -67,11 +61,6 @@ QUTRIT_SEP_THRESHOLD = 0.25
 # 64: 73 ms, +2.6 MB; 128: 55 ms, +2.7 MB; 256: 47 ms, +3.8 MB; 512: 44 ms,
 # +6.1 MB. 512 would buy about 7% more speed with 2.3 MB more memory.
 GRID_CHUNK = 256
-
-
-def _arm_factors(rates: tuple, t) -> list:
-    # an undamped arm keeps h = 1, also at t = inf where a*t is nan
-    return [np.exp(-a * t / 2.0) if a else np.ones_like(t, dtype=float) for a in rates]
 
 
 def _indicator(p: float, h: list):
@@ -83,18 +72,16 @@ def _indicator(p: float, h: list):
     return p / (len(h) * (len(h) + 2)) * total
 
 
-def _fidelity(h: list):
-    return sum(h, 1.0) ** 2 / (len(h) + 1) ** 2
+def _checked_factors(rates, t) -> list:
+    # for the public closed forms; bisection calls _arm_factors unchecked
+    rates, t = _check_arms(rates, t)
+    with np.errstate(over="ignore"):  # a*t = inf is meant: h = exp(-inf) = 0
+        return _arm_factors(rates, t)
 
 
-def s_qubit_closed(p: float, params: ChannelParams) -> float:
-    """Two-qubit separability indicator at time params.t."""
-    return _indicator(p, _arm_factors(params.rates(2), params.t))
-
-
-def s_qutrit_closed(p: float, params: ChannelParams) -> float:
-    """Two-qutrit separability indicator at time params.t."""
-    return _indicator(p, _arm_factors(params.rates(3), params.t))
+def indicator_closed(p: float, rates, t):
+    """Indicator s_d(t) of a Werner pair of weight p, d = len(rates) + 1; t may be an array."""
+    return _indicator(p, _checked_factors(rates, t))
 
 
 def s_from_state(rho: np.ndarray, d: int) -> float:
@@ -107,9 +94,10 @@ def s_from_state(rho: np.ndarray, d: int) -> float:
     return float(np.sum(np.abs(np.diag(correlation_matrix(rho, d)))) / (d + 1))
 
 
-def fidelity_closed(d: int, params: ChannelParams) -> float:
-    """Overlap of the evolved maximally entangled state with itself at t=0."""
-    return _fidelity(_arm_factors(params.rates(d), params.t))
+def fidelity_closed(rates, t):
+    """Overlap F_d(t) of the evolved maximally entangled pair with its t = 0 state."""
+    h = _checked_factors(rates, t)
+    return sum(h, 1.0) ** 2 / (len(h) + 1) ** 2
 
 
 def fidelity_from_state(rho: np.ndarray, d: int) -> float:
@@ -167,7 +155,7 @@ def qubit_crossing_closed(p: float, a1: float = 1.0) -> float:
 
     Valid for p > 1/3 (below that the state is separable from the start).
     """
-    if not QUBIT_SEP_THRESHOLD < p <= 1.0:
+    if not 1.0 / 3.0 < p <= 1.0:
         raise ValueError(f"closed form requires 1/3 < p <= 1, got p={p}")
     if a1 <= 0:
         raise ValueError("a1 must be positive")
@@ -182,7 +170,7 @@ def preservation_inequality(p: float, a21: float, a31: float) -> bool:
     tests u (u + 2) / 2 >= 1/p. Defined for 1/3 < p <= 1 only: below that
     alpha >= 1 and the qubit pair is separable from the start.
     """
-    if not QUBIT_SEP_THRESHOLD < p <= 1.0:
+    if not 1.0 / 3.0 < p <= 1.0:
         raise ValueError(f"inequality requires 1/3 < p <= 1, got p={p}")
     alpha = np.sqrt(1.0 + 1.0 / p) - 1.0
     u = alpha**a21 + alpha**a31
@@ -201,11 +189,11 @@ def negativity(rho: np.ndarray, dim_a: int, dim_b: int) -> float | np.ndarray:
     return float(neg) if neg.ndim == 0 else neg
 
 
-def ppt_threshold(d: int, p_tol: float = 1e-6) -> float:
+def ppt_threshold(d: int) -> float:
     """Werner weight where the partial-transpose spectrum turns negative.
 
-    Pure bisection on the measured negativity — no closed form enters, so
-    this is an independent check of the 1/3 (qubit) and 1/4 (qutrit) values.
+    Pure bisection on the measured negativity, to a bracket of 1e-6 in p — no
+    closed form enters, so this is an independent check of 1/(d+1).
     """
 
     def entangled(p: float) -> bool:
@@ -214,7 +202,7 @@ def ppt_threshold(d: int, p_tol: float = 1e-6) -> float:
     lo, hi = 0.0, 1.0
     if not entangled(hi):
         raise ValueError("Werner state at p=1 measured separable; no threshold")
-    while hi - lo > p_tol:
+    while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
         if entangled(mid):
             hi = mid
@@ -302,14 +290,14 @@ class SeparabilityReport:
 
 
 def check_time_unit(a1: float) -> None:
-    """Reject an a1 too small to measure time in units of 1/a1.
+    """Reject an a1 too small to measure time in units of 1/a1, 0 included.
 
     A crossing search runs over a1*t up to 2^60 (``crossing_time``'s doubling
     bound) and evaluates the arms at t = (a1*t)/a1. Below about 6.4e-291 that
     t overflows to inf and the crossing would come out wrong, so raise.
     """
     search_max = 2.0**60
-    if not math.isfinite(search_max / a1):
+    if not (a1 > 0 and math.isfinite(search_max / a1)):
         smallest = search_max / np.finfo(float).max
         raise ValueError(f"a1 must be above about {smallest:.3g}, got {a1!r}")
 
@@ -371,14 +359,12 @@ def separability_report(
     rows = np.empty((steps + 1, 7))
     rows[:, 0] = taus
     for i, d in enumerate((2, 3)):
-        with np.errstate(over="ignore"):  # a*t = inf is meant: h = exp(-inf) = 0
-            h = _arm_factors(params.rates(d), times)
-        rows[:, 1 + i] = _indicator(p, h)
-        rows[:, 3 + i] = _fidelity(h)
+        rows[:, 1 + i] = indicator_closed(p, params.rates(d), times)
+        rows[:, 3 + i] = fidelity_closed(params.rates(d), times)
         w = werner(d, p)
         for lo in range(0, steps + 1, GRID_CHUNK):
             chunk = slice(lo, lo + GRID_CHUNK)
-            kraus = se_kraus_stack(d, params, times[chunk])
+            kraus = se_kraus(params.rates(d), times[chunk])
             rho = bipartite_channel(w, kraus, "symmetric", params.q)
             rows[chunk, 5 + i] = negativity(rho, d, d)
 

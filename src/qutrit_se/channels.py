@@ -3,12 +3,12 @@
 Both are V systems: one ground level 0 and d - 1 excited levels (arms)
 m = 1, ..., d - 1 that each decay to it at rate a_m. The qutrit has two arms
 with Einstein coefficients A2 and A3; the qubit is the one-arm case with rate
-A1. ``ChannelParams.rates`` maps a dimension to its arm rates, and every
-route below is built from that rate tuple; the Bloch-vector route also
-reads the generalized Gell-Mann basis, whose order only ``su`` knows. The
-builders work for any number of arms; the public entry points take d = 2 or
-3 through ``ChannelParams.rates``. The channel is provided in three
-independent forms that the test suite cross-checks against each other:
+A1. Every route below is built from the tuple of arm rates, so one code
+path serves any number of arms: ``se_kraus(rates, t)`` takes it directly,
+and ``ChannelParams.rates`` gives the qubit's (a1,) and the qutrit's
+(a2, a3). The Bloch-vector route also reads the generalized Gell-Mann basis,
+whose order only ``su`` knows. The channel is provided in three independent
+forms that the test suite cross-checks against each other:
 
 * an affine map n -> D(t) n + T(t) on the Bloch vector, in closed form per
   generator type: a pair generator of levels (j, k) is damped by h_j h_k
@@ -34,9 +34,9 @@ Phys. 44, 534 (2003)), with the time axis innermost and the k terms added in
 place in operator order, and applies it to one side of the state as a single
 matrix product.
 
-Time grids: ``se_kraus_stack`` builds the Kraus operators at many times at
-once, from the same expressions as ``se_kraus_qubit``/``se_kraus_qutrit``,
-and ``bipartite_channel`` then returns one state per time.
+Time grids: ``se_kraus(rates, times)`` builds the Kraus operators at many
+times at once, from the same expressions as at a single time, and
+``bipartite_channel`` then returns one state per time.
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ __all__ = [
     "se_affine_map",
     "se_kraus",
     "se_kraus_qutrit",
-    "se_kraus_qubit",
-    "se_kraus_stack",
     "apply_kraus",
     "lindblad_jump_ops",
     "lindblad_evolve",
@@ -124,7 +122,7 @@ class KrausChannel:
     """Operator-sum form sum_k K_k rho K_k^dag on a dim-level system.
 
     Each operator has shape (dim, dim), or (T, dim, dim) for a channel
-    tabulated at the T times in ``t`` (see ``se_kraus_stack``).
+    tabulated at the T times in ``t`` (see ``se_kraus``).
     """
 
     dim: int
@@ -164,52 +162,47 @@ def _affine_map(rates: tuple, t: float) -> AffineBlochMap:
     return AffineBlochMap(damping=damping, shift=shift, t=t)
 
 
+def _arm_factors(rates: tuple, t) -> list:
+    # h_m = exp(-a_m t/2); an undamped arm keeps h = 1, even at t = inf where a*t is nan
+    return [np.exp(-a * t / 2.0) if a else np.ones_like(t, dtype=float) for a in rates]
+
+
+def _check_arms(rates, t) -> tuple:
+    # one or more finite rates >= 0 as floats, and times >= 0 (inf included)
+    rates, times = tuple(float(a) for a in rates), np.asarray(t, dtype=float)
+    if not rates or not all(math.isfinite(a) and a >= 0 for a in rates):
+        raise ValueError(f"arm rates must be one or more finite numbers >= 0, got {rates}")
+    if not (times >= 0).all():
+        raise ValueError(f"times must be >= 0, got {times[~(times >= 0)][0]}")
+    return rates, float(times) if times.ndim == 0 else times
+
+
 def _kraus_operators(rates: tuple, t) -> tuple:
-    # Emission Kraus operators of the len(rates)-arm system in the level
-    # basis at time t >= 0: a scalar t gives (d, d) operators, a 1-D grid of
-    # T times gives (T, d, d) stacks.
+    # the operators of se_kraus in the level basis, for checked rates and t
     dim = len(rates) + 1
     ops = np.zeros((dim, *np.shape(t), dim, dim), dtype=complex)
     ops[0, ..., 0, 0] = 1.0
     with np.errstate(over="ignore"):  # a*t = inf is meant: h = exp(-inf) = 0
-        for m, a in enumerate(rates, 1):
-            # an undamped arm keeps h = 1, also at t = inf where a*t is nan
-            h = np.exp(-a * t / 2.0) if a else np.ones_like(t, dtype=float)
+        for m, h in enumerate(_arm_factors(rates, t), 1):
             ops[0, ..., m, m] = h
             ops[m, ..., 0, m] = np.sqrt(1.0 - h * h)
     return tuple(ops)
 
 
-def se_kraus(dim: int, params: ChannelParams) -> KrausChannel:
-    """Emission channel of the dim-level system at params.t (dim operators)."""
-    ops = _kraus_operators(params.rates(dim), params.t)
-    return KrausChannel(dim=dim, operators=ops, t=params.t)
+def se_kraus(rates, t) -> KrausChannel:
+    """Emission channel of the d-level system with d - 1 = len(rates) arms.
+
+    A scalar t gives d operators of shape (d, d), an array of T times (T, d, d)
+    stacks. Rates must be finite and >= 0 and times >= 0 (t = inf is the fully
+    decayed limit), else ValueError.
+    """
+    rates, t = _check_arms(rates, t)
+    return KrausChannel(dim=len(rates) + 1, operators=_kraus_operators(rates, t), t=t)
 
 
 def se_kraus_qutrit(params: ChannelParams) -> KrausChannel:
-    """Qutrit emission channel in operator-sum form (three operators)."""
-    return se_kraus(3, params)
-
-
-def se_kraus_qubit(params: ChannelParams) -> KrausChannel:
-    """Qubit emission channel in operator-sum form (two operators)."""
-    return se_kraus(2, params)
-
-
-def se_kraus_stack(dim: int, params: ChannelParams, times) -> KrausChannel:
-    """Qubit (dim 2) or qutrit (dim 3) emission channel at each of ``times``.
-
-    The rates come from ``params`` (its ``t`` is ignored). Each operator has
-    shape (T, dim, dim) for T times, and equals the one ``se_kraus_qubit`` or
-    ``se_kraus_qutrit`` builds at that time. A negative or NaN time raises
-    ValueError; t = inf is the fully decayed limit.
-    """
-    times = np.asarray(times, dtype=float).reshape(-1)
-    bad = times[~(times >= 0)]
-    if bad.size:
-        raise ValueError(f"times must be >= 0, got {bad[0]}")
-    ops = _kraus_operators(params.rates(dim), times)
-    return KrausChannel(dim=dim, operators=ops, t=times)
+    """Qutrit emission channel at params.t, whose rates ChannelParams checked."""
+    return KrausChannel(dim=3, operators=_kraus_operators(params.rates(3), params.t), t=params.t)
 
 
 def apply_kraus(rho: np.ndarray, channel: KrausChannel) -> np.ndarray:
@@ -222,8 +215,9 @@ def apply_kraus(rho: np.ndarray, channel: KrausChannel) -> np.ndarray:
     return sum(k @ rho @ dagger(k) for k in channel.operators)
 
 
-def lindblad_jump_ops(*rates) -> tuple:
+def lindblad_jump_ops(rates) -> tuple:
     """Jump operators sqrt(a_m) |0><m| of the emission generator, one per arm."""
+    rates, _ = _check_arms(rates, 0.0)
     ops = np.zeros((len(rates), len(rates) + 1, len(rates) + 1), dtype=complex)
     for m, a in enumerate(rates, 1):
         ops[m - 1, 0, m] = np.sqrt(a)
@@ -289,7 +283,7 @@ def _rk4_ladder(rates: tuple, h: float, rungs: int) -> tuple:
 
 def _rk4_step(rates: tuple, h: float) -> np.ndarray:
     dim = len(rates) + 1
-    jumps = lindblad_jump_ops(*rates)
+    jumps = lindblad_jump_ops(rates)
     gsum = sum(dagger(l) @ l for l in jumps)
     eye = np.eye(dim)
     gen = sum(kron(l, l.conj()) for l in jumps) - 0.5 * (
@@ -309,7 +303,7 @@ def bipartite_channel(
 
     mode 'A' or 'B' applies the channel to that subsystem only; 'symmetric'
     returns the mixture q.(on A) + (1-q).(on B). A channel tabulated at T
-    times (see ``se_kraus_stack``) gives the T states, shape (T, d^2, d^2).
+    times (see ``se_kraus``) gives the T states, shape (T, d^2, d^2).
     The superoperator S = sum_k K_k (x) conj(K_k), shape (..., d^2, d^2) with
     rows (a, z) and columns (x, y), is built once per call: each K_k product
     loops over the times innermost, and the k terms are added in place in

@@ -58,7 +58,7 @@ class RunConfig:
             raise ValueError("decay rates a1, a2, a3 must be positive")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
-        if self.command == "compare" and self.p <= analysis.QUBIT_SEP_THRESHOLD:
+        if self.command == "compare" and self.p <= 1.0 / 3.0:
             raise ValueError("compare requires p > 1/3 (qubit entangled at t=0)")
         if not 0 < self.t_max < np.inf:
             raise ValueError("t-max must be positive and finite")
@@ -100,7 +100,7 @@ def run_threshold(cfg: RunConfig, out) -> int:
     out.write(f"a31={_fmt(params.a31)}\n")
     out.write(f"t_cross_qubit={words.get(t_qb) or _fmt(t_qb)}\n")
     out.write(f"t_cross_qutrit={words.get(t_qt) or _fmt(t_qt)}\n")
-    if cfg.p > analysis.QUBIT_SEP_THRESHOLD:
+    if cfg.p > 1.0 / 3.0:
         closed = analysis.qubit_crossing_closed(cfg.p, cfg.a1) * cfg.a1
         verdict = analysis.preservation_inequality(cfg.p, params.a21, params.a31)
         out.write(f"t_qubit_closed={_fmt(closed)}\n")
@@ -156,8 +156,7 @@ def _validate_checks(cfg: RunConfig):
         defect = 0.0
         for a2, a3 in rate_pairs:
             for t in times:
-                par = ChannelParams(a1=a2, a2=a2, a3=a3, t=t)
-                defect = max(defect, channels.se_kraus(d, par).completeness_defect())
+                defect = max(defect, channels.se_kraus((a2, a3)[: d - 1], t).completeness_defect())
         yield f"kraus_completeness_{name}", defect, 1e-12
 
     par = ChannelParams(a2=1.0, a3=0.7)
@@ -217,7 +216,8 @@ def _validate_checks(cfg: RunConfig):
     rho3 = channels.bipartite_channel(
         states.werner(3, 1.0), channels.se_kraus_qutrit(at), "symmetric", 0.5
     )
-    defect = abs(analysis.fidelity_from_state(rho3, 3) - analysis.fidelity_closed(3, at))
+    closed = analysis.fidelity_closed(at.rates(3), at.t)
+    defect = abs(analysis.fidelity_from_state(rho3, 3) - closed)
     yield "fidelity_closed_vs_state", defect, 1e-10
 
     t_closed = analysis.qubit_crossing_closed(1.0)

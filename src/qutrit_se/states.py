@@ -16,6 +16,7 @@ generators and +1 elsewhere: (1,-1,1) resp. (1,-1,1,1,-1,1,-1,1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +62,7 @@ def correlation_matrix(rho: np.ndarray, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Measured density-matrix defects; never raises, only reports."""
+    """Measured density-matrix defects (all NaN for a non-finite entry); never raises."""
 
     hermiticity_defect: float
     trace_defect: float
@@ -79,6 +80,8 @@ class ValidationReport:
 def validate_density(rho: np.ndarray) -> ValidationReport:
     """Hermiticity, trace and positivity certificate for a candidate state."""
     rho = np.asarray(rho, dtype=complex)
+    if not np.isfinite(rho).all():
+        return ValidationReport(math.nan, math.nan, math.nan)
     herm = float(np.max(np.abs(rho - dagger(rho))))
     tr = float(abs(np.trace(rho) - 1.0))
     # eigensolve the Hermitian part so the report stays total

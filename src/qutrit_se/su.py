@@ -168,10 +168,11 @@ def density_to_bloch(rho: np.ndarray) -> np.ndarray:
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
     basis = generator_basis(rho.shape[0])
-    defect = np.max(np.abs(rho - dagger(rho)))
-    if defect > 1e-10:
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
+        defect = np.max(np.abs(rho - dagger(rho)))
+    if not defect <= 1e-10:
         raise NonHermitianError(f"matrix deviates from Hermitian by {defect:.3e}")
-    if abs(np.trace(rho).real - 1.0) > 1e-10:
+    if not abs(np.trace(rho).real - 1.0) <= 1e-10:
         raise ValueError(f"matrix trace {np.trace(rho).real!r} is not 1")
     coeffs = np.einsum("iab,ba->i", basis.generators, rho)
     return basis.bloch_scale * coeffs.real
@@ -191,7 +192,7 @@ def is_pure_bloch(n: np.ndarray, tol: float = 1e-10) -> bool:
     """Purity test: |n|^2 = 1, and for d >= 3 also n * n = n, within tol."""
     n = np.asarray(n, dtype=float)
     basis = _basis_for_bloch(n)
-    if abs(n @ n - 1.0) > tol:
+    if not abs(n @ n - 1.0) <= tol:  # a NaN norm fails too
         return False
     # the qubit's d tensor vanishes, so |n| = 1 is its only condition
     return not basis.d.any() or bool(np.max(np.abs(star_product(n, n) - n)) <= tol)

@@ -21,6 +21,7 @@ from qutrit_se import (
     fidelity_from_state,
     haar_bloch_vectors,
     haar_moment_check,
+    indicator_closed,
     lindblad_evolve,
     lindblad_jump_ops,
     max_entangled,
@@ -29,10 +30,8 @@ from qutrit_se import (
     qubit_crossing_closed,
     random_density_matrix,
     s_from_state,
-    s_qubit_closed,
-    s_qutrit_closed,
     se_affine_map,
-    se_kraus_qubit,
+    se_kraus,
     se_kraus_qutrit,
     star_product,
     werner,
@@ -55,7 +54,7 @@ def test_criterion_01_kraus_completeness():
             ch = se_kraus_qutrit(ChannelParams(a2=a2, a3=a3, t=t))
             worst = max(worst, ch.completeness_defect())
         for a1 in (1.0, 2.0, 0.5, 3.0):
-            ch = se_kraus_qubit(ChannelParams(a1=a1, t=t))
+            ch = se_kraus((a1,), t)
             worst = max(worst, ch.completeness_defect())
     report(1, "kraus completeness", worst, 1e-12)
 
@@ -97,21 +96,19 @@ def test_criterion_04_closed_vs_state_separability():
             t=float(rng.uniform(0.0, 4.0)),
             q=float(rng.uniform(0.0, 1.0)),
         )
-        rho3 = bipartite_channel(
-            werner(3, p), se_kraus_qutrit(params), mode="symmetric", q=params.q
-        )
-        worst = max(worst, abs(s_from_state(rho3, 3) - s_qutrit_closed(p, params)))
-        rho2 = bipartite_channel(
-            werner(2, p), se_kraus_qubit(params), mode="symmetric", q=params.q
-        )
-        worst = max(worst, abs(s_from_state(rho2, 2) - s_qubit_closed(p, params)))
+        for d in (3, 2):
+            rates = params.rates(d)
+            rho = bipartite_channel(
+                werner(d, p), se_kraus(rates, params.t), mode="symmetric", q=params.q
+            )
+            worst = max(worst, abs(s_from_state(rho, d) - indicator_closed(p, rates, params.t)))
     report(4, "closed vs state-route s(t)", worst, 1e-10)
 
 
 def test_criterion_05_crossing_times():
-    params = ChannelParams()  # a1 = a2 = a3 = 1
-    t_qubit = crossing_time(lambda t: s_qubit_closed(1.0, params.with_time(t)), 1.0 / 3.0)
-    t_qutrit = crossing_time(lambda t: s_qutrit_closed(1.0, params.with_time(t)), 0.25)
+    # a1 = a2 = a3 = 1
+    t_qubit = crossing_time(lambda t: indicator_closed(1.0, (1.0,), t), 1.0 / 3.0)
+    t_qutrit = crossing_time(lambda t: indicator_closed(1.0, (1.0, 1.0), t), 0.25)
     report(5, "qubit crossing -2ln(sqrt(2)-1)", abs(t_qubit - T_QUBIT_P1), 1e-5)
     report(5, "qutrit crossing -2ln((sqrt(3)-1)/2)", abs(t_qutrit - T_QUTRIT_P1), 1e-4)
     assert t_qutrit > t_qubit  # equal rates: the qutrit pair stays entangled longer
@@ -123,8 +120,7 @@ def test_criterion_06_preservation_inequality_grid():
     agree = 0
     for a21 in grid:
         for a31 in grid:
-            params = ChannelParams(a2=a21, a3=a31, t=t_qubit)
-            direct = s_qutrit_closed(1.0, params) >= 0.25
+            direct = indicator_closed(1.0, (a21, a31), t_qubit) >= 0.25
             if preservation_inequality(1.0, a21, a31) == direct:
                 agree += 1
     print(f"[{'PASS' if agree == 100 else 'FAIL'}] criterion 06 "
@@ -133,9 +129,8 @@ def test_criterion_06_preservation_inequality_grid():
 
 
 def test_criterion_07_fidelity_limits():
-    late = ChannelParams(t=50.0)
-    f2 = fidelity_closed(2, late)
-    f3 = fidelity_closed(3, late)
+    f2 = fidelity_closed((1.0,), 50.0)
+    f3 = fidelity_closed((1.0, 1.0), 50.0)
     defect_limits = max(abs(f2 - 0.25), abs(f3 - 1.0 / 9.0), abs((f2 - f3) - 5.0 / 36.0))
     report(7, "fidelity limits 1/4, 1/9, gap 5/36", defect_limits, 1e-10)
 
@@ -143,15 +138,15 @@ def test_criterion_07_fidelity_limits():
     worst_q = 0.0
     for t in (0.3, 1.0, 2.5):
         params = ChannelParams(a2=1.3, a3=0.8, t=t)
-        for d, build in ((2, se_kraus_qubit), (3, se_kraus_qutrit)):
-            rho = bipartite_channel(
-                max_entangled(d), build(params), mode="symmetric", q=0.5
-            )
+        for d in (2, 3):
+            kraus = se_kraus(params.rates(d), t)
+            rho = bipartite_channel(max_entangled(d), kraus, mode="symmetric", q=0.5)
             worst_state = max(
-                worst_state, abs(fidelity_from_state(rho, d) - fidelity_closed(d, params))
+                worst_state,
+                abs(fidelity_from_state(rho, d) - fidelity_closed(params.rates(d), t)),
             )
             for q in (0.0, 0.7, 1.0):
-                rho_q = bipartite_channel(max_entangled(d), build(params), mode="symmetric", q=q)
+                rho_q = bipartite_channel(max_entangled(d), kraus, mode="symmetric", q=q)
                 worst_q = max(worst_q, abs(fidelity_from_state(rho_q, d) - fidelity_from_state(rho, d)))
     report(7, "kraus-route fidelity vs closed", worst_state, 1e-10)
     report(7, "fidelity q-independence", worst_q, 1e-12)
@@ -194,7 +189,7 @@ def test_criterion_09_pure_state_bloch_conditions():
 
 def test_criterion_10_diffusive_limit_order():
     a2, a3 = 1.0, 0.7
-    l1 = lindblad_jump_ops(a2, a3)[0]
+    l1 = lindblad_jump_ops((a2, a3))[0]
     dts = np.array([1e-2 / 2**k for k in range(7)])  # 1e-2 down to ~1.6e-4
     errs = []
     for dt in dts:

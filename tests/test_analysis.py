@@ -17,13 +17,12 @@ import pytest
 
 from qutrit_se import analysis, channels
 from qutrit_se.analysis import (
-    QUBIT_SEP_THRESHOLD,
-    QUTRIT_SEP_THRESHOLD,
     crossing_time,
     fidelity_closed,
     fidelity_from_state,
     haar_bloch_vectors,
     haar_moment_check,
+    indicator_closed,
     indicator_crossing,
     indicator_crossings,
     negativity,
@@ -31,11 +30,9 @@ from qutrit_se.analysis import (
     preservation_inequality,
     qubit_crossing_closed,
     s_from_state,
-    s_qubit_closed,
-    s_qutrit_closed,
     separability_report,
 )
-from qutrit_se.channels import ChannelParams, bipartite_channel, se_kraus_qubit, se_kraus_qutrit
+from qutrit_se.channels import ChannelParams, bipartite_channel, se_kraus, se_kraus_qutrit
 from qutrit_se.linalg import (
     dagger,
     hermitian_eigenvalues,
@@ -53,35 +50,48 @@ T_QUTRIT_P1 = -2.0 * np.log((np.sqrt(3.0) - 1.0) / 2.0)
 class TestClosedForms:
     def test_start_at_p(self):
         for p in (0.0, 0.3, 1.0):
-            par = ChannelParams(a1=1.4, a2=0.8, a3=2.0, t=0.0)
-            assert abs(s_qubit_closed(p, par) - p) < 1e-12
-            assert abs(s_qutrit_closed(p, par) - p) < 1e-12
+            assert abs(indicator_closed(p, (1.4,), 0.0) - p) < 1e-12
+            assert abs(indicator_closed(p, (0.8, 2.0), 0.0) - p) < 1e-12
 
     def test_decay_to_zero(self):
-        par = ChannelParams(t=200.0)
-        assert s_qubit_closed(1.0, par) < 1e-12
-        assert s_qutrit_closed(1.0, par) < 1e-12
+        assert indicator_closed(1.0, (1.0,), 200.0) < 1e-12
+        assert indicator_closed(1.0, (1.0, 1.0), 200.0) < 1e-12
 
     def test_monotone_nonincreasing_on_fine_grid(self):
-        par = ChannelParams(a1=1.0, a2=1.7, a3=0.3)
-        for f in (lambda t: s_qubit_closed(0.9, par.with_time(t)),
-                  lambda t: s_qutrit_closed(0.9, par.with_time(t)),
-                  lambda t: fidelity_closed(2, par.with_time(t)),
-                  lambda t: fidelity_closed(3, par.with_time(t))):
+        qubit, qutrit = (1.0,), (1.7, 0.3)
+        for f in (lambda t: indicator_closed(0.9, qubit, t),
+                  lambda t: indicator_closed(0.9, qutrit, t),
+                  lambda t: fidelity_closed(qubit, t),
+                  lambda t: fidelity_closed(qutrit, t)):
             vals = np.array([f(t) for t in np.linspace(0.0, 8.0, 1000)])
             assert np.all(np.diff(vals) <= 1e-15)
 
     def test_rate_exchange_symmetry(self):
         for t in (0.3, 1.1, 4.0):
-            a = ChannelParams(a2=2.0, a3=0.5, t=t)
-            b = ChannelParams(a2=0.5, a3=2.0, t=t)
-            assert abs(s_qutrit_closed(0.8, a) - s_qutrit_closed(0.8, b)) <= 1e-12
-            assert abs(fidelity_closed(3, a) - fidelity_closed(3, b)) <= 1e-12
+            a, b = (2.0, 0.5), (0.5, 2.0)
+            assert abs(indicator_closed(0.8, a, t) - indicator_closed(0.8, b, t)) <= 1e-12
+            assert abs(fidelity_closed(a, t) - fidelity_closed(b, t)) <= 1e-12
+
+    @pytest.mark.parametrize("rates, t", [
+        ((), 1.0), ((1.0, -0.5), 1.0), ((np.nan,), 1.0), ((np.inf, 1.0), 1.0),
+        ((1.0,), -1e-300), ((1.0, 1.0), np.nan), ((1.0,), [0.0, np.nan, 2.0]),
+    ])
+    def test_rejects_bad_rates_and_times(self, rates, t):
+        with pytest.raises(ValueError, match="arm rates must be|times must be >= 0"):
+            indicator_closed(0.9, rates, t)
+        with pytest.raises(ValueError, match="arm rates must be|times must be >= 0"):
+            fidelity_closed(rates, t)
+
+    def test_infinite_and_huge_times_are_fully_decayed(self):
+        # a*t overflows to inf for t = 1e308: h = exp(-inf) = 0, with no warning
+        times = np.array([1e308, np.inf])
+        np.testing.assert_array_equal(indicator_closed(0.9, (5.0, 2.0), times), [0.0, 0.0])
+        np.testing.assert_array_equal(fidelity_closed((5.0, 2.0), times), [1 / 9, 1 / 9])
+        assert indicator_closed(0.9, (5.0,), np.inf) == 0.0
 
     def test_known_crossing_values(self):
-        par = ChannelParams()
-        assert abs(s_qubit_closed(1.0, par.with_time(T_QUBIT_P1)) - 1 / 3) < 1e-14
-        assert abs(s_qutrit_closed(1.0, par.with_time(T_QUTRIT_P1)) - 0.25) < 1e-14
+        assert abs(indicator_closed(1.0, (1.0,), T_QUBIT_P1) - 1 / 3) < 1e-14
+        assert abs(indicator_closed(1.0, (1.0, 1.0), T_QUTRIT_P1) - 0.25) < 1e-14
 
 
 def reference_closed_forms(p, a1, a2, a3, t):
@@ -103,10 +113,8 @@ class TestSharedCore:
     TIMES = np.concatenate([[0.0], np.geomspace(1e-6, 200.0, 97)])
 
     def core(self, p, par, t):
-        h2 = analysis._arm_factors(par.rates(2), t)
-        h3 = analysis._arm_factors(par.rates(3), t)
-        return (analysis._indicator(p, h2), analysis._indicator(p, h3),
-                analysis._fidelity(h2), analysis._fidelity(h3))
+        return (indicator_closed(p, par.rates(2), t), indicator_closed(p, par.rates(3), t),
+                fidelity_closed(par.rates(2), t), fidelity_closed(par.rates(3), t))
 
     def test_matches_per_species_reference(self):
         rng = np.random.default_rng(41)
@@ -127,19 +135,18 @@ class TestSharedCore:
             for t in (0.0, 0.013, 0.9, 3.7, 61.0):
                 par = ChannelParams(a1=a1, a2=a2, a3=a3, t=t)
                 want = reference_closed_forms(0.8, a1, a2, a3, t)
-                got = (s_qubit_closed(0.8, par), s_qutrit_closed(0.8, par),
-                       fidelity_closed(2, par), fidelity_closed(3, par))
+                got = self.core(0.8, par, t)
                 assert np.ndim(got[0]) == 0
-                for g, w, c in zip(got, want, self.core(0.8, par, t)):
+                for g, w, c in zip(got, want, self.core(0.8, par, np.array([t]))):
                     assert abs(g - w) <= 1e-15
-                    assert g == c  # the public names are the core
+                    assert g == c[0]  # a scalar time gives the bits of a one-point grid
 
     @pytest.mark.parametrize("t", [np.inf, np.array([0.0, 2.0, np.inf])])
     def test_undamped_arm_factor_is_one_at_infinite_time(self, t):
         # exp(-a t/2) is exp(nan) for a = 0 at t = inf; the limit is h = 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            h2, h3 = analysis._arm_factors((0.0, 0.7), t)
+            h2, h3 = channels._arm_factors((0.0, 0.7), t)
         np.testing.assert_array_equal(h2, np.ones_like(t))
         assert np.ravel(h3)[-1] == 0.0
 
@@ -161,10 +168,9 @@ class TestStateRoute:
     def test_matches_closed_form_after_evolution(self):
         p = 0.8
         par = ChannelParams(a1=1.1, a2=1.0, a3=0.7, t=0.5)
-        rho3 = bipartite_channel(werner(3, p), se_kraus_qutrit(par), "symmetric")
-        assert abs(s_from_state(rho3, 3) - s_qutrit_closed(p, par)) <= 1e-10
-        rho2 = bipartite_channel(werner(2, p), se_kraus_qubit(par), "symmetric")
-        assert abs(s_from_state(rho2, 2) - s_qubit_closed(p, par)) <= 1e-10
+        for d in (2, 3):
+            rho = bipartite_channel(werner(d, p), se_kraus(par.rates(d), par.t), "symmetric")
+            assert abs(s_from_state(rho, d) - indicator_closed(p, par.rates(d), par.t)) <= 1e-10
 
     def test_q_does_not_enter(self):
         p, par = 0.9, ChannelParams(a2=1.3, a3=0.5, t=0.8)
@@ -185,16 +191,15 @@ class TestStateRoute:
 
 class TestFidelity:
     def test_at_t_zero(self):
-        assert abs(fidelity_closed(2, ChannelParams()) - 1.0) < 1e-14
-        assert abs(fidelity_closed(3, ChannelParams()) - 1.0) < 1e-14
+        assert abs(fidelity_closed((1.0,), 0.0) - 1.0) < 1e-14
+        assert abs(fidelity_closed((1.0, 1.0), 0.0) - 1.0) < 1e-14
 
     def test_limits(self):
-        far = ChannelParams(t=80.0)
-        assert abs(fidelity_closed(2, far) - 0.25) < 1e-14
-        assert abs(fidelity_closed(3, far) - 1.0 / 9.0) < 1e-14
+        assert abs(fidelity_closed((1.0,), 80.0) - 0.25) < 1e-14
+        assert abs(fidelity_closed((1.0, 1.0), 80.0) - 1.0 / 9.0) < 1e-14
 
     def test_frozen_value_t1(self):
-        assert abs(fidelity_closed(3, ChannelParams(t=1.0)) - 0.5441822670595895) < 1e-12
+        assert abs(fidelity_closed((1.0, 1.0), 1.0) - 0.5441822670595895) < 1e-12
 
     def test_state_route_reference_points(self):
         assert abs(fidelity_from_state(max_entangled(3), 3) - 1.0) < 1e-14
@@ -202,10 +207,9 @@ class TestFidelity:
 
     def test_kraus_route_matches_closed(self):
         par = ChannelParams(a1=0.9, a2=1.2, a3=0.6, t=0.8)
-        rho3 = bipartite_channel(werner(3, 1.0), se_kraus_qutrit(par), "symmetric")
-        assert abs(fidelity_from_state(rho3, 3) - fidelity_closed(3, par)) <= 1e-10
-        rho2 = bipartite_channel(werner(2, 1.0), se_kraus_qubit(par), "symmetric")
-        assert abs(fidelity_from_state(rho2, 2) - fidelity_closed(2, par)) <= 1e-10
+        for d in (2, 3):
+            rho = bipartite_channel(werner(d, 1.0), se_kraus(par.rates(d), par.t), "symmetric")
+            assert abs(fidelity_from_state(rho, d) - fidelity_closed(par.rates(d), par.t)) <= 1e-10
 
     def test_q_independence(self):
         par = ChannelParams(a2=1.0, a3=0.4, t=0.9)
@@ -218,49 +222,32 @@ class TestFidelity:
 
 class TestCrossings:
     def test_bisection_matches_anchors(self):
-        par = ChannelParams()
-        t_qb = crossing_time(
-            lambda t: s_qubit_closed(1.0, par.with_time(t)), QUBIT_SEP_THRESHOLD
-        )
-        t_qt = crossing_time(
-            lambda t: s_qutrit_closed(1.0, par.with_time(t)), QUTRIT_SEP_THRESHOLD
-        )
+        t_qb = crossing_time(lambda t: indicator_closed(1.0, (1.0,), t), 1.0 / 3.0)
+        t_qt = crossing_time(lambda t: indicator_closed(1.0, (1.0, 1.0), t), 0.25)
         assert abs(t_qb - T_QUBIT_P1) < 1e-8
         assert abs(t_qt - T_QUTRIT_P1) < 1e-8
 
     def test_closed_form_matches_bisection_over_p(self):
         for p in (0.4, 0.6, 0.8, 1.0):
-            t_bis = crossing_time(
-                lambda t: s_qubit_closed(p, ChannelParams(t=t)), QUBIT_SEP_THRESHOLD
-            )
+            t_bis = crossing_time(lambda t: indicator_closed(p, (1.0,), t), 1.0 / 3.0)
             assert abs(t_bis - qubit_crossing_closed(p)) < 1e-8
 
     def test_rate_scaling(self):
         a1 = 2.5
-        t_bis = crossing_time(
-            lambda t: s_qubit_closed(1.0, ChannelParams(a1=a1, t=t)),
-            QUBIT_SEP_THRESHOLD,
-        )
+        t_bis = crossing_time(lambda t: indicator_closed(1.0, (a1,), t), 1.0 / 3.0)
         assert abs(t_bis - T_QUBIT_P1 / a1) < 1e-8
 
     def test_below_threshold_returns_none(self):
-        assert crossing_time(
-            lambda t: s_qutrit_closed(0.2, ChannelParams(t=t)), QUTRIT_SEP_THRESHOLD
-        ) is None
+        assert crossing_time(lambda t: indicator_closed(0.2, (1.0, 1.0), t), 0.25) is None
 
     def test_unbracketed_raises(self):
         with pytest.raises(ValueError):
-            crossing_time(
-                lambda t: s_qubit_closed(1.0, ChannelParams(t=t)),
-                QUBIT_SEP_THRESHOLD,
-                t_hi=0.5,
-            )
+            crossing_time(lambda t: indicator_closed(1.0, (1.0,), t), 1.0 / 3.0, t_hi=0.5)
 
     def test_residual_within_tolerance(self):
-        par = ChannelParams()
-        f = lambda t: s_qutrit_closed(1.0, par.with_time(t))
-        t_star = crossing_time(f, QUTRIT_SEP_THRESHOLD)
-        assert abs(f(t_star) - QUTRIT_SEP_THRESHOLD) <= 1e-10
+        f = lambda t: indicator_closed(1.0, (1.0, 1.0), t)
+        t_star = crossing_time(f, 0.25)
+        assert abs(f(t_star) - 0.25) <= 1e-10
 
     def test_closed_form_domain(self):
         with pytest.raises(ValueError):
@@ -282,10 +269,9 @@ class TestCrossings:
 
     def test_species_crossing_in_a1_units(self):
         par = ChannelParams(a1=2.5, a2=1.5, a3=0.4)
-        for d, f, thr in ((2, s_qubit_closed, QUBIT_SEP_THRESHOLD),
-                          (3, s_qutrit_closed, QUTRIT_SEP_THRESHOLD)):
+        for d in (2, 3):
             tau = indicator_crossing(0.9, par, d)
-            assert abs(f(0.9, par.with_time(tau / par.a1)) - thr) <= 1e-10
+            assert abs(indicator_closed(0.9, par.rates(d), tau / par.a1) - 1 / (d + 1)) <= 1e-10
         assert indicator_crossing(0.2, par, 3) is None
 
     def test_time_unit_too_small_is_rejected(self):
@@ -300,6 +286,15 @@ class TestCrossings:
         # just above the bound the crossing in a1*t units is still the closed form
         tau = indicator_crossing(0.9, ChannelParams(a1=6.5e-291), 2)
         assert abs(tau - qubit_crossing_closed(0.9)) <= 1e-7
+
+    def test_zero_a1_is_a_value_error(self):
+        # a1 = 0 is a valid rate but measures no time: ValueError, not ZeroDivisionError
+        par = ChannelParams(a1=0.0)
+        for d in (2, 3):
+            with pytest.raises(ValueError, match="a1 must be above"):
+                indicator_crossing(1.0, par, d)
+        with pytest.raises(ValueError, match="a1 must be above"):
+            indicator_crossings(1.0, par)
 
 
     @pytest.mark.parametrize("a", [0.3, 1.0, 4.0])
@@ -330,7 +325,7 @@ class TestCrossings:
 
 
 class TestFourLevels:
-    """d = 4 (three arms) through the internal rate-tuple builders."""
+    """d = 4 (three arms) through the public rate-tuple functions."""
 
     RATES = (1.3, 0.4, 2.1)
 
@@ -339,13 +334,12 @@ class TestFourLevels:
         worst = 0.0
         for p in (0.3, 0.7, 1.0):
             for t in (0.0, 0.2, 0.9, 2.5, 8.0):
-                ops = channels._kraus_operators(self.RATES, t)
-                kraus = channels.KrausChannel(4, ops, t)
-                rho = bipartite_channel(werner(4, p), kraus, "symmetric", q)
-                h = analysis._arm_factors(self.RATES, t)
-                worst = max(worst, abs(s_from_state(rho, 4) - analysis._indicator(p, h)))
+                rho = bipartite_channel(werner(4, p), se_kraus(self.RATES, t), "symmetric", q)
+                s = indicator_closed(p, self.RATES, t)
+                worst = max(worst, abs(s_from_state(rho, 4) - s))
                 if p == 1.0:  # F_d is the overlap of the evolved |Psi><Psi|
-                    worst = max(worst, abs(fidelity_from_state(rho, 4) - analysis._fidelity(h)))
+                    f = fidelity_closed(self.RATES, t)
+                    worst = max(worst, abs(fidelity_from_state(rho, 4) - f))
         assert worst <= 1e-10
 
     def test_ppt_threshold_is_one_fifth(self):
@@ -369,10 +363,7 @@ class TestPreservation:
         for a21 in (0.2, 1.0, 2.6, 5.0):
             for a31 in (0.2, 1.0, 2.6, 5.0):
                 par = ChannelParams(a2=a21, a3=a31)
-                t_qt = crossing_time(
-                    lambda t: s_qutrit_closed(1.0, par.with_time(t)),
-                    QUTRIT_SEP_THRESHOLD,
-                )
+                t_qt = crossing_time(lambda t: indicator_closed(1.0, par.rates(3), t), 0.25)
                 assert preservation_inequality(1.0, a21, a31) == (t_qt >= t_qb)
 
     def test_domain(self):
@@ -393,7 +384,8 @@ class TestNegativity:
         assert negativity(rho, 3, 3) < 1e-10
 
     def test_werner_threshold_behavior(self):
-        for d, thr in ((2, QUBIT_SEP_THRESHOLD), (3, QUTRIT_SEP_THRESHOLD)):
+        for d in (2, 3):
+            thr = 1.0 / (d + 1)
             for p in (0.0, thr / 2, thr):
                 assert negativity(werner(d, p), d, d) <= 1e-10
             for p in (thr + 0.01, 0.6, 1.0):
@@ -522,7 +514,7 @@ class TestReport:
     def test_never_crossing_report(self):
         rep = separability_report(1.0, ChannelParams(a2=1e-300), t_max=2.0, steps=4)
         assert rep.t_cross_qutrit == math.inf and rep.qutrit_preserves_longer
-        assert rep.rows[-1, 2] > QUTRIT_SEP_THRESHOLD
+        assert rep.rows[-1, 2] > 0.25
 
     @pytest.mark.parametrize("q", [0.0, 0.3, 1.0])
     def test_matches_per_point_reference(self, q):
@@ -533,12 +525,13 @@ class TestReport:
         assert rep.rows.shape == (steps + 1, 7)
         for row in rep.rows:
             at = par.with_time(row[0] / par.a1)
-            expected = [row[0], s_qubit_closed(p, at), s_qutrit_closed(p, at),
-                        fidelity_closed(2, at), fidelity_closed(3, at)]
-            for d, build in ((2, se_kraus_qubit), (3, se_kraus_qutrit)):
+            expected = [row[0]]
+            expected += [indicator_closed(p, at.rates(d), at.t) for d in (2, 3)]
+            expected += [fidelity_closed(at.rates(d), at.t) for d in (2, 3)]
+            for d in (2, 3):
                 ident = np.eye(d)
                 rho = np.zeros((d * d, d * d), dtype=complex)
-                for k in build(at).operators:
+                for k in se_kraus(at.rates(d), at.t).operators:
                     lift_a, lift_b = kron(k, ident), kron(ident, k)
                     rho += q * lift_a @ werner(d, p) @ dagger(lift_a)
                     rho += (1 - q) * lift_b @ werner(d, p) @ dagger(lift_b)

@@ -15,16 +15,13 @@ from qutrit_se import channels
 from qutrit_se.channels import (
     AffineBlochMap,
     ChannelParams,
-    KrausChannel,
     apply_kraus,
     bipartite_channel,
     lindblad_evolve,
     lindblad_jump_ops,
     se_affine_map,
     se_kraus,
-    se_kraus_qubit,
     se_kraus_qutrit,
-    se_kraus_stack,
 )
 from qutrit_se.linalg import dagger, hermitian_eigenvalues, kron, random_density_matrix
 from qutrit_se.states import correlation_matrix, max_entangled, validate_density, werner
@@ -149,7 +146,7 @@ class TestKrausQutrit:
 class TestKrausQubit:
     def test_operator_entries(self):
         t = np.log(4.0)  # exp(-t) = 1/4
-        ch = se_kraus_qubit(ChannelParams(a1=1.0, t=t))
+        ch = se_kraus((1.0,), t)
         k0, k1 = ch.operators
         np.testing.assert_allclose(k0, np.diag([1.0, 0.5]), atol=1e-15)
         expected = np.zeros((2, 2), dtype=complex)
@@ -159,12 +156,12 @@ class TestKrausQubit:
     @pytest.mark.parametrize("a1", [0.5, 1.0, 2.0, 3.0])
     @pytest.mark.parametrize("t", [0.0, 0.1, 1.0, 10.0])
     def test_completeness(self, a1, t):
-        assert se_kraus_qubit(ChannelParams(a1=a1, t=t)).completeness_defect() <= 1e-12
+        assert se_kraus((a1,), t).completeness_defect() <= 1e-12
 
     def test_excited_population_decay(self):
         rho = np.diag([0.0, 1.0]).astype(complex)
         for a1, t in ((1.0, 0.5), (2.0, 1.7), (0.3, 4.0)):
-            out = apply_kraus(rho, se_kraus_qubit(ChannelParams(a1=a1, t=t)))
+            out = apply_kraus(rho, se_kraus((a1,), t))
             assert abs(out[1, 1].real - np.exp(-a1 * t)) < 1e-12
             assert abs(out[0, 0].real - (1 - np.exp(-a1 * t))) < 1e-12
 
@@ -203,7 +200,7 @@ class TestApplyKraus:
 
 class TestLindblad:
     def test_jump_operator_matrices(self):
-        l1, l2 = lindblad_jump_ops(4.0, 9.0)
+        l1, l2 = lindblad_jump_ops((4.0, 9.0))
         expected1 = np.zeros((3, 3), dtype=complex)
         expected1[0, 1] = 2.0  # sqrt(4)
         expected2 = np.zeros((3, 3), dtype=complex)
@@ -251,7 +248,7 @@ class TestLindblad:
         rng = np.random.default_rng(20)
         rho0 = random_density_matrix(3, rng)
         par = ChannelParams(a2=1.0, a3=0.7)
-        jumps = lindblad_jump_ops(par.a2, par.a3)
+        jumps = lindblad_jump_ops(par.rates(3))
         gsum = sum(l.conj().T @ l for l in jumps)
 
         def rhs(r):
@@ -333,7 +330,7 @@ class TestLindblad:
 def reference_rk4_power(rho, rates, t, steps):
     """The RK4 step-matrix power with the generator built by np.kron."""
     dim = len(rates) + 1
-    jumps = lindblad_jump_ops(*rates)
+    jumps = lindblad_jump_ops(rates)
     gsum = sum(dagger(l) @ l for l in jumps)
     eye = np.eye(dim)
     gen = sum(np.kron(l, l.conj()) for l in jumps) - 0.5 * (
@@ -460,7 +457,7 @@ class TestBuildersMatchReferences:
 def test_diffusive_short_time_order():
     # ||K1(dt) - sqrt(dt) L1|| should shrink like dt^(3/2): order >= 1.4
     a2, a3 = 1.0, 0.7
-    l1 = lindblad_jump_ops(a2, a3)[0]
+    l1 = lindblad_jump_ops((a2, a3))[0]
     dts = 1e-2 / 2.0 ** np.arange(7)  # 1e-2 ... 1.5625e-4
     errs = []
     for dt in dts:
@@ -479,11 +476,14 @@ def test_choi_positivity_sampled_times():
 
 
 class TestKrausStack:
-    @pytest.mark.parametrize("dim, build", [(2, se_kraus_qubit), (3, se_kraus_qutrit)])
+    @pytest.mark.parametrize("dim, build", [
+        pytest.param(2, lambda par: se_kraus(par.rates(2), par.t), id="2-se_kraus"),
+        (3, se_kraus_qutrit),
+    ])
     def test_matches_single_time_builders(self, dim, build):
         par = ChannelParams(a1=0.7, a2=1.9, a3=0.35)
         times = np.array([0.0, 0.05, 0.9, 3.0, 40.0])
-        stack = se_kraus_stack(dim, par, times)
+        stack = se_kraus(par.rates(dim), times)
         assert stack.dim == dim
         np.testing.assert_array_equal(stack.t, times)
         for i, t in enumerate(times):
@@ -495,19 +495,23 @@ class TestKrausStack:
         assert stack.completeness_defect() <= 1e-12
 
     def test_rejects_other_dimensions(self):
-        with pytest.raises(ValueError):
-            se_kraus_stack(4, ChannelParams(), [0.5])
+        # d = 1 has no arm and is rejected; d = 4 (three arms) is answered
+        with pytest.raises(ValueError, match="arm rates must be"):
+            se_kraus((), [0.5])
+        stack = se_kraus((1.3, 0.4, 2.1), [0.5])
+        assert stack.dim == 4 and stack.operators[0].shape == (1, 4, 4)
+        assert stack.completeness_defect() <= 1e-12
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("times", [[-1.0], [0.5, -1e-300], [np.nan], [1.0, np.nan, 2.0]])
     def test_rejects_negative_and_nan_times(self, dim, times):
         # a negative time gives h > 1, not a channel; ChannelParams rejects it too
         with pytest.raises(ValueError, match="times must be >= 0"):
-            se_kraus_stack(dim, ChannelParams(), times)
+            se_kraus(ChannelParams().rates(dim), times)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_infinite_time_is_fully_decayed(self, dim):
-        stack = se_kraus_stack(dim, ChannelParams(), [0.0, np.inf])
+        stack = se_kraus(ChannelParams().rates(dim), [0.0, np.inf])
         k0, *jumps = stack.operators
         np.testing.assert_array_equal(k0[1], np.diag([1.0] + [0.0] * (dim - 1)))
         for m, k in enumerate(jumps, 1):
@@ -518,11 +522,41 @@ class TestKrausStack:
         # h = exp(-a t/2) is exp(nan) for a = 0 at t = inf; the limit is h = 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            stack = se_kraus_stack(3, ChannelParams(a2=0.0), times)
+            stack = se_kraus((0.0, 1.0), times)
         k0 = stack.operators[0][-1]
         np.testing.assert_array_equal(k0, np.diag([1.0, 1.0, 0.0]))
         np.testing.assert_array_equal(stack.operators[1][-1], np.zeros((3, 3)))
         assert stack.completeness_defect() == 0.0
+
+
+class TestKrausInput:
+    """``se_kraus`` and ``lindblad_jump_ops`` check their arm rates (and times)."""
+
+    @pytest.mark.parametrize("rates", [(), (1.0, -0.5), (np.nan,), (1.0, np.inf)])
+    def test_rejects_bad_rates(self, rates):
+        with pytest.raises(ValueError, match="arm rates must be"):
+            se_kraus(rates, 0.5)
+
+    @pytest.mark.parametrize("rates", [(), (1.0, -0.5), (np.nan,)])
+    def test_jump_operators_reject_bad_rates(self, rates):
+        with pytest.raises(ValueError, match="arm rates must be"):
+            lindblad_jump_ops(rates)
+
+    @pytest.mark.parametrize("t", [-1.0, -1e-300, np.nan])
+    def test_rejects_bad_scalar_time(self, t):
+        with pytest.raises(ValueError, match="times must be >= 0"):
+            se_kraus((1.0, 1.0), t)
+
+    def test_scalar_time_gives_single_operators(self):
+        ch = se_kraus((1.0, 2.0), np.inf)
+        assert ch.dim == 3 and ch.t == np.inf and type(ch.t) is float
+        assert [k.shape for k in ch.operators] == [(3, 3)] * 3
+        np.testing.assert_array_equal(ch.operators[0], np.diag([1.0, 0.0, 0.0]))
+
+    def test_matches_the_qutrit_builder(self):
+        par = ChannelParams(a2=1.3, a3=0.4, t=0.8)
+        for got, want in zip(se_kraus((1.3, 0.4), 0.8).operators, se_kraus_qutrit(par).operators):
+            np.testing.assert_array_equal(got, want)
 
 
 def kron_bipartite(rho, channel, mode, q=0.5):
@@ -556,7 +590,10 @@ def einsum_bipartite(rho, channel, mode, q=0.5):
 
 class TestBipartite:
     @pytest.mark.parametrize("mode", ["A", "B", "symmetric"])
-    @pytest.mark.parametrize("dim, build", [(2, se_kraus_qubit), (3, se_kraus_qutrit)])
+    @pytest.mark.parametrize("dim, build", [
+        pytest.param(2, lambda par: se_kraus(par.rates(2), par.t), id="2-se_kraus"),
+        (3, se_kraus_qutrit),
+    ])
     def test_matches_kron_lifting(self, mode, dim, build):
         rng = np.random.default_rng(17 + dim)
         rho = random_density_matrix(dim * dim, rng)
@@ -571,16 +608,7 @@ class TestBipartite:
         rng = np.random.default_rng(60 + dim)
         rates = random_rates(rng, dim, undamped_first=False)
         times = rng.uniform(0.0, 6.0, stack or 1)
-        if dim == 4:  # ChannelParams maps d = 2 and 3 only
-            t = times if stack else times[0]
-            ch = KrausChannel(dim, channels._kraus_operators(rates, t), t)
-        else:
-            rate_args = {"a1": rates[0]} if dim == 2 else dict(zip(("a2", "a3"), rates))
-            par = ChannelParams(**rate_args)
-            if stack:
-                ch = se_kraus_stack(dim, par, times)
-            else:
-                ch = se_kraus(dim, par.with_time(times[0]))
+        ch = se_kraus(rates, times if stack else times[0])
         rho = random_density_matrix(dim * dim, rng)
         want = einsum_bipartite(rho, ch, mode, 0.35)
 
@@ -598,7 +626,7 @@ class TestBipartite:
         par = ChannelParams(a2=1.4, a3=0.5)
         times = np.linspace(0.0, 4.0, 7)
         for mode in ("A", "B", "symmetric"):
-            out = bipartite_channel(rho, se_kraus_stack(3, par, times), mode, 0.7)
+            out = bipartite_channel(rho, se_kraus(par.rates(3), times), mode, 0.7)
             assert out.shape == (7, 9, 9)
             for i, t in enumerate(times):
                 single = bipartite_channel(rho, se_kraus_qutrit(par.with_time(t)), mode, 0.7)
@@ -632,7 +660,7 @@ class TestBipartite:
 
     def test_output_is_a_state(self):
         rho = werner(2, 0.9)
-        ch = se_kraus_qubit(ChannelParams(a1=1.3, t=0.8))
+        ch = se_kraus((1.3,), 0.8)
         out = bipartite_channel(rho, ch, "symmetric", 0.25)
         assert validate_density(out).passed
 
@@ -661,33 +689,36 @@ class TestEveryArmCount:
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_kraus_operator_entries(self, dim):
         rates, t = ARM_RATES[dim], 0.9
-        k0, *jumps = channels._kraus_operators(rates, t)
+        ch = se_kraus(rates, t)
+        k0, *jumps = ch.operators
         h = np.exp(-np.array(rates) * t / 2)
         np.testing.assert_array_equal(k0, np.diag([1.0, *h]))
         for m, (k, hm) in enumerate(zip(jumps, h), 1):
             expected = np.zeros((dim, dim), dtype=complex)
             expected[0, m] = np.sqrt(1 - hm * hm)
             np.testing.assert_array_equal(k, expected)
-        assert KrausChannel(dim, (k0, *jumps), t).completeness_defect() <= 1e-12
+        assert ch.dim == dim and ch.completeness_defect() <= 1e-12
 
     def test_kraus_builders_read_no_generator(self, monkeypatch):
         # the Kraus form is written in the level basis; only the Bloch-vector
         # route reads the generator order
         par = ChannelParams(a1=0.7, a2=1.3, a3=0.4, t=0.8)
-        expected = (se_kraus_qubit(par), se_kraus_qutrit(par), se_kraus_stack(3, par, [0.0, 2.0]))
+        builds = (lambda: se_kraus(par.rates(2), par.t), lambda: se_kraus_qutrit(par),
+                  lambda: se_kraus(par.rates(3), [0.0, 2.0]))
+        expected = [build() for build in builds]
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the Kraus builder read the generator basis")
 
         monkeypatch.setattr(channels, "generator_basis", forbidden)
-        built = (se_kraus_qubit(par), se_kraus_qutrit(par), se_kraus_stack(3, par, [0.0, 2.0]))
+        built = [build() for build in builds]
         for got, want in zip(built, expected):
             for k_got, k_want in zip(got.operators, want.operators):
                 np.testing.assert_array_equal(k_got, k_want)
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_jump_operators(self, dim):
-        jumps = lindblad_jump_ops(*(4.0, 9.0, 16.0)[: dim - 1])
+        jumps = lindblad_jump_ops((4.0, 9.0, 16.0)[: dim - 1])
         for m, l in enumerate(jumps, 1):
             expected = np.zeros((dim, dim), dtype=complex)
             expected[0, m] = m + 1.0
@@ -733,8 +764,7 @@ class TestEveryArmCount:
             rho0 = random_density_matrix(dim, rng)
             rho_ode, t_prev = rho0, 0.0
             for t in (0.1, 0.5, 1.0, 2.0):
-                ops = channels._kraus_operators(rates, t)
-                kraus = apply_kraus(rho0, KrausChannel(dim, ops, t))
+                kraus = apply_kraus(rho0, se_kraus(rates, t))
                 n = channels._affine_map(rates, t).apply(density_to_bloch(rho0))
                 worst_affine = max(worst_affine, np.max(np.abs(kraus - bloch_to_density(n))))
                 steps = int(round((t - t_prev) / 1e-3))
@@ -749,4 +779,4 @@ class TestEveryArmCount:
         par = ChannelParams(a1=0.8, a2=5.0, a3=7.0, t=1.2)
         out = lindblad_evolve(rho, par, steps=1200)
         np.testing.assert_array_equal(out, channels._rk4_power(rho, (0.8,), 1.2, 1200))
-        assert np.max(np.abs(out - apply_kraus(rho, se_kraus_qubit(par)))) <= 1e-6
+        assert np.max(np.abs(out - apply_kraus(rho, se_kraus((0.8,), 1.2)))) <= 1e-6

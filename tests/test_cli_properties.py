@@ -19,7 +19,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qutrit_se.analysis import QUBIT_SEP_THRESHOLD, qubit_crossing_closed
+from qutrit_se.analysis import qubit_crossing_closed
 from qutrit_se.cli import main
 
 EDGE = [0.0, -0.0, -1.0, -2.5, 1e-300, 5e-324, 1e308, float("nan"), float("inf"), float("-inf")]
@@ -82,7 +82,7 @@ def test_answer_or_one_line_error(argv):
         assert out
     assert code == 2 or not any(arg.startswith("--output=") for arg in argv)
     p = next((float(arg[len("--p="):]) for arg in argv if arg.startswith("--p=")), 1.0)
-    if argv[0] == "threshold" and code == 0 and p > QUBIT_SEP_THRESHOLD:
+    if argv[0] == "threshold" and code == 0 and p > 1.0 / 3.0:
         # in a1*t units the qubit crossing depends on p only
         keys = dict(line.split("=", 1) for line in out.splitlines())
         assert abs(float(keys["t_cross_qubit"]) - qubit_crossing_closed(p)) <= 1e-7, out

@@ -109,6 +109,14 @@ class TestValidateDensity:
         assert report.hermiticity_defect < 1e-14
         assert report.trace_defect < 1e-14
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_reported_not_raised(self, bad):
+        for rho in (np.full((3, 3), bad), np.eye(2) / 2 + np.array([[0, bad], [bad, 0]])):
+            report = validate_density(rho)
+            assert not report.passed
+            assert np.isnan([report.hermiticity_defect, report.trace_defect,
+                             report.min_eigenvalue]).all()
+
     def test_flags_non_hermitian_and_bad_trace(self):
         report = validate_density(np.array([[0.5, 0.3], [0.0, 0.5]]))
         assert report.hermiticity_defect > 0.1

@@ -18,7 +18,7 @@ from qutrit_se.analysis import (
     ppt_threshold,
     s_from_state,
 )
-from qutrit_se.channels import ChannelParams, se_kraus, se_kraus_stack
+from qutrit_se.channels import ChannelParams, se_kraus
 from qutrit_se.linalg import NonHermitianError, dagger, random_density_matrix
 from qutrit_se.states import correlation_matrix, max_entangled, werner
 from qutrit_se.su import (
@@ -201,6 +201,16 @@ class TestBlochMaps:
         with pytest.raises(ValueError):
             density_to_bloch(np.eye(3))  # trace 3
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_fails_closed(self, bad):
+        # a NaN defect compares False with any tolerance: it must still fail
+        with pytest.raises(NonHermitianError):
+            density_to_bloch(np.full((2, 2), bad))
+        rho = np.eye(3, dtype=complex) / 3
+        rho[1, 2] = rho[2, 1] = bad
+        with pytest.raises(NonHermitianError):
+            density_to_bloch(rho)
+
 
 class TestStarProduct:
     def test_ground_state_fixed_point(self):
@@ -254,6 +264,15 @@ class TestPurity:
     def test_maximally_mixed_not_pure(self):
         assert not is_pure_bloch(np.zeros(8))
         assert not is_pure_bloch(np.zeros(3))
+
+    @pytest.mark.parametrize("size", [3, 8])
+    def test_non_finite_vector_is_not_pure(self, size):
+        assert not is_pure_bloch(np.full(size, np.nan))
+        n = np.zeros(size)
+        n[0], n[-1] = 1.0, np.nan
+        assert not is_pure_bloch(n)
+        n[-1] = np.inf
+        assert not is_pure_bloch(n)
 
     def test_unit_norm_but_not_idempotent_fails(self):
         e8 = np.zeros(8)
@@ -328,28 +347,34 @@ DIMENSION_TAKERS = {
     # states of the matching shape, so only the dimension can be at fault
     "correlation_matrix": lambda d: correlation_matrix(np.eye(d * d) / (d * d), d),
     "s_from_state": lambda d: s_from_state(np.eye(d * d) / (d * d), d),
-    "fidelity_closed": lambda d: fidelity_closed(d, ChannelParams(t=0.5)),
+    # the rate takers get the tuple of d - 1 unit rates
+    "fidelity_closed": lambda d: fidelity_closed((1.0,) * (d - 1), 0.5),
     "haar_bloch_vectors": lambda d: haar_bloch_vectors(d, 10, 0),
     "ppt_threshold": ppt_threshold,
-    "se_kraus_stack": lambda d: se_kraus_stack(d, ChannelParams(), [0.5]),
-    "se_kraus": lambda d: se_kraus(d, ChannelParams(t=0.5)),
+    "se_kraus_on_a_grid": lambda d: se_kraus((1.0,) * (d - 1), [0.5]),
+    "se_kraus": lambda d: se_kraus((1.0,) * (d - 1), 0.5),
     "ChannelParams.rates": lambda d: ChannelParams().rates(d),
     "bloch_to_density": lambda d: bloch_to_density(np.zeros(d * d - 1)),
 }
 
 
-RATE_TAKERS = {"fidelity_closed", "se_kraus_stack", "se_kraus", "ChannelParams.rates"}
+RATE_TAKERS = {"fidelity_closed", "se_kraus_on_a_grid", "se_kraus"}
 
 
 @pytest.mark.parametrize("d", [1, 4])
 @pytest.mark.parametrize("name", sorted(DIMENSION_TAKERS))
 def test_unsupported_dimension_rejected_by_the_one_check(name, d):
     # every public function taking a dimension reaches generator_basis, which
-    # rejects d < 2; rate-taking calls need arm rates, which exist only for
-    # d = 2 and 3, so d = 4 passes the check and only they still reject it
-    if d == 4 and name not in RATE_TAKERS:
+    # rejects d < 2, and every one taking arm rates reaches the one rate check,
+    # which rejects d = 1's empty tuple; all of them answer d = 4, apart from
+    # ChannelParams.rates, whose fields hold the qubit's and the qutrit's rates
+    if d == 4 and name != "ChannelParams.rates":
         DIMENSION_TAKERS[name](d)
         return
-    match = "arm rates exist" if name in RATE_TAKERS else "dimension must be at least 2"
+    match = "dimension must be at least 2"
+    if name in RATE_TAKERS:
+        match = "arm rates must be"
+    elif name == "ChannelParams.rates":
+        match = "arm rates exist"
     with pytest.raises(ValueError, match=match):
         DIMENSION_TAKERS[name](d)
