@@ -6,7 +6,6 @@ negativity oracle, and Haar-moment checks.
 """
 
 from .analysis import (
-    SeparabilityReport,
     crossing_time,
     fidelity_closed,
     fidelity_from_state,

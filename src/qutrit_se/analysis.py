@@ -24,7 +24,6 @@ F_d = (1 + sum_k h_k)^2/d^2, for a scalar t or a whole time grid at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,7 +48,6 @@ __all__ = [
     "haar_random_states",
     "haar_bloch_vectors",
     "haar_moment_check",
-    "SeparabilityReport",
     "separability_report",
 ]
 
@@ -79,8 +77,14 @@ def _checked_factors(rates, t) -> list:
         return _arm_factors(rates, t)
 
 
+def _check_weight(p: float) -> None:
+    if not 0.0 <= p <= 1.0:  # NaN fails too
+        raise ValueError(f"Werner weight p={p} outside [0, 1]")
+
+
 def indicator_closed(p: float, rates, t):
     """Indicator s_d(t) of a Werner pair of weight p, d = len(rates) + 1; t may be an array."""
+    _check_weight(p)
     return _indicator(p, _checked_factors(rates, t))
 
 
@@ -108,33 +112,22 @@ def fidelity_from_state(rho: np.ndarray, d: int) -> float:
     return float(np.trace(max_entangled(d) @ rho).real)
 
 
-def crossing_time(
-    f: Callable[[float], float],
-    threshold: float,
-    t_hi: Optional[float] = None,
-    f_tol: float = 1e-10,
-) -> Optional[float]:
+def crossing_time(f: Callable[[float], float], threshold: float) -> Optional[float]:
     """First time a nonincreasing f(t) reaches ``threshold``, by bisection.
 
-    Returns None when f(0) is already below the threshold. When ``t_hi`` is
-    omitted a bracket is found by doubling, and math.inf is returned when f
-    stays at or above the threshold up to t = 2^60; an explicit ``t_hi``
-    with f(t_hi) still above the threshold raises ValueError. Bisection
-    stops once |f - threshold| <= f_tol, and raises ValueError when the
-    bracket can no longer be halved in floating point before that.
+    Returns None when f(0) is already below the threshold. A bracket is found
+    by doubling from t = 1, and math.inf is returned when f stays at or above
+    the threshold up to t = 2^60. Bisection stops once |f - threshold| <= 1e-10,
+    and raises ValueError when the bracket can no longer be halved in floating
+    point before that.
     """
-    f0 = f(0.0)
-    if f0 < threshold:
+    if f(0.0) < threshold:
         return None
-    if t_hi is None:
-        t_hi = 1.0
-        while f(t_hi) >= threshold:
-            t_hi *= 2.0
-            if t_hi > 2.0**60:
-                return math.inf
-    elif f(t_hi) > threshold:
-        raise ValueError(f"f({t_hi}) is still above the threshold; not bracketed")
-    lo, hi = 0.0, float(t_hi)
+    lo, hi = 0.0, 1.0
+    while f(hi) >= threshold:
+        hi *= 2.0
+        if hi > 2.0**60:
+            return math.inf
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -142,7 +135,7 @@ def crossing_time(
                 f"crossing not resolved in floating point: bracket [{lo!r}, {hi!r}]"
             )
         val = f(mid)
-        if abs(val - threshold) <= f_tol:
+        if abs(val - threshold) <= 1e-10:
             return mid
         if val > threshold:
             lo = mid
@@ -271,30 +264,14 @@ def haar_moment_check(d: int, samples: int, seed: int) -> np.ndarray:
     return n.T @ n / samples
 
 
-@dataclass(frozen=True)
-class SeparabilityReport:
-    """Indicator curves and indicator crossings for one parameter point.
-
-    ``rows`` has columns (a1*t, s_qubit, s_qutrit, F_qubit, F_qutrit,
-    neg_qubit, neg_qutrit); times and indicator crossings (where s_d falls
-    to 1/(d+1)) are in dimensionless a1*t (math.inf for an indicator that
-    never reaches its threshold).
-    """
-
-    p: float
-    params: ChannelParams
-    rows: np.ndarray
-    t_cross_qubit: Optional[float]
-    t_cross_qutrit: Optional[float]
-    qutrit_preserves_longer: bool
-
-
 def check_time_unit(a1: float) -> None:
     """Reject an a1 too small to measure time in units of 1/a1, 0 included.
 
-    A crossing search runs over a1*t up to 2^60 (``crossing_time``'s doubling
-    bound) and evaluates the arms at t = (a1*t)/a1. Below about 6.4e-291 that
-    t overflows to inf and the crossing would come out wrong, so raise.
+    The crossing search (up to a1*t = 2^60, ``crossing_time``'s doubling
+    bound) and the ``curves`` grid both evaluate the arms at t = (a1*t)/a1.
+    Below about 6.4e-291 that t overflows to inf, where every arm reads as
+    decayed: a crossing would come out wrong, and at a1 = 5e-324 the grid row
+    at a1*t = 1 would read s_qubit = 0, not 0.526980254. So raise.
     """
     search_max = 2.0**60
     if not (a1 > 0 and math.isfinite(search_max / a1)):
@@ -306,9 +283,10 @@ def indicator_crossing(p: float, params: ChannelParams, d: int) -> Optional[floa
     """a1*t at which the d-level pair's indicator s_d reaches 1/(d+1).
 
     None when the pair is separable at t = 0, math.inf when s_d stays above
-    the threshold up to a1*t = 2^60 (an undamped arm). Rates must be positive
-    and a1 must pass ``check_time_unit``.
+    the threshold up to a1*t = 2^60, as an undamped (zero-rate) qutrit arm
+    can make it. a1 must pass ``check_time_unit``.
     """
+    _check_weight(p)
     check_time_unit(params.a1)
     rates, a1 = params.rates(d), params.a1
     return crossing_time(
@@ -331,9 +309,11 @@ def indicator_crossings(p: float, params: ChannelParams) -> tuple:
 
 def separability_report(
     p: float, params: ChannelParams, t_max: float = 5.0, steps: int = 500
-) -> SeparabilityReport:
-    """Tabulate both species' indicator curves over a1*t in [0, t_max].
+) -> np.ndarray:
+    """Both species' indicator curves over a1*t in [0, t_max], as the rows of ``curves``.
 
+    Returns a (steps + 1, 7) array with columns (a1*t, s_qubit, s_qutrit,
+    F_qubit, F_qutrit, neg_qubit, neg_qutrit) on an even grid of a1*t.
     Closed forms supply s and F for the whole grid at once; the negativity
     columns are measured on Kraus-evolved Werner states, so the two routes
     can disagree only if one of them is wrong. The negativities are computed
@@ -350,11 +330,10 @@ def separability_report(
         raise ValueError("steps must be >= 2")
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"Werner weight p={p} outside [0, 1]")
+    _check_weight(p)
 
     taus = np.linspace(0.0, t_max, steps + 1)
-    with np.errstate(over="ignore"):  # t = inf is meant: every arm has decayed
+    with np.errstate(over="ignore"):  # t = inf decays even an arm of finite a*t
         times = taus / params.a1
     rows = np.empty((steps + 1, 7))
     rows[:, 0] = taus
@@ -367,5 +346,4 @@ def separability_report(
             kraus = se_kraus(params.rates(d), times[chunk])
             rho = bipartite_channel(w, kraus, "symmetric", params.q)
             rows[chunk, 5 + i] = negativity(rho, d, d)
-
-    return SeparabilityReport(p, params, rows, *indicator_crossings(p, params))
+    return rows

@@ -79,13 +79,11 @@ def _fmt(x: float, digits: int = 9) -> str:
 
 
 def run_curves(cfg: RunConfig, out) -> int:
-    report = analysis.separability_report(
-        cfg.p, cfg.params, t_max=cfg.t_max, steps=cfg.steps
-    )
+    rows = analysis.separability_report(cfg.p, cfg.params, t_max=cfg.t_max, steps=cfg.steps)
     out.write("t,s_qubit,s_qutrit,F_qubit,F_qutrit,neg_qubit,neg_qutrit\n")
     # "%.9g" formats a float exactly as _fmt does, -0 and inf included
-    row = ",".join(["%.9g"] * report.rows.shape[1]) + "\n"
-    out.write("".join(row % tuple(values) for values in report.rows.tolist()))
+    row = ",".join(["%.9g"] * rows.shape[1]) + "\n"
+    out.write("".join(row % tuple(values) for values in rows.tolist()))
     return 0
 
 
@@ -286,8 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    fields = ("a1", "a2", "a3", "p", "q", "t_max", "steps", "samples", "seed", "output")
-    kwargs = {k: getattr(args, k) for k in fields if hasattr(args, k)}
     handler = {
         "curves": run_curves,
         "threshold": run_threshold,
@@ -297,7 +293,7 @@ def main(argv=None) -> int:
     }[args.command]
     report = io.StringIO()
     try:
-        cfg = RunConfig(command=args.command, **kwargs)
+        cfg = RunConfig(**vars(args))
         code = handler(cfg, report)
         if cfg.output is None:
             sys.stdout.write(report.getvalue())

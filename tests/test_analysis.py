@@ -240,10 +240,6 @@ class TestCrossings:
     def test_below_threshold_returns_none(self):
         assert crossing_time(lambda t: indicator_closed(0.2, (1.0, 1.0), t), 0.25) is None
 
-    def test_unbracketed_raises(self):
-        with pytest.raises(ValueError):
-            crossing_time(lambda t: indicator_closed(1.0, (1.0,), t), 1.0 / 3.0, t_hi=0.5)
-
     def test_residual_within_tolerance(self):
         f = lambda t: indicator_closed(1.0, (1.0, 1.0), t)
         t_star = crossing_time(f, 0.25)
@@ -255,9 +251,6 @@ class TestCrossings:
 
     def test_never_crossing_is_infinite(self):
         assert crossing_time(lambda t: 1.0, 0.5) == math.inf
-        # an explicit bracket that does not bracket still raises
-        with pytest.raises(ValueError):
-            crossing_time(lambda t: 1.0, 0.5, t_hi=2.0**70)
 
     def test_undamped_arm_never_crosses(self):
         # with one arm frozen s_qutrit tends to 3p/8 > 1/4 for p > 2/3
@@ -286,6 +279,13 @@ class TestCrossings:
         # just above the bound the crossing in a1*t units is still the closed form
         tau = indicator_crossing(0.9, ChannelParams(a1=6.5e-291), 2)
         assert abs(tau - qubit_crossing_closed(0.9)) <= 1e-7
+
+    def test_grid_just_above_the_time_unit_bound(self):
+        # t = (a1*t)/a1 is still finite at a1 = 6.5e-291, so the row at
+        # a1*t = 1 is the closed form at t = 1/a1 (0.474282228)
+        rows = separability_report(0.9, ChannelParams(a1=6.5e-291), t_max=5.0, steps=5)
+        assert rows[1, 0] == 1.0
+        assert abs(rows[1, 1] - indicator_closed(0.9, (1.0,), 1.0)) <= 1e-12
 
     def test_zero_a1_is_a_value_error(self):
         # a1 = 0 is a valid rate but measures no time: ValueError, not ZeroDivisionError
@@ -316,12 +316,28 @@ class TestCrossings:
             assert abs(c * indicator_crossing(0.9, par, 3) - base) <= 1e-8 * base, c
 
     def test_unresolvable_crossing_raises(self):
-        # a jump larger than f_tol can never be met: no midpoint is returned
+        # a jump larger than the 1e-10 stopping rule can never be met: no midpoint is returned
         with pytest.raises(ValueError, match="not resolved"):
             crossing_time(lambda t: 1.0 if t <= 0.3 else 0.0, 0.5)
         # crossing below the smallest subnormal a1*t
         with pytest.raises(ValueError, match="not resolved"):
             indicator_crossing(1.0, ChannelParams(a1=1e-200, a2=1e308, a3=1e308), 3)
+
+
+class TestWernerWeight:
+    """p outside [0, 1], NaN included, is rejected by every p-taking function."""
+
+    @pytest.mark.parametrize("p", [1.5, -0.5, math.nan])
+    def test_rejected(self, p):
+        with pytest.raises(ValueError, match="Werner weight"):
+            indicator_closed(p, (1.0,), 0.0)
+        for d in (2, 3):
+            with pytest.raises(ValueError, match="Werner weight"):
+                indicator_crossing(p, ChannelParams(), d)
+        with pytest.raises(ValueError, match="Werner weight"):
+            indicator_crossings(p, ChannelParams())
+        with pytest.raises(ValueError, match="Werner weight"):
+            separability_report(p, ChannelParams(), steps=4)
 
 
 class TestFourLevels:
@@ -469,28 +485,31 @@ class TestHaar:
 
 class TestReport:
     def test_default_point(self):
-        rep = separability_report(1.0, ChannelParams(), t_max=5.0, steps=50)
-        assert rep.rows.shape == (51, 7)
-        np.testing.assert_allclose(rep.rows[0], [0, 1, 1, 1, 1, 0.5, 1.0], atol=1e-12)
-        assert abs(rep.t_cross_qubit - T_QUBIT_P1) < 1e-8
-        assert abs(rep.t_cross_qutrit - T_QUTRIT_P1) < 1e-8
-        assert rep.qutrit_preserves_longer
+        rows = separability_report(1.0, ChannelParams(), t_max=5.0, steps=50)
+        assert rows.shape == (51, 7)
+        np.testing.assert_allclose(rows[0], [0, 1, 1, 1, 1, 0.5, 1.0], atol=1e-12)
+        t_qb, t_qt, longer = indicator_crossings(1.0, ChannelParams())
+        assert abs(t_qb - T_QUBIT_P1) < 1e-8
+        assert abs(t_qt - T_QUTRIT_P1) < 1e-8
+        assert longer
         # s columns nonincreasing, negativity columns nonnegative
-        assert np.all(np.diff(rep.rows[:, 1]) <= 1e-15)
-        assert np.all(np.diff(rep.rows[:, 2]) <= 1e-15)
-        assert np.all(rep.rows[:, 5] >= 0) and np.all(rep.rows[:, 6] >= 0)
+        assert np.all(np.diff(rows[:, 1]) <= 1e-15)
+        assert np.all(np.diff(rows[:, 2]) <= 1e-15)
+        assert np.all(rows[:, 5] >= 0) and np.all(rows[:, 6] >= 0)
 
     def test_fast_rates_flip_the_verdict(self):
-        rep = separability_report(
-            1.0, ChannelParams(a2=10.0, a3=10.0), t_max=3.0, steps=10
-        )
-        assert not rep.qutrit_preserves_longer
-        assert rep.t_cross_qutrit < rep.t_cross_qubit
+        t_qb, t_qt, longer = indicator_crossings(1.0, ChannelParams(a2=10.0, a3=10.0))
+        assert not longer
+        assert t_qt < t_qb
+        # on the grid the qutrit indicator is the first to fall below its threshold
+        rows = separability_report(1.0, ChannelParams(a2=10.0, a3=10.0), t_max=3.0, steps=10)
+        assert rows[1, 2] < 0.25 < 1.0 / 3.0 < rows[1, 1]
 
     def test_below_both_thresholds(self):
-        rep = separability_report(0.2, ChannelParams(), t_max=1.0, steps=5)
-        assert rep.t_cross_qubit is None and rep.t_cross_qutrit is None
-        assert not rep.qutrit_preserves_longer
+        assert indicator_crossings(0.2, ChannelParams()) == (None, None, False)
+        # a Werner pair below 1/(d+1) is separable, and local noise keeps it so
+        rows = separability_report(0.2, ChannelParams(), t_max=1.0, steps=5)
+        assert np.all(rows[:, 5:] == 0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -512,18 +531,20 @@ class TestReport:
         assert indicator_crossings(0.2, ChannelParams()) == (None, None, False)
 
     def test_never_crossing_report(self):
-        rep = separability_report(1.0, ChannelParams(a2=1e-300), t_max=2.0, steps=4)
-        assert rep.t_cross_qutrit == math.inf and rep.qutrit_preserves_longer
-        assert rep.rows[-1, 2] > 0.25
+        par = ChannelParams(a2=1e-300)
+        rows = separability_report(1.0, par, t_max=2.0, steps=4)
+        _, t_qt, longer = indicator_crossings(1.0, par)
+        assert t_qt == math.inf and longer
+        assert rows[-1, 2] > 0.25
 
     @pytest.mark.parametrize("q", [0.0, 0.3, 1.0])
     def test_matches_per_point_reference(self, q):
         # two full chunks and a short one of three points
         steps = 2 * analysis.GRID_CHUNK + 2
         p, par = 0.85, ChannelParams(a1=1.3, a2=0.6, a3=2.2, q=q)
-        rep = separability_report(p, par, t_max=4.0, steps=steps)
-        assert rep.rows.shape == (steps + 1, 7)
-        for row in rep.rows:
+        rows = separability_report(p, par, t_max=4.0, steps=steps)
+        assert rows.shape == (steps + 1, 7)
+        for row in rows:
             at = par.with_time(row[0] / par.a1)
             expected = [row[0]]
             expected += [indicator_closed(p, at.rates(d), at.t) for d in (2, 3)]
@@ -547,8 +568,8 @@ class TestReport:
 
         for name in ("eig", "eigh", "eigvals", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, forbidden)
-        rep = separability_report(0.9, ChannelParams(q=0.2), steps=70)
-        assert rep.rows.shape == (71, 7) and rep.rows[0, 6] > 0.5
+        rows = separability_report(0.9, ChannelParams(q=0.2), steps=70)
+        assert rows.shape == (71, 7) and rows[0, 6] > 0.5
 
     def test_reads_kraus_coefficients_at_call_time(self, monkeypatch):
         good = channels._kraus_operators
@@ -571,7 +592,7 @@ class TestReport:
         rows = {}
         for chunk in (1, 7, default):
             monkeypatch.setattr(analysis, "GRID_CHUNK", chunk)
-            rows[chunk] = separability_report(p, par, t_max=6.0, steps=2 * default + 2).rows
+            rows[chunk] = separability_report(p, par, t_max=6.0, steps=2 * default + 2)
         np.testing.assert_array_equal(rows[1], rows[default])
         np.testing.assert_array_equal(rows[7], rows[default])
 

@@ -80,8 +80,8 @@ class TestCurves:
             argv += [f"--{key.replace('_', '-')}", repr(value)]
         assert main(argv) == 0
         cfg = RunConfig(command="curves", **options)
-        rep = analysis.separability_report(cfg.p, cfg.params, t_max=cfg.t_max, steps=cfg.steps)
-        lines = [",".join(cli._fmt(x) for x in row) for row in rep.rows]
+        rows = analysis.separability_report(cfg.p, cfg.params, t_max=cfg.t_max, steps=cfg.steps)
+        lines = [",".join(cli._fmt(x) for x in row) for row in rows]
         assert capsys.readouterr().out == "\n".join([HEADER, *lines]) + "\n"
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -120,6 +120,31 @@ class TestCurves:
         _, rows1 = parse_csv(d1)
         _, rows2 = parse_csv(d2)
         np.testing.assert_allclose(rows1, rows2, atol=1e-10)
+
+    def test_runs_no_crossing_search(self, capsys, monkeypatch):
+        # curves prints no crossing time, so it must not search for one
+        def no_search(*args, **kwargs):
+            raise ValueError("crossing search called")
+
+        monkeypatch.setattr(analysis, "crossing_time", no_search)
+        assert main(["curves", "--steps", "4"]) == 0
+        assert capsys.readouterr().err == ""
+        # threshold does search, through the same module attribute
+        assert main(["threshold"]) == 2
+        assert capsys.readouterr().err == "error: crossing search called\n"
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: t = (a1*t)/a1 overflows to inf and decays an arm of finite a*t",
+    )
+    def test_overflowing_time_keeps_a_slow_arm(self, capsys):
+        # a1*t = 1e120 at a1 = 1e-200 is t = 1e320, past the largest float, yet
+        # a2*t = (a2/a1)(a1*t) is only 4.9e-4: s_qutrit is 0.374876507, not 0
+        argv = ["curves", "--a1", "1e-200", "--a2", "5e-324", "--t-max", "1e120", "--steps", "2"]
+        assert main(argv) == 0
+        last = capsys.readouterr().out.strip().split("\n")[-1].split(",")
+        expected = analysis.indicator_closed(1.0, (5e-324 / 1e-200, 1e200), 1e120)
+        assert abs(float(last[2]) - expected) <= 1e-8
 
 
 class TestThreshold:
