@@ -155,7 +155,7 @@ def _basis_for_bloch(n: np.ndarray) -> GeneratorBasis:
 
 
 def bloch_to_density(n: np.ndarray) -> np.ndarray:
-    """Density matrix of a Bloch vector (length 3 -> qubit, 8 -> qutrit)."""
+    """Density matrix of a Bloch vector of length d^2 - 1, any d >= 2."""
     n = np.asarray(n, dtype=float)
     basis = _basis_for_bloch(n)
     weighted = np.einsum("i,iab->ab", n, basis.generators)
@@ -163,7 +163,7 @@ def bloch_to_density(n: np.ndarray) -> np.ndarray:
 
 
 def density_to_bloch(rho: np.ndarray) -> np.ndarray:
-    """Bloch vector of a unit-trace Hermitian matrix (2x2 or 3x3)."""
+    """Bloch vector, length d^2 - 1, of a unit-trace Hermitian d x d matrix, any d >= 2."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")

@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qutrit_se import analysis, channels
+from qutrit_se import analysis, channels, cli
 from qutrit_se.analysis import (
     crossing_time,
     fidelity_closed,
@@ -437,6 +437,30 @@ def dense_haar_bloch_vectors(d, samples, seed):
     return n if basis.bloch_scale == 1.0 else basis.bloch_scale * n
 
 
+def whole_array_haar_bloch_vectors(d, samples, seed):
+    """Reference: the unblocked pipeline, every step on all samples at once."""
+    basis = generator_basis(d)
+    v = analysis.haar_random_states(d, samples, np.random.default_rng(seed))
+    x, y = np.ascontiguousarray(v.real.T), np.ascontiguousarray(v.imag.T)
+    rows = np.empty((basis.n_generators, samples))
+    for row, gen in zip(rows, basis.generators):
+        terms = []
+        for a, b in zip(*np.nonzero(gen)):
+            pr, pi = analysis._conj_times(x[a], y[a], gen[a, b])
+            terms.append(pr * x[b] - pi * y[b])
+        row[...] = sum(terms[1:], terms[0])
+    if basis.bloch_scale == 1.0:
+        n = np.empty((samples, basis.n_generators), dtype=complex).real
+        n[...] = rows.T
+        return n
+    return np.multiply(basis.bloch_scale, rows.T, order="C")
+
+
+def whole_array_moment_check(d, samples, seed):
+    n = whole_array_haar_bloch_vectors(d, samples, seed)
+    return n.T @ n / samples
+
+
 class TestHaar:
     def test_seed_determinism(self):
         m1 = haar_moment_check(3, 2000, seed=123)
@@ -471,6 +495,45 @@ class TestHaar:
         assert n.flags.f_contiguous == ref.flags.f_contiguous
         m = haar_moment_check(d, samples, seed)
         assert np.max(np.abs(m - ref.T @ ref / samples)) <= 1e-15
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 5)])
+    @pytest.mark.parametrize("seed", [0, 9, 2024])
+    def test_blocks_match_the_whole_array_bitwise(self, d, blocks, extra, seed):
+        # sample counts at the block edges: 1, B - 1, B, B + 1 and 2B + 5
+        samples = blocks * analysis._HAAR_BLOCK + extra
+        ref = whole_array_haar_bloch_vectors(d, samples, seed)
+        n = haar_bloch_vectors(d, samples, seed)
+        assert n.shape == ref.shape and n.tobytes() == ref.tobytes()
+        assert n.flags.c_contiguous == ref.flags.c_contiguous
+        assert n.flags.f_contiguous == ref.flags.f_contiguous
+        m = haar_moment_check(d, samples, seed)
+        assert m.tobytes() == whole_array_moment_check(d, samples, seed).tobytes()
+
+    def test_reports_match_the_whole_array(self, capsys, monkeypatch):
+        runs = []
+        for patch in (False, True):
+            if patch:
+                monkeypatch.setattr(analysis, "haar_bloch_vectors", whole_array_haar_bloch_vectors)
+            assert cli.main(["haar", "--samples", "20000", "--seed", "42"]) == 0
+            assert cli.main(["validate", "--seed", "42"]) == 0
+            runs.append(capsys.readouterr().out)
+        assert runs[0] == runs[1]
+
+    def test_peak_memory_of_the_default_sample_count(self):
+        # the samples run in blocks: the whole-array pipeline peaked at
+        # 52,868,152 bytes and _HAAR_BLOCK = 8192 at 24,568,176 (numpy 2.4.6);
+        # the bound is the latter plus 10%, which a 32768 block (30,793,120) fails
+        generator_basis(3)  # cached; its one-off build is not the pipeline's
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            haar_moment_check(3, 200_000, 42)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 27_000_000
 
     def test_no_dense_einsum(self, monkeypatch):
         ref = [dense_haar_bloch_vectors(d, 50, 3) for d in (2, 3)]
