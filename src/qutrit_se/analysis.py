@@ -30,7 +30,7 @@ import numpy as np
 
 from .channels import ChannelParams, _arm_factors, _check_arms, bipartite_channel, se_kraus
 from .linalg import hermitian_eigenvalues, partial_transpose
-from .states import correlation_matrix, max_entangled, werner
+from .states import _check_weight, correlation_matrix, max_entangled, werner
 from .su import generator_basis
 
 __all__ = [
@@ -86,11 +86,6 @@ def _checked_factors(rates, t) -> list:
     rates, t = _check_arms(rates, t)
     with np.errstate(over="ignore"):  # a*t = inf is meant: h = exp(-inf) = 0
         return _arm_factors(rates, t)
-
-
-def _check_weight(p: float) -> None:
-    if not 0.0 <= p <= 1.0:  # NaN fails too
-        raise ValueError(f"Werner weight p={p} outside [0, 1]")
 
 
 def indicator_closed(p: float, rates, t):
@@ -154,17 +149,20 @@ def crossing_time(f: Callable[[float], float], threshold: float) -> Optional[flo
             hi = mid
 
 
-def qubit_crossing_closed(p: float, a1: float = 1.0) -> float:
-    """Closed-form qubit crossing time -(2/a1) ln(sqrt(1 + 1/p) - 1).
+def _qubit_alpha(p: float) -> float:
+    # alpha = sqrt(1 + 1/p) - 1 falls below 1 exactly while the qubit pair
+    # starts entangled, p > 1/3: the domain of both qubit closed forms
+    if not 1.0 / 3.0 < p <= 1.0:
+        raise ValueError(f"qubit closed forms require 1/3 < p <= 1, got p={p}")
+    return np.sqrt(1.0 + 1.0 / p) - 1.0
+
+
+def qubit_crossing_closed(p: float) -> float:
+    """Closed-form qubit crossing a1*t = -2 ln(sqrt(1 + 1/p) - 1).
 
     Valid for p > 1/3 (below that the state is separable from the start).
     """
-    if not 1.0 / 3.0 < p <= 1.0:
-        raise ValueError(f"closed form requires 1/3 < p <= 1, got p={p}")
-    if a1 <= 0:
-        raise ValueError("a1 must be positive")
-    alpha = np.sqrt(1.0 + 1.0 / p) - 1.0
-    return -2.0 / a1 * np.log(alpha)
+    return -2.0 * np.log(_qubit_alpha(p))
 
 
 def preservation_inequality(p: float, a21: float, a31: float) -> bool:
@@ -174,9 +172,7 @@ def preservation_inequality(p: float, a21: float, a31: float) -> bool:
     tests u (u + 2) / 2 >= 1/p. Defined for 1/3 < p <= 1 only: below that
     alpha >= 1 and the qubit pair is separable from the start.
     """
-    if not 1.0 / 3.0 < p <= 1.0:
-        raise ValueError(f"inequality requires 1/3 < p <= 1, got p={p}")
-    alpha = np.sqrt(1.0 + 1.0 / p) - 1.0
+    alpha = _qubit_alpha(p)
     u = alpha**a21 + alpha**a31
     return bool(0.5 * u * (u + 2.0) >= 1.0 / p)
 
@@ -286,6 +282,8 @@ def haar_moment_check(d: int, samples: int, seed: int) -> np.ndarray:
 
     Converges to identity/(d^2 - 1). Deterministic for a fixed seed (PCG64).
     """
+    if samples < 1:  # the mean over no samples is 0/0
+        raise ValueError(f"samples must be >= 1, got {samples}")
     n = haar_bloch_vectors(d, samples, seed)
     return n.T @ n / samples
 
@@ -348,15 +346,14 @@ def separability_report(
     product (``bipartite_channel``) and one stacked Jacobi run per species
     and chunk. The rows do not depend on GRID_CHUNK: every point sees the
     same operations whatever chunk it is in; only time and memory do.
+    A zero arm rate is an undamped arm; a1 must pass ``check_time_unit``.
     """
-    if params.a1 <= 0 or params.a2 <= 0 or params.a3 <= 0:
-        raise ValueError("separability report requires strictly positive rates")
     check_time_unit(params.a1)
     if steps < 2:
         raise ValueError("steps must be >= 2")
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
-    _check_weight(p)
+    _check_weight(p)  # before the grid is built, which indicator_closed needs first
 
     taus = np.linspace(0.0, t_max, steps + 1)
     with np.errstate(over="ignore"):  # t = inf decays even an arm of finite a*t

@@ -13,7 +13,9 @@ carry at most 9 significant digits with '.' as the decimal separator and LF
 line endings; reports are key=value lines. Exit codes: 0 success, 1 failed
 validation, 2 bad usage or an input that cannot be answered (an unwritable
 --output path, a report too large for memory, a crossing below the smallest
-float); output is written only once the report is complete.
+float); output is written only once the report is complete. Each input is
+checked by the library function that the command calls; this module adds
+only two rules of its own, --samples >= 100 and --seed >= 0.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from __future__ import annotations
 import argparse
 import io
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -30,56 +30,26 @@ from . import analysis, channels, states, su
 from .channels import ChannelParams
 from .linalg import random_density_matrix
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 _GENERATOR_NAME = "PCG64"
 _SPECIES = ((2, "qubit"), (3, "qutrit"))
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of every CLI knob (defaults match the figures)."""
-
-    command: str
-    a1: float = 1.0
-    a2: float = 1.0
-    a3: float = 1.0
-    p: float = 1.0
-    q: float = 0.5
-    t_max: float = 5.0
-    steps: int = 500
-    samples: int = 200_000
-    seed: int = 42
-    output: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        params = self.params  # validates the rates (finite, >= 0) and q
-        if not min(params.a1, params.a2, params.a3) > 0:
-            raise ValueError("decay rates a1, a2, a3 must be positive")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
-        if self.command == "compare" and self.p <= 1.0 / 3.0:
-            raise ValueError("compare requires p > 1/3 (qubit entangled at t=0)")
-        if not 0 < self.t_max < np.inf:
-            raise ValueError("t-max must be positive and finite")
-        if self.steps < 2:
-            raise ValueError("steps must be >= 2")
-        if self.samples < 100:
-            raise ValueError("samples must be >= 100")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-
-    @property
-    def params(self) -> ChannelParams:
-        return ChannelParams(a1=self.a1, a2=self.a2, a3=self.a3, q=self.q)
 
 
 def _fmt(x: float, digits: int = 9) -> str:
     return format(float(x), f".{digits}g")
 
 
-def run_curves(cfg: RunConfig, out) -> int:
-    rows = analysis.separability_report(cfg.p, cfg.params, t_max=cfg.t_max, steps=cfg.steps)
+def _checked_seed(seed: int) -> int:
+    # numpy rejects a negative seed too, but without naming the option
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    return seed
+
+
+def run_curves(args: argparse.Namespace, out) -> int:
+    params = ChannelParams(a1=args.a1, a2=args.a2, a3=args.a3, q=args.q)
+    rows = analysis.separability_report(args.p, params, t_max=args.t_max, steps=args.steps)
     out.write("t,s_qubit,s_qutrit,F_qubit,F_qutrit,neg_qubit,neg_qutrit\n")
     # "%.9g" formats a float exactly as _fmt does, -0 and inf included
     row = ",".join(["%.9g"] * rows.shape[1]) + "\n"
@@ -87,20 +57,20 @@ def run_curves(cfg: RunConfig, out) -> int:
     return 0
 
 
-def run_threshold(cfg: RunConfig, out) -> int:
-    params = cfg.params
-    t_qb, t_qt, longer = analysis.indicator_crossings(cfg.p, params)
+def run_threshold(args: argparse.Namespace, out) -> int:
+    params = ChannelParams(a1=args.a1, a2=args.a2, a3=args.a3)
+    t_qb, t_qt, longer = analysis.indicator_crossings(args.p, params)
     # crossings that are not times print as words ("inf" would parse as one)
     words = {None: "separable_at_t0", np.inf: "beyond_2^60"}
 
-    out.write(f"p={_fmt(cfg.p)}\n")
+    out.write(f"p={_fmt(args.p)}\n")
     out.write(f"a21={_fmt(params.a21)}\n")
     out.write(f"a31={_fmt(params.a31)}\n")
     out.write(f"t_cross_qubit={words.get(t_qb) or _fmt(t_qb)}\n")
     out.write(f"t_cross_qutrit={words.get(t_qt) or _fmt(t_qt)}\n")
-    if cfg.p > 1.0 / 3.0:
-        closed = analysis.qubit_crossing_closed(cfg.p, cfg.a1) * cfg.a1
-        verdict = analysis.preservation_inequality(cfg.p, params.a21, params.a31)
+    if args.p > 1.0 / 3.0:
+        closed = analysis.qubit_crossing_closed(args.p)
+        verdict = analysis.preservation_inequality(args.p, params.a21, params.a31)
         out.write(f"t_qubit_closed={_fmt(closed)}\n")
         out.write(f"preservation_inequality={str(verdict).lower()}\n")
     else:
@@ -111,14 +81,14 @@ def run_threshold(cfg: RunConfig, out) -> int:
     return 0
 
 
-def run_compare(cfg: RunConfig, out) -> int:
+def run_compare(args: argparse.Namespace, out) -> int:
     grid = np.linspace(0.2, 5.0, 10)
     out.write("a21,a31,t_qubit,t_qutrit,inequality,agree\n")
-    t_qb = analysis.indicator_crossing(cfg.p, ChannelParams(), 2)
+    t_qb = analysis.indicator_crossing(args.p, ChannelParams(), 2)
     for a21 in grid:
         for a31 in grid:
-            t_qt = analysis.indicator_crossing(cfg.p, ChannelParams(a2=a21, a3=a31), 3)
-            verdict = analysis.preservation_inequality(cfg.p, a21, a31)
+            t_qt = analysis.indicator_crossing(args.p, ChannelParams(a2=a21, a3=a31), 3)
+            verdict = analysis.preservation_inequality(args.p, a21, a31)
             agree = verdict == (t_qt >= t_qb)
             out.write(
                 f"{_fmt(a21)},{_fmt(a31)},{_fmt(t_qb)},{_fmt(t_qt)},"
@@ -127,12 +97,15 @@ def run_compare(cfg: RunConfig, out) -> int:
     return 0
 
 
-def run_haar(cfg: RunConfig, out) -> int:
+def run_haar(args: argparse.Namespace, out) -> int:
+    if args.samples < 100:
+        raise ValueError("samples must be >= 100")
+    seed = _checked_seed(args.seed)
     out.write(f"generator={_GENERATOR_NAME}\n")
-    out.write(f"seed={cfg.seed}\n")
-    for (d, name), samples in zip(_SPECIES, (cfg.samples // 2, cfg.samples)):
+    out.write(f"seed={seed}\n")
+    for (d, name), samples in zip(_SPECIES, (args.samples // 2, args.samples)):
         target, quantum = 1.0 / (d * d - 1), 1.0 / (d - 1)
-        m = analysis.haar_moment_check(d, samples, cfg.seed)
+        m = analysis.haar_moment_check(d, samples, seed)
         diag_dev = np.max(np.abs(np.diag(m) - target))
         off_dev = np.max(np.abs(m - np.diag(np.diag(m))))
         ratio = np.mean(np.diag(m)) / quantum
@@ -144,9 +117,9 @@ def run_haar(cfg: RunConfig, out) -> int:
     return 0
 
 
-def _validate_checks(cfg: RunConfig):
+def _validate_checks(seed: int):
     """Yield (name, measured_defect, tolerance) for every self-check."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     rate_pairs = ((1.0, 1.0), (2.0, 1.0), (0.5, 3.0))
     times = (0.0, 0.1, 1.0, 10.0)
 
@@ -186,7 +159,7 @@ def _validate_checks(cfg: RunConfig):
             defect = max(defect, float(np.max(np.abs(back - rho))))
     yield "bloch_round_trip", defect, 1e-12
 
-    blochs = analysis.haar_bloch_vectors(3, 200, cfg.seed)
+    blochs = analysis.haar_bloch_vectors(3, 200, seed)
     defect = 0.0
     for n in blochs:
         defect = max(defect, abs(n @ n - 1.0))
@@ -196,7 +169,7 @@ def _validate_checks(cfg: RunConfig):
     for d, name in _SPECIES:
         yield f"ppt_threshold_{name}", abs(analysis.ppt_threshold(d) - 1.0 / (d + 1)), 1e-4
     for d, name in _SPECIES:
-        m = analysis.haar_moment_check(d, 20_000, cfg.seed)
+        m = analysis.haar_moment_check(d, 20_000, seed)
         defect = float(np.max(np.abs(m - np.eye(d * d - 1) / (d * d - 1))))
         yield f"haar_moments_{name}", defect, 0.02
 
@@ -223,10 +196,10 @@ def _validate_checks(cfg: RunConfig):
     yield "qubit_crossing_closed_vs_bisection", abs(t_closed - t_bisect), 1e-8
 
 
-def run_validate(cfg: RunConfig, out) -> int:
+def run_validate(args: argparse.Namespace, out) -> int:
     failed = 0
     total = 0
-    for name, defect, tol in _validate_checks(cfg):
+    for name, defect, tol in _validate_checks(_checked_seed(args.seed)):
         ok = defect <= tol
         failed += 0 if ok else 1
         total += 1
@@ -293,12 +266,11 @@ def main(argv=None) -> int:
     }[args.command]
     report = io.StringIO()
     try:
-        cfg = RunConfig(**vars(args))
-        code = handler(cfg, report)
-        if cfg.output is None:
+        code = handler(args, report)
+        if args.output is None:
             sys.stdout.write(report.getvalue())
         else:
-            with open(cfg.output, "w", newline="") as fh:
+            with open(args.output, "w", newline="") as fh:
                 fh.write(report.getvalue())
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

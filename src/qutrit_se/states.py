@@ -40,10 +40,15 @@ def max_entangled(d: int) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
+def _check_weight(p: float) -> None:
+    # the one check of a Werner weight, for werner and the closed forms alike
+    if not 0.0 <= p <= 1.0:  # NaN fails too
+        raise ValueError(f"Werner weight p={p} outside [0, 1]")
+
+
 def werner(d: int, p: float) -> np.ndarray:
     """Werner state: (1-p)/d^2 identity plus p times the entangled projector."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing parameter p={p} outside [0, 1]")
+    _check_weight(p)
     # the projector first, so that an unsupported d fails before d**2 is used
     return p * max_entangled(d) + (1.0 - p) / d**2 * np.eye(d * d, dtype=complex)
 

@@ -246,8 +246,12 @@ class TestCrossings:
         assert abs(f(t_star) - 0.25) <= 1e-10
 
     def test_closed_form_domain(self):
-        with pytest.raises(ValueError):
-            qubit_crossing_closed(0.2)
+        # both qubit closed forms need a pair that starts entangled
+        for p in (0.2, 1.0 / 3.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match=r"1/3 < p <= 1"):
+                qubit_crossing_closed(p)
+            with pytest.raises(ValueError, match=r"1/3 < p <= 1"):
+                preservation_inequality(p, 1.0, 1.0)
 
     def test_never_crossing_is_infinite(self):
         assert crossing_time(lambda t: 1.0, 0.5) == math.inf
@@ -330,6 +334,8 @@ class TestWernerWeight:
     @pytest.mark.parametrize("p", [1.5, -0.5, math.nan])
     def test_rejected(self, p):
         with pytest.raises(ValueError, match="Werner weight"):
+            werner(2, p)
+        with pytest.raises(ValueError, match="Werner weight"):
             indicator_closed(p, (1.0,), 0.0)
         for d in (2, 3):
             with pytest.raises(ValueError, match="Werner weight"):
@@ -338,6 +344,17 @@ class TestWernerWeight:
             indicator_crossings(p, ChannelParams())
         with pytest.raises(ValueError, match="Werner weight"):
             separability_report(p, ChannelParams(), steps=4)
+
+    def test_rejected_before_the_grid_is_built(self):
+        # each column of a 10^7-point grid takes 80 MB; a bad p must not pay for it
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="Werner weight"):
+                separability_report(2.0, ChannelParams(), steps=10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestFourLevels:
@@ -482,6 +499,14 @@ class TestHaar:
     def test_symmetric_matrix(self):
         m = haar_moment_check(2, 1000, seed=7)
         np.testing.assert_allclose(m, m.T, atol=1e-15)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples_is_an_error(self, samples):
+        # the mean over no samples would be an all-NaN matrix and a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="samples must be >= 1"):
+                haar_moment_check(3, samples, 1)
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("samples", [1, 7, 200, 20_000])

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from qutrit_se import analysis, channels, cli
-from qutrit_se.cli import RunConfig, main
+from qutrit_se.channels import ChannelParams
+from qutrit_se.cli import build_parser, main
 from qutrit_se.su import generator_basis
 
 HEADER = "t,s_qubit,s_qutrit,F_qubit,F_qutrit,neg_qubit,neg_qutrit"
@@ -79,8 +80,9 @@ class TestCurves:
         for key, value in options.items():
             argv += [f"--{key.replace('_', '-')}", repr(value)]
         assert main(argv) == 0
-        cfg = RunConfig(command="curves", **options)
-        rows = analysis.separability_report(cfg.p, cfg.params, t_max=cfg.t_max, steps=cfg.steps)
+        args = build_parser().parse_args(argv)
+        params = ChannelParams(a1=args.a1, a2=args.a2, a3=args.a3, q=args.q)
+        rows = analysis.separability_report(args.p, params, t_max=args.t_max, steps=args.steps)
         lines = [",".join(cli._fmt(x) for x in row) for row in rows]
         assert capsys.readouterr().out == "\n".join([HEADER, *lines]) + "\n"
 
@@ -174,13 +176,15 @@ class TestThreshold:
 
 
     def test_undamped_arm_never_crosses(self, capsys):
-        assert main(["threshold", "--a2", "1e-300"]) == 0
-        rep = parse_report(capsys.readouterr().out)
-        assert rep["t_cross_qutrit"] == "beyond_2^60"
-        assert abs(float(rep["t_cross_qubit"]) - 1.76274717) < 1e-5
-        assert rep["qutrit_preserves_longer"] == "true"
-        assert main(["curves", "--a2", "1e-300", "--steps", "10"]) == 0
-        assert len(capsys.readouterr().out.strip().split("\n")) == 12
+        # a zero rate is an undamped arm, as is a rate too small to act
+        for arm in (["--a2", "1e-300"], ["--a2", "0"], ["--a3", "0"]):
+            assert main(["threshold", *arm]) == 0
+            rep = parse_report(capsys.readouterr().out)
+            assert rep["t_cross_qutrit"] == "beyond_2^60"
+            assert abs(float(rep["t_cross_qubit"]) - 1.76274717) < 1e-5
+            assert rep["qutrit_preserves_longer"] == "true"
+            assert main(["curves", *arm, "--steps", "10"]) == 0
+            assert len(capsys.readouterr().out.strip().split("\n")) == 12
 
     @pytest.mark.parametrize(
         "argv, expected",
@@ -213,11 +217,16 @@ class TestCompare:
         assert main(["compare", "--p", "0.3"]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_run_config_checks_p(self):
-        # validated with the other inputs, before any command runs
-        with pytest.raises(ValueError, match=r"compare requires p > 1/3"):
-            RunConfig(command="compare", p=1.0 / 3.0)
-        assert RunConfig(command="threshold", p=0.3).p == 0.3
+    def test_closed_forms_check_p(self, capsys):
+        # compare's qubit closed forms reject p = 1/3; threshold answers there
+        assert main(["compare", "--p", repr(1.0 / 3.0)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: qubit closed forms require 1/3 < p <= 1, got p=0.3333333333333333\n"
+        )
+        assert captured.out == ""
+        assert main(["threshold", "--p", "0.3"]) == 0
+        assert "preservation_inequality=undefined" in capsys.readouterr().out
 
 
 class TestHaarCommand:
@@ -285,6 +294,30 @@ class TestUsageErrors:
     def test_bad_rate(self, capsys):
         assert main(["curves", "--a2", "-1"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["threshold", "--p", "1.5"],
+            ["curves", "--p", "nan", "--steps", "5"],
+            ["compare", "--p", "0.3333333333333333"],
+            ["curves", "--t-max", "0"],
+            ["curves", "--steps", "1"],
+            ["threshold", "--a2", "-1"],
+            ["curves", "--q", "1.5", "--steps", "5"],
+            ["threshold", "--a1", "0"],
+            ["curves", "--a1", "0", "--steps", "5"],
+            ["haar", "--samples", "99"],
+            ["validate", "--seed", "-1"],
+        ],
+    )
+    def test_one_line_error(self, capsys, argv):
+        # one bad input per rule, whichever function owns the rule
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "argv",
