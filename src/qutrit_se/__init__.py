@@ -37,11 +37,10 @@ from .linalg import (
     NonHermitianError,
     hermitian_eigenvalues,
     kron,
-    partial_trace,
     partial_transpose,
     random_density_matrix,
 )
-from .states import ValidationReport, correlation_matrix, max_entangled, validate_density, werner
+from .states import correlation_matrix, max_entangled, werner
 from .su import (
     GeneratorBasis,
     atom_vars_to_bloch,

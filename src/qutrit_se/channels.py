@@ -71,7 +71,7 @@ RK4_LADDER_CACHE = 128
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Decay rates, elapsed time and the two-sided mixing weight q."""
+    """Decay rates, a finite elapsed time and the two-sided mixing weight q."""
 
     a1: float = 1.0
     a2: float = 1.0
@@ -80,26 +80,16 @@ class ChannelParams:
     q: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("a1", "a2", "a3", "t"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError("mixing weight q must lie in [0, 1]")
+        _check_rates((self.a1, self.a2, self.a3))
+        if not (math.isfinite(self.t) and self.t >= 0):
+            raise ValueError(f"t must be finite and >= 0, got {self.t}")
+        _check_mixing(self.q)
 
     def rates(self, dim: int) -> tuple:
         """Arm decay rates of the dim-level system: (a1,) for 2, (a2, a3) for 3."""
         if dim not in (2, 3):
             raise ValueError(f"arm rates exist for dim 2 and 3 only, got {dim}")
         return (self.a1,) if dim == 2 else (self.a2, self.a3)
-
-    @property
-    def a21(self) -> float:
-        return self.a2 / self.a1
-
-    @property
-    def a31(self) -> float:
-        return self.a3 / self.a1
 
     def with_time(self, t: float) -> "ChannelParams":
         return dataclasses.replace(self, t=t)
@@ -111,7 +101,6 @@ class AffineBlochMap:
 
     damping: np.ndarray
     shift: np.ndarray
-    t: float
 
     def apply(self, n: np.ndarray) -> np.ndarray:
         return self.damping @ np.asarray(n, dtype=float) + self.shift
@@ -121,13 +110,12 @@ class AffineBlochMap:
 class KrausChannel:
     """Operator-sum form sum_k K_k rho K_k^dag on a dim-level system.
 
-    Each operator has shape (dim, dim), or (T, dim, dim) for a channel
-    tabulated at the T times in ``t`` (see ``se_kraus``).
+    The times live only in the operators' shape: (dim, dim) each at one time,
+    or (T, dim, dim) each for a channel tabulated at T times (see ``se_kraus``).
     """
 
     dim: int
     operators: tuple
-    t: float
 
     def completeness_defect(self) -> float:
         acc = sum(dagger(k) @ k for k in self.operators)
@@ -159,7 +147,7 @@ def _affine_map(rates: tuple, t: float) -> AffineBlochMap:
     pairs, js, ks = basis.pair_rows
     damping[pairs, pairs] = h[js] * h[ks]
     shift = basis.bloch_scale / basis.dim * moved.sum(axis=1)
-    return AffineBlochMap(damping=damping, shift=shift, t=t)
+    return AffineBlochMap(damping=damping, shift=shift)
 
 
 def _arm_factors(rates: tuple, t) -> list:
@@ -167,14 +155,27 @@ def _arm_factors(rates: tuple, t) -> list:
     return [np.exp(-a * t / 2.0) if a else np.ones_like(t, dtype=float) for a in rates]
 
 
+def _check_rates(rates) -> tuple:
+    # the one arm-rate rule, for ChannelParams and the rate-tuple builders alike
+    rates = tuple(map(float, rates))
+    bad = [a for a in rates if not (math.isfinite(a) and a >= 0)] if rates else [rates]
+    if bad:  # name the first bad rate, or () when there are none
+        raise ValueError(f"arm rates must be one or more finite numbers >= 0, got {bad[0]}")
+    return rates
+
+
+def _check_mixing(q: float) -> None:
+    # the one rule of the two-sided mixing weight, for ChannelParams and bipartite_channel
+    if not 0.0 <= q <= 1.0:  # NaN fails too
+        raise ValueError("mixing weight q must lie in [0, 1]")
+
+
 def _check_arms(rates, t) -> tuple:
-    # one or more finite rates >= 0 as floats, and times >= 0 (inf included)
-    rates, times = tuple(float(a) for a in rates), np.asarray(t, dtype=float)
-    if not rates or not all(math.isfinite(a) and a >= 0 for a in rates):
-        raise ValueError(f"arm rates must be one or more finite numbers >= 0, got {rates}")
+    # checked rates, and times >= 0 (inf included) as a float array
+    rates, times = _check_rates(rates), np.asarray(t, dtype=float)
     if not (times >= 0).all():
         raise ValueError(f"times must be >= 0, got {times[~(times >= 0)][0]}")
-    return rates, float(times) if times.ndim == 0 else times
+    return rates, times
 
 
 def _kraus_operators(rates: tuple, t) -> tuple:
@@ -197,12 +198,12 @@ def se_kraus(rates, t) -> KrausChannel:
     decayed limit), else ValueError.
     """
     rates, t = _check_arms(rates, t)
-    return KrausChannel(dim=len(rates) + 1, operators=_kraus_operators(rates, t), t=t)
+    return KrausChannel(dim=len(rates) + 1, operators=_kraus_operators(rates, t))
 
 
 def se_kraus_qutrit(params: ChannelParams) -> KrausChannel:
     """Qutrit emission channel at params.t, whose rates ChannelParams checked."""
-    return KrausChannel(dim=3, operators=_kraus_operators(params.rates(3), params.t), t=params.t)
+    return KrausChannel(dim=3, operators=_kraus_operators(params.rates(3), params.t))
 
 
 def apply_kraus(rho: np.ndarray, channel: KrausChannel) -> np.ndarray:
@@ -217,7 +218,7 @@ def apply_kraus(rho: np.ndarray, channel: KrausChannel) -> np.ndarray:
 
 def lindblad_jump_ops(rates) -> tuple:
     """Jump operators sqrt(a_m) |0><m| of the emission generator, one per arm."""
-    rates, _ = _check_arms(rates, 0.0)
+    rates = _check_rates(rates)
     ops = np.zeros((len(rates), len(rates) + 1, len(rates) + 1), dtype=complex)
     for m, a in enumerate(rates, 1):
         ops[m - 1, 0, m] = np.sqrt(a)
@@ -317,8 +318,7 @@ def bipartite_channel(
     n = dim * dim
     if rho.shape != (n, n):
         raise ValueError(f"state shape {rho.shape} does not match two systems of dimension {dim}")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("mixing weight q must lie in [0, 1]")
+    _check_mixing(q)
     if mode not in ("A", "B", "symmetric"):
         raise ValueError(f"mode must be 'A', 'B' or 'symmetric', got {mode!r}")
     ops = np.stack(channel.operators)  # (k, ..., d, d)

@@ -64,13 +64,14 @@ def run_threshold(args: argparse.Namespace, out) -> int:
     words = {None: "separable_at_t0", np.inf: "beyond_2^60"}
 
     out.write(f"p={_fmt(args.p)}\n")
-    out.write(f"a21={_fmt(params.a21)}\n")
-    out.write(f"a31={_fmt(params.a31)}\n")
+    a21, a31 = params.a2 / params.a1, params.a3 / params.a1
+    out.write(f"a21={_fmt(a21)}\n")
+    out.write(f"a31={_fmt(a31)}\n")
     out.write(f"t_cross_qubit={words.get(t_qb) or _fmt(t_qb)}\n")
     out.write(f"t_cross_qutrit={words.get(t_qt) or _fmt(t_qt)}\n")
     if args.p > 1.0 / 3.0:
         closed = analysis.qubit_crossing_closed(args.p)
-        verdict = analysis.preservation_inequality(args.p, params.a21, params.a31)
+        verdict = analysis.preservation_inequality(args.p, a21, a31)
         out.write(f"t_qubit_closed={_fmt(closed)}\n")
         out.write(f"preservation_inequality={str(verdict).lower()}\n")
     else:

@@ -3,14 +3,14 @@
 Everything here works on plain ``numpy`` arrays (complex128) and is sized for
 the matrices this package actually meets: 2x2 ... 9x9. The eigensolver is a
 self-contained cyclic Jacobi iteration so that positivity certificates
-(partial-transpose spectra, density-matrix validation) do not depend on the
-same code paths as the channel constructions they are meant to check.
+(partial-transpose spectra) do not depend on the same code paths as the
+channel constructions they are meant to check.
 
-``hermitian_eigenvalues``, ``partial_transpose``, ``partial_trace`` and
-``dagger`` also take stacks (..., n, n) and act on each matrix, so a whole
-time grid of states is diagonalised by one Jacobi sweep loop. ``kron`` takes
-two matrices (2-D inputs only); ``channels`` builds the Lindblad generator's
-superoperator with it.
+``hermitian_eigenvalues``, ``partial_transpose`` and ``dagger`` also take
+stacks (..., n, n) and act on each matrix, so a whole time grid of states is
+diagonalised by one Jacobi sweep loop. ``kron`` takes two matrices (2-D
+inputs only); ``channels`` builds the Lindblad generator's superoperator
+with it.
 
 Index convention for bipartite operators: subsystem A is the slow (outer)
 index, i.e. a matrix on A (x) B has row index i*dB + k for A-index i and
@@ -30,7 +30,6 @@ __all__ = [
     "kron",
     "hermitian_eigenvalues",
     "partial_transpose",
-    "partial_trace",
     "random_density_matrix",
 ]
 
@@ -188,18 +187,6 @@ def partial_transpose(
     else:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     return t.reshape(t.shape[:-4] + (dim_a * dim_b, dim_a * dim_b))
-
-
-def partial_trace(
-    rho: np.ndarray, dim_a: int, dim_b: int, side: str = "B"
-) -> np.ndarray:
-    """Trace out one subsystem; ``side`` names the subsystem removed."""
-    t = _bipartite_tensor(rho, dim_a, dim_b)
-    if side == "A":
-        return np.trace(t, axis1=-4, axis2=-2)
-    if side == "B":
-        return np.trace(t, axis1=-3, axis2=-1)
-    raise ValueError(f"side must be 'A' or 'B', got {side!r}")
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Bipartite reference states and their diagnostics.
+"""Bipartite reference states.
 
 Werner states of two d-level systems (any d >= 2; the channels use two
 qubits and two qutrits) interpolate between the maximally mixed state and
@@ -16,20 +16,14 @@ generators and +1 elsewhere: (1,-1,1) resp. (1,-1,1,1,-1,1,-1,1).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import dagger, hermitian_eigenvalues
 from .su import generator_basis
 
 __all__ = [
     "max_entangled",
     "werner",
     "correlation_matrix",
-    "ValidationReport",
-    "validate_density",
 ]
 
 
@@ -63,34 +57,3 @@ def correlation_matrix(rho: np.ndarray, d: int) -> np.ndarray:
     # Tr[rho (g_a (x) g_b)] with A as the slow index
     c = np.einsum("ikjl,aji,blk->ab", t, g, g)
     return d / (2 * (d - 1)) * c.real
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Measured density-matrix defects (all NaN for a non-finite entry); never raises."""
-
-    hermiticity_defect: float
-    trace_defect: float
-    min_eigenvalue: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.hermiticity_defect <= 1e-10
-            and self.trace_defect <= 1e-10
-            and self.min_eigenvalue >= -1e-10
-        )
-
-
-def validate_density(rho: np.ndarray) -> ValidationReport:
-    """Hermiticity, trace and positivity certificate for a candidate state."""
-    rho = np.asarray(rho, dtype=complex)
-    if not np.isfinite(rho).all():
-        return ValidationReport(math.nan, math.nan, math.nan)
-    herm = float(np.max(np.abs(rho - dagger(rho))))
-    tr = float(abs(np.trace(rho) - 1.0))
-    # eigensolve the Hermitian part so the report stays total
-    eigs = hermitian_eigenvalues((rho + dagger(rho)) / 2.0)
-    return ValidationReport(
-        hermiticity_defect=herm, trace_defect=tr, min_eigenvalue=float(eigs[0])
-    )

@@ -72,13 +72,11 @@ def structure_constants(generators: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 class GeneratorBasis:
     """An orthonormal su(d) generator set with its structure constants.
 
-    ``identity_element`` is the trace-orthogonal completion of the basis,
-    sqrt(2/d) I (I for the qubit). ``d`` is identically zero for the qubit.
+    ``d`` is identically zero for the qubit.
     """
 
     dim: int
     generators: np.ndarray
-    identity_element: np.ndarray
     f: np.ndarray
     d: np.ndarray
 
@@ -140,11 +138,10 @@ def generator_basis(dim: int) -> GeneratorBasis:
         diag = [1.0] * k + [-k] + [0.0] * (dim - 1 - k)
         gens.append(np.diag(diag) / math.sqrt(k * (k + 1) / 2))
     g = np.array(gens, dtype=complex)
-    ident = np.sqrt(2.0 / dim) * np.eye(dim, dtype=complex)
     f, d = structure_constants(g)
-    for arr in (g, ident, f, d):
+    for arr in (g, f, d):
         arr.setflags(write=False)
-    return GeneratorBasis(dim=dim, generators=g, identity_element=ident, f=f, d=d)
+    return GeneratorBasis(dim=dim, generators=g, f=f, d=d)
 
 
 def _basis_for_bloch(n: np.ndarray) -> GeneratorBasis:

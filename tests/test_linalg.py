@@ -15,7 +15,6 @@ from qutrit_se.linalg import (
     dagger,
     hermitian_eigenvalues,
     kron,
-    partial_trace,
     partial_transpose,
     random_density_matrix,
 )
@@ -287,38 +286,6 @@ class TestPartialTranspose:
             partial_transpose(np.eye(5) / 5, 2, 2)
         with pytest.raises(ValueError):
             partial_transpose(np.eye(4) / 4, 2, 2, side="C")
-
-
-class TestPartialTrace:
-    def test_product_factorization(self):
-        rng = np.random.default_rng(31)
-        rho_a = random_density_matrix(3, rng)
-        rho_b = random_density_matrix(2, rng)
-        rho = kron(rho_a, rho_b)
-        np.testing.assert_allclose(partial_trace(rho, 3, 2, "B"), rho_a, atol=1e-12)
-        np.testing.assert_allclose(partial_trace(rho, 3, 2, "A"), rho_b, atol=1e-12)
-
-    def test_max_entangled_marginals(self):
-        for d in (2, 3):
-            rho = max_entangled(d)
-            for side in ("A", "B"):
-                np.testing.assert_allclose(
-                    partial_trace(rho, d, d, side), np.eye(d) / d, atol=1e-12
-                )
-
-    def test_stack_matches_per_matrix(self):
-        rng = np.random.default_rng(33)
-        rhos = np.stack([random_density_matrix(6, rng) for _ in range(3)])
-        for side in ("A", "B"):
-            stacked = partial_trace(rhos, 2, 3, side)
-            for k in range(3):
-                np.testing.assert_array_equal(stacked[k], partial_trace(rhos[k], 2, 3, side))
-
-    def test_trace_preserved(self):
-        rng = np.random.default_rng(32)
-        rho = random_density_matrix(6, rng)
-        assert abs(np.trace(partial_trace(rho, 2, 3, "A")) - 1) < 1e-12
-        assert abs(np.trace(partial_trace(rho, 2, 3, "B")) - 1) < 1e-12
 
 
 def test_random_density_matrix_is_state():

@@ -1,11 +1,10 @@
-"""Werner states, correlation matrices, and the density validator."""
+"""Werner states and correlation matrices."""
 
 import numpy as np
 import pytest
 
-from qutrit_se.linalg import hermitian_eigenvalues, partial_trace, partial_transpose
-from qutrit_se.states import correlation_matrix, max_entangled, validate_density, werner
-from qutrit_se.su import bloch_to_density
+from qutrit_se.linalg import hermitian_eigenvalues, partial_transpose
+from qutrit_se.states import correlation_matrix, max_entangled, werner
 
 QUTRIT_SIGNS = np.array([1, -1, 1, 1, -1, 1, -1, 1.0])
 
@@ -19,11 +18,10 @@ class TestMaxEntangled:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_marginals_maximally_mixed(self, d):
-        rho = max_entangled(d)
-        for side in ("A", "B"):
-            np.testing.assert_allclose(
-                partial_trace(rho, d, d, side), np.eye(d) / d, atol=1e-14
-            )
+        t = max_entangled(d).reshape(d, d, d, d)
+        # the reduced states on A (B traced out) and on B (A traced out)
+        for reduced in (np.einsum("abcb->ac", t), np.einsum("abad->bd", t)):
+            np.testing.assert_allclose(reduced, np.eye(d) / d, atol=1e-14)
 
     def test_qubit_correlation_matrix(self):
         c = correlation_matrix(max_entangled(2), 2)
@@ -48,11 +46,9 @@ class TestWerner:
     @pytest.mark.parametrize("d", [2, 3])
     def test_marginals_for_all_p(self, d):
         for p in (0.0, 0.3, 0.77, 1.0):
-            rho = werner(d, p)
-            for side in ("A", "B"):
-                np.testing.assert_allclose(
-                    partial_trace(rho, d, d, side), np.eye(d) / d, atol=1e-12
-                )
+            t = werner(d, p).reshape(d, d, d, d)
+            for reduced in (np.einsum("abcb->ac", t), np.einsum("abad->bd", t)):
+                np.testing.assert_allclose(reduced, np.eye(d) / d, atol=1e-12)
 
     def test_half_mixing_qubit_correlations(self):
         c = correlation_matrix(werner(2, 0.5), 2)
@@ -91,36 +87,3 @@ def test_correlation_matrix_linear_in_state():
 def test_correlation_matrix_shape_check():
     with pytest.raises(ValueError):
         correlation_matrix(np.eye(4) / 4, 3)
-
-
-class TestValidateDensity:
-    def test_accepts_states(self):
-        assert validate_density(np.eye(3) / 3).passed
-        assert validate_density(werner(3, 0.8)).passed
-        minus_e8 = np.zeros(8)
-        minus_e8[7] = -1.0
-        assert validate_density(bloch_to_density(minus_e8)).passed
-
-    def test_flags_negative_eigenvalue(self):
-        # Bloch vector outside the ball: rho = diag(1.1, -0.1)
-        report = validate_density(bloch_to_density(np.array([0, 0, 1.2])))
-        assert not report.passed
-        assert abs(report.min_eigenvalue + 0.1) < 1e-12
-        assert report.hermiticity_defect < 1e-14
-        assert report.trace_defect < 1e-14
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_entry_is_reported_not_raised(self, bad):
-        for rho in (np.full((3, 3), bad), np.eye(2) / 2 + np.array([[0, bad], [bad, 0]])):
-            report = validate_density(rho)
-            assert not report.passed
-            assert np.isnan([report.hermiticity_defect, report.trace_defect,
-                             report.min_eigenvalue]).all()
-
-    def test_flags_non_hermitian_and_bad_trace(self):
-        report = validate_density(np.array([[0.5, 0.3], [0.0, 0.5]]))
-        assert report.hermiticity_defect > 0.1
-        assert not report.passed
-        report = validate_density(np.eye(2))
-        assert report.trace_defect > 0.5
-        assert not report.passed

@@ -93,12 +93,6 @@ class TestGeneratorSets:
             assert abs(np.trace(gi)) < 1e-14
             assert np.max(np.abs(gi - dagger(gi))) < 1e-14
 
-    def test_identity_element_normalization(self):
-        b2, b3 = generator_basis(2), generator_basis(3)
-        np.testing.assert_allclose(b2.identity_element, np.eye(2))
-        # qutrit companion is sqrt(2/3) I so that Tr(l0 l0) = 2
-        assert abs(np.trace(b3.identity_element @ b3.identity_element) - 2) < 1e-14
-
     def test_structure_constant_spot_values(self):
         b = generator_basis(3)
         s3 = np.sqrt(3.0)
