@@ -54,10 +54,11 @@ __all__ = [
 # Time points per batched negativity step of ``separability_report``: the
 # per-call cost of ``bipartite_channel`` and the stacked Jacobi is shared by a
 # chunk, and a chunk's (T, 9, 9) temporaries set the peak memory of long grids.
-# Sweep (2-core x86-64, numpy 2.4.6; median ms of three reports of 50, 316 and
-# 2000 steps, then peak RSS of three such `curves` runs above the import):
-# 64: 73 ms, +2.6 MB; 128: 55 ms, +2.7 MB; 256: 47 ms, +3.8 MB; 512: 44 ms,
-# +6.1 MB. 512 would buy about 7% more speed with 2.3 MB more memory.
+# Sweep (2-core x86-64, numpy 2.4.6; median over 16 interleaved rounds of ms for
+# three reports of 50, 316 and 2000 steps, then median peak RSS of three such
+# `curves` runs above the import): 64: 58.5 ms, +2.7 MB; 128: 39.7 ms, +3.2 MB;
+# 256: 30.4 ms, +3.8 MB; 512: 26.8 ms, +6.1 MB. 512 would buy about 12% more
+# speed with 2.2 MB more memory.
 GRID_CHUNK = 256
 
 # Samples per block of ``haar_bloch_vectors``: a block's normalisation and

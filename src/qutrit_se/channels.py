@@ -30,9 +30,9 @@ Bipartite use: ``bipartite_channel`` lifts a local channel to two qudits,
 either one-sided or as the mixture q (channel on A) + (1-q) (channel on B).
 It builds the channel's d^2 x d^2 superoperator sum_k K_k (x) conj(K_k) on
 the row-major vec, the convention of ``lindblad_evolve`` (Havel, J. Math.
-Phys. 44, 534 (2003)), with the time axis innermost and the k terms added in
-place in operator order, and applies it to one side of the state as a single
-matrix product.
+Phys. 44, 534 (2003)), from the products of the nonzero entries of each
+K_k only, with the k terms added in place in operator order, and applies it
+to one side of the state as a single matrix product.
 
 Time grids: ``se_kraus(rates, times)`` builds the Kraus operators at many
 times at once, from the same expressions as at a single time, and
@@ -306,9 +306,13 @@ def bipartite_channel(
     returns the mixture q.(on A) + (1-q).(on B). A channel tabulated at T
     times (see ``se_kraus``) gives the T states, shape (T, d^2, d^2).
     The superoperator S = sum_k K_k (x) conj(K_k), shape (..., d^2, d^2) with
-    rows (a, z) and columns (x, y), is built once per call: each K_k product
-    loops over the times innermost, and the k terms are added in place in
-    operator order. Side A is then one matrix product S M_A over all times at
+    rows (a, z) and columns (x, y), is built once per call, from the products
+    K_k[a, x] conj(K_k[z, y]) of the entries of K_k that are nonzero at some
+    time only (11 of the 81 for the qutrit emission channel, d^2 + d - 1 in
+    general): S starts at zero, and each k adds its products in place, in
+    operator order. Within one k the targets (a, z, x, y) are distinct, so S
+    holds the values of the sum over every product; a skipped product is an
+    exact zero. Side A is then one matrix product S M_A over all times at
     once, with M_A[(x, y), (b, c)] = rho[(x, b), (y, c)], read back with axes
     (a, b), (z, c) as the q-mix or the copy writes it; side B is the same with
     rho's B indices.
@@ -323,15 +327,19 @@ def bipartite_channel(
         raise ValueError(f"mode must be 'A', 'B' or 'symmetric', got {mode!r}")
     ops = np.stack(channel.operators)  # (k, ..., d, d)
     lead = ops.shape[1:-2]
-    ops = np.moveaxis(ops.reshape(len(ops), -1, dim, dim), 1, -1).copy()  # (k, a, x, t)
+    ops = ops.reshape(len(ops), -1, n)  # (k, t, (a, x))
     # S[(a, z), (x, y)] = sum_k K_k[a, x] conj(K_k[z, y]), one row per (t, a, z),
-    # written through (a, z, x, y, t) views so that t is the inner loop
-    sup, term = np.empty((2, ops.shape[-1]) + (dim,) * 4, dtype=ops.dtype)
-    for k, (op, op_conj) in enumerate(zip(ops, ops.conj())):
-        view = np.moveaxis(term if k else sup, 0, -1)
-        np.multiply(op[:, None, :, None], op_conj[None, :, None, :], out=view)
-        if k:
-            sup += term
+    # from the entries (a, x) and (z, y) of K_k that are nonzero at some time
+    sup, term = np.empty((2, ops.shape[1]) + (dim,) * 4, dtype=ops.dtype)
+    sup.fill(0.0)
+    for op, nonzero in zip(ops, ops.any(axis=1).tolist()):
+        cols = [ax for ax, keep in enumerate(nonzero) if keep]
+        # distinct flat targets ((a, z), (x, y)) within one k
+        target = [(ax // dim * dim + zy // dim) * n + ax % dim * dim + zy % dim
+                  for ax in cols for zy in cols]
+        entries = op[:, cols]
+        products = entries[:, :, None] * entries[:, None, :].conj()
+        sup.reshape(len(sup), -1)[:, target] += products.reshape(len(op), -1)
     tensor = rho.reshape(dim, dim, dim, dim)  # (a, b, a', b'), A slow
     # rows (x, y) of M are rho's indices on the acted-on side
     lift = {"A": tensor.transpose(0, 2, 1, 3), "B": tensor.transpose(1, 3, 0, 2)}

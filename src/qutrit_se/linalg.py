@@ -8,9 +8,14 @@ channel constructions they are meant to check.
 
 ``hermitian_eigenvalues``, ``partial_transpose`` and ``dagger`` also take
 stacks (..., n, n) and act on each matrix, so a whole time grid of states is
-diagonalised by one Jacobi sweep loop. ``kron`` takes two matrices (2-D
-inputs only); ``channels`` builds the Lindblad generator's superoperator
-with it.
+diagonalised by one Jacobi sweep loop. That loop runs block by block: the
+indices split into the connected components of the nonzero pattern the
+stack shares, and each block size is swept as one stacked array. A member
+stays active while any of its blocks is, so the eigenvalues are those of
+the whole-matrix sweep; a dense matrix is the one-block case. The partial
+transpose of a Werner state under emission splits into d blocks of size 1
+and d(d-1)/2 of size 2. ``kron`` takes two matrices (2-D inputs only);
+``channels`` builds the Lindblad generator's superoperator with it.
 
 Index convention for bipartite operators: subsystem A is the slow (outer)
 index, i.e. a matrix on A (x) B has row index i*dB + k for A-index i and
@@ -19,6 +24,7 @@ B-index k.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -86,6 +92,17 @@ def hermitian_eigenvalues(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     pivot gets the identity rotation (c = 1, s = 0), so each member's
     eigenvalues are bitwise those of a call on that member alone.
 
+    The sweeps run block by block: the indices split into the connected
+    components of the nonzero pattern the stack shares (``_blocks``). The
+    Hermiticity check and the symmetrisation read only the blocks' entries,
+    and each block size s is swept as one stacked (members, blocks, s, s)
+    array. A member stays active while any of its blocks has an off-diagonal
+    entry above tol, so every rotation of the whole-matrix sweep is made:
+    rotations in different blocks touch disjoint rows and columns, which meet
+    only in exact zeros, and each eigenvalue keeps its bits (a zero
+    eigenvalue may change sign where the input holds a -0.0). A dense matrix
+    is the one-block case.
+
     Raises
     ------
     NonHermitianError
@@ -96,68 +113,105 @@ def hermitian_eigenvalues(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     a = _square(a)
     lead, n = a.shape[:-2], a.shape[-1]
     a = a.reshape((math.prod(lead), n, n))  # one batch axis
-    a_dag = dagger(a)
+    blocks = _blocks(a)
+    # each block's entries i*n + j, block after block, and their mirrors j*n + i
+    pos = np.array([i * n + j for block in blocks for i in block for j in block], dtype=int)
+    mirror = pos % n * n + pos // n
+    flat = a.reshape(len(a), n * n)
+    m, m_dag = flat[:, pos], flat[:, mirror]
+    np.conjugate(m_dag, out=m_dag)
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
-        m = a - a_dag
-        off = np.abs(m)
+        off = np.abs(m - m_dag)
         defect = off.max(initial=0.0)
     if not defect <= HERMITICITY_TOL:
         raise NonHermitianError(f"matrix deviates from Hermitian by {defect:.3e}")
-    # symmetrize to kill roundoff drift, in the buffer of the check
-    np.add(a, a_dag, out=m)
-    m /= 2.0
-    del a_dag  # free the conjugate copy before the sweeps
-    diag = np.arange(n)
+    # symmetrize to kill roundoff drift
+    m += m_dag
+    m *= 0.5
+    del m_dag  # free the conjugate copy before the sweeps
+    diag = np.flatnonzero(pos == mirror)
+    # one (members, blocks, s, s) view into m per block size s > 1
+    views, start = [], 0
+    for size, same in itertools.groupby(map(len, blocks)):
+        stop = start + len(list(same)) * size * size
+        if size > 1:
+            views.append(m[:, start:stop].reshape(len(a), -1, size, size))
+        start = stop
 
     for _ in range(100):
         np.abs(m, out=off)
-        off[:, diag, diag] = 0.0
-        todo = np.flatnonzero(off.max(axis=(1, 2), initial=0.0) > tol)
+        off[:, diag] = 0.0
+        # a member is active while any of its blocks is
+        todo = np.flatnonzero(off.max(axis=1, initial=0.0) > tol)
         if todo.size == 0:
             break
-        if todo.size == len(m):
-            _jacobi_sweep(m)  # every member still active: no gather or scatter
-        else:
-            m[todo] = _jacobi_sweep(m[todo])
+        for view in views:
+            if todo.size == len(a):
+                _jacobi_sweep(view)  # every member still active: no gather or scatter
+            else:
+                view[todo] = _jacobi_sweep(view[todo])
     else:
         raise NoConvergenceError("off-diagonal norm not below tol after 100 sweeps")
-    return np.sort(m[:, diag, diag].real, axis=-1).reshape(lead + (n,))
+    eigs = np.empty((len(a), n))
+    eigs[:, pos[diag] // (n + 1)] = m[:, diag].real
+    return np.sort(eigs, axis=-1).reshape(lead + (n,))
+
+
+def _blocks(a: np.ndarray) -> list:
+    """Index blocks of a (B, n, n) stack: the components of its shared nonzero pattern.
+
+    Indices i and j are joined when entry (i, j) or (j, i) is nonzero in some
+    member (NaN counts as nonzero). Returns the blocks as ascending lists of
+    indices, ordered by size and then by their first index.
+    """
+    first = list(range(a.shape[-1]))  # the lowest index of each index's block
+    for i, j in zip(*map(np.ndarray.tolist, np.nonzero(a.any(axis=0)))):
+        if first[i] != first[j]:  # merge the two blocks
+            lo, hi = sorted((first[i], first[j]))
+            first = [lo if f == hi else f for f in first]
+    blocks: dict = {}
+    for i, f in enumerate(first):
+        blocks.setdefault(f, []).append(i)
+    return sorted(blocks.values(), key=len)  # stable: by first index within a size
 
 
 def _jacobi_sweep(m: np.ndarray) -> np.ndarray:
-    """One row-cyclic sweep of Jacobi rotations over a (B, n, n) stack, in place."""
+    """One row-cyclic sweep of Jacobi rotations over a (..., n, n) stack, in place."""
     n = m.shape[-1]
     for p in range(n - 1):
         for q in range(p + 1, n):
-            if not np.count_nonzero(m[:, p, q]):
+            if not np.count_nonzero(m[..., p, q]):
                 continue  # cheap exit for the many zeros of sparse inputs
             # hypot rounds like the scalar |z|; np.abs on complex arrays does not
-            r = np.hypot(m[:, p, q].real, m[:, p, q].imag)
+            r = np.hypot(m[..., p, q].real, m[..., p, q].imag)
             rotate = r >= 1e-300
             r = np.where(rotate, r, 1.0)
-            phase = m[:, p, q] / r
-            theta = (m[:, q, q].real - m[:, p, p].real) / (2.0 * r)
-            sgn = np.where(theta >= 0.0, 1.0, -1.0)
-            t = sgn / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+            phase = m[..., p, q] / r
+            # a pivot tiny against its diagonal gap overflows theta or theta^2
+            # to inf, and t = 1/inf = 0 is the exact limit: no rotation
+            with np.errstate(over="ignore"):
+                theta = (m[..., q, q].real - m[..., p, p].real) / (2.0 * r)
+                sgn = np.where(theta >= 0.0, 1.0, -1.0)
+                t = sgn / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
             c = 1.0 / np.sqrt(t * t + 1.0)
-            s = np.where(rotate, t * c, 0.0)[:, None]
-            c = np.where(rotate, c, 1.0)[:, None]
-            s_phase = s * phase[:, None]
-            s_conj = s * np.conj(phase)[:, None]
+            s = np.where(rotate, t * c, 0.0)[..., None]
+            c = np.where(rotate, c, 1.0)[..., None]
+            s_phase = s * phase[..., None]
+            s_conj = s * np.conj(phase)[..., None]
             # m <- U^dag m U with U[p,p]=c, U[p,q]=s*phase,
             # U[q,p]=-s*conj(phase), U[q,q]=c
-            col_p = m[:, :, p].copy()
-            col_q = m[:, :, q].copy()
-            m[:, :, p] = c * col_p - s_conj * col_q
-            m[:, :, q] = s_phase * col_p + c * col_q
-            row_p = m[:, p, :].copy()
-            row_q = m[:, q, :].copy()
-            m[:, p, :] = c * row_p - s_phase * row_q
-            m[:, q, :] = s_conj * row_p + c * row_q
-            m[:, p, q] = np.where(rotate, 0.0, m[:, p, q])
-            m[:, q, p] = np.where(rotate, 0.0, m[:, q, p])
-            m[:, p, p] = m[:, p, p].real
-            m[:, q, q] = m[:, q, q].real
+            col_p = m[..., :, p].copy()
+            col_q = m[..., :, q].copy()
+            m[..., :, p] = c * col_p - s_conj * col_q
+            m[..., :, q] = s_phase * col_p + c * col_q
+            row_p = m[..., p, :].copy()
+            row_q = m[..., q, :].copy()
+            m[..., p, :] = c * row_p - s_phase * row_q
+            m[..., q, :] = s_conj * row_p + c * row_q
+            m[..., p, q] = np.where(rotate, 0.0, m[..., p, q])
+            m[..., q, p] = np.where(rotate, 0.0, m[..., q, p])
+            m[..., p, p] = m[..., p, p].real
+            m[..., q, q] = m[..., q, q].real
     return m
 
 

@@ -610,6 +610,36 @@ def einsum_bipartite(rho, channel, mode, q=0.5):
     return one_sided(mode)
 
 
+def dense_bipartite(rho, channel, mode, q=0.5):
+    """Reference: every product of S = sum_k K_k (x) conj(K_k), zeros included.
+
+    The k terms are added in operator order and S is applied by the matrix
+    product and output permutation of ``bipartite_channel``.
+    """
+    dim, n = channel.dim, channel.dim**2
+    ops = np.stack(channel.operators)
+    lead = ops.shape[1:-2]
+    ops = ops.reshape(len(ops), -1, dim, dim)
+    # sup[t, a, z, x, y] = sum_k K_k[t, a, x] conj(K_k[t, z, y])
+    sup = ops[0][:, :, None, :, None] * ops[0].conj()[:, None, :, None, :]
+    for op in ops[1:]:
+        sup = sup + op[:, :, None, :, None] * op.conj()[:, None, :, None, :]
+    tensor = rho.reshape(dim, dim, dim, dim)
+    lift = {"A": tensor.transpose(0, 2, 1, 3), "B": tensor.transpose(1, 3, 0, 2)}
+
+    def one_sided(side):
+        out = (sup.reshape(-1, n) @ lift[side].reshape(n, n)).reshape(sup.shape)
+        if side == "A":
+            return out.swapaxes(-3, -2)
+        return np.moveaxis(out, -2, -4).swapaxes(-2, -1)
+
+    if mode == "symmetric":
+        out = one_sided("A") * q + one_sided("B") * (1.0 - q)
+    else:
+        out = one_sided(mode)
+    return out.reshape(lead + rho.shape)
+
+
 class TestBipartite:
     @pytest.mark.parametrize("mode", ["A", "B", "symmetric"])
     @pytest.mark.parametrize("dim, build", [
@@ -641,6 +671,25 @@ class TestBipartite:
         got = bipartite_channel(rho, ch, mode, 0.35)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("mode", ["A", "B", "symmetric"])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_matches_dense_superoperator(self, dim, mode):
+        # S is built from the nonzero products only: the values of every product summed
+        rng = np.random.default_rng(70 + dim)
+        times = np.r_[0.0, rng.uniform(0.0, 8.0, 40), np.inf]  # K_m = 0 at t = 0 only
+        built = [
+            se_kraus(random_rates(rng, dim, undamped_first=True), 0.9),
+            se_kraus(random_rates(rng, dim, undamped_first=False), times),
+        ]
+        for shape in ((dim, dim), (13, dim, dim)):  # dense random 3-operator channels
+            ops = rng.standard_normal((3, *shape)) + 1j * rng.standard_normal((3, *shape))
+            built.append(channels.KrausChannel(dim=dim, operators=tuple(ops)))
+        for ch in built:
+            for rho in (werner(dim, 0.7), random_density_matrix(dim * dim, rng)):
+                for q in (0.0, 0.35, 1.0):
+                    got = bipartite_channel(rho, ch, mode, q)
+                    np.testing.assert_array_equal(got, dense_bipartite(rho, ch, mode, q))
 
     def test_stack_matches_per_time_calls(self):
         rng = np.random.default_rng(18)

@@ -423,3 +423,15 @@ def test_overflowing_decay_exponent_is_silent():
         _, rows = parse_csv(proc.stdout.encode())
         assert rows.shape == (5, 7)
         assert np.all(rows[1:, 2] == 0.0)  # s_qutrit: the decaying arms are gone
+
+
+def test_jacobi_rotation_overflow_is_silent(capsys):
+    # late in this grid a partial-transpose pivot is tiny against its diagonal
+    # gap, so theta^2 in the Jacobi rotation overflows; t = 1/inf = 0 is the
+    # exact limit, and no RuntimeWarning (an error under pytest) may escape
+    argv = ["curves", "--a2", "0.001", "--a3", "12", "--q", "0.15"]
+    assert main(argv + ["--steps", "50", "--t-max", "70"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    _, rows = parse_csv(captured.out.encode())
+    assert rows.shape == (51, 7) and rows[:, 5:].min() >= 0.0

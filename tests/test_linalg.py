@@ -18,7 +18,8 @@ from qutrit_se.linalg import (
     partial_transpose,
     random_density_matrix,
 )
-from qutrit_se.states import max_entangled
+from qutrit_se.channels import bipartite_channel, se_kraus
+from qutrit_se.states import max_entangled, werner
 
 SX, SY, SZ = np.array(
     [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex
@@ -57,6 +58,57 @@ def scalar_jacobi(a, tol=1e-12):
     else:
         raise NoConvergenceError("reference did not converge")
     return np.sort(m.diagonal().real)
+
+
+def whole_matrix_eigenvalues(a, tol=1e-12):
+    """Reference: the stacked sweep loop over whole matrices that the block split replaces.
+
+    Same Hermiticity guard, symmetrisation, rotation order and member
+    activity, on every (p, q) pair of the (B, n, n) stack.
+    """
+    m = np.asarray(a, dtype=complex)
+    lead, n = m.shape[:-2], m.shape[-1]
+    m = m.reshape((-1, n, n))
+    assert np.abs(m - dagger(m)).max(initial=0.0) <= 1e-10
+    m = (m + dagger(m)) / 2.0
+    diag = np.arange(n)
+    for _ in range(100):
+        off = np.abs(m)
+        off[:, diag, diag] = 0.0
+        todo = np.flatnonzero(off.max(axis=(1, 2), initial=0.0) > tol)
+        if todo.size == 0:
+            break
+        sub = m[todo]
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if not np.count_nonzero(sub[:, p, q]):
+                    continue
+                r = np.hypot(sub[:, p, q].real, sub[:, p, q].imag)
+                rotate = r >= 1e-300
+                r = np.where(rotate, r, 1.0)
+                phase = sub[:, p, q] / r
+                theta = (sub[:, q, q].real - sub[:, p, p].real) / (2.0 * r)
+                sgn = np.where(theta >= 0.0, 1.0, -1.0)
+                t = sgn / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = np.where(rotate, t * c, 0.0)[:, None]
+                c = np.where(rotate, c, 1.0)[:, None]
+                s_phase = s * phase[:, None]
+                s_conj = s * np.conj(phase)[:, None]
+                col_p, col_q = sub[:, :, p].copy(), sub[:, :, q].copy()
+                sub[:, :, p] = c * col_p - s_conj * col_q
+                sub[:, :, q] = s_phase * col_p + c * col_q
+                row_p, row_q = sub[:, p, :].copy(), sub[:, q, :].copy()
+                sub[:, p, :] = c * row_p - s_phase * row_q
+                sub[:, q, :] = s_conj * row_p + c * row_q
+                sub[:, p, q] = np.where(rotate, 0.0, sub[:, p, q])
+                sub[:, q, p] = np.where(rotate, 0.0, sub[:, q, p])
+                sub[:, p, p] = sub[:, p, p].real
+                sub[:, q, q] = sub[:, q, q].real
+        m[todo] = sub
+    else:
+        raise NoConvergenceError("reference did not converge")
+    return np.sort(m[:, diag, diag].real, axis=-1).reshape(lead + (n,))
 
 
 def kron_loop(a, b):
@@ -231,6 +283,75 @@ class TestHermitianEigenvalues:
         skew = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(NonHermitianError):
             hermitian_eigenvalues(np.stack([np.eye(2), SX, skew]))
+
+
+class TestBlockSplit:
+    """The solver sweeps the blocks of the shared nonzero pattern, not whole matrices."""
+
+    def test_blocks_join_through_chains_of_entries(self):
+        a = np.zeros((2, 7, 7))
+        a[0, 0, 5] = a[0, 5, 0] = 1.0
+        a[0, 1, 4] = a[0, 4, 1] = 2.0
+        a[1, 5, 4] = 3.0  # one-sided, in another member: joins {0, 5} and {1, 4}
+        a[1, 6, 2] = np.nan  # NaN counts as nonzero
+        a[0, 3, 3] = 4.0  # a diagonal entry joins nothing
+        assert linalg._blocks(a) == [[3], [2, 6], [0, 1, 4, 5]]
+        assert linalg._blocks(np.zeros((0, 3, 3))) == [[0], [1], [2]]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_permuted_block_stacks_match_the_whole_matrix_sweep(self, seed):
+        rng = np.random.default_rng(90 + seed)
+        sizes = (3, 1, 2, 1, 2)
+        n, members = sum(sizes), 12
+        perm = rng.permutation(n)
+        stack = np.zeros((members, n, n), dtype=complex)
+        start = 0
+        for size in sizes:
+            idx = perm[start:start + size]
+            start += size
+            shape = (members, size, size)
+            g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            scale = np.exp(rng.uniform(-8.0, 2.0, members))[:, None, None]
+            stack[:, idx[:, None], idx[None, :]] = scale * (g + dagger(g))
+        stack[3] = 0.0
+        stack[4] = np.diag(np.diag(stack[4]))  # converged before the first sweep
+        # a sub-tol pivot on a zero diagonal, beside an active block: still rotated
+        pair, other = perm[4:6], perm[:3]
+        for k, active in ((5, True), (6, False)):
+            stack[k] = 0.0
+            stack[k, pair[0], pair[1]] = stack[k, pair[1], pair[0]] = 5e-13
+            if active:
+                stack[k, other[:, None], other[None, :]] = 2.0 * np.eye(3) + 0.5
+        eigs = hermitian_eigenvalues(stack)
+        np.testing.assert_array_equal(eigs, whole_matrix_eigenvalues(stack))
+        assert eigs[5, 0] < -4e-13 and eigs[5, 1] == 0.0  # the pair became -x and +x
+        assert eigs[6].min() == 0.0 == eigs[6].max()  # no block active: left as is
+        for k in range(members):
+            np.testing.assert_array_equal(eigs[k], whole_matrix_eigenvalues(stack[k]))
+
+    @pytest.mark.parametrize("mode", ["A", "B", "symmetric"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_werner_partial_transpose_splits_into_pairs(self, d, mode):
+        # ROADMAP item 1: a Werner state under emission has nonzero entries only
+        # at <ij|rho|ij> and <ii|rho|jj>, so its partial transpose has d blocks
+        # of size 1 and d(d-1)/2 blocks of size 2 on {|ij>, |ji>}
+        expected = [[i * d + i] for i in range(d)]
+        expected += [[i * d + j, j * d + i] for i in range(d) for j in range(i + 1, d)]
+        inside = np.zeros((d * d, d * d), dtype=bool)
+        for block in expected:
+            inside[np.ix_(block, block)] = True
+        rng = np.random.default_rng(100 * d + len(mode))
+        for _ in range(20):
+            rates = rng.uniform(0.0, 5.0, d - 1) * (rng.random(d - 1) < 0.7)  # zeros too
+            times = np.r_[0.0, rng.uniform(0.0, 10.0, 4)]
+            p, q = rng.uniform(0.05, 1.0), rng.uniform()
+            rho = bipartite_channel(werner(d, p), se_kraus(rates, times), mode, q)
+            pt = partial_transpose(rho, d, d)
+            assert linalg._blocks(pt) == expected
+            for member in pt:
+                assert linalg._blocks(member[None]) == expected
+                assert not member[~inside].any()
+            np.testing.assert_array_equal(hermitian_eigenvalues(pt), whole_matrix_eigenvalues(pt))
 
 
 class TestPartialTranspose:
