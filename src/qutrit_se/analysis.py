@@ -30,7 +30,7 @@ import numpy as np
 
 from .channels import ChannelParams, _arm_factors, _check_arms, bipartite_channel, se_kraus
 from .linalg import hermitian_eigenvalues, partial_transpose
-from .states import _check_weight, correlation_matrix, max_entangled, werner
+from .states import _check_weight, _two_qudit_state, correlation_matrix, max_entangled, werner
 from .su import generator_basis
 
 __all__ = [
@@ -113,10 +113,7 @@ def fidelity_closed(rates, t):
 
 def fidelity_from_state(rho: np.ndarray, d: int) -> float:
     """<Psi| rho |Psi> against the maximally entangled reference."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (d * d, d * d):
-        raise ValueError(f"expected shape {(d * d, d * d)}, got {rho.shape}")
-    return float(np.trace(max_entangled(d) @ rho).real)
+    return float(np.trace(max_entangled(d) @ _two_qudit_state(rho, d)).real)
 
 
 def crossing_time(f: Callable[[float], float], threshold: float) -> Optional[float]:
@@ -178,13 +175,13 @@ def preservation_inequality(p: float, a21: float, a31: float) -> bool:
     return bool(0.5 * u * (u + 2.0) >= 1.0 / p)
 
 
-def negativity(rho: np.ndarray, dim_a: int, dim_b: int) -> float | np.ndarray:
-    """Sum of |negative eigenvalues| of the partial transpose.
+def negativity(rho: np.ndarray, d: int) -> float | np.ndarray:
+    """Sum of |negative eigenvalues| of the partial transpose of a two-qudit state.
 
-    A float for one state; an array of one value per state for a stack
-    (..., n, n), from one stacked Jacobi run.
+    Both qudits have d levels. A float for one state; an array of one value
+    per state for a stack (..., d^2, d^2), from one stacked Jacobi run.
     """
-    eigs = hermitian_eigenvalues(partial_transpose(rho, dim_a, dim_b, side="B"))
+    eigs = hermitian_eigenvalues(partial_transpose(rho, d, d))
     # negate before summing: a PPT state gets +0.0, not -0.0
     neg = np.where(eigs < 0.0, -eigs, 0.0).sum(axis=-1)
     return float(neg) if neg.ndim == 0 else neg
@@ -198,7 +195,7 @@ def ppt_threshold(d: int) -> float:
     """
 
     def entangled(p: float) -> bool:
-        return negativity(werner(d, p), d, d) > 1e-9
+        return negativity(werner(d, p), d) > 1e-9
 
     lo, hi = 0.0, 1.0
     if not entangled(hi):
@@ -368,6 +365,6 @@ def separability_report(
         for lo in range(0, steps + 1, GRID_CHUNK):
             chunk = slice(lo, lo + GRID_CHUNK)
             kraus = se_kraus(params.rates(d), times[chunk])
-            rho = bipartite_channel(w, kraus, "symmetric", params.q)
-            rows[chunk, 5 + i] = negativity(rho, d, d)
+            rho = bipartite_channel(w, kraus, params.q)
+            rows[chunk, 5 + i] = negativity(rho, d)
     return rows

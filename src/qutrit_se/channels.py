@@ -26,13 +26,14 @@ forms that the test suite cross-checks against each other:
   is built with ``linalg.kron``; the step matrix and its squares are cached
   read-only per (arm rates, step size h), in a bounded cache.
 
-Bipartite use: ``bipartite_channel`` lifts a local channel to two qudits,
-either one-sided or as the mixture q (channel on A) + (1-q) (channel on B).
-It builds the channel's d^2 x d^2 superoperator sum_k K_k (x) conj(K_k) on
-the row-major vec, the convention of ``lindblad_evolve`` (Havel, J. Math.
-Phys. 44, 534 (2003)), from the products of the nonzero entries of each
-K_k only, with the k terms added in place in operator order, and applies it
-to one side of the state as a single matrix product.
+Bipartite use: ``bipartite_channel`` lifts a local channel to two qudits as
+the mixture q (channel on A) + (1-q) (channel on B); q = 1 acts on A only and
+q = 0 on B only. It builds the channel's d^2 x d^2 superoperator
+sum_k K_k (x) conj(K_k) on the row-major vec, the convention of
+``lindblad_evolve`` (Havel, J. Math. Phys. 44, 534 (2003)), from the
+products of the nonzero entries of each K_k only, with the k terms added in
+place in operator order, and applies it to each side of the state as a
+single matrix product.
 
 Time grids: ``se_kraus(rates, times)`` builds the Kraus operators at many
 times at once, from the same expressions as at a single time, and
@@ -112,10 +113,14 @@ class KrausChannel:
 
     The times live only in the operators' shape: (dim, dim) each at one time,
     or (T, dim, dim) each for a channel tabulated at T times (see ``se_kraus``).
+    ``dim`` too is read off that shape, so it cannot disagree with the operators.
     """
 
-    dim: int
     operators: tuple
+
+    @property
+    def dim(self) -> int:
+        return self.operators[0].shape[-1]
 
     def completeness_defect(self) -> float:
         acc = sum(dagger(k) @ k for k in self.operators)
@@ -198,12 +203,12 @@ def se_kraus(rates, t) -> KrausChannel:
     decayed limit), else ValueError.
     """
     rates, t = _check_arms(rates, t)
-    return KrausChannel(dim=len(rates) + 1, operators=_kraus_operators(rates, t))
+    return KrausChannel(_kraus_operators(rates, t))
 
 
 def se_kraus_qutrit(params: ChannelParams) -> KrausChannel:
     """Qutrit emission channel at params.t, whose rates ChannelParams checked."""
-    return KrausChannel(dim=3, operators=_kraus_operators(params.rates(3), params.t))
+    return KrausChannel(_kraus_operators(params.rates(3), params.t))
 
 
 def apply_kraus(rho: np.ndarray, channel: KrausChannel) -> np.ndarray:
@@ -297,14 +302,12 @@ def _rk4_step(rates: tuple, h: float) -> np.ndarray:
     return step
 
 
-def bipartite_channel(
-    rho: np.ndarray, channel: KrausChannel, mode: str = "symmetric", q: float = 0.5
-) -> np.ndarray:
-    """Act with a local channel on a two-qudit state.
+def bipartite_channel(rho: np.ndarray, channel: KrausChannel, q: float) -> np.ndarray:
+    """Act with a local channel on a two-qudit state: q.(on A) + (1-q).(on B).
 
-    mode 'A' or 'B' applies the channel to that subsystem only; 'symmetric'
-    returns the mixture q.(on A) + (1-q).(on B). A channel tabulated at T
-    times (see ``se_kraus``) gives the T states, shape (T, d^2, d^2).
+    q = 1 applies the channel to A only and q = 0 to B only. A channel
+    tabulated at T times (see ``se_kraus``) gives the T states, shape
+    (T, d^2, d^2).
     The superoperator S = sum_k K_k (x) conj(K_k), shape (..., d^2, d^2) with
     rows (a, z) and columns (x, y), is built once per call, from the products
     K_k[a, x] conj(K_k[z, y]) of the entries of K_k that are nonzero at some
@@ -314,8 +317,8 @@ def bipartite_channel(
     holds the values of the sum over every product; a skipped product is an
     exact zero. Side A is then one matrix product S M_A over all times at
     once, with M_A[(x, y), (b, c)] = rho[(x, b), (y, c)], read back with axes
-    (a, b), (z, c) as the q-mix or the copy writes it; side B is the same with
-    rho's B indices.
+    (a, b), (z, c) as the q-mix writes it; side B is the same with rho's B
+    indices.
     """
     rho = np.asarray(rho, dtype=complex)
     dim = channel.dim
@@ -323,8 +326,6 @@ def bipartite_channel(
     if rho.shape != (n, n):
         raise ValueError(f"state shape {rho.shape} does not match two systems of dimension {dim}")
     _check_mixing(q)
-    if mode not in ("A", "B", "symmetric"):
-        raise ValueError(f"mode must be 'A', 'B' or 'symmetric', got {mode!r}")
     ops = np.stack(channel.operators)  # (k, ..., d, d)
     lead = ops.shape[1:-2]
     ops = ops.reshape(len(ops), -1, n)  # (k, t, (a, x))
@@ -341,18 +342,12 @@ def bipartite_channel(
         products = entries[:, :, None] * entries[:, None, :].conj()
         sup.reshape(len(sup), -1)[:, target] += products.reshape(len(op), -1)
     tensor = rho.reshape(dim, dim, dim, dim)  # (a, b, a', b'), A slow
-    # rows (x, y) of M are rho's indices on the acted-on side
-    lift = {"A": tensor.transpose(0, 2, 1, 3), "B": tensor.transpose(1, 3, 0, 2)}
-
-    def one_sided(side: str) -> np.ndarray:  # S M in term, as a (t, a, b, a', b') view
-        np.matmul(sup.reshape(-1, n), lift[side].reshape(n, n), out=term.reshape(-1, n))
-        if side == "A":
-            return term.swapaxes(-3, -2)  # (a, z, b, c) -> (a, b, z, c)
-        return np.moveaxis(term, -2, -4).swapaxes(-2, -1)  # (b, z, a, c) -> (a, b, c, z)
-
-    if mode != "symmetric":
-        return one_sided(mode).reshape(lead + rho.shape)
-    # the q-mix writes the permuted products; sup is free after the B product
-    out = np.multiply(one_sided("A"), q, out=np.empty_like(sup))
-    out += np.multiply(one_sided("B"), 1.0 - q, out=sup)
+    # S M in term, where the rows (x, y) of M are rho's indices on the acted-on side
+    m_a, m_b = tensor.transpose(0, 2, 1, 3), tensor.transpose(1, 3, 0, 2)
+    np.matmul(sup.reshape(-1, n), m_a.reshape(n, n), out=term.reshape(-1, n))
+    # the q-mix writes the permuted products: (a, z, b, c) -> (a, b, z, c)
+    out = np.multiply(term.swapaxes(-3, -2), q, out=np.empty_like(sup))
+    np.matmul(sup.reshape(-1, n), m_b.reshape(n, n), out=term.reshape(-1, n))
+    # sup is free after the B product: (b, z, a, c) -> (a, b, c, z)
+    out += np.multiply(np.moveaxis(term, -2, -4).swapaxes(-2, -1), 1.0 - q, out=sup)
     return out.reshape(lead + rho.shape)

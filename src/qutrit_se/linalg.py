@@ -62,6 +62,16 @@ def _square(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_hermitian(a: np.ndarray, a_dag: np.ndarray) -> np.ndarray:
+    # |a - a_dag| after the one Hermiticity check, for hermitian_eigenvalues and su alike
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
+        off = np.abs(a - a_dag)
+    defect = off.max(initial=0.0)
+    if not defect <= HERMITICITY_TOL:
+        raise NonHermitianError(f"matrix deviates from Hermitian by {defect:.3e}")
+    return off
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two matrices with A as the slow (outer) factor.
 
@@ -120,11 +130,7 @@ def hermitian_eigenvalues(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     flat = a.reshape(len(a), n * n)
     m, m_dag = flat[:, pos], flat[:, mirror]
     np.conjugate(m_dag, out=m_dag)
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
-        off = np.abs(m - m_dag)
-        defect = off.max(initial=0.0)
-    if not defect <= HERMITICITY_TOL:
-        raise NonHermitianError(f"matrix deviates from Hermitian by {defect:.3e}")
+    off = _check_hermitian(m, m_dag)
     # symmetrize to kill roundoff drift
     m += m_dag
     m *= 0.5
@@ -180,8 +186,6 @@ def _jacobi_sweep(m: np.ndarray) -> np.ndarray:
     n = m.shape[-1]
     for p in range(n - 1):
         for q in range(p + 1, n):
-            if not np.count_nonzero(m[..., p, q]):
-                continue  # cheap exit for the many zeros of sparse inputs
             # hypot rounds like the scalar |z|; np.abs on complex arrays does not
             r = np.hypot(m[..., p, q].real, m[..., p, q].imag)
             rotate = r >= 1e-300
@@ -215,7 +219,12 @@ def _jacobi_sweep(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _bipartite_tensor(rho: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+def partial_transpose(rho: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """Transpose subsystem B of a bipartite operator, or of each in a stack.
+
+    Transposing A instead gives the full transpose of this result, which has
+    the same spectrum.
+    """
     rho = _square(rho)
     if dim_a < 1 or dim_b < 1:
         raise ValueError("subsystem dimensions must be positive")
@@ -223,24 +232,8 @@ def _bipartite_tensor(rho: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
         raise ValueError(
             f"matrix of shape {rho.shape} does not factor as {dim_a}x{dim_b}"
         )
-    return rho.reshape(rho.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
-
-
-def partial_transpose(
-    rho: np.ndarray, dim_a: int, dim_b: int, side: str = "B"
-) -> np.ndarray:
-    """Transpose one subsystem of a bipartite operator, or of each in a stack.
-
-    The spectrum of the result is independent of ``side``.
-    """
-    t = _bipartite_tensor(rho, dim_a, dim_b)
-    if side == "A":
-        t = t.swapaxes(-4, -2)
-    elif side == "B":
-        t = t.swapaxes(-3, -1)
-    else:
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    return t.reshape(t.shape[:-4] + (dim_a * dim_b, dim_a * dim_b))
+    t = rho.reshape(rho.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
+    return t.swapaxes(-3, -1).reshape(rho.shape)
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:

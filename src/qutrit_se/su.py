@@ -31,7 +31,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import NonHermitianError, dagger
+from .linalg import _check_hermitian, dagger
 
 __all__ = [
     "GeneratorBasis",
@@ -165,10 +165,7 @@ def density_to_bloch(rho: np.ndarray) -> np.ndarray:
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
     basis = generator_basis(rho.shape[0])
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
-        defect = np.max(np.abs(rho - dagger(rho)))
-    if not defect <= 1e-10:
-        raise NonHermitianError(f"matrix deviates from Hermitian by {defect:.3e}")
+    _check_hermitian(rho, dagger(rho))
     if not abs(np.trace(rho).real - 1.0) <= 1e-10:
         raise ValueError(f"matrix trace {np.trace(rho).real!r} is not 1")
     coeffs = np.einsum("iab,ba->i", basis.generators, rho)

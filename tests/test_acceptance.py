@@ -98,9 +98,7 @@ def test_criterion_04_closed_vs_state_separability():
         )
         for d in (3, 2):
             rates = params.rates(d)
-            rho = bipartite_channel(
-                werner(d, p), se_kraus(rates, params.t), mode="symmetric", q=params.q
-            )
+            rho = bipartite_channel(werner(d, p), se_kraus(rates, params.t), params.q)
             worst = max(worst, abs(s_from_state(rho, d) - indicator_closed(p, rates, params.t)))
     report(4, "closed vs state-route s(t)", worst, 1e-10)
 
@@ -140,13 +138,13 @@ def test_criterion_07_fidelity_limits():
         params = ChannelParams(a2=1.3, a3=0.8, t=t)
         for d in (2, 3):
             kraus = se_kraus(params.rates(d), t)
-            rho = bipartite_channel(max_entangled(d), kraus, mode="symmetric", q=0.5)
+            rho = bipartite_channel(max_entangled(d), kraus, q=0.5)
             worst_state = max(
                 worst_state,
                 abs(fidelity_from_state(rho, d) - fidelity_closed(params.rates(d), t)),
             )
             for q in (0.0, 0.7, 1.0):
-                rho_q = bipartite_channel(max_entangled(d), kraus, mode="symmetric", q=q)
+                rho_q = bipartite_channel(max_entangled(d), kraus, q=q)
                 worst_q = max(worst_q, abs(fidelity_from_state(rho_q, d) - fidelity_from_state(rho, d)))
     report(7, "kraus-route fidelity vs closed", worst_state, 1e-10)
     report(7, "fidelity q-independence", worst_q, 1e-12)

@@ -169,14 +169,14 @@ class TestStateRoute:
         p = 0.8
         par = ChannelParams(a1=1.1, a2=1.0, a3=0.7, t=0.5)
         for d in (2, 3):
-            rho = bipartite_channel(werner(d, p), se_kraus(par.rates(d), par.t), "symmetric")
+            rho = bipartite_channel(werner(d, p), se_kraus(par.rates(d), par.t), 0.5)
             assert abs(s_from_state(rho, d) - indicator_closed(p, par.rates(d), par.t)) <= 1e-10
 
     def test_q_does_not_enter(self):
         p, par = 0.9, ChannelParams(a2=1.3, a3=0.5, t=0.8)
         vals = [
             s_from_state(
-                bipartite_channel(werner(3, p), se_kraus_qutrit(par), "symmetric", q), 3
+                bipartite_channel(werner(3, p), se_kraus_qutrit(par), q), 3
             )
             for q in (0.0, 0.5, 1.0)
         ]
@@ -208,15 +208,15 @@ class TestFidelity:
     def test_kraus_route_matches_closed(self):
         par = ChannelParams(a1=0.9, a2=1.2, a3=0.6, t=0.8)
         for d in (2, 3):
-            rho = bipartite_channel(werner(d, 1.0), se_kraus(par.rates(d), par.t), "symmetric")
+            rho = bipartite_channel(werner(d, 1.0), se_kraus(par.rates(d), par.t), 0.5)
             assert abs(fidelity_from_state(rho, d) - fidelity_closed(par.rates(d), par.t)) <= 1e-10
 
     def test_q_independence(self):
         par = ChannelParams(a2=1.0, a3=0.4, t=0.9)
         w = werner(3, 0.65)
         ch = se_kraus_qutrit(par)
-        f03 = fidelity_from_state(bipartite_channel(w, ch, "symmetric", 0.3), 3)
-        f07 = fidelity_from_state(bipartite_channel(w, ch, "symmetric", 0.7), 3)
+        f03 = fidelity_from_state(bipartite_channel(w, ch, 0.3), 3)
+        f07 = fidelity_from_state(bipartite_channel(w, ch, 0.7), 3)
         assert abs(f03 - f07) <= 1e-12
 
 
@@ -367,7 +367,7 @@ class TestFourLevels:
         worst = 0.0
         for p in (0.3, 0.7, 1.0):
             for t in (0.0, 0.2, 0.9, 2.5, 8.0):
-                rho = bipartite_channel(werner(4, p), se_kraus(self.RATES, t), "symmetric", q)
+                rho = bipartite_channel(werner(4, p), se_kraus(self.RATES, t), q)
                 s = indicator_closed(p, self.RATES, t)
                 worst = max(worst, abs(s_from_state(rho, 4) - s))
                 if p == 1.0:  # F_d is the overlap of the evolved |Psi><Psi|
@@ -408,29 +408,29 @@ class TestPreservation:
 
 class TestNegativity:
     def test_max_entangled_values(self):
-        assert abs(negativity(max_entangled(2), 2, 2) - 0.5) < 1e-12
-        assert abs(negativity(max_entangled(3), 3, 3) - 1.0) < 1e-12
+        assert abs(negativity(max_entangled(2), 2) - 0.5) < 1e-12
+        assert abs(negativity(max_entangled(3), 3) - 1.0) < 1e-12
 
     def test_product_state_zero(self):
         rng = np.random.default_rng(29)
         rho = kron(random_density_matrix(3, rng), random_density_matrix(3, rng))
-        assert negativity(rho, 3, 3) < 1e-10
+        assert negativity(rho, 3) < 1e-10
 
     def test_werner_threshold_behavior(self):
         for d in (2, 3):
             thr = 1.0 / (d + 1)
             for p in (0.0, thr / 2, thr):
-                assert negativity(werner(d, p), d, d) <= 1e-10
+                assert negativity(werner(d, p), d) <= 1e-10
             for p in (thr + 0.01, 0.6, 1.0):
-                assert negativity(werner(d, p), d, d) > 1e-4
+                assert negativity(werner(d, p), d) > 1e-4
 
     def test_stack_matches_per_state(self):
         rng = np.random.default_rng(30)
         rhos = np.stack([werner(3, 0.9), max_entangled(3), random_density_matrix(9, rng)])
-        negs = negativity(rhos, 3, 3)
+        negs = negativity(rhos, 3)
         assert negs.shape == (3,)
         for k in range(3):
-            single = negativity(rhos[k], 3, 3)
+            single = negativity(rhos[k], 3)
             assert type(single) is float
             assert abs(negs[k] - single) <= 1e-15
 
@@ -440,9 +440,9 @@ class TestNegativity:
 
     def test_separable_state_is_positive_zero(self):
         for d, p in ((2, 0.2), (3, 0.1)):
-            neg = negativity(werner(d, p), d, d)
+            neg = negativity(werner(d, p), d)
             assert neg == 0.0 and math.copysign(1.0, neg) == 1.0
-        negs = negativity(np.stack([werner(2, 0.2), werner(2, 0.3)]), 2, 2)
+        negs = negativity(np.stack([werner(2, 0.2), werner(2, 0.3)]), 2)
         assert np.all(negs == 0.0) and not np.any(np.signbit(negs))
 
 

@@ -494,7 +494,7 @@ def test_choi_positivity_sampled_times():
     for i in range(20):
         t = 0.05 + 0.3 * i
         ch = se_kraus_qutrit(ChannelParams(a2=1.1, a3=0.6, t=t))
-        choi = bipartite_channel(max_entangled(3), ch, mode="A")
+        choi = bipartite_channel(max_entangled(3), ch, 1.0)  # the channel on A only
         assert hermitian_eigenvalues(choi)[0] >= -1e-10
 
 
@@ -581,7 +581,7 @@ class TestKrausInput:
             np.testing.assert_array_equal(got, want)
 
 
-def kron_bipartite(rho, channel, mode, q=0.5):
+def kron_bipartite(rho, channel, q):
     """Reference: lift each Kraus operator to A (x) B with an explicit kron."""
     ident = np.eye(channel.dim)
 
@@ -589,12 +589,10 @@ def kron_bipartite(rho, channel, mode, q=0.5):
         lifted = [kron(k, ident) if side == "A" else kron(ident, k) for k in channel.operators]
         return sum(l @ rho @ dagger(l) for l in lifted)
 
-    if mode == "symmetric":
-        return q * one_sided("A") + (1 - q) * one_sided("B")
-    return one_sided(mode)
+    return q * one_sided("A") + (1 - q) * one_sided("B")
 
 
-def einsum_bipartite(rho, channel, mode, q=0.5):
+def einsum_bipartite(rho, channel, q):
     """Reference: contract each side with the (d, d, d, d) tensor of rho by einsum."""
     dim = channel.dim
     ops = np.stack(channel.operators, axis=-3)
@@ -605,12 +603,10 @@ def einsum_bipartite(rho, channel, mode, q=0.5):
         out = np.einsum(specs[side], ops, tensor, ops.conj(), optimize=True)
         return out.reshape(out.shape[:-4] + rho.shape)
 
-    if mode == "symmetric":
-        return q * one_sided("A") + (1 - q) * one_sided("B")
-    return one_sided(mode)
+    return q * one_sided("A") + (1 - q) * one_sided("B")
 
 
-def dense_bipartite(rho, channel, mode, q=0.5):
+def dense_bipartite(rho, channel, q):
     """Reference: every product of S = sum_k K_k (x) conj(K_k), zeros included.
 
     The k terms are added in operator order and S is applied by the matrix
@@ -633,48 +629,49 @@ def dense_bipartite(rho, channel, mode, q=0.5):
             return out.swapaxes(-3, -2)
         return np.moveaxis(out, -2, -4).swapaxes(-2, -1)
 
-    if mode == "symmetric":
-        out = one_sided("A") * q + one_sided("B") * (1.0 - q)
-    else:
-        out = one_sided(mode)
+    out = one_sided("A") * q + one_sided("B") * (1.0 - q)
     return out.reshape(lead + rho.shape)
 
 
+# the mixing weights of the lifts: q = 1 acts on A only, q = 0 on B only
+LIFTS = [pytest.param(1.0, id="A"), pytest.param(0.0, id="B"), pytest.param(0.35, id="symmetric")]
+
+
 class TestBipartite:
-    @pytest.mark.parametrize("mode", ["A", "B", "symmetric"])
+    @pytest.mark.parametrize("q", LIFTS)
     @pytest.mark.parametrize("dim, build", [
         pytest.param(2, lambda par: se_kraus(par.rates(2), par.t), id="2-se_kraus"),
         (3, se_kraus_qutrit),
     ])
-    def test_matches_kron_lifting(self, mode, dim, build):
+    def test_matches_kron_lifting(self, q, dim, build):
         rng = np.random.default_rng(17 + dim)
         rho = random_density_matrix(dim * dim, rng)
         ch = build(ChannelParams(a1=1.2, a2=0.8, a3=2.1, t=0.65))
-        out = bipartite_channel(rho, ch, mode, 0.35)
-        np.testing.assert_allclose(out, kron_bipartite(rho, ch, mode, 0.35), rtol=0, atol=1e-15)
+        out = bipartite_channel(rho, ch, q)
+        np.testing.assert_allclose(out, kron_bipartite(rho, ch, q), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("stack", [None, 1, 7, 64])
-    @pytest.mark.parametrize("mode", ["A", "B", "symmetric"])
+    @pytest.mark.parametrize("q", LIFTS)
     @pytest.mark.parametrize("dim", [2, 3, 4])
-    def test_matches_einsum_contraction(self, dim, mode, stack, monkeypatch):
+    def test_matches_einsum_contraction(self, dim, q, stack, monkeypatch):
         rng = np.random.default_rng(60 + dim)
         rates = random_rates(rng, dim, undamped_first=False)
         times = rng.uniform(0.0, 6.0, stack or 1)
         ch = se_kraus(rates, times if stack else times[0])
         rho = random_density_matrix(dim * dim, rng)
-        want = einsum_bipartite(rho, ch, mode, 0.35)
+        want = einsum_bipartite(rho, ch, q)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("bipartite_channel must not call np.einsum")
 
         monkeypatch.setattr(np, "einsum", forbidden)
-        got = bipartite_channel(rho, ch, mode, 0.35)
+        got = bipartite_channel(rho, ch, q)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("mode", ["A", "B", "symmetric"])
+    @pytest.mark.parametrize("q", LIFTS)
     @pytest.mark.parametrize("dim", [2, 3, 4])
-    def test_matches_dense_superoperator(self, dim, mode):
+    def test_matches_dense_superoperator(self, dim, q):
         # S is built from the nonzero products only: the values of every product summed
         rng = np.random.default_rng(70 + dim)
         times = np.r_[0.0, rng.uniform(0.0, 8.0, 40), np.inf]  # K_m = 0 at t = 0 only
@@ -684,29 +681,28 @@ class TestBipartite:
         ]
         for shape in ((dim, dim), (13, dim, dim)):  # dense random 3-operator channels
             ops = rng.standard_normal((3, *shape)) + 1j * rng.standard_normal((3, *shape))
-            built.append(channels.KrausChannel(dim=dim, operators=tuple(ops)))
+            built.append(channels.KrausChannel(tuple(ops)))
         for ch in built:
             for rho in (werner(dim, 0.7), random_density_matrix(dim * dim, rng)):
-                for q in (0.0, 0.35, 1.0):
-                    got = bipartite_channel(rho, ch, mode, q)
-                    np.testing.assert_array_equal(got, dense_bipartite(rho, ch, mode, q))
+                got = bipartite_channel(rho, ch, q)
+                np.testing.assert_array_equal(got, dense_bipartite(rho, ch, q))
 
     def test_stack_matches_per_time_calls(self):
         rng = np.random.default_rng(18)
         rho = random_density_matrix(9, rng)
         par = ChannelParams(a2=1.4, a3=0.5)
         times = np.linspace(0.0, 4.0, 7)
-        for mode in ("A", "B", "symmetric"):
-            out = bipartite_channel(rho, se_kraus(par.rates(3), times), mode, 0.7)
+        for q in (1.0, 0.0, 0.7):
+            out = bipartite_channel(rho, se_kraus(par.rates(3), times), q)
             assert out.shape == (7, 9, 9)
             for i, t in enumerate(times):
-                single = bipartite_channel(rho, se_kraus_qutrit(par.with_time(t)), mode, 0.7)
+                single = bipartite_channel(rho, se_kraus_qutrit(par.with_time(t)), q)
                 np.testing.assert_allclose(out[i], single, rtol=0, atol=1e-15)
 
     def test_t_zero_identity(self):
         rho = werner(3, 0.7)
         ch = se_kraus_qutrit(ChannelParams(t=0.0))
-        np.testing.assert_allclose(bipartite_channel(rho, ch), rho, atol=1e-14)
+        np.testing.assert_allclose(bipartite_channel(rho, ch, 0.5), rho, atol=1e-14)
 
     def test_one_sided_scales_diagonal_correlations(self):
         # equal rates: C_jj(t) = D_jj C_jj(0) for a one-sided channel
@@ -714,8 +710,8 @@ class TestBipartite:
         par = ChannelParams(a2=a, a3=a, t=0.75)
         d_diag = np.diag(se_affine_map(par).damping)
         c0 = np.diag(correlation_matrix(max_entangled(3), 3))
-        for mode in ("A", "B"):
-            evolved = bipartite_channel(max_entangled(3), se_kraus_qutrit(par), mode)
+        for q in (1.0, 0.0):
+            evolved = bipartite_channel(max_entangled(3), se_kraus_qutrit(par), q)
             c_t = correlation_matrix(evolved, 3)
             np.testing.assert_allclose(np.diag(c_t), d_diag * c0, atol=1e-12)
 
@@ -723,24 +719,20 @@ class TestBipartite:
         rho = werner(3, 0.8)
         ch = se_kraus_qutrit(ChannelParams(a2=1.0, a3=0.4, t=0.6))
         q = 0.3
-        mixed = bipartite_channel(rho, ch, "symmetric", q)
-        direct = q * bipartite_channel(rho, ch, "A") + (1 - q) * bipartite_channel(
-            rho, ch, "B"
-        )
+        mixed = bipartite_channel(rho, ch, q)
+        direct = q * bipartite_channel(rho, ch, 1.0) + (1 - q) * bipartite_channel(rho, ch, 0.0)
         np.testing.assert_allclose(mixed, direct, atol=1e-14)
 
     def test_output_is_a_state(self):
         rho = werner(2, 0.9)
         ch = se_kraus((1.3,), 0.8)
-        out = bipartite_channel(rho, ch, "symmetric", 0.25)
+        out = bipartite_channel(rho, ch, 0.25)
         assert_is_state(out)
 
-    def test_rejects_bad_mode_and_shape(self):
+    def test_rejects_bad_shape_and_weight(self):
         ch = se_kraus_qutrit(ChannelParams(t=0.5))
         with pytest.raises(ValueError):
-            bipartite_channel(werner(3, 0.5), ch, mode="C")
-        with pytest.raises(ValueError):
-            bipartite_channel(werner(2, 0.5), ch)
+            bipartite_channel(werner(2, 0.5), ch, 0.5)
         with pytest.raises(ValueError):
             bipartite_channel(werner(3, 0.5), ch, q=1.1)
 
@@ -851,3 +843,25 @@ class TestEveryArmCount:
         out = lindblad_evolve(rho, par, steps=1200)
         np.testing.assert_array_equal(out, channels._rk4_power(rho, (0.8,), 1.2, 1200))
         assert np.max(np.abs(out - apply_kraus(rho, se_kraus((0.8,), 1.2)))) <= 1e-6
+
+
+class TestKrausChannelDim:
+    """``KrausChannel.dim`` is read off the operators, so the two cannot disagree."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_emission_channel(self, dim):
+        for t in (0.9, [0.0, 0.9, np.inf]):
+            ch = se_kraus(ARM_RATES[dim], t)
+            assert ch.dim == dim == ch.operators[0].shape[-1]
+
+    @pytest.mark.parametrize("shape", [(6, 6), (4, 6, 6)])
+    def test_dense_random_channel(self, shape):
+        rng = np.random.default_rng(41)
+        ops = rng.standard_normal((3, *shape)) + 1j * rng.standard_normal((3, *shape))
+        assert channels.KrausChannel(tuple(ops)).dim == 6
+
+    def test_rejects_a_dim_keyword(self):
+        # a dim given apart from the operators could disagree with them
+        ops = np.zeros((3, 6, 6), dtype=complex)
+        with pytest.raises(TypeError):
+            channels.KrausChannel(dim=2, operators=tuple(ops))

@@ -137,7 +137,7 @@ class TestCurves:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 2: t = (a1*t)/a1 overflows to inf and decays an arm of finite a*t",
+        reason="ROADMAP item 4: t = (a1*t)/a1 overflows to inf and decays an arm of finite a*t",
     )
     def test_overflowing_time_keeps_a_slow_arm(self, capsys):
         # a1*t = 1e120 at a1 = 1e-200 is t = 1e320, past the largest float, yet
@@ -174,6 +174,16 @@ class TestThreshold:
         assert rep["preservation_inequality"] == "undefined"
         assert rep["qutrit_preserves_longer"] == "false"
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 4: crossing_time stops at an absolute residual |s - 1/3| <= 1e-10",
+    )
+    def test_crossing_near_zero_keeps_nine_digits(self, capsys):
+        # just above p = 1/3 the qubit crossing is a1*t = 2.49e-4, where s falls
+        # by about 2p/3 per unit a1*t: a residual of 1e-10 leaves the 6th digit free
+        assert main(["threshold", "--p", "0.3333886963016026"]) == 0
+        rep = parse_report(capsys.readouterr().out)
+        assert rep["t_cross_qubit"] == rep["t_qubit_closed"]
 
     def test_undamped_arm_never_crosses(self, capsys):
         # a zero rate is an undamped arm, as is a rate too small to act

@@ -329,9 +329,12 @@ class TestBlockSplit:
         for k in range(members):
             np.testing.assert_array_equal(eigs[k], whole_matrix_eigenvalues(stack[k]))
 
-    @pytest.mark.parametrize("mode", ["A", "B", "symmetric"])
+    # q = 1 lifts the channel to A only and q = 0 to B only; None draws a mixing weight
+    @pytest.mark.parametrize("q", [
+        pytest.param(1.0, id="A"), pytest.param(0.0, id="B"), pytest.param(None, id="symmetric"),
+    ])
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_werner_partial_transpose_splits_into_pairs(self, d, mode):
+    def test_werner_partial_transpose_splits_into_pairs(self, d, q):
         # ROADMAP item 1: a Werner state under emission has nonzero entries only
         # at <ij|rho|ij> and <ii|rho|jj>, so its partial transpose has d blocks
         # of size 1 and d(d-1)/2 blocks of size 2 on {|ij>, |ji>}
@@ -340,12 +343,13 @@ class TestBlockSplit:
         inside = np.zeros((d * d, d * d), dtype=bool)
         for block in expected:
             inside[np.ix_(block, block)] = True
-        rng = np.random.default_rng(100 * d + len(mode))
+        rng = np.random.default_rng(100 * d + (9 if q is None else 1))
         for _ in range(20):
             rates = rng.uniform(0.0, 5.0, d - 1) * (rng.random(d - 1) < 0.7)  # zeros too
             times = np.r_[0.0, rng.uniform(0.0, 10.0, 4)]
-            p, q = rng.uniform(0.05, 1.0), rng.uniform()
-            rho = bipartite_channel(werner(d, p), se_kraus(rates, times), mode, q)
+            p, q_drawn = rng.uniform(0.05, 1.0), rng.uniform()
+            q_mix = q_drawn if q is None else q
+            rho = bipartite_channel(werner(d, p), se_kraus(rates, times), q_mix)
             pt = partial_transpose(rho, d, d)
             assert linalg._blocks(pt) == expected
             for member in pt:
@@ -360,7 +364,7 @@ class TestPartialTranspose:
         expected = np.zeros((4, 4))
         expected[0, 0] = expected[3, 3] = 0.5
         expected[1, 2] = expected[2, 1] = 0.5
-        pt = partial_transpose(max_entangled(2), 2, 2, side="B")
+        pt = partial_transpose(max_entangled(2), 2, 2)
         np.testing.assert_allclose(pt, expected, atol=1e-15)
         eigs = hermitian_eigenvalues(pt)
         np.testing.assert_allclose(eigs, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
@@ -379,34 +383,20 @@ class TestPartialTranspose:
     def test_involution(self):
         rng = np.random.default_rng(22)
         rho = random_density_matrix(6, rng)
-        for side in ("A", "B"):
-            back = partial_transpose(partial_transpose(rho, 2, 3, side), 2, 3, side)
-            np.testing.assert_array_equal(back, rho)
-
-    def test_side_independent_spectrum(self):
-        rng = np.random.default_rng(23)
-        dims = [(2, 2), (2, 3), (3, 3)]
-        for k in range(50):
-            da, db = dims[k % 3]
-            rho = random_density_matrix(da * db, rng)
-            ea = hermitian_eigenvalues(partial_transpose(rho, da, db, "A"))
-            eb = hermitian_eigenvalues(partial_transpose(rho, da, db, "B"))
-            np.testing.assert_allclose(ea, eb, atol=1e-10)
+        back = partial_transpose(partial_transpose(rho, 2, 3), 2, 3)
+        np.testing.assert_array_equal(back, rho)
 
     def test_stack_matches_per_matrix(self):
         rng = np.random.default_rng(24)
         rhos = np.stack([random_density_matrix(6, rng) for _ in range(4)])
-        for side in ("A", "B"):
-            stacked = partial_transpose(rhos, 2, 3, side)
-            assert stacked.shape == (4, 6, 6)
-            for k in range(4):
-                np.testing.assert_array_equal(stacked[k], partial_transpose(rhos[k], 2, 3, side))
+        stacked = partial_transpose(rhos, 2, 3)
+        assert stacked.shape == (4, 6, 6)
+        for k in range(4):
+            np.testing.assert_array_equal(stacked[k], partial_transpose(rhos[k], 2, 3))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             partial_transpose(np.eye(5) / 5, 2, 2)
-        with pytest.raises(ValueError):
-            partial_transpose(np.eye(4) / 4, 2, 2, side="C")
 
 
 def test_random_density_matrix_is_state():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qutrit_se.analysis import fidelity_from_state
 from qutrit_se.linalg import hermitian_eigenvalues, partial_transpose
 from qutrit_se.states import correlation_matrix, max_entangled, werner
 
@@ -87,3 +88,13 @@ def test_correlation_matrix_linear_in_state():
 def test_correlation_matrix_shape_check():
     with pytest.raises(ValueError):
         correlation_matrix(np.eye(4) / 4, 3)
+
+
+def test_one_two_qudit_shape_rule():
+    # correlation_matrix and analysis.fidelity_from_state share the check and its message
+    messages = set()
+    for read in (correlation_matrix, fidelity_from_state):
+        with pytest.raises(ValueError) as err:
+            read(np.eye(4) / 4, 3)
+        messages.add(str(err.value))
+    assert messages == {"expected shape (9, 9), got (4, 4)"}

@@ -19,7 +19,12 @@ from qutrit_se.analysis import (
     s_from_state,
 )
 from qutrit_se.channels import ChannelParams, se_kraus
-from qutrit_se.linalg import NonHermitianError, dagger, random_density_matrix
+from qutrit_se.linalg import (
+    NonHermitianError,
+    dagger,
+    hermitian_eigenvalues,
+    random_density_matrix,
+)
 from qutrit_se.states import correlation_matrix, max_entangled, werner
 from qutrit_se.su import (
     atom_vars_to_bloch,
@@ -194,6 +199,22 @@ class TestBlochMaps:
             density_to_bloch(np.array([[0.5, 0.5], [0.0, 0.5]]))
         with pytest.raises(ValueError):
             density_to_bloch(np.eye(3))  # trace 3
+
+    def test_one_hermiticity_rule_with_the_eigensolver(self):
+        # density_to_bloch and hermitian_eigenvalues share the check, its 1e-10
+        # tolerance and its message
+        for defect, accepted in ((0.5e-10, True), (1.5e-10, False)):
+            rho = np.array([[0.5, 0.1], [0.1 + defect, 0.5]], dtype=complex)
+            if accepted:
+                assert density_to_bloch(rho).shape == (3,)
+                assert hermitian_eigenvalues(rho).shape == (2,)
+                continue
+            messages = set()
+            for check in (density_to_bloch, hermitian_eigenvalues):
+                with pytest.raises(NonHermitianError) as err:
+                    check(rho)
+                messages.add(str(err.value))
+            assert messages == {"matrix deviates from Hermitian by 1.500e-10"}
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix_fails_closed(self, bad):
