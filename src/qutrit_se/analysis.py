@@ -12,13 +12,14 @@ Two independent routes are provided for every headline quantity:
 The indicator s(t) for a Werner input with weight p starts at s(0) = p and
 decays monotonically. While it exceeds 1/(d+1), 1/3 (two qubits) or 1/4 (two
 qutrits), it certifies entanglement (de Vicente's correlation-matrix
-criterion); once below, it certifies nothing, and the state may still be
-entangled. The time at which s falls to 1/(d+1) is the indicator crossing.
+criterion); once at or below, it certifies nothing, and the state may still
+be entangled. The time at which s falls to 1/(d+1) is the indicator crossing.
 
 ``indicator_closed(p, rates, t)`` and ``fidelity_closed(rates, t)`` serve
-every d: they take the tuple of the d - 1 arm rates. With h_k = exp(-a_k t/2),
-s_d = p/(d^2-1) sum_k h_k (h_k + 2 + 2 sum_{j<k} h_j) and
-F_d = (1 + sum_k h_k)^2/d^2, for a scalar t or a whole time grid at once.
+every d: they take the tuple of the d - 1 arm rates. With h_k = exp(-a_k t/2)
+and H = sum_k h_k, s_d = p H (H + 2)/(d^2-1) (the paper's
+sum_k h_k (h_k + 2 + 2 sum_{j<k} h_j), expanded) and F_d = (1 + H)^2/d^2,
+for a scalar t or a whole time grid at once.
 """
 
 from __future__ import annotations
@@ -74,12 +75,9 @@ _HAAR_BLOCK = 8192
 
 
 def _indicator(p: float, h: list):
-    # s_d = p/(d^2-1) sum_k h_k (h_k + 2 + 2 sum_{j<k} h_j), d - 1 = len(h)
-    total, below = 0.0, 0.0
-    for hk in h:
-        total = total + hk * (hk + 2.0 + 2.0 * below)
-        below = below + hk
-    return p / (len(h) * (len(h) + 2)) * total
+    # s_d = p H (H + 2)/(d^2-1) with H = sum_k h_k, d - 1 = len(h)
+    arm_sum = sum(h)
+    return p / (len(h) * (len(h) + 2)) * (arm_sum * (arm_sum + 2.0))
 
 
 def _checked_factors(rates, t) -> list:
@@ -117,34 +115,34 @@ def fidelity_from_state(rho: np.ndarray, d: int) -> float:
 
 
 def crossing_time(f: Callable[[float], float], threshold: float) -> Optional[float]:
-    """First time a nonincreasing f(t) reaches ``threshold``, by bisection.
+    """First time a nonincreasing f(t) stops being above ``threshold``, by bisection.
 
-    Returns None when f(0) is already below the threshold. A bracket is found
-    by doubling from t = 1, and math.inf is returned when f stays at or above
-    the threshold up to t = 2^60. Bisection stops once |f - threshold| <= 1e-10,
-    and raises ValueError when the bracket can no longer be halved in floating
-    point before that.
+    One rule decides every comparison: f(t) > threshold is "still above".
+    Returns None when f(0) is not above the threshold. A bracket is found by
+    doubling from t = 1, and math.inf is returned when f stays above the
+    threshold up to t = 2^60. The bracket [lo, hi], f(lo) above and f(hi)
+    not, is halved until hi - lo <= 1e-12 hi, and its midpoint is returned;
+    ValueError is raised when the bracket can no longer be halved in
+    floating point before that (a crossing below the smallest float).
     """
-    if f(0.0) < threshold:
+    if not f(0.0) > threshold:
         return None
     lo, hi = 0.0, 1.0
-    while f(hi) >= threshold:
+    while f(hi) > threshold:
         hi *= 2.0
         if hi > 2.0**60:
             return math.inf
-    while True:
+    while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             raise ValueError(
                 f"crossing not resolved in floating point: bracket [{lo!r}, {hi!r}]"
             )
-        val = f(mid)
-        if abs(val - threshold) <= 1e-10:
-            return mid
-        if val > threshold:
+        if f(mid) > threshold:
             lo = mid
         else:
             hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _qubit_alpha(p: float) -> float:
@@ -304,7 +302,7 @@ def check_time_unit(a1: float) -> None:
 def indicator_crossing(p: float, params: ChannelParams, d: int) -> Optional[float]:
     """a1*t at which the d-level pair's indicator s_d reaches 1/(d+1).
 
-    None when the pair is separable at t = 0, math.inf when s_d stays above
+    None when s_d(0) = p is not above 1/(d+1), math.inf when s_d stays above
     the threshold up to a1*t = 2^60, as an undamped (zero-rate) qutrit arm
     can make it. a1 must pass ``check_time_unit``.
     """
@@ -329,9 +327,7 @@ def indicator_crossings(p: float, params: ChannelParams) -> tuple:
     return cross_qb, cross_qt, longer
 
 
-def separability_report(
-    p: float, params: ChannelParams, t_max: float = 5.0, steps: int = 500
-) -> np.ndarray:
+def separability_report(p: float, params: ChannelParams, t_max: float, steps: int) -> np.ndarray:
     """Both species' indicator curves over a1*t in [0, t_max], as the rows of ``curves``.
 
     Returns a (steps + 1, 7) array with columns (a1*t, s_qubit, s_qutrit,

@@ -192,7 +192,7 @@ def _validate_checks(seed: int):
 
     t_closed = analysis.qubit_crossing_closed(1.0)
     t_bisect = analysis.indicator_crossing(1.0, ChannelParams(), 2)
-    yield "qubit_crossing_closed_vs_bisection", abs(t_closed - t_bisect), 1e-8
+    yield "qubit_crossing_closed_vs_bisection", abs(t_closed - t_bisect), 1e-11
 
 
 def run_validate(args: argparse.Namespace, out) -> int:

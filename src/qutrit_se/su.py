@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _REALNESS_TOL = 1e-12
+_PURITY_TOL = 1e-10
 
 
 def structure_constants(generators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,14 +183,14 @@ def star_product(n: np.ndarray, m: np.ndarray) -> np.ndarray:
     return basis.bloch_norm / (basis.dim - 2) * np.einsum("ijk,j,k->i", basis.d, n, m)
 
 
-def is_pure_bloch(n: np.ndarray, tol: float = 1e-10) -> bool:
-    """Purity test: |n|^2 = 1, and for d >= 3 also n * n = n, within tol."""
+def is_pure_bloch(n: np.ndarray) -> bool:
+    """Purity test: |n|^2 = 1, and for d >= 3 also n * n = n, within 1e-10."""
     n = np.asarray(n, dtype=float)
     basis = _basis_for_bloch(n)
-    if not abs(n @ n - 1.0) <= tol:  # a NaN norm fails too
+    if not abs(n @ n - 1.0) <= _PURITY_TOL:  # a NaN norm fails too
         return False
     # the qubit's d tensor vanishes, so |n| = 1 is its only condition
-    return not basis.d.any() or bool(np.max(np.abs(star_product(n, n) - n)) <= tol)
+    return not basis.d.any() or bool(np.max(np.abs(star_product(n, n) - n)) <= _PURITY_TOL)
 
 
 def atom_vars_to_bloch(

@@ -8,6 +8,7 @@ Hand-derived anchors used below:
   F_qutrit(t=1, A=1) = (1 + 2 e^{-1/2})^2 / 9 = 0.54418226705958...
 """
 
+import decimal
 import math
 import tracemalloc
 import warnings
@@ -150,6 +151,24 @@ class TestSharedCore:
         np.testing.assert_array_equal(h2, np.ones_like(t))
         assert np.ravel(h3)[-1] == 0.0
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_arm_sum_is_the_papers_nested_sum(self, d):
+        # s_d = p H (H + 2)/(d^2-1), H = sum_k h_k, expands to the paper's
+        # sum_k h_k (h_k + 2 + 2 sum_{j<k} h_j): equal to a few ulps, bitwise for d = 2
+        rng = np.random.default_rng(100 + d)
+        for _ in range(40):
+            rates = tuple(np.exp(rng.uniform(np.log(0.05), np.log(40.0), d - 1)))
+            h = channels._arm_factors(rates, self.TIMES)
+            total, below = 0.0, 0.0
+            for hk in h:
+                total = total + hk * (hk + 2.0 + 2.0 * below)
+                below = below + hk
+            want = 1.0 / (d * d - 1) * total
+            got = indicator_closed(1.0, rates, self.TIMES)
+            if d == 2:
+                np.testing.assert_array_equal(got, want)
+            assert np.max(np.abs(got - want) / np.spacing(want)) <= 8
+
     def test_fidelity_is_the_per_species_expression(self):
         # F keeps its per-species summation order, so it matches bit for bit
         par = ChannelParams(a1=1.3, a2=0.6, a3=2.2)
@@ -239,6 +258,9 @@ class TestCrossings:
 
     def test_below_threshold_returns_none(self):
         assert crossing_time(lambda t: indicator_closed(0.2, (1.0, 1.0), t), 0.25) is None
+        # s_d(0) = p = 1/(d+1) certifies nothing either: no crossing at t = 0+
+        for d in (2, 3):
+            assert indicator_crossing(1.0 / (d + 1), ChannelParams(), d) is None
 
     def test_residual_within_tolerance(self):
         f = lambda t: indicator_closed(1.0, (1.0, 1.0), t)
@@ -279,7 +301,7 @@ class TestCrossings:
                 with pytest.raises(ValueError, match="a1 must be above"):
                     indicator_crossing(0.9, par, d)
             with pytest.raises(ValueError, match="a1 must be above"):
-                separability_report(0.9, par, steps=4)
+                separability_report(0.9, par, t_max=5.0, steps=4)
         # just above the bound the crossing in a1*t units is still the closed form
         tau = indicator_crossing(0.9, ChannelParams(a1=6.5e-291), 2)
         assert abs(tau - qubit_crossing_closed(0.9)) <= 1e-7
@@ -319,13 +341,64 @@ class TestCrossings:
             par = ChannelParams(a2=c * rates[0], a3=c * rates[1])
             assert abs(c * indicator_crossing(0.9, par, 3) - base) <= 1e-8 * base, c
 
+    def test_step_is_found_to_a_relative_bracket(self):
+        # the bracket, not a residual, stops the search: a jump is found too
+        t_star = crossing_time(lambda t: 1.0 if t <= 0.3 else 0.0, 0.5)
+        assert abs(t_star - 0.3) <= 1e-12 * 0.3
+
+    def test_crossings_are_correctly_rounded(self):
+        # every crossing prints the 9-digit rounding of a 40-digit reference
+        rng = np.random.default_rng(19)
+        wrong = []
+        for _ in range(200):
+            p = float(rng.uniform(0.26, 1.0))
+            a1, a2, a3 = (float(a) for a in np.exp(rng.uniform(np.log(0.2), np.log(5.0), 3)))
+            par = ChannelParams(a1=a1, a2=a2, a3=a3)
+            for d in (2, 3):
+                got = indicator_crossing(p, par, d)
+                want = decimal_crossing(p, [a / a1 for a in par.rates(d)])
+                assert (got is None) == (want is None)
+                if got is not None and decimal.Decimal(format(got, ".9g")) != want:
+                    wrong.append((p, par, d, got, want))
+        assert not wrong
+
     def test_unresolvable_crossing_raises(self):
-        # a jump larger than the 1e-10 stopping rule can never be met: no midpoint is returned
-        with pytest.raises(ValueError, match="not resolved"):
-            crossing_time(lambda t: 1.0 if t <= 0.3 else 0.0, 0.5)
         # crossing below the smallest subnormal a1*t
         with pytest.raises(ValueError, match="not resolved"):
             indicator_crossing(1.0, ChannelParams(a1=1e-200, a2=1e308, a3=1e308), 3)
+
+
+def decimal_crossing(p: float, ratios: list) -> decimal.Decimal | None:
+    """a1*t at which the paper's nested-sum s_d reaches 1/(d+1), to 9 digits.
+
+    Bisects at 40 digits on the exact float inputs, with the rate ratios
+    a_k/a1, down to a bracket of 1e-30 relative; None when s_d(0) = p is not
+    above the threshold.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        D = decimal.Decimal
+        p, ratios = D(p), [D(r) for r in ratios]
+        threshold = 1 / D(len(ratios) + 2)
+
+        def above(tau):
+            total, below = D(0), D(0)
+            for r in ratios:
+                hk = (-r * tau / 2).exp()
+                total += hk * (hk + 2 + 2 * below)
+                below += hk
+            return p * total / (len(ratios) * (len(ratios) + 2)) > threshold
+
+        if not above(D(0)):
+            return None
+        lo, hi = D(0), D(1)
+        while above(hi):
+            hi *= 2
+        while hi - lo > D("1e-30") * hi:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if above(mid) else (lo, mid)
+        ctx.prec = 9
+        return +hi
 
 
 class TestWernerWeight:
@@ -343,14 +416,14 @@ class TestWernerWeight:
         with pytest.raises(ValueError, match="Werner weight"):
             indicator_crossings(p, ChannelParams())
         with pytest.raises(ValueError, match="Werner weight"):
-            separability_report(p, ChannelParams(), steps=4)
+            separability_report(p, ChannelParams(), t_max=5.0, steps=4)
 
     def test_rejected_before_the_grid_is_built(self):
         # each column of a 10^7-point grid takes 80 MB; a bad p must not pay for it
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="Werner weight"):
-                separability_report(2.0, ChannelParams(), steps=10**7)
+                separability_report(2.0, ChannelParams(), t_max=5.0, steps=10**7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -601,11 +674,11 @@ class TestReport:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            separability_report(1.2, ChannelParams())
+            separability_report(1.2, ChannelParams(), t_max=5.0, steps=500)
         with pytest.raises(ValueError):
-            separability_report(0.5, ChannelParams(), steps=1)
+            separability_report(0.5, ChannelParams(), t_max=5.0, steps=1)
         with pytest.raises(ValueError):
-            separability_report(0.5, ChannelParams(), t_max=0.0)
+            separability_report(0.5, ChannelParams(), t_max=0.0, steps=500)
 
     @pytest.mark.parametrize("t_max", [math.nan, math.inf])
     def test_non_finite_t_max_is_rejected(self, t_max):
@@ -656,7 +729,7 @@ class TestReport:
 
         for name in ("eig", "eigh", "eigvals", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, forbidden)
-        rows = separability_report(0.9, ChannelParams(q=0.2), steps=70)
+        rows = separability_report(0.9, ChannelParams(q=0.2), t_max=5.0, steps=70)
         assert rows.shape == (71, 7) and rows[0, 6] > 0.5
 
     def test_reads_kraus_coefficients_at_call_time(self, monkeypatch):
@@ -669,7 +742,7 @@ class TestReport:
             return good(rates, t)
 
         monkeypatch.setattr(channels, "_kraus_operators", recorded)
-        separability_report(1.0, ChannelParams(), steps=analysis.GRID_CHUNK + 6)
+        separability_report(1.0, ChannelParams(), t_max=5.0, steps=analysis.GRID_CHUNK + 6)
         assert seen == [(analysis.GRID_CHUNK,), (7,)]
 
     @pytest.mark.parametrize("q", [0.0, 0.3, 1.0])
@@ -693,7 +766,7 @@ class TestReport:
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            separability_report(0.83, par, steps=2000)
+            separability_report(0.83, par, t_max=5.0, steps=2000)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

@@ -174,16 +174,25 @@ class TestThreshold:
         assert rep["preservation_inequality"] == "undefined"
         assert rep["qutrit_preserves_longer"] == "false"
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 4: crossing_time stops at an absolute residual |s - 1/3| <= 1e-10",
-    )
     def test_crossing_near_zero_keeps_nine_digits(self, capsys):
-        # just above p = 1/3 the qubit crossing is a1*t = 2.49e-4, where s falls
-        # by about 2p/3 per unit a1*t: a residual of 1e-10 leaves the 6th digit free
+        # just above p = 1/3 the qubit crossing is a1*t = 2.49e-4; the relative
+        # bracket keeps its 9 digits where an absolute residual would not
         assert main(["threshold", "--p", "0.3333886963016026"]) == 0
         rep = parse_report(capsys.readouterr().out)
-        assert rep["t_cross_qubit"] == rep["t_qubit_closed"]
+        assert rep["t_cross_qubit"] == rep["t_qubit_closed"] == "0.000249115256"
+
+    @pytest.mark.parametrize(
+        "p, qubit, qutrit",
+        [("0.3333333333333333", "separable_at_t0", "0.389900353"),
+         ("0.25", "separable_at_t0", "separable_at_t0")],
+    )
+    def test_start_at_the_threshold_is_separable(self, capsys, p, qubit, qutrit):
+        # s_d(0) = p = 1/(d+1) certifies nothing, so there is no crossing to find
+        assert main(["threshold", "--p", p]) == 0
+        rep = parse_report(capsys.readouterr().out)
+        assert rep["t_cross_qubit"] == qubit and rep["t_cross_qutrit"] == qutrit
+        assert rep["t_qubit_closed"] == "separable_at_t0"
+        assert rep["qutrit_preserves_longer"] == str(qutrit != "separable_at_t0").lower()
 
     def test_undamped_arm_never_crosses(self, capsys):
         # a zero rate is an undamped arm, as is a rate too small to act

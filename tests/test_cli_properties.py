@@ -6,8 +6,9 @@ and every ``haar``/``validate`` command line with small integer
 ``--samples``/``--seed`` values, must exit with 0 or 2, never raise, and on
 exit 2 print exactly one stderr line starting with ``error:`` and nothing on
 stdout. An ``--output`` path under a missing directory must end in exit 2.
-An answered ``threshold`` with p > 1/3 must also print the closed-form qubit
-crossing time.
+An answered ``threshold`` must print ``separable_at_t0`` for each species
+whose pair starts at or below 1/(d+1), and with p > 1/3 the closed-form
+qubit crossing time, digit for digit, as its bisected qubit crossing.
 """
 
 import io
@@ -19,7 +20,6 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qutrit_se.analysis import qubit_crossing_closed
 from qutrit_se.cli import main
 
 EDGE = [0.0, -0.0, -1.0, -2.5, 1e-300, 5e-324, 1e308, float("nan"), float("inf"), float("-inf")]
@@ -70,6 +70,8 @@ def run(argv):
 @example(["threshold", "--a1=1e-200", "--a2=1e308", "--a3=1e308"])
 @example(["curves", "--t-max=1e308", "--a1=0.5", "--steps=4"])
 @example(["haar", "--samples=100", f"--output={MISSING_DIR_OUTPUT}"])
+@example(["threshold", "--p=0.3333333333333333"])
+@example(["threshold", "--p=0.25"])
 def test_answer_or_one_line_error(argv):
     code, out, err = run(argv)
     assert code in (0, 2)
@@ -82,7 +84,11 @@ def test_answer_or_one_line_error(argv):
         assert out
     assert code == 2 or not any(arg.startswith("--output=") for arg in argv)
     p = next((float(arg[len("--p="):]) for arg in argv if arg.startswith("--p=")), 1.0)
-    if argv[0] == "threshold" and code == 0 and p > 1.0 / 3.0:
-        # in a1*t units the qubit crossing depends on p only
+    if argv[0] == "threshold" and code == 0:
         keys = dict(line.split("=", 1) for line in out.splitlines())
-        assert abs(float(keys["t_cross_qubit"]) - qubit_crossing_closed(p)) <= 1e-7, out
+        for name, d in (("qubit", 2), ("qutrit", 3)):
+            # a pair that starts at or below 1/(d+1) certifies nothing at t = 0
+            assert p > 1.0 / (d + 1) or keys[f"t_cross_{name}"] == "separable_at_t0", out
+        if p > 1.0 / 3.0:
+            # in a1*t units the qubit crossing depends on p only
+            assert keys["t_cross_qubit"] == keys["t_qubit_closed"], out
