@@ -31,7 +31,14 @@ import numpy as np
 
 from .channels import ChannelParams, _arm_factors, _check_arms, bipartite_channel, se_kraus
 from .linalg import hermitian_eigenvalues, partial_transpose
-from .states import _check_weight, _two_qudit_state, correlation_matrix, max_entangled, werner
+from .states import (
+    _check_weight,
+    _two_qudit_state,
+    _werner,
+    correlation_matrix,
+    max_entangled,
+    werner,
+)
 from .su import generator_basis
 
 __all__ = [
@@ -55,11 +62,12 @@ __all__ = [
 # Time points per batched negativity step of ``separability_report``: the
 # per-call cost of ``bipartite_channel`` and the stacked Jacobi is shared by a
 # chunk, and a chunk's (T, 9, 9) temporaries set the peak memory of long grids.
-# Sweep (2-core x86-64, numpy 2.4.6; median over 16 interleaved rounds of ms for
-# three reports of 50, 316 and 2000 steps, then median peak RSS of three such
-# `curves` runs above the import): 64: 58.5 ms, +2.7 MB; 128: 39.7 ms, +3.2 MB;
-# 256: 30.4 ms, +3.8 MB; 512: 26.8 ms, +6.1 MB. 512 would buy about 12% more
-# speed with 2.2 MB more memory.
+# 512 against 256 (2-core x86-64, numpy 2.4.6; in-process A/B alternated per
+# task over 30 seeded `curves` tasks at 50, 316 and 2000 steps, 5 repetitions,
+# summed rung medians, two seeds): 7.5% and 9.1% less time, but 2.0 MB more peak
+# RSS for a 2000-step `curves` run (64: +2.0 MB above the import, 256: +3.6 MB,
+# 512: +5.6 MB), and a traced peak of 3.27 MB against 1.71 MB for a 2000-step
+# report, above the bound that test_peak_memory_of_a_long_grid keeps.
 GRID_CHUNK = 256
 
 # Samples per block of ``haar_bloch_vectors``: a block's normalisation and
@@ -189,21 +197,28 @@ def ppt_threshold(d: int) -> float:
     """Werner weight where the partial-transpose spectrum turns negative.
 
     Pure bisection on the measured negativity, to a bracket of 1e-6 in p — no
-    closed form enters, so this is an independent check of 1/(d+1).
+    closed form enters, so this is an independent check of 1/(d+1). The 20
+    halvings run in rounds of four: a round measures the bracket's 15
+    interior points lo + i (hi - lo)/16, every midpoint its four halvings can
+    ask for, with one stacked negativity call, and then halves from that
+    table. The points are exact binary fractions, so the result is that of
+    halving one point at a time.
     """
-
-    def entangled(p: float) -> bool:
-        return negativity(werner(d, p), d) > 1e-9
-
-    lo, hi = 0.0, 1.0
-    if not entangled(hi):
+    if not negativity(werner(d, 1.0), d) > 1e-9:
         raise ValueError("Werner state at p=1 measured separable; no threshold")
+    lo, hi = 0.0, 1.0
     while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if entangled(mid):
-            hi = mid
-        else:
-            lo = mid
+        step = (hi - lo) / 16
+        weights = lo + step * np.arange(1, 16)
+        entangled = negativity(_werner(d, weights[:, None, None]), d) > 1e-9
+        below, above = 0, 16  # the bracket in steps from lo
+        for _ in range(4):
+            mid = (below + above) // 2
+            if entangled[mid - 1]:
+                above = mid
+            else:
+                below = mid
+        lo, hi = lo + below * step, lo + above * step
     return 0.5 * (lo + hi)
 
 

@@ -316,9 +316,11 @@ def bipartite_channel(rho: np.ndarray, channel: KrausChannel, q: float) -> np.nd
     operator order. Within one k the targets (a, z, x, y) are distinct, so S
     holds the values of the sum over every product; a skipped product is an
     exact zero. Side A is then one matrix product S M_A over all times at
-    once, with M_A[(x, y), (b, c)] = rho[(x, b), (y, c)], read back with axes
-    (a, b), (z, c) as the q-mix writes it; side B is the same with rho's B
-    indices.
+    once, with M_A[(x, y), (b, c)] = rho[(x, b), (y, c)]; side B is the same
+    with rho's B indices. The q-mix moves each side's product into the output
+    layout ((a, b), (z, c)) with one gather (``np.take``) along a permutation
+    cached per d, scales it in place by q or 1 - q and adds the two: the same
+    multiplications and additions as weighing the permuted products directly.
     """
     rho = np.asarray(rho, dtype=complex)
     dim = channel.dim
@@ -344,10 +346,28 @@ def bipartite_channel(rho: np.ndarray, channel: KrausChannel, q: float) -> np.nd
     tensor = rho.reshape(dim, dim, dim, dim)  # (a, b, a', b'), A slow
     # S M in term, where the rows (x, y) of M are rho's indices on the acted-on side
     m_a, m_b = tensor.transpose(0, 2, 1, 3), tensor.transpose(1, 3, 0, 2)
+    gather_a, gather_b = _mix_gathers(dim)
+    flat_term, flat_sup = term.reshape(len(term), -1), sup.reshape(len(sup), -1)
     np.matmul(sup.reshape(-1, n), m_a.reshape(n, n), out=term.reshape(-1, n))
-    # the q-mix writes the permuted products: (a, z, b, c) -> (a, b, z, c)
-    out = np.multiply(term.swapaxes(-3, -2), q, out=np.empty_like(sup))
+    # the q-mix gathers the products into the output layout, then weighs them;
+    # mode="clip" lets take write into out without buffering a copy
+    out = np.take(flat_term, gather_a, axis=1, out=np.empty_like(flat_sup), mode="clip")
+    out *= q
     np.matmul(sup.reshape(-1, n), m_b.reshape(n, n), out=term.reshape(-1, n))
-    # sup is free after the B product: (b, z, a, c) -> (a, b, c, z)
-    out += np.multiply(np.moveaxis(term, -2, -4).swapaxes(-2, -1), 1.0 - q, out=sup)
+    # sup is free after the B product
+    side_b = np.take(flat_term, gather_b, axis=1, out=flat_sup, mode="clip")
+    side_b *= 1.0 - q
+    out += side_b
     return out.reshape(lead + rho.shape)
+
+
+@functools.lru_cache(maxsize=8)
+def _mix_gathers(dim: int) -> tuple:
+    # flat positions in the side-A and side-B products (rows of S M) of each
+    # output entry ((a, b), (z, c)): side A's product holds it at (a, z, b, c),
+    # side B's at (b, c, a, z); read-only, as they are shared by every call
+    pos = np.arange(dim**4).reshape((dim,) * 4)
+    gathers = pos.transpose(0, 2, 1, 3).ravel(), pos.transpose(2, 0, 3, 1).ravel()
+    for gather in gathers:
+        gather.flags.writeable = False
+    return gathers

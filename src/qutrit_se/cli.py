@@ -51,9 +51,13 @@ def run_curves(args: argparse.Namespace, out) -> int:
     params = ChannelParams(a1=args.a1, a2=args.a2, a3=args.a3, q=args.q)
     rows = analysis.separability_report(args.p, params, t_max=args.t_max, steps=args.steps)
     out.write("t,s_qubit,s_qutrit,F_qubit,F_qutrit,neg_qubit,neg_qutrit\n")
-    # "%.9g" formats a float exactly as _fmt does, -0 and inf included
+    # "%.9g" formats a float exactly as _fmt does, -0 and inf included; one
+    # % call per block of rows, not per row, and a block, not the whole
+    # table, so the formatted text adds no more than a block to peak memory
     row = ",".join(["%.9g"] * rows.shape[1]) + "\n"
-    out.write("".join(row % tuple(values) for values in rows.tolist()))
+    for lo in range(0, len(rows), analysis.GRID_CHUNK):
+        block = rows[lo : lo + analysis.GRID_CHUNK]
+        out.write((row * len(block)) % tuple(block.ravel().tolist()))
     return 0
 
 

@@ -24,6 +24,7 @@ B-index k.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -103,15 +104,15 @@ def hermitian_eigenvalues(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     eigenvalues are bitwise those of a call on that member alone.
 
     The sweeps run block by block: the indices split into the connected
-    components of the nonzero pattern the stack shares (``_blocks``). The
-    Hermiticity check and the symmetrisation read only the blocks' entries,
-    and each block size s is swept as one stacked (members, blocks, s, s)
-    array. A member stays active while any of its blocks has an off-diagonal
-    entry above tol, so every rotation of the whole-matrix sweep is made:
-    rotations in different blocks touch disjoint rows and columns, which meet
-    only in exact zeros, and each eigenvalue keeps its bits (a zero
-    eigenvalue may change sign where the input holds a -0.0). A dense matrix
-    is the one-block case.
+    components of the nonzero pattern the stack shares (``_blocks``), whose
+    gather layout is cached per pattern (``_layout``). The Hermiticity check
+    and the symmetrisation read only the blocks' entries, and each block size
+    s is swept as one stacked (members, blocks, s, s) array. A member stays
+    active while any of its blocks has an off-diagonal entry above tol, so
+    every rotation of the whole-matrix sweep is made: rotations in different
+    blocks touch disjoint rows and columns, which meet only in exact zeros,
+    and each eigenvalue keeps its bits (a zero eigenvalue may change sign
+    where the input holds a -0.0). A dense matrix is the one-block case.
 
     Raises
     ------
@@ -123,10 +124,7 @@ def hermitian_eigenvalues(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     a = _square(a)
     lead, n = a.shape[:-2], a.shape[-1]
     a = a.reshape((math.prod(lead), n, n))  # one batch axis
-    blocks = _blocks(a)
-    # each block's entries i*n + j, block after block, and their mirrors j*n + i
-    pos = np.array([i * n + j for block in blocks for i in block for j in block], dtype=int)
-    mirror = pos % n * n + pos // n
+    pos, mirror, diag, spans = _layout(n, a.any(axis=0).tobytes())
     flat = a.reshape(len(a), n * n)
     m, m_dag = flat[:, pos], flat[:, mirror]
     np.conjugate(m_dag, out=m_dag)
@@ -135,14 +133,8 @@ def hermitian_eigenvalues(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     m += m_dag
     m *= 0.5
     del m_dag  # free the conjugate copy before the sweeps
-    diag = np.flatnonzero(pos == mirror)
     # one (members, blocks, s, s) view into m per block size s > 1
-    views, start = [], 0
-    for size, same in itertools.groupby(map(len, blocks)):
-        stop = start + len(list(same)) * size * size
-        if size > 1:
-            views.append(m[:, start:stop].reshape(len(a), -1, size, size))
-        start = stop
+    views = [m[:, start:stop].reshape(len(a), -1, size, size) for start, stop, size in spans]
 
     for _ in range(100):
         np.abs(m, out=off)
@@ -161,6 +153,31 @@ def hermitian_eigenvalues(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     eigs = np.empty((len(a), n))
     eigs[:, pos[diag] // (n + 1)] = m[:, diag].real
     return np.sort(eigs, axis=-1).reshape(lead + (n,))
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(n: int, pattern: bytes) -> tuple:
+    """Gather layout of the blocks of an (n, n) nonzero pattern, given as bool bytes.
+
+    Returns (pos, mirror, diag, spans): each block's entries i*n + j, block
+    after block; their mirrors j*n + i; the places in pos of the diagonal
+    entries; and the (start, stop, size) of the entries of each block size
+    above 1. Cached per pattern, as a time grid of states repeats one; the
+    arrays are read-only, as every call with that pattern shares them.
+    """
+    blocks = _blocks(np.frombuffer(pattern, dtype=bool).reshape(1, n, n))
+    pos = np.array([i * n + j for block in blocks for i in block for j in block], dtype=int)
+    mirror = pos % n * n + pos // n
+    diag = np.flatnonzero(pos == mirror)
+    spans, start = [], 0
+    for size, same in itertools.groupby(map(len, blocks)):
+        stop = start + len(list(same)) * size * size
+        if size > 1:
+            spans.append((start, stop, size))
+        start = stop
+    for array in (pos, mirror, diag):
+        array.flags.writeable = False
+    return pos, mirror, diag, tuple(spans)
 
 
 def _blocks(a: np.ndarray) -> list:
@@ -182,15 +199,23 @@ def _blocks(a: np.ndarray) -> list:
 
 
 def _jacobi_sweep(m: np.ndarray) -> np.ndarray:
-    """One row-cyclic sweep of Jacobi rotations over a (..., n, n) stack, in place."""
+    """One row-cyclic sweep of Jacobi rotations over a (..., n, n) stack, in place.
+
+    Each rotation computes both new columns from views of the old ones before
+    writing either, then both new rows likewise, so it copies nothing; a
+    skipped pivot's identity rotation and the zeroed pivot are written by
+    masked assignment.
+    """
     n = m.shape[-1]
     for p in range(n - 1):
         for q in range(p + 1, n):
+            pivot = m[..., p, q]
             # hypot rounds like the scalar |z|; np.abs on complex arrays does not
-            r = np.hypot(m[..., p, q].real, m[..., p, q].imag)
+            r = np.hypot(pivot.real, pivot.imag)
             rotate = r >= 1e-300
-            r = np.where(rotate, r, 1.0)
-            phase = m[..., p, q] / r
+            skip = ~rotate
+            r[skip] = 1.0
+            phase = pivot / r
             # a pivot tiny against its diagonal gap overflows theta or theta^2
             # to inf, and t = 1/inf = 0 is the exact limit: no rotation
             with np.errstate(over="ignore"):
@@ -198,24 +223,26 @@ def _jacobi_sweep(m: np.ndarray) -> np.ndarray:
                 sgn = np.where(theta >= 0.0, 1.0, -1.0)
                 t = sgn / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
             c = 1.0 / np.sqrt(t * t + 1.0)
-            s = np.where(rotate, t * c, 0.0)[..., None]
-            c = np.where(rotate, c, 1.0)[..., None]
+            s = t * c
+            s[skip] = 0.0
+            c[skip] = 1.0
+            c, s = c[..., None], s[..., None]
             s_phase = s * phase[..., None]
             s_conj = s * np.conj(phase)[..., None]
             # m <- U^dag m U with U[p,p]=c, U[p,q]=s*phase,
             # U[q,p]=-s*conj(phase), U[q,q]=c
-            col_p = m[..., :, p].copy()
-            col_q = m[..., :, q].copy()
-            m[..., :, p] = c * col_p - s_conj * col_q
+            col_p, col_q = m[..., :, p], m[..., :, q]
+            new_p = c * col_p - s_conj * col_q
             m[..., :, q] = s_phase * col_p + c * col_q
-            row_p = m[..., p, :].copy()
-            row_q = m[..., q, :].copy()
-            m[..., p, :] = c * row_p - s_phase * row_q
+            m[..., :, p] = new_p
+            row_p, row_q = m[..., p, :], m[..., q, :]
+            new_p = c * row_p - s_phase * row_q
             m[..., q, :] = s_conj * row_p + c * row_q
-            m[..., p, q] = np.where(rotate, 0.0, m[..., p, q])
-            m[..., q, p] = np.where(rotate, 0.0, m[..., q, p])
-            m[..., p, p] = m[..., p, p].real
-            m[..., q, q] = m[..., q, q].real
+            m[..., p, :] = new_p
+            pivot[rotate] = 0.0
+            m[..., q, p][rotate] = 0.0
+            m[..., p, p].imag = 0.0
+            m[..., q, q].imag = 0.0
     return m
 
 

@@ -43,6 +43,12 @@ def _check_weight(p: float) -> None:
 def werner(d: int, p: float) -> np.ndarray:
     """Werner state: (1-p)/d^2 identity plus p times the entangled projector."""
     _check_weight(p)
+    return _werner(d, p)
+
+
+def _werner(d: int, p) -> np.ndarray:
+    # werner's expression for a checked weight, or a stack of Werner states for
+    # an array of weights shaped (..., 1, 1), with the bits of each single state;
     # the projector first, so that an unsupported d fails before d**2 is used
     return p * max_entangled(d) + (1.0 - p) / d**2 * np.eye(d * d, dtype=complex)
 

@@ -511,6 +511,22 @@ class TestNegativity:
         assert abs(ppt_threshold(2) - 1.0 / 3.0) <= 1e-4
         assert abs(ppt_threshold(3) - 0.25) <= 1e-4
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_ppt_threshold_is_the_one_point_bisection(self, d):
+        # reference: one negativity call per midpoint, 20 halvings of [0, 1]
+        def entangled(p):
+            return negativity(werner(d, p), d) > 1e-9
+
+        lo, hi = 0.0, 1.0
+        while hi - lo > 1e-6:
+            mid = 0.5 * (lo + hi)
+            if entangled(mid):
+                hi = mid
+            else:
+                lo = mid
+        got = ppt_threshold(d)
+        assert got.hex() == (0.5 * (lo + hi)).hex()
+
     def test_separable_state_is_positive_zero(self):
         for d, p in ((2, 0.2), (3, 0.1)):
             neg = negativity(werner(d, p), d)

@@ -633,6 +633,35 @@ def dense_bipartite(rho, channel, q):
     return out.reshape(lead + rho.shape)
 
 
+def strided_mix_bipartite(rho, channel, q):
+    """Reference: ``bipartite_channel`` with its q-mix as two strided products.
+
+    The superoperator and the two matrix products are ``bipartite_channel``'s;
+    each side's permuted product is weighed by one ``np.multiply`` on a
+    strided view, written straight into the output layout.
+    """
+    dim, n = channel.dim, channel.dim**2
+    ops = np.stack(channel.operators)
+    lead = ops.shape[1:-2]
+    ops = ops.reshape(len(ops), -1, n)
+    sup, term = np.empty((2, ops.shape[1]) + (dim,) * 4, dtype=ops.dtype)
+    sup.fill(0.0)
+    for op, nonzero in zip(ops, ops.any(axis=1).tolist()):
+        cols = [ax for ax, keep in enumerate(nonzero) if keep]
+        target = [(ax // dim * dim + zy // dim) * n + ax % dim * dim + zy % dim
+                  for ax in cols for zy in cols]
+        entries = op[:, cols]
+        products = entries[:, :, None] * entries[:, None, :].conj()
+        sup.reshape(len(sup), -1)[:, target] += products.reshape(len(op), -1)
+    tensor = rho.reshape(dim, dim, dim, dim)
+    m_a, m_b = tensor.transpose(0, 2, 1, 3), tensor.transpose(1, 3, 0, 2)
+    np.matmul(sup.reshape(-1, n), m_a.reshape(n, n), out=term.reshape(-1, n))
+    out = np.multiply(term.swapaxes(-3, -2), q, out=np.empty_like(sup))
+    np.matmul(sup.reshape(-1, n), m_b.reshape(n, n), out=term.reshape(-1, n))
+    out += np.multiply(np.moveaxis(term, -2, -4).swapaxes(-2, -1), 1.0 - q, out=sup)
+    return out.reshape(lead + rho.shape)
+
+
 # the mixing weights of the lifts: q = 1 acts on A only, q = 0 on B only
 LIFTS = [pytest.param(1.0, id="A"), pytest.param(0.0, id="B"), pytest.param(0.35, id="symmetric")]
 
@@ -686,6 +715,17 @@ class TestBipartite:
             for rho in (werner(dim, 0.7), random_density_matrix(dim * dim, rng)):
                 got = bipartite_channel(rho, ch, q)
                 np.testing.assert_array_equal(got, dense_bipartite(rho, ch, q))
+
+    @pytest.mark.parametrize("stack", [None, 1, 7, 300])
+    @pytest.mark.parametrize("q", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_gathered_mix_has_the_strided_mix_bytes(self, dim, q, stack):
+        rng = np.random.default_rng(80 + dim)
+        rates = random_rates(rng, dim, undamped_first=False)
+        times = rng.uniform(0.0, 6.0, stack or 1)
+        ch = se_kraus(rates, times if stack else times[0])
+        for rho in (werner(dim, 0.83), random_density_matrix(dim * dim, rng)):
+            assert_same_bytes(bipartite_channel(rho, ch, q), strided_mix_bipartite(rho, ch, q))
 
     def test_stack_matches_per_time_calls(self):
         rng = np.random.default_rng(18)

@@ -86,6 +86,15 @@ class TestCurves:
         lines = [",".join(cli._fmt(x) for x in row) for row in rows]
         assert capsys.readouterr().out == "\n".join([HEADER, *lines]) + "\n"
 
+    def test_block_writer_matches_a_per_row_writer(self, capsys, monkeypatch):
+        # blocks of GRID_CHUNK rows: 2 GRID_CHUNK + 3 rows cross two block boundaries
+        values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, 0.1 + 0.2])
+        rows = np.resize(values, (2 * analysis.GRID_CHUNK + 3, 7))
+        monkeypatch.setattr(analysis, "separability_report", lambda *args, **kwargs: rows)
+        assert main(["curves"]) == 0
+        per_row = "".join(",".join("%.9g" % x for x in row) + "\n" for row in rows.tolist())
+        assert capsys.readouterr().out == HEADER + "\n" + per_row
+
     def test_byte_identical_reruns(self, tmp_path):
         _, first = run_to_file(tmp_path, "a.csv", ["curves", "--steps", "40"])
         _, second = run_to_file(tmp_path, "b.csv", ["curves", "--steps", "40"])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qutrit_se import states
 from qutrit_se.analysis import fidelity_from_state
 from qutrit_se.linalg import hermitian_eigenvalues, partial_transpose
 from qutrit_se.states import correlation_matrix, max_entangled, werner
@@ -62,6 +63,14 @@ class TestWerner:
             assert abs(eigs[0]) < 1e-10
         eigs = hermitian_eigenvalues(partial_transpose(werner(3, 1.0), 3, 3))
         assert abs(eigs[0] + 1.0 / 3.0) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_stack_has_the_bits_of_each_state(self, d):
+        weights = np.r_[0.0, np.random.default_rng(d).uniform(0.0, 1.0, 9), 1.0]
+        stack = states._werner(d, weights[:, None, None])
+        assert stack.shape == (len(weights), d * d, d * d)
+        for member, p in zip(stack, weights):
+            assert member.tobytes() == werner(d, float(p)).tobytes()
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
