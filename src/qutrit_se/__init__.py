@@ -21,9 +21,7 @@ from .analysis import (
     separability_report,
 )
 from .channels import (
-    AffineBlochMap,
     ChannelParams,
-    KrausChannel,
     apply_kraus,
     bipartite_channel,
     lindblad_evolve,
@@ -41,15 +39,6 @@ from .linalg import (
     random_density_matrix,
 )
 from .states import correlation_matrix, max_entangled, werner
-from .su import (
-    GeneratorBasis,
-    atom_vars_to_bloch,
-    bloch_to_density,
-    density_to_bloch,
-    generator_basis,
-    is_pure_bloch,
-    star_product,
-    structure_constants,
-)
+from .su import bloch_to_density, density_to_bloch, generator_basis, star_product
 
 __version__ = "0.1.0"

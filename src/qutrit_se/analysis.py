@@ -49,6 +49,7 @@ __all__ = [
     "crossing_time",
     "indicator_crossing",
     "indicator_crossings",
+    "qutrit_crosses_no_earlier",
     "qubit_crossing_closed",
     "preservation_inequality",
     "negativity",
@@ -170,11 +171,14 @@ def qubit_crossing_closed(p: float) -> float:
 
 
 def preservation_inequality(p: float, a21: float, a31: float) -> bool:
-    """Whether the qutrit pair is still entangled when the qubit pair is not.
+    """Whether s_3 is still above 1/4 when s_2 reaches 1/3: an indicator verdict.
 
     With alpha = sqrt(1 + 1/p) - 1 and u = alpha^(A2/A1) + alpha^(A3/A1),
     tests u (u + 2) / 2 >= 1/p. Defined for 1/3 < p <= 1 only: below that
-    alpha >= 1 and the qubit pair is separable from the start.
+    alpha >= 1 and the qubit pair is separable from the start. It compares
+    indicator crossings, not entanglement lifetimes: at p = 0.5, A2 = A1 and
+    A3 = 3 A1 it is false, yet the negativity at q = 0.5 vanishes at a1*t ~
+    0.62381 for the qubit pair and ~ 1.76275 for the qutrit pair.
     """
     alpha = _qubit_alpha(p)
     u = alpha**a21 + alpha**a31
@@ -330,16 +334,21 @@ def indicator_crossing(p: float, params: ChannelParams, d: int) -> Optional[floa
 
 
 def indicator_crossings(p: float, params: ChannelParams) -> tuple:
-    """Crossing times of both indicators and the preservation verdict.
+    """(t_cross_qubit, t_cross_qutrit, qutrit_preserves_longer) of a Werner pair.
 
-    Returns (t_cross_qubit, t_cross_qutrit, qutrit_preserves_longer): the
-    ``indicator_crossing`` of each species and whether the qutrit crossing
-    is the later one.
+    The verdict is ``qutrit_crosses_no_earlier`` of the two crossings.
     """
     cross_qb = indicator_crossing(p, params, 2)
     cross_qt = indicator_crossing(p, params, 3)
-    longer = cross_qt is not None and (cross_qb is None or cross_qt >= cross_qb)
-    return cross_qb, cross_qt, longer
+    return cross_qb, cross_qt, qutrit_crosses_no_earlier(cross_qb, cross_qt)
+
+
+def qutrit_crosses_no_earlier(cross_qb: Optional[float], cross_qt: Optional[float]) -> bool:
+    """Whether the qutrit ``indicator_crossing`` comes no earlier than the qubit one.
+
+    None (no crossing: s certifies nothing from t = 0) is the earliest.
+    """
+    return cross_qt is not None and (cross_qb is None or cross_qt >= cross_qb)
 
 
 def separability_report(p: float, params: ChannelParams, t_max: float, steps: int) -> np.ndarray:

@@ -19,7 +19,8 @@ forms that the test suite cross-checks against each other:
   ``GeneratorBasis.diagonals`` and ``GeneratorBasis.pair_rows``;
 * an operator-sum (Kraus) form: K0 = diag(1, h_1, ..., h_n) and
   K_m = w_m |0><m| with h_m = exp(-a_m t/2) and w_m = sqrt(1 - h_m^2),
-  in the level basis;
+  in the level basis, held as one complex operator array indexed by k
+  first, shape (d, d, d);
 * a Lindblad master equation with jump operators sqrt(a_m) |0><m|,
   integrated with fixed-step RK4, applied as a power of the d^2 x d^2 step
   matrix of the jump operators (Havel, quant-ph/0201127), whose generator
@@ -27,17 +28,13 @@ forms that the test suite cross-checks against each other:
   read-only per (arm rates, step size h), in a bounded cache.
 
 Bipartite use: ``bipartite_channel`` lifts a local channel to two qudits as
-the mixture q (channel on A) + (1-q) (channel on B); q = 1 acts on A only and
-q = 0 on B only. It builds the channel's d^2 x d^2 superoperator
-sum_k K_k (x) conj(K_k) on the row-major vec, the convention of
-``lindblad_evolve`` (Havel, J. Math. Phys. 44, 534 (2003)), from the
-products of the nonzero entries of each K_k only, with the k terms added in
-place in operator order, and applies it to each side of the state as a
-single matrix product.
+the mixture q (channel on A) + (1-q) (channel on B), through the channel's
+superoperator sum_k K_k (x) conj(K_k) on the row-major vec, the convention
+of ``lindblad_evolve``.
 
-Time grids: ``se_kraus(rates, times)`` builds the Kraus operators at many
-times at once, from the same expressions as at a single time, and
-``bipartite_channel`` then returns one state per time.
+Time grids: ``se_kraus(rates, times)`` builds the operator array at T times
+at once, shape (d, T, d, d), from the same expressions as at a single time;
+``apply_kraus`` and ``bipartite_channel`` then return one state per time.
 """
 
 from __future__ import annotations
@@ -56,11 +53,11 @@ from .su import generator_basis
 __all__ = [
     "ChannelParams",
     "AffineBlochMap",
-    "KrausChannel",
     "se_affine_map",
     "se_kraus",
     "se_kraus_qutrit",
     "apply_kraus",
+    "completeness_defect",
     "lindblad_jump_ops",
     "lindblad_evolve",
     "bipartite_channel",
@@ -105,26 +102,6 @@ class AffineBlochMap:
 
     def apply(self, n: np.ndarray) -> np.ndarray:
         return self.damping @ np.asarray(n, dtype=float) + self.shift
-
-
-@dataclass(frozen=True)
-class KrausChannel:
-    """Operator-sum form sum_k K_k rho K_k^dag on a dim-level system.
-
-    The times live only in the operators' shape: (dim, dim) each at one time,
-    or (T, dim, dim) each for a channel tabulated at T times (see ``se_kraus``).
-    ``dim`` too is read off that shape, so it cannot disagree with the operators.
-    """
-
-    operators: tuple
-
-    @property
-    def dim(self) -> int:
-        return self.operators[0].shape[-1]
-
-    def completeness_defect(self) -> float:
-        acc = sum(dagger(k) @ k for k in self.operators)
-        return float(np.max(np.abs(acc - np.eye(self.dim))))
 
 
 def se_affine_map(params: ChannelParams) -> AffineBlochMap:
@@ -183,8 +160,8 @@ def _check_arms(rates, t) -> tuple:
     return rates, times
 
 
-def _kraus_operators(rates: tuple, t) -> tuple:
-    # the operators of se_kraus in the level basis, for checked rates and t
+def _kraus_operators(rates: tuple, t) -> np.ndarray:
+    # the operator array of se_kraus in the level basis, for checked rates and t
     dim = len(rates) + 1
     ops = np.zeros((dim, *np.shape(t), dim, dim), dtype=complex)
     ops[0, ..., 0, 0] = 1.0
@@ -192,33 +169,38 @@ def _kraus_operators(rates: tuple, t) -> tuple:
         for m, h in enumerate(_arm_factors(rates, t), 1):
             ops[0, ..., m, m] = h
             ops[m, ..., 0, m] = np.sqrt(1.0 - h * h)
-    return tuple(ops)
+    return ops
 
 
-def se_kraus(rates, t) -> KrausChannel:
+def se_kraus(rates, t) -> np.ndarray:
     """Emission channel of the d-level system with d - 1 = len(rates) arms.
 
-    A scalar t gives d operators of shape (d, d), an array of T times (T, d, d)
-    stacks. Rates must be finite and >= 0 and times >= 0 (t = inf is the fully
-    decayed limit), else ValueError.
+    Returns the Kraus operators K_0, ..., K_(d-1) as one complex array,
+    indexed by k first: shape (d, d, d) for a scalar t, and (d, T, d, d) for
+    an array of T times. Rates must be finite and >= 0 and times >= 0
+    (t = inf is the fully decayed limit), else ValueError.
     """
     rates, t = _check_arms(rates, t)
-    return KrausChannel(_kraus_operators(rates, t))
+    return _kraus_operators(rates, t)
 
 
-def se_kraus_qutrit(params: ChannelParams) -> KrausChannel:
-    """Qutrit emission channel at params.t, whose rates ChannelParams checked."""
-    return KrausChannel(_kraus_operators(params.rates(3), params.t))
+def se_kraus_qutrit(params: ChannelParams) -> np.ndarray:
+    """Qutrit operator array (3, 3, 3) at params.t, whose rates ChannelParams checked."""
+    return _kraus_operators(params.rates(3), params.t)
 
 
-def apply_kraus(rho: np.ndarray, channel: KrausChannel) -> np.ndarray:
-    """sum_k K_k rho K_k^dag."""
+def completeness_defect(kraus: np.ndarray) -> float:
+    """max |sum_k K_k^dag K_k - I| of an operator array, at one time or over a grid."""
+    acc = sum(dagger(k) @ k for k in kraus)
+    return float(np.max(np.abs(acc - np.eye(np.shape(kraus)[-1]))))
+
+
+def apply_kraus(rho: np.ndarray, kraus: np.ndarray) -> np.ndarray:
+    """sum_k K_k rho K_k^dag for a (d, d) state; a grid array (d, T, d, d) gives T states."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (channel.dim, channel.dim):
-        raise ValueError(
-            f"state shape {rho.shape} does not match channel dimension {channel.dim}"
-        )
-    return sum(k @ rho @ dagger(k) for k in channel.operators)
+    if rho.shape != np.shape(kraus)[-2:]:
+        raise ValueError(f"state shape {rho.shape} does not match operators {np.shape(kraus)}")
+    return sum(k @ rho @ dagger(k) for k in kraus)
 
 
 def lindblad_jump_ops(rates) -> tuple:
@@ -302,12 +284,12 @@ def _rk4_step(rates: tuple, h: float) -> np.ndarray:
     return step
 
 
-def bipartite_channel(rho: np.ndarray, channel: KrausChannel, q: float) -> np.ndarray:
+def bipartite_channel(rho: np.ndarray, kraus: np.ndarray, q: float) -> np.ndarray:
     """Act with a local channel on a two-qudit state: q.(on A) + (1-q).(on B).
 
-    q = 1 applies the channel to A only and q = 0 to B only. A channel
-    tabulated at T times (see ``se_kraus``) gives the T states, shape
-    (T, d^2, d^2).
+    ``kraus`` is an operator array from ``se_kraus``, (k, d, d) or (k, T, d, d)
+    on a grid of T times, giving one state (d^2, d^2) or T states (T, d^2, d^2).
+    q = 1 applies the channel to A only and q = 0 to B only.
     The superoperator S = sum_k K_k (x) conj(K_k), shape (..., d^2, d^2) with
     rows (a, z) and columns (x, y), is built once per call, from the products
     K_k[a, x] conj(K_k[z, y]) of the entries of K_k that are nonzero at some
@@ -323,12 +305,12 @@ def bipartite_channel(rho: np.ndarray, channel: KrausChannel, q: float) -> np.nd
     multiplications and additions as weighing the permuted products directly.
     """
     rho = np.asarray(rho, dtype=complex)
-    dim = channel.dim
+    ops = np.asarray(kraus, dtype=complex)  # (k, ..., d, d)
+    dim = ops.shape[-1]
     n = dim * dim
     if rho.shape != (n, n):
         raise ValueError(f"state shape {rho.shape} does not match two systems of dimension {dim}")
     _check_mixing(q)
-    ops = np.stack(channel.operators)  # (k, ..., d, d)
     lead = ops.shape[1:-2]
     ops = ops.reshape(len(ops), -1, n)  # (k, t, (a, x))
     # S[(a, z), (x, y)] = sum_k K_k[a, x] conj(K_k[z, y]), one row per (t, a, z),

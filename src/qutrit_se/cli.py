@@ -94,7 +94,7 @@ def run_compare(args: argparse.Namespace, out) -> int:
         for a31 in grid:
             t_qt = analysis.indicator_crossing(args.p, ChannelParams(a2=a21, a3=a31), 3)
             verdict = analysis.preservation_inequality(args.p, a21, a31)
-            agree = verdict == (t_qt >= t_qb)
+            agree = verdict == analysis.qutrit_crosses_no_earlier(t_qb, t_qt)
             out.write(
                 f"{_fmt(a21)},{_fmt(a31)},{_fmt(t_qb)},{_fmt(t_qt)},"
                 f"{str(verdict).lower()},{str(agree).lower()}\n"
@@ -132,7 +132,8 @@ def _validate_checks(seed: int):
         defect = 0.0
         for a2, a3 in rate_pairs:
             for t in times:
-                defect = max(defect, channels.se_kraus((a2, a3)[: d - 1], t).completeness_defect())
+                kraus = channels.se_kraus((a2, a3)[: d - 1], t)
+                defect = max(defect, channels.completeness_defect(kraus))
         yield f"kraus_completeness_{name}", defect, 1e-12
 
     par = ChannelParams(a2=1.0, a3=0.7)
@@ -164,12 +165,12 @@ def _validate_checks(seed: int):
             defect = max(defect, float(np.max(np.abs(back - rho))))
     yield "bloch_round_trip", defect, 1e-12
 
-    blochs = analysis.haar_bloch_vectors(3, 200, seed)
-    defect = 0.0
-    for n in blochs:
-        defect = max(defect, abs(n @ n - 1.0))
-        defect = max(defect, float(np.max(np.abs(su.star_product(n, n) - n))))
-    yield "pure_state_conditions", defect, 1e-10
+    defects = [0.0]  # of the pure-state conditions |n| = 1 and n * n = n
+    for n in analysis.haar_bloch_vectors(3, 200, seed):
+        defects.append(abs(n @ n - 1.0))
+        defects.append(float(np.max(np.abs(su.star_product(n, n) - n))))
+    # np.max, not max: a NaN defect fails the check
+    yield "pure_state_conditions", float(np.max(defects)), 1e-10
 
     for d, name in _SPECIES:
         yield f"ppt_threshold_{name}", abs(analysis.ppt_threshold(d) - 1.0 / (d + 1)), 1e-4

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 HERMITICITY_TOL = 1e-10
+JACOBI_TOL = 1e-12  # the off-diagonal magnitude hermitian_eigenvalues sweeps down to
 
 
 class NonHermitianError(ValueError):
@@ -89,12 +90,12 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
-def hermitian_eigenvalues(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending, by cyclic Jacobi.
 
     Unitary 2x2 rotations (with the phase of the pivot entry absorbed) are
-    applied in row-cyclic order until every off-diagonal magnitude is <= tol.
-    A pivot below 1e-300 in magnitude is skipped.
+    applied in row-cyclic order until every off-diagonal magnitude is <= JACOBI_TOL
+    (1e-12). A pivot below 1e-300 in magnitude is skipped.
 
     ``a`` may be one (n, n) matrix, giving shape (n,), or a stack
     (..., n, n), giving (..., n). A stack runs one sweep loop over all its
@@ -108,7 +109,7 @@ def hermitian_eigenvalues(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     gather layout is cached per pattern (``_layout``). The Hermiticity check
     and the symmetrisation read only the blocks' entries, and each block size
     s is swept as one stacked (members, blocks, s, s) array. A member stays
-    active while any of its blocks has an off-diagonal entry above tol, so
+    active while any of its blocks has an off-diagonal entry above that, so
     every rotation of the whole-matrix sweep is made: rotations in different
     blocks touch disjoint rows and columns, which meet only in exact zeros,
     and each eigenvalue keeps its bits (a zero eigenvalue may change sign
@@ -140,7 +141,7 @@ def hermitian_eigenvalues(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         np.abs(m, out=off)
         off[:, diag] = 0.0
         # a member is active while any of its blocks is
-        todo = np.flatnonzero(off.max(axis=1, initial=0.0) > tol)
+        todo = np.flatnonzero(off.max(axis=1, initial=0.0) > JACOBI_TOL)
         if todo.size == 0:
             break
         for view in views:

@@ -40,12 +40,9 @@ __all__ = [
     "bloch_to_density",
     "density_to_bloch",
     "star_product",
-    "is_pure_bloch",
-    "atom_vars_to_bloch",
 ]
 
 _REALNESS_TOL = 1e-12
-_PURITY_TOL = 1e-10
 
 
 def structure_constants(generators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,27 +179,3 @@ def star_product(n: np.ndarray, m: np.ndarray) -> np.ndarray:
         raise ValueError("star product needs two Bloch vectors of one d >= 3")
     return basis.bloch_norm / (basis.dim - 2) * np.einsum("ijk,j,k->i", basis.d, n, m)
 
-
-def is_pure_bloch(n: np.ndarray) -> bool:
-    """Purity test: |n|^2 = 1, and for d >= 3 also n * n = n, within 1e-10."""
-    n = np.asarray(n, dtype=float)
-    basis = _basis_for_bloch(n)
-    if not abs(n @ n - 1.0) <= _PURITY_TOL:  # a NaN norm fails too
-        return False
-    # the qubit's d tensor vanishes, so |n| = 1 is its only condition
-    return not basis.d.any() or bool(np.max(np.abs(star_product(n, n) - n)) <= _PURITY_TOL)
-
-
-def atom_vars_to_bloch(
-    p2: float, p3: float, d12: complex, d13: complex, d23: complex
-) -> np.ndarray:
-    """Bloch vector of a three-level state given populations and coherences.
-
-    ``p2``/``p3`` are the two excited-level populations (the ground one is
-    1 - p2 - p3); ``dij`` is the (i, j) coherence of the density matrix.
-    """
-    if p2 < 0 or p3 < 0 or p2 + p3 > 1:
-        raise ValueError(f"populations p2={p2}, p3={p3} are not a valid distribution")
-    c12, c13, c23 = np.conj(d12), np.conj(d13), np.conj(d23)
-    rho = np.array([[1.0 - p2 - p3, d12, d13], [c12, p2, d23], [c13, c23, p3]], dtype=complex)
-    return density_to_bloch(rho)

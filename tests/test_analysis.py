@@ -707,6 +707,15 @@ class TestReport:
         assert longer
         assert indicator_crossings(0.2, ChannelParams()) == (None, None, False)
 
+    @pytest.mark.parametrize("cross_qb, cross_qt, expected", [
+        (1.0, 2.0, True), (2.0, 1.0, False), (1.5, 1.5, True),
+        (None, 0.5, True), (0.5, None, False), (None, None, False),
+        (1.0, math.inf, True), (math.inf, 1.0, False), (math.inf, math.inf, True),
+    ])
+    def test_one_rule_orders_the_crossings(self, cross_qb, cross_qt, expected):
+        # None: the indicator certifies nothing from t = 0, the earliest crossing
+        assert analysis.qutrit_crosses_no_earlier(cross_qb, cross_qt) is expected
+
     def test_never_crossing_report(self):
         par = ChannelParams(a2=1e-300)
         rows = separability_report(1.0, par, t_max=2.0, steps=4)
@@ -729,7 +738,7 @@ class TestReport:
             for d in (2, 3):
                 ident = np.eye(d)
                 rho = np.zeros((d * d, d * d), dtype=complex)
-                for k in se_kraus(at.rates(d), at.t).operators:
+                for k in se_kraus(at.rates(d), at.t):
                     lift_a, lift_b = kron(k, ident), kron(ident, k)
                     rho += q * lift_a @ werner(d, p) @ dagger(lift_a)
                     rho += (1 - q) * lift_b @ werner(d, p) @ dagger(lift_b)

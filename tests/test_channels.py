@@ -17,6 +17,7 @@ from qutrit_se.channels import (
     ChannelParams,
     apply_kraus,
     bipartite_channel,
+    completeness_defect,
     lindblad_evolve,
     lindblad_jump_ops,
     se_affine_map,
@@ -134,7 +135,7 @@ class TestKrausQutrit:
     def test_operator_entries(self):
         a2, a3, t = 1.0, 0.7, 0.9
         ch = se_kraus_qutrit(ChannelParams(a2=a2, a3=a3, t=t))
-        k0, k1, k2 = ch.operators
+        k0, k1, k2 = ch
         np.testing.assert_allclose(
             k0, np.diag([1.0, np.exp(-a2 * t / 2), np.exp(-a3 * t / 2)]), atol=1e-15
         )
@@ -147,21 +148,21 @@ class TestKrausQutrit:
 
     def test_t_zero_is_identity_channel(self):
         ch = se_kraus_qutrit(ChannelParams(a2=2.0, a3=0.5, t=0.0))
-        np.testing.assert_allclose(ch.operators[0], np.eye(3), atol=1e-15)
-        assert np.max(np.abs(ch.operators[1])) == 0.0
-        assert np.max(np.abs(ch.operators[2])) == 0.0
+        np.testing.assert_allclose(ch[0], np.eye(3), atol=1e-15)
+        assert np.max(np.abs(ch[1])) == 0.0
+        assert np.max(np.abs(ch[2])) == 0.0
 
     @pytest.mark.parametrize("rates", [(1.0, 1.0), (2.0, 1.0), (0.5, 3.0)])
     @pytest.mark.parametrize("t", [0.0, 0.1, 1.0, 10.0])
     def test_completeness(self, rates, t):
         ch = se_kraus_qutrit(ChannelParams(a2=rates[0], a3=rates[1], t=t))
-        assert ch.completeness_defect() <= 1e-12
+        assert completeness_defect(ch) <= 1e-12
 
     def test_coefficient_table_keys(self):
         # key k<m><j>: Kraus operator m has a nonzero tr(lambda_j K_m), j = 0 the identity
-        ops = se_kraus_qutrit(ChannelParams(a2=1.0, a3=1.0, t=0.3)).operators
+        ops = se_kraus_qutrit(ChannelParams(a2=1.0, a3=1.0, t=0.3))
         basis = np.concatenate([np.eye(3)[None], generator_basis(3).generators])
-        coeff = np.einsum("jba,mab->mj", basis, np.array(ops))
+        coeff = np.einsum("jba,mab->mj", basis, ops)
         keys = {f"k{m}{j}" for m, j in zip(*np.nonzero(coeff))}
         assert keys == {"k00", "k03", "k08", "k11", "k12", "k24", "k25"}
 
@@ -170,7 +171,7 @@ class TestKrausQubit:
     def test_operator_entries(self):
         t = np.log(4.0)  # exp(-t) = 1/4
         ch = se_kraus((1.0,), t)
-        k0, k1 = ch.operators
+        k0, k1 = ch
         np.testing.assert_allclose(k0, np.diag([1.0, 0.5]), atol=1e-15)
         expected = np.zeros((2, 2), dtype=complex)
         expected[0, 1] = np.sqrt(3) / 2
@@ -179,7 +180,7 @@ class TestKrausQubit:
     @pytest.mark.parametrize("a1", [0.5, 1.0, 2.0, 3.0])
     @pytest.mark.parametrize("t", [0.0, 0.1, 1.0, 10.0])
     def test_completeness(self, a1, t):
-        assert se_kraus((a1,), t).completeness_defect() <= 1e-12
+        assert completeness_defect(se_kraus((a1,), t)) <= 1e-12
 
     def test_excited_population_decay(self):
         rho = np.diag([0.0, 1.0]).astype(complex)
@@ -484,7 +485,7 @@ def test_diffusive_short_time_order():
     dts = 1e-2 / 2.0 ** np.arange(7)  # 1e-2 ... 1.5625e-4
     errs = []
     for dt in dts:
-        k1 = se_kraus_qutrit(ChannelParams(a2=a2, a3=a3, t=dt)).operators[1]
+        k1 = se_kraus_qutrit(ChannelParams(a2=a2, a3=a3, t=dt))[1]
         errs.append(np.max(np.abs(k1 - np.sqrt(dt) * l1)))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert orders.min() >= 1.4
@@ -507,22 +508,21 @@ class TestKrausStack:
         par = ChannelParams(a1=0.7, a2=1.9, a3=0.35)
         times = np.array([0.0, 0.05, 0.9, 3.0, 40.0])
         stack = se_kraus(par.rates(dim), times)
-        assert stack.dim == dim
+        assert stack.shape == (dim, len(times), dim, dim)
         for i, t in enumerate(times):
             single = build(par.with_time(t))
-            assert len(stack.operators) == len(single.operators)
-            for k_stack, k_single in zip(stack.operators, single.operators):
-                assert k_stack.shape == (len(times), dim, dim)
-                np.testing.assert_array_equal(k_stack[i], k_single)
-        assert stack.completeness_defect() <= 1e-12
+            assert single.shape == (dim, dim, dim)
+            # the grid's rows are bitwise the single-time arrays
+            assert stack[:, i].tobytes() == single.tobytes()
+        assert completeness_defect(stack) <= 1e-12
 
     def test_rejects_other_dimensions(self):
         # d = 1 has no arm and is rejected; d = 4 (three arms) is answered
         with pytest.raises(ValueError, match="arm rates must be"):
             se_kraus((), [0.5])
         stack = se_kraus((1.3, 0.4, 2.1), [0.5])
-        assert stack.dim == 4 and stack.operators[0].shape == (1, 4, 4)
-        assert stack.completeness_defect() <= 1e-12
+        assert stack.shape == (4, 1, 4, 4)
+        assert completeness_defect(stack) <= 1e-12
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("times", [[-1.0], [0.5, -1e-300], [np.nan], [1.0, np.nan, 2.0]])
@@ -534,7 +534,7 @@ class TestKrausStack:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_infinite_time_is_fully_decayed(self, dim):
         stack = se_kraus(ChannelParams().rates(dim), [0.0, np.inf])
-        k0, *jumps = stack.operators
+        k0, *jumps = stack
         np.testing.assert_array_equal(k0[1], np.diag([1.0] + [0.0] * (dim - 1)))
         for m, k in enumerate(jumps, 1):
             np.testing.assert_array_equal(k[1], np.outer(np.eye(dim)[0], np.eye(dim)[m]))
@@ -545,10 +545,10 @@ class TestKrausStack:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             stack = se_kraus((0.0, 1.0), times)
-        k0 = stack.operators[0][-1]
+        k0 = stack[0][-1]
         np.testing.assert_array_equal(k0, np.diag([1.0, 1.0, 0.0]))
-        np.testing.assert_array_equal(stack.operators[1][-1], np.zeros((3, 3)))
-        assert stack.completeness_defect() == 0.0
+        np.testing.assert_array_equal(stack[1][-1], np.zeros((3, 3)))
+        assert completeness_defect(stack) == 0.0
 
 
 class TestKrausInput:
@@ -571,31 +571,29 @@ class TestKrausInput:
 
     def test_scalar_time_gives_single_operators(self):
         ch = se_kraus((1.0, 2.0), np.inf)
-        assert ch.dim == 3
-        assert [k.shape for k in ch.operators] == [(3, 3)] * 3
-        np.testing.assert_array_equal(ch.operators[0], np.diag([1.0, 0.0, 0.0]))
+        assert isinstance(ch, np.ndarray) and ch.shape == (3, 3, 3)
+        np.testing.assert_array_equal(ch[0], np.diag([1.0, 0.0, 0.0]))
 
     def test_matches_the_qutrit_builder(self):
         par = ChannelParams(a2=1.3, a3=0.4, t=0.8)
-        for got, want in zip(se_kraus((1.3, 0.4), 0.8).operators, se_kraus_qutrit(par).operators):
-            np.testing.assert_array_equal(got, want)
+        assert se_kraus((1.3, 0.4), 0.8).tobytes() == se_kraus_qutrit(par).tobytes()
 
 
-def kron_bipartite(rho, channel, q):
+def kron_bipartite(rho, kraus, q):
     """Reference: lift each Kraus operator to A (x) B with an explicit kron."""
-    ident = np.eye(channel.dim)
+    ident = np.eye(kraus.shape[-1])
 
     def one_sided(side):
-        lifted = [kron(k, ident) if side == "A" else kron(ident, k) for k in channel.operators]
+        lifted = [kron(k, ident) if side == "A" else kron(ident, k) for k in kraus]
         return sum(l @ rho @ dagger(l) for l in lifted)
 
     return q * one_sided("A") + (1 - q) * one_sided("B")
 
 
-def einsum_bipartite(rho, channel, q):
+def einsum_bipartite(rho, kraus, q):
     """Reference: contract each side with the (d, d, d, d) tensor of rho by einsum."""
-    dim = channel.dim
-    ops = np.stack(channel.operators, axis=-3)
+    dim = kraus.shape[-1]
+    ops = np.moveaxis(kraus, 0, -3)
     tensor = rho.reshape(dim, dim, dim, dim)
     specs = {"A": "...kax,xbyc,...kzy->...abzc", "B": "...kbx,axcy,...kzy->...abcz"}
 
@@ -606,14 +604,14 @@ def einsum_bipartite(rho, channel, q):
     return q * one_sided("A") + (1 - q) * one_sided("B")
 
 
-def dense_bipartite(rho, channel, q):
+def dense_bipartite(rho, ops, q):
     """Reference: every product of S = sum_k K_k (x) conj(K_k), zeros included.
 
     The k terms are added in operator order and S is applied by the matrix
     product and output permutation of ``bipartite_channel``.
     """
-    dim, n = channel.dim, channel.dim**2
-    ops = np.stack(channel.operators)
+    dim = ops.shape[-1]
+    n = dim * dim
     lead = ops.shape[1:-2]
     ops = ops.reshape(len(ops), -1, dim, dim)
     # sup[t, a, z, x, y] = sum_k K_k[t, a, x] conj(K_k[t, z, y])
@@ -633,15 +631,15 @@ def dense_bipartite(rho, channel, q):
     return out.reshape(lead + rho.shape)
 
 
-def strided_mix_bipartite(rho, channel, q):
+def strided_mix_bipartite(rho, ops, q):
     """Reference: ``bipartite_channel`` with its q-mix as two strided products.
 
     The superoperator and the two matrix products are ``bipartite_channel``'s;
     each side's permuted product is weighed by one ``np.multiply`` on a
     strided view, written straight into the output layout.
     """
-    dim, n = channel.dim, channel.dim**2
-    ops = np.stack(channel.operators)
+    dim = ops.shape[-1]
+    n = dim * dim
     lead = ops.shape[1:-2]
     ops = ops.reshape(len(ops), -1, n)
     sup, term = np.empty((2, ops.shape[1]) + (dim,) * 4, dtype=ops.dtype)
@@ -710,7 +708,7 @@ class TestBipartite:
         ]
         for shape in ((dim, dim), (13, dim, dim)):  # dense random 3-operator channels
             ops = rng.standard_normal((3, *shape)) + 1j * rng.standard_normal((3, *shape))
-            built.append(channels.KrausChannel(tuple(ops)))
+            built.append(ops)
         for ch in built:
             for rho in (werner(dim, 0.7), random_density_matrix(dim * dim, rng)):
                 got = bipartite_channel(rho, ch, q)
@@ -793,14 +791,14 @@ class TestEveryArmCount:
     def test_kraus_operator_entries(self, dim):
         rates, t = ARM_RATES[dim], 0.9
         ch = se_kraus(rates, t)
-        k0, *jumps = ch.operators
+        k0, *jumps = ch
         h = np.exp(-np.array(rates) * t / 2)
         np.testing.assert_array_equal(k0, np.diag([1.0, *h]))
         for m, (k, hm) in enumerate(zip(jumps, h), 1):
             expected = np.zeros((dim, dim), dtype=complex)
             expected[0, m] = np.sqrt(1 - hm * hm)
             np.testing.assert_array_equal(k, expected)
-        assert ch.dim == dim and ch.completeness_defect() <= 1e-12
+        assert ch.shape == (dim,) * 3 and completeness_defect(ch) <= 1e-12
 
     def test_kraus_builders_read_no_generator(self, monkeypatch):
         # the Kraus form is written in the level basis; only the Bloch-vector
@@ -816,8 +814,7 @@ class TestEveryArmCount:
         monkeypatch.setattr(channels, "generator_basis", forbidden)
         built = [build() for build in builds]
         for got, want in zip(built, expected):
-            for k_got, k_want in zip(got.operators, want.operators):
-                np.testing.assert_array_equal(k_got, k_want)
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_jump_operators(self, dim):
@@ -885,23 +882,59 @@ class TestEveryArmCount:
         assert np.max(np.abs(out - apply_kraus(rho, se_kraus((0.8,), 1.2)))) <= 1e-6
 
 
+def emission_operators(rates, t):
+    """Reference: K_0 = diag(1, h_1, ...) and K_m = sqrt(1 - h_m^2) |0><m|, one time."""
+    dim = len(rates) + 1
+    h = [np.exp(-a * t / 2.0) if a else 1.0 for a in rates]
+    ops = [np.diag([1.0, *h]).astype(complex)]
+    for m, hm in enumerate(h, 1):
+        k = np.zeros((dim, dim), dtype=complex)
+        k[0, m] = np.sqrt(1.0 - hm * hm)
+        ops.append(k)
+    return ops
+
+
 class TestKrausChannelDim:
-    """``KrausChannel.dim`` is read off the operators, so the two cannot disagree."""
+    """A Kraus channel is its operator array; d is read off its last axis.
+
+    No dimension is held apart from the operators, so none can disagree with them.
+    """
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_emission_channel(self, dim):
-        for t in (0.9, [0.0, 0.9, np.inf]):
-            ch = se_kraus(ARM_RATES[dim], t)
-            assert ch.dim == dim == ch.operators[0].shape[-1]
+        rates = ARM_RATES[dim]
+        one = se_kraus(rates, 0.9)
+        assert type(one) is np.ndarray and one.shape == (dim, dim, dim)
+        times = [0.0, 0.9, 4.0, np.inf]
+        grid = se_kraus(rates, times)
+        assert type(grid) is np.ndarray and grid.shape == (dim, len(times), dim, dim)
+        # row k is K_k; on a grid, grid[k, i] is K_k at times[i], bit for bit
+        for k, want in enumerate(emission_operators(rates, 0.9)):
+            assert one[k].tobytes() == want.tobytes()
+        for i, t in enumerate(times):
+            assert grid[:, i].tobytes() == se_kraus(rates, t).tobytes()
+        if dim == 3:
+            qutrit = se_kraus_qutrit(ChannelParams(a2=rates[0], a3=rates[1], t=0.9))
+            assert type(qutrit) is np.ndarray and qutrit.tobytes() == one.tobytes()
 
     @pytest.mark.parametrize("shape", [(6, 6), (4, 6, 6)])
     def test_dense_random_channel(self, shape):
         rng = np.random.default_rng(41)
         ops = rng.standard_normal((3, *shape)) + 1j * rng.standard_normal((3, *shape))
-        assert channels.KrausChannel(tuple(ops)).dim == 6
+        lead = shape[:-2]
+        assert apply_kraus(np.eye(6) / 6, ops).shape == lead + (6, 6)
+        assert bipartite_channel(np.eye(36) / 36, ops, 0.5).shape == lead + (36, 36)
+        # a state of another dimension: one ValueError naming both shapes
+        with pytest.raises(ValueError) as err:
+            apply_kraus(np.eye(3) / 3, ops)
+        assert str(err.value) == f"state shape (3, 3) does not match operators {ops.shape}"
+        with pytest.raises(ValueError, match="dimension 6"):
+            bipartite_channel(np.eye(9) / 9, ops, 0.5)
 
     def test_rejects_a_dim_keyword(self):
         # a dim given apart from the operators could disagree with them
         ops = np.zeros((3, 6, 6), dtype=complex)
         with pytest.raises(TypeError):
-            channels.KrausChannel(dim=2, operators=tuple(ops))
+            apply_kraus(np.eye(6) / 6, ops, dim=2)
+        with pytest.raises(TypeError):
+            bipartite_channel(np.eye(36) / 36, ops, 0.5, dim=2)

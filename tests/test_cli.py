@@ -241,6 +241,28 @@ class TestCompare:
         verdicts = {line.split(",")[4] for line in lines[1:]}
         assert verdicts == {"true", "false"}
 
+    def test_agree_column_reads_the_one_crossing_rule(self, capsys, monkeypatch):
+        # one qubit crossing for the whole grid, and one rule for "no earlier"
+        rule, crossing = analysis.qutrit_crosses_no_earlier, analysis.indicator_crossing
+        calls, species = [], []
+
+        def recorded_rule(cross_qb, cross_qt):
+            calls.append((cross_qb, cross_qt))
+            return rule(cross_qb, cross_qt)
+
+        def recorded_crossing(p, params, d):
+            species.append(d)
+            return crossing(p, params, d)
+
+        monkeypatch.setattr(analysis, "qutrit_crosses_no_earlier", recorded_rule)
+        monkeypatch.setattr(analysis, "indicator_crossing", recorded_crossing)
+        assert main(["compare"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.split("\n")[1:-1]]
+        assert species.count(2) == 1 and species.count(3) == 100
+        assert [(cli._fmt(qb), cli._fmt(qt)) for qb, qt in calls] == [
+            (row[2], row[3]) for row in rows
+        ]
+
     def test_requires_entangled_qubit(self, capsys):
         assert main(["compare", "--p", "0.3"]) == 2
         assert "error" in capsys.readouterr().err
@@ -296,10 +318,10 @@ class TestValidate:
 
         def corrupted(rates, t):
             # flip the sign of the qutrit K0's lambda_3 coefficient
-            k0, *jumps = good(rates, t)
+            ops = good(rates, t)
             if len(rates) == 2:
-                k0 = k0 - np.trace(k0 @ lam3) * lam3
-            return (k0, *jumps)
+                ops[0] -= np.trace(ops[0] @ lam3) * lam3
+            return ops
 
         monkeypatch.setattr(channels, "_kraus_operators", corrupted)
         assert main(["validate"]) == 1
@@ -308,6 +330,28 @@ class TestValidate:
         assert "pass=false" in line
         # sign flip shows up as an O(1) completeness defect
         assert float(line.split("defect=")[1].split()[0]) > 0.1
+
+    @pytest.mark.parametrize("size, index, value", [
+        pytest.param(8, 0, 0.0, id="zero"),
+        pytest.param(8, 7, 1.0, id="e8"),  # |n| = 1 but n * n = -n
+        pytest.param(15, 14, 1.0, id="d4-e15"),
+        pytest.param(8, 7, np.nan, id="nan"),
+    ])
+    def test_pure_state_check_rejects_impure_vectors(self, capsys, monkeypatch, size, index, value):
+        # validate's pure_state_conditions is the one owner of the pure-state rule
+        n = np.zeros(size)
+        n[index] = value
+        haar = analysis.haar_bloch_vectors
+
+        def draws(d, samples, seed):
+            # the check's 200 draws; the moment checks keep theirs
+            return np.array([n]) if samples == 200 else haar(d, samples, seed)
+
+        monkeypatch.setattr(analysis, "haar_bloch_vectors", draws)
+        assert main(["validate"]) == 1
+        out = capsys.readouterr().out
+        line = next(l for l in out.split("\n") if "pure_state_conditions" in l)
+        assert line.endswith("pass=false")
 
 
 class TestUsageErrors:

@@ -224,11 +224,17 @@ class TestHermitianEigenvalues:
         with pytest.raises(ValueError):
             hermitian_eigenvalues(np.zeros((2, 3)))
 
-    def test_no_convergence_is_reachable(self):
-        # off-diagonal below the rotation guard but above an absurd tol
+    def test_no_convergence_is_reachable(self, monkeypatch):
+        # off-diagonal below the rotation guard but above an absurd target
+        monkeypatch.setattr(linalg, "JACOBI_TOL", 1e-312)
         stuck = np.array([[1.0, 1e-305], [1e-305, 2.0]])
         with pytest.raises(NoConvergenceError):
-            hermitian_eigenvalues(stuck, tol=1e-312)
+            hermitian_eigenvalues(stuck)
+
+    def test_target_is_the_module_constant(self):
+        assert linalg.JACOBI_TOL == 1e-12
+        with pytest.raises(TypeError):
+            hermitian_eigenvalues(SX, tol=1e-3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
@@ -276,10 +282,12 @@ class TestHermitianEigenvalues:
         assert eigs.shape == (2, 3, 4)
         np.testing.assert_array_equal(eigs[1, 2], hermitian_eigenvalues(stack[1, 2]))
 
-    def test_stack_raises_for_any_failing_member(self):
+    def test_stack_raises_for_any_failing_member(self, monkeypatch):
         stuck = np.array([[1.0, 1e-305], [1e-305, 2.0]])
-        with pytest.raises(NoConvergenceError):
-            hermitian_eigenvalues(np.stack([np.eye(2), stuck, SX]), tol=1e-312)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "JACOBI_TOL", 1e-312)
+            with pytest.raises(NoConvergenceError):
+                hermitian_eigenvalues(np.stack([np.eye(2), stuck, SX]))
         skew = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(NonHermitianError):
             hermitian_eigenvalues(np.stack([np.eye(2), SX, skew]))

@@ -1,4 +1,4 @@
-"""Generator algebra: structure constants, Bloch dictionaries, purity.
+"""Generator algebra: structure constants, Bloch dictionaries, pure-state conditions.
 
 Spot values f_123 = 1, d_338 = 1/sqrt(3), d_888 = -1/sqrt(3) are the
 hand-computed anchors; the full product identity
@@ -27,11 +27,9 @@ from qutrit_se.linalg import (
 )
 from qutrit_se.states import correlation_matrix, max_entangled, werner
 from qutrit_se.su import (
-    atom_vars_to_bloch,
     bloch_to_density,
     density_to_bloch,
     generator_basis,
-    is_pure_bloch,
     star_product,
     structure_constants,
 )
@@ -254,12 +252,20 @@ class TestStarProduct:
         for _ in range(50):
             v = haar_state(4, rng)
             n = density_to_bloch(np.outer(v, v.conj()))
+            assert abs(n @ n - 1.0) <= 1e-12
             np.testing.assert_allclose(star_product(n, n), n, atol=1e-12)
-            assert is_pure_bloch(n)
-        assert not is_pure_bloch(np.zeros(15))
+        assert np.zeros(15) @ np.zeros(15) == 0.0  # no unit norm
         e15 = np.zeros(15)
         e15[14] = 1.0  # |n| = 1, but the last level alone is not a pure direction
-        assert not is_pure_bloch(e15)
+        assert e15 @ e15 == 1.0
+        assert np.max(np.abs(star_product(e15, e15) - e15)) > 0.5
+
+
+def assert_pure(n):
+    """|n| = 1 and, for d >= 3, n * n = n: the conditions validate measures, to 1e-10."""
+    assert abs(n @ n - 1.0) <= 1e-10
+    if n.size > 3:  # the qubit's d tensor vanishes, so |n| = 1 is its only condition
+        assert np.max(np.abs(star_product(n, n) - n)) <= 1e-10
 
 
 class TestPurity:
@@ -267,32 +273,34 @@ class TestPurity:
         for k in range(3):
             rho = np.zeros((3, 3), dtype=complex)
             rho[k, k] = 1.0
-            assert is_pure_bloch(density_to_bloch(rho))
+            assert_pure(density_to_bloch(rho))
 
     def test_haar_states_pure(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
             d = 2 if rng.integers(2) else 3
             v = haar_state(d, rng)
-            assert is_pure_bloch(density_to_bloch(np.outer(v, v.conj())))
+            assert_pure(density_to_bloch(np.outer(v, v.conj())))
 
     def test_maximally_mixed_not_pure(self):
-        assert not is_pure_bloch(np.zeros(8))
-        assert not is_pure_bloch(np.zeros(3))
+        for size in (3, 8):
+            n = np.zeros(size)
+            assert abs(n @ n - 1.0) == 1.0
+        np.testing.assert_array_equal(star_product(np.zeros(8), np.zeros(8)), np.zeros(8))
 
     @pytest.mark.parametrize("size", [3, 8])
     def test_non_finite_vector_is_not_pure(self, size):
-        assert not is_pure_bloch(np.full(size, np.nan))
+        # a NaN or inf entry fails the norm condition: no comparison with it holds
         n = np.zeros(size)
-        n[0], n[-1] = 1.0, np.nan
-        assert not is_pure_bloch(n)
-        n[-1] = np.inf
-        assert not is_pure_bloch(n)
+        n[0] = 1.0
+        for bad in (np.full(size, np.nan), np.r_[n[:-1], np.nan], np.r_[n[:-1], np.inf]):
+            assert not abs(bad @ bad - 1.0) <= 1e-10
 
     def test_unit_norm_but_not_idempotent_fails(self):
         e8 = np.zeros(8)
         e8[7] = 1.0  # |n| = 1 yet n*n = -n: not a pure state direction
-        assert not is_pure_bloch(e8)
+        assert e8 @ e8 == 1.0
+        np.testing.assert_allclose(star_product(e8, e8), -e8, atol=1e-15)
 
     def test_basis_states_pairwise_angle(self):
         # orthogonal pure states open at cos(theta) = -1/2
@@ -306,45 +314,60 @@ class TestPurity:
                 assert abs(vecs[i] @ vecs[j] + 0.5) < 1e-12
 
 
+def atom_state(p2, p3, d12, d13, d23):
+    """Three-level state from its excited populations and its coherences rho_jk."""
+    return np.array(
+        [
+            [1.0 - p2 - p3, d12, d13],
+            [np.conj(d12), p2, d23],
+            [np.conj(d13), np.conj(d23), p3],
+        ],
+        dtype=complex,
+    )
+
+
 class TestAtomVars:
+    """The Bloch vector of a qutrit given by populations and coherences."""
+
     def test_ground(self):
         np.testing.assert_allclose(
-            atom_vars_to_bloch(0.0, 0.0, 0, 0, 0), GROUND_BLOCH, atol=1e-15
+            density_to_bloch(atom_state(0.0, 0.0, 0, 0, 0)), GROUND_BLOCH, atol=1e-15
         )
 
     def test_excited_populations(self):
-        n = atom_vars_to_bloch(0.5, 0.5, 0, 0, 0)
+        n = density_to_bloch(atom_state(0.5, 0.5, 0, 0, 0))
         assert abs(n[2] + np.sqrt(3) / 4) < 1e-14
         assert abs(n[7] + 0.25) < 1e-14
 
     def test_matches_density_reconstruction(self):
+        # n_i = (sqrt(3)/2) Tr(rho lambda_i): a coherence rho_jk gives the pair
+        # (sqrt(3) Re rho_jk, -sqrt(3) Im rho_jk), and the populations p1
+        # (ground), p2, p3 give n_3 = (sqrt(3)/2)(p1 - p2), n_8 = (p1 + p2 - 2 p3)/2
         rng = np.random.default_rng(9)
+        r3 = np.sqrt(3)
         for _ in range(50):
-            # random valid populations and (small) coherences
             p1, p2, p3 = rng.dirichlet([1.0, 1.0, 1.0])
             scale = 0.1
             d12, d13, d23 = (
                 scale * (rng.standard_normal() + 1j * rng.standard_normal())
                 for _ in range(3)
             )
-            rho = np.array(
-                [
-                    [p1, d12, d13],
-                    [np.conj(d12), p2, d23],
-                    [np.conj(d13), np.conj(d23), p3],
-                ]
-            )
-            np.testing.assert_allclose(
-                atom_vars_to_bloch(p2, p3, d12, d13, d23),
-                density_to_bloch(rho),
-                atol=1e-12,
-            )
+            rho = atom_state(p2, p3, d12, d13, d23)
+            expected = [
+                r3 * d12.real, -r3 * d12.imag, r3 / 2 * (p1 - p2),
+                r3 * d13.real, -r3 * d13.imag, r3 * d23.real, -r3 * d23.imag,
+                (p1 + p2 - 2 * p3) / 2,
+            ]
+            n = density_to_bloch(rho)
+            np.testing.assert_allclose(n, expected, atol=1e-12)
+            np.testing.assert_allclose(bloch_to_density(n), rho, atol=1e-12)
 
     def test_rejects_bad_populations(self):
-        with pytest.raises(ValueError):
-            atom_vars_to_bloch(0.7, 0.7, 0, 0, 0)
-        with pytest.raises(ValueError):
-            atom_vars_to_bloch(-0.1, 0.5, 0, 0, 0)
+        # populations that do not sum to 1 are not a state
+        with pytest.raises(ValueError, match="trace"):
+            density_to_bloch(np.diag([0.0, 0.7, 0.7]))
+        with pytest.raises(ValueError, match="trace"):
+            density_to_bloch(np.diag([0.0, -0.1, 0.5]))
 
 
 def test_gell_mann_count_and_shape():
