@@ -15,8 +15,8 @@ forms that the test suite cross-checks against each other:
   (h_0 = 1), and the diagonal generators mix through the population
   transfer matrix (for the qutrit the single off-diagonal entry D[2, 7]);
   the shift T(t) drives every state toward the ground state, the unique
-  fixed point at t -> infinity; its rate-independent index data comes from
-  ``GeneratorBasis.diagonals`` and ``GeneratorBasis.pair_rows``;
+  fixed point at t -> infinity; its rate-independent data (the generators'
+  diagonals and pair rows) is built once per d, read-only;
 * an operator-sum (Kraus) form: K0 = diag(1, h_1, ..., h_n) and
   K_m = w_m |0><m| with h_m = exp(-a_m t/2) and w_m = sqrt(1 - h_m^2),
   in the level basis, held as one complex operator array indexed by k
@@ -24,8 +24,9 @@ forms that the test suite cross-checks against each other:
 * a Lindblad master equation with jump operators sqrt(a_m) |0><m|,
   integrated with fixed-step RK4, applied as a power of the d^2 x d^2 step
   matrix of the jump operators (Havel, quant-ph/0201127), whose generator
-  is built with ``linalg.kron``; the step matrix and its squares are cached
-  read-only per (arm rates, step size h), in a bounded cache.
+  sums its jump terms as stacked products over the operator array and lifts
+  the decay term with ``linalg.kron``; the step matrix and its squares are
+  cached read-only per (arm rates, step size h), in a bounded cache.
 
 Bipartite use: ``bipartite_channel`` lifts a local channel to two qudits as
 the mixture q (channel on A) + (1-q) (channel on B), through the channel's
@@ -39,7 +40,6 @@ at once, shape (d, T, d, d), from the same expressions as at a single time;
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import operator
@@ -90,7 +90,7 @@ class ChannelParams:
         return (self.a1,) if dim == 2 else (self.a2, self.a3)
 
     def with_time(self, t: float) -> "ChannelParams":
-        return dataclasses.replace(self, t=t)
+        return ChannelParams(self.a1, self.a2, self.a3, t, self.q)
 
 
 @dataclass(frozen=True)
@@ -121,15 +121,28 @@ def _affine_map(rates: tuple, t: float) -> AffineBlochMap:
     # and the shift is (b/(d-1))/d sum_m u_m. A diagonal generator of a
     # level above m weighs levels 0 and m alike, so u_m is exactly zero
     # there and the block is upper triangular.
-    basis = generator_basis(len(rates) + 1)
+    toward, lam_t, eye, pairs, js, ks, shift_scale = _affine_layout(len(rates) + 1)
     h = np.exp(-np.array((0.0, *rates)) * t / 2.0)
-    lam = basis.diagonals
-    moved = (lam[:, :1] - lam) * (1.0 - h * h)
-    damping = np.eye(basis.n_generators) + 0.5 * moved @ lam.T
-    pairs, js, ks = basis.pair_rows
+    moved = toward * (1.0 - h * h)
+    damping = eye + 0.5 * moved @ lam_t
     damping[pairs, pairs] = h[js] * h[ks]
-    shift = basis.bloch_scale / basis.dim * moved.sum(axis=1)
-    return AffineBlochMap(damping=damping, shift=shift)
+    return AffineBlochMap(damping=damping, shift=shift_scale * moved.sum(axis=1))
+
+
+@functools.lru_cache(maxsize=8)
+def _affine_layout(dim: int) -> tuple:
+    # the rate-independent data of _affine_map, read-only as every call shares
+    # it: Lambda[:, :1] - Lambda, Lambda^T, the identity, the pair rows (rows,
+    # j, k) in basis order (each pair's symmetric then antisymmetric
+    # generator) and the shift factor (b/(d-1))/d
+    basis = generator_basis(dim)
+    lam = basis.generators.diagonal(axis1=1, axis2=2).real
+    # a pair generator has one entry above the diagonal, at (j, k)
+    pair_rows = np.nonzero(np.triu(basis.generators, 1))
+    arrays = (lam[:, :1] - lam, lam.T, np.eye(basis.n_generators), *pair_rows)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays + (basis.bloch_scale / dim,)
 
 
 def _arm_factors(rates: tuple, t) -> list:
@@ -191,7 +204,7 @@ def se_kraus_qutrit(params: ChannelParams) -> np.ndarray:
 
 def completeness_defect(kraus: np.ndarray) -> float:
     """max |sum_k K_k^dag K_k - I| of an operator array, at one time or over a grid."""
-    acc = sum(dagger(k) @ k for k in kraus)
+    acc = (dagger(kraus) @ kraus).sum(axis=0)
     return float(np.max(np.abs(acc - np.eye(np.shape(kraus)[-1]))))
 
 
@@ -200,16 +213,16 @@ def apply_kraus(rho: np.ndarray, kraus: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != np.shape(kraus)[-2:]:
         raise ValueError(f"state shape {rho.shape} does not match operators {np.shape(kraus)}")
-    return sum(k @ rho @ dagger(k) for k in kraus)
+    return (kraus @ rho @ dagger(kraus)).sum(axis=0)
 
 
-def lindblad_jump_ops(rates) -> tuple:
-    """Jump operators sqrt(a_m) |0><m| of the emission generator, one per arm."""
+def lindblad_jump_ops(rates) -> np.ndarray:
+    """Jump operators sqrt(a_m) |0><m|, one per arm, as one (d - 1, d, d) complex array."""
     rates = _check_rates(rates)
     ops = np.zeros((len(rates), len(rates) + 1, len(rates) + 1), dtype=complex)
     for m, a in enumerate(rates, 1):
         ops[m - 1, 0, m] = np.sqrt(a)
-    return tuple(ops)
+    return ops
 
 
 def lindblad_evolve(rho0: np.ndarray, params: ChannelParams, steps: int) -> np.ndarray:
@@ -221,12 +234,13 @@ def lindblad_evolve(rho0: np.ndarray, params: ChannelParams, steps: int) -> np.n
     ``params.rates(d)``. The right-hand side is linear, so one RK4 step is
     exactly the d^2 x d^2 matrix P = I + hS + (hS)^2/2 + (hS)^3/6 + (hS)^4/24
     on the row-major vec, where vec(A X B) = (A kron B^T) vec(X) and S is
-    built with ``linalg.kron`` from the jump operators alone (Havel, J. Math.
-    Phys. 44, 534 (2003)); the result is P^steps rho0. P and its squares
-    P^2, P^4, ... are cached read-only per (arm rates, h), in a bounded LRU
-    cache, and multiplied in ``np.linalg.matrix_power``'s order, so a
-    repeated (rates, h), as in piecewise integration, rebuilds nothing and
-    gives the bits of the uncached power.
+    built from the jump operators alone, its decay term lifted with
+    ``linalg.kron`` (Havel, J. Math. Phys. 44, 534 (2003)); the result is
+    P^steps rho0. P and its squares P^2, P^4, ... are cached read-only per
+    (arm rates, h), in a bounded LRU cache, and multiplied in
+    ``np.linalg.matrix_power``'s order, so a repeated (rates, h), as in
+    piecewise integration, rebuilds nothing and gives the bits of the
+    uncached power.
     """
     rho = np.asarray(rho0, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -272,9 +286,11 @@ def _rk4_ladder(rates: tuple, h: float, rungs: int) -> tuple:
 def _rk4_step(rates: tuple, h: float) -> np.ndarray:
     dim = len(rates) + 1
     jumps = lindblad_jump_ops(rates)
-    gsum = sum(dagger(l) @ l for l in jumps)
+    gsum = (dagger(jumps) @ jumps).sum(axis=0)
     eye = np.eye(dim)
-    gen = sum(kron(l, l.conj()) for l in jumps) - 0.5 * (
+    # sum_l l (x) conj(l), one broadcast product per arm summed in arm order
+    lifts = jumps[:, :, None, :, None] * jumps.conj()[:, None, :, None, :]
+    gen = lifts.reshape(-1, dim * dim, dim * dim).sum(axis=0) - 0.5 * (
         kron(gsum, eye) + kron(eye, gsum.T)
     )
     hs = h * gen

@@ -435,6 +435,25 @@ def reference_affine_map(rates, t):
     return damping, shift
 
 
+def reference_apply_kraus(rho, kraus):
+    """sum_k K_k rho K_k^dag as a Python sum over the operators, in order."""
+    return sum(k @ rho @ dagger(k) for k in kraus)
+
+
+def reference_completeness_defect(kraus):
+    """max |sum_k K_k^dag K_k - I| with the k terms added by a Python sum."""
+    acc = sum(dagger(k) @ k for k in kraus)
+    return float(np.max(np.abs(acc - np.eye(np.shape(kraus)[-1]))))
+
+
+def kraus_cases(rng, dim):
+    """Operator arrays at scalar times and on (d, T, d, d) grids, t = 0 and inf included."""
+    for i, t in enumerate((0.0, np.inf, *rng.uniform(0.0, 20.0, 6))):
+        rates = random_rates(rng, dim, undamped_first=i % 3 == 1)
+        yield se_kraus(rates, t)
+        yield se_kraus(rates, np.concatenate(([0.0, np.inf, t], rng.uniform(0.0, 20.0, 4))))
+
+
 def assert_same_bytes(got, want):
     np.testing.assert_array_equal(got, want)
     assert got.dtype == want.dtype and got.shape == want.shape
@@ -450,7 +469,7 @@ def random_rates(rng, dim, undamped_first):
 
 
 class TestBuildersMatchReferences:
-    """The Lindblad and affine builders return the references' exact bits."""
+    """The Lindblad, affine and Kraus builders return the references' exact bits."""
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_lindblad_evolve(self, dim):
@@ -476,6 +495,20 @@ class TestBuildersMatchReferences:
             damping, shift = reference_affine_map(rates, float(t))
             assert_same_bytes(m.damping, damping)
             assert_same_bytes(m.shift, shift)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_apply_kraus(self, dim):
+        rng = np.random.default_rng(70 + dim)
+        for kraus in kraus_cases(rng, dim):
+            rho = random_density_matrix(dim, rng)
+            assert_same_bytes(apply_kraus(rho, kraus), reference_apply_kraus(rho, kraus))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_completeness_defect(self, dim):
+        rng = np.random.default_rng(80 + dim)
+        for kraus in kraus_cases(rng, dim):
+            got = np.float64(completeness_defect(kraus))
+            assert_same_bytes(got, np.float64(reference_completeness_defect(kraus)))
 
 
 def test_diffusive_short_time_order():

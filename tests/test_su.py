@@ -12,6 +12,7 @@ is reconstructed entrywise for every pair.
 import numpy as np
 import pytest
 
+from qutrit_se import channels
 from qutrit_se.analysis import (
     fidelity_closed,
     haar_bloch_vectors,
@@ -129,21 +130,27 @@ class TestGeneratorSets:
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_diagonals_and_pair_rows(self, dim):
+        # the affine Bloch map's index data, read off the generators once per d
         basis = generator_basis(dim)
         g = basis.generators
-        np.testing.assert_array_equal(basis.diagonals, np.diagonal(g, axis1=1, axis2=2).real)
-        rows, js, ks = basis.pair_rows
+        layout = channels._affine_layout(dim)
+        toward, lam_t, eye, rows, js, ks, shift_scale = layout
+        diagonals = np.diagonal(g, axis1=1, axis2=2).real
+        np.testing.assert_array_equal(lam_t, diagonals.T)
+        np.testing.assert_array_equal(toward, diagonals[:, :1] - diagonals)
+        np.testing.assert_array_equal(eye, np.eye(len(g)))
+        assert shift_scale == basis.bloch_scale / dim
         assert len(rows) == len(js) == len(ks) == dim * (dim - 1)
         # every generator with no diagonal is a pair row, each listed once
-        assert sorted(rows) == [i for i in range(len(g)) if not basis.diagonals[i].any()]
+        assert sorted(rows) == [i for i in range(len(g)) if not diagonals[i].any()]
         for r, j, k in zip(rows, js, ks):
             assert j < k and g[r, j, k] != 0 and g[r, k, j] != 0
             assert np.count_nonzero(g[r]) == 2
         assert all(g[rows[::2], js[::2], ks[::2]] == 1)  # symmetric first
         assert all(g[rows[1::2], js[1::2], ks[1::2]] == -1j)
-        for arr in (basis.diagonals, *basis.pair_rows):
+        for arr in layout[:-1]:
             assert not arr.flags.writeable
-        assert basis.pair_rows is generator_basis(dim).pair_rows  # built once
+        assert channels._affine_layout(dim) is layout  # built once
 
     def test_rejects_non_orthonormal_basis(self):
         bad = PAULI.copy()
