@@ -60,16 +60,13 @@ __all__ = [
     "separability_report",
 ]
 
-# Time points per batched negativity step of ``separability_report``: the
-# per-call cost of ``bipartite_channel`` and the stacked Jacobi is shared by a
-# chunk, and a chunk's (T, 9, 9) temporaries set the peak memory of long grids.
-# 512 against 256 (2-core x86-64, numpy 2.4.6; in-process A/B alternated per
-# task over 30 seeded `curves` tasks at 50, 316 and 2000 steps, 5 repetitions,
-# summed rung medians, two seeds): 7.5% and 9.1% less time, but 2.0 MB more peak
-# RSS for a 2000-step `curves` run (64: +2.0 MB above the import, 256: +3.6 MB,
-# 512: +5.6 MB), and a traced peak of 3.27 MB against 1.71 MB for a 2000-step
-# report, above the bound that test_peak_memory_of_a_long_grid keeps.
-GRID_CHUNK = 256
+# Time points per batched negativity step of ``separability_report``: a chunk shares
+# the per-call cost of ``bipartite_channel`` and the Jacobi run, and its (T, 9, 9)
+# float64 temporaries set the peak memory of long grids. 512 real against 256 complex
+# (2-core x86-64, numpy 2.4.6; six alternated 25-s pairs of the benchmark's `curves`):
+# 113-118 -> 145-159 tasks/s; a 2000-step run peaks 3.3 MB RSS above the import (was
+# 3.8) and at 1.74 MB traced (was 1.63).
+GRID_CHUNK = 512
 
 # Samples per block of ``haar_bloch_vectors``: a block's normalisation and
 # contraction temporaries stay in cache, and they add to the peak memory set by
@@ -362,8 +359,9 @@ def separability_report(p: float, params: ChannelParams, t_max: float, steps: in
     GRID_CHUNK time points at a time: one Kraus stack, one stack of
     superoperators applied to each side of the Werner state as a matrix
     product (``bipartite_channel``) and one stacked Jacobi run per species
-    and chunk. The rows do not depend on GRID_CHUNK: every point sees the
-    same operations whatever chunk it is in; only time and memory do.
+    and chunk, in float64 on the real parts of the (real) operators and state,
+    with the bits of the complex route. The rows do not depend on GRID_CHUNK:
+    every point sees the same operations in any chunk; only time and memory do.
     A zero arm rate is an undamped arm; a1 must pass ``check_time_unit``.
     """
     check_time_unit(params.a1)
@@ -381,10 +379,10 @@ def separability_report(p: float, params: ChannelParams, t_max: float, steps: in
     for i, d in enumerate((2, 3)):
         rows[:, 1 + i] = indicator_closed(p, params.rates(d), times)
         rows[:, 3 + i] = fidelity_closed(params.rates(d), times)
-        w = werner(d, p)
+        w = werner(d, p).real
         for lo in range(0, steps + 1, GRID_CHUNK):
             chunk = slice(lo, lo + GRID_CHUNK)
-            kraus = se_kraus(params.rates(d), times[chunk])
+            kraus = se_kraus(params.rates(d), times[chunk]).real
             rho = bipartite_channel(w, kraus, params.q)
             rows[chunk, 5 + i] = negativity(rho, d)
     return rows

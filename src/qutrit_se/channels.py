@@ -304,24 +304,24 @@ def bipartite_channel(rho: np.ndarray, kraus: np.ndarray, q: float) -> np.ndarra
     """Act with a local channel on a two-qudit state: q.(on A) + (1-q).(on B).
 
     ``kraus`` is an operator array from ``se_kraus``, (k, d, d) or (k, T, d, d)
-    on a grid of T times, giving one state (d^2, d^2) or T states (T, d^2, d^2).
+    on a grid of T times, giving one state (d^2, d^2) or T states (T, d^2, d^2),
+    in float64 when the state and the operators are real, else complex128.
     q = 1 applies the channel to A only and q = 0 to B only.
     The superoperator S = sum_k K_k (x) conj(K_k), shape (..., d^2, d^2) with
     rows (a, z) and columns (x, y), is built once per call, from the products
     K_k[a, x] conj(K_k[z, y]) of the entries of K_k that are nonzero at some
     time only (11 of the 81 for the qutrit emission channel, d^2 + d - 1 in
-    general): S starts at zero, and each k adds its products in place, in
-    operator order. Within one k the targets (a, z, x, y) are distinct, so S
-    holds the values of the sum over every product; a skipped product is an
-    exact zero. Side A is then one matrix product S M_A over all times at
-    once, with M_A[(x, y), (b, c)] = rho[(x, b), (y, c)]; side B is the same
-    with rho's B indices. The q-mix moves each side's product into the output
-    layout ((a, b), (z, c)) with one gather (``np.take``) along a permutation
-    cached per d, scales it in place by q or 1 - q and adds the two: the same
+    general), added in place into a zeroed S in operator order: within one k
+    the targets (a, z, x, y) are distinct, and a skipped product is an exact
+    zero. Side A is then one matrix product S M_A over all times at once, with
+    M_A[(x, y), (b, c)] = rho[(x, b), (y, c)]; side B is the same with rho's
+    B indices. The q-mix moves each side's product into the output layout
+    ((a, b), (z, c)) with one gather (``np.take``) along a permutation cached
+    per d, scales it in place by q or 1 - q and adds the two: the same
     multiplications and additions as weighing the permuted products directly.
     """
-    rho = np.asarray(rho, dtype=complex)
-    ops = np.asarray(kraus, dtype=complex)  # (k, ..., d, d)
+    dtype = np.result_type(np.asarray(rho), np.asarray(kraus), float)  # real stays real
+    rho, ops = np.asarray(rho, dtype=dtype), np.asarray(kraus, dtype=dtype)  # ops: (k, ..., d, d)
     dim = ops.shape[-1]
     n = dim * dim
     if rho.shape != (n, n):

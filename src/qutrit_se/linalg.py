@@ -1,10 +1,10 @@
-"""Dense complex linear algebra for small bipartite systems.
+"""Dense linear algebra for small bipartite systems.
 
-Everything here works on plain ``numpy`` arrays (complex128) and is sized for
-the matrices this package actually meets: 2x2 ... 9x9. The eigensolver is a
-self-contained cyclic Jacobi iteration so that positivity certificates
-(partial-transpose spectra) do not depend on the same code paths as the
-channel constructions they are meant to check.
+Everything here works on plain ``numpy`` arrays (complex128, or float64 where
+a real input keeps its dtype) and is sized for the matrices this package
+meets: 2x2 ... 9x9. The eigensolver is a self-contained cyclic Jacobi
+iteration so that positivity certificates (partial-transpose spectra) do not
+depend on the same code paths as the channel constructions they check.
 
 ``hermitian_eigenvalues``, ``partial_transpose`` and ``dagger`` also take
 stacks (..., n, n) and act on each matrix, so a whole time grid of states is
@@ -58,7 +58,8 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def _square(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a)
+    a = a.astype(np.result_type(a, float), copy=False)  # a real stack stays real
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -95,7 +96,8 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
 
     Unitary 2x2 rotations (with the phase of the pivot entry absorbed) are
     applied in row-cyclic order until every off-diagonal magnitude is <= JACOBI_TOL
-    (1e-12). A pivot below 1e-300 in magnitude is skipped.
+    (1e-12). A pivot below 1e-300 in magnitude is skipped. A real symmetric
+    ``a`` is swept in float64, with the eigenvalue bits of its complex copy.
 
     ``a`` may be one (n, n) matrix, giving shape (n,), or a stack
     (..., n, n), giving (..., n). A stack runs one sweep loop over all its
@@ -216,7 +218,7 @@ def _jacobi_sweep(m: np.ndarray) -> np.ndarray:
             rotate = r >= 1e-300
             skip = ~rotate
             r[skip] = 1.0
-            phase = pivot / r
+            phase = pivot * (1.0 / r)  # numpy's pivot / r, and real m rotates as complex m
             # a pivot tiny against its diagonal gap overflows theta or theta^2
             # to inf, and t = 1/inf = 0 is the exact limit: no rotation
             with np.errstate(over="ignore"):
@@ -242,8 +244,8 @@ def _jacobi_sweep(m: np.ndarray) -> np.ndarray:
             m[..., p, :] = new_p
             pivot[rotate] = 0.0
             m[..., q, p][rotate] = 0.0
-            m[..., p, p].imag = 0.0
-            m[..., q, q].imag = 0.0
+            if np.iscomplexobj(m):  # a real stack has no imaginary parts to zero
+                m[..., p, p].imag = m[..., q, q].imag = 0.0
     return m
 
 

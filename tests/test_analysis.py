@@ -15,6 +15,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qutrit_se import analysis, channels, cli
 from qutrit_se.analysis import (
@@ -534,6 +536,28 @@ class TestNegativity:
         negs = negativity(np.stack([werner(2, 0.2), werner(2, 0.3)]), 2)
         assert np.all(negs == 0.0) and not np.any(np.signbit(negs))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.sampled_from([2, 3, 4]),
+        rates=st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=3, max_size=3),
+        t=st.one_of(st.floats(min_value=0.0, max_value=20.0), st.just(math.inf)),
+        p=st.floats(min_value=0.0, max_value=1.0),
+        q=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_evolved_werner_matches_the_pair_blocks(self, d, rates, t, p, q):
+        # ROADMAP item 1a: the partial transpose of an evolved Werner state is
+        # d populations and the 2x2 blocks {|ij>, |ji>}, so its negativity is
+        # the sum of the blocks' max(0, -lambda_minus), with no eigensolver
+        rho = bipartite_channel(werner(d, p), se_kraus(rates[: d - 1], t), q)
+        want = 0.0
+        for i in range(d):
+            for j in range(i + 1, d):
+                a, b = rho[i * d + j, i * d + j].real, rho[j * d + i, j * d + i].real
+                c = rho[i * d + i, j * d + j]
+                lam = (a + b) / 2 - math.sqrt(((a - b) / 2) ** 2 + abs(c) ** 2)
+                want += max(0.0, -lam)
+        assert abs(negativity(rho, d) - want) <= 1e-14
+
 
 def dense_haar_bloch_vectors(d, samples, seed):
     """Reference: every entry of every generator in one dense contraction."""
@@ -748,6 +772,23 @@ class TestReport:
             assert np.max(np.abs(row - expected)) <= 1e-14
             assert [format(x, ".9g") for x in row] == [format(x, ".9g") for x in expected]
 
+    @pytest.mark.parametrize("q", [0.0, 1.0, 0.37])
+    def test_rows_have_the_bytes_of_the_complex_route(self, q):
+        # the report runs the negativities in float64; the same chunks through
+        # the complex werner, se_kraus, bipartite_channel and negativity agree
+        rng = np.random.default_rng(int(q * 100) + 7)
+        steps, chunk = 2 * analysis.GRID_CHUNK + 2, analysis.GRID_CHUNK
+        a1, a2, a3 = np.exp(rng.uniform(-1.6, 1.6, 3))
+        par, p = ChannelParams(a1=a1, a2=a2, a3=a3, q=q), rng.uniform(1 / 3, 1.0)
+        rows = separability_report(p, par, t_max=6.0, steps=steps)
+        times = np.linspace(0.0, 6.0, steps + 1) / a1
+        for i, d in enumerate((2, 3)):
+            w, kraus = werner(d, p), [se_kraus(par.rates(d), times[lo : lo + chunk])
+                                      for lo in range(0, steps + 1, chunk)]
+            assert w.dtype == kraus[0].dtype == complex
+            want = np.concatenate([negativity(bipartite_channel(w, k, q), d) for k in kraus])
+            assert rows[:, 5 + i].tobytes() == want.tobytes()
+
     def test_no_lapack_eigensolver(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("negativity must not use a LAPACK eigensolver")
@@ -784,8 +825,9 @@ class TestReport:
 
     def test_peak_memory_of_a_long_grid(self):
         # the chunked grid keeps the (T, 9, 9) temporaries bounded: a first
-        # call measured 2,005,505 bytes at GRID_CHUNK = 256 (numpy 2.4.6); the
-        # bound is that plus 25%
+        # call measured 1,740,048 bytes at GRID_CHUNK = 512 in float64 (numpy
+        # 2.4.6); the bound, 25% above the 2,005,505 bytes first measured at
+        # GRID_CHUNK = 256 in complex128, stays
         par = ChannelParams(a1=1.3, a2=0.4, a3=2.7, q=0.37)
         tracemalloc.start()
         try:

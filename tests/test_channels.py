@@ -758,6 +758,20 @@ class TestBipartite:
         for rho in (werner(dim, 0.83), random_density_matrix(dim * dim, rng)):
             assert_same_bytes(bipartite_channel(rho, ch, q), strided_mix_bipartite(rho, ch, q))
 
+    @pytest.mark.parametrize("q", [0.0, 1.0, 0.37])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_real_inputs_give_the_real_part_bytes(self, dim, q):
+        # emission operators and real states: the complex call's imaginary part
+        # is exactly 0, and a real call runs in float64 with its real part's bits
+        rng = np.random.default_rng(90 + dim)
+        for i, t in enumerate((0.0, np.inf, 0.8, np.r_[0.0, rng.uniform(0.0, 12.0, 40), np.inf])):
+            ch = se_kraus(random_rates(rng, dim, undamped_first=i % 2 == 1), t)
+            dense = random_density_matrix(dim * dim, rng).real
+            for rho in (werner(dim, 0.83), werner(dim, 0.0), dense):
+                full = bipartite_channel(rho, ch, q)
+                assert full.dtype == complex and not full.imag.any()
+                assert_same_bytes(bipartite_channel(rho.real, ch.real, q), full.real)
+
     def test_stack_matches_per_time_calls(self):
         rng = np.random.default_rng(18)
         rho = random_density_matrix(9, rng)

@@ -7,6 +7,8 @@ spectra); randomized checks cross-check against an independent oracle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qutrit_se import linalg
 from qutrit_se.linalg import (
@@ -109,6 +111,82 @@ def whole_matrix_eigenvalues(a, tol=1e-12):
     else:
         raise NoConvergenceError("reference did not converge")
     return np.sort(m[:, diag, diag].real, axis=-1).reshape(lead + (n,))
+
+
+def smith_division_sweep(m):
+    """Reference: the stacked rotation loop with the phase as numpy's complex division.
+
+    The solver's rotation loop with ``pivot / r`` (Smith's algorithm) for the
+    phase, and the diagonal's imaginary parts always zeroed.
+    """
+    n = m.shape[-1]
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            pivot = m[..., p, q]
+            r = np.hypot(pivot.real, pivot.imag)
+            rotate = r >= 1e-300
+            r[~rotate] = 1.0
+            phase = pivot / r
+            with np.errstate(over="ignore"):
+                theta = (m[..., q, q].real - m[..., p, p].real) / (2.0 * r)
+                sgn = np.where(theta >= 0.0, 1.0, -1.0)
+                t = sgn / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = np.where(rotate, t * c, 0.0)[..., None]
+            c = np.where(rotate, c, 1.0)[..., None]
+            s_phase = s * phase[..., None]
+            s_conj = s * np.conj(phase)[..., None]
+            col_p, col_q = m[..., :, p].copy(), m[..., :, q].copy()
+            m[..., :, p] = c * col_p - s_conj * col_q
+            m[..., :, q] = s_phase * col_p + c * col_q
+            row_p, row_q = m[..., p, :].copy(), m[..., q, :].copy()
+            m[..., p, :] = c * row_p - s_phase * row_q
+            m[..., q, :] = s_conj * row_p + c * row_q
+            pivot[rotate] = 0.0
+            m[..., q, p][rotate] = 0.0
+            m[..., p, p].imag = 0.0
+            m[..., q, q].imag = 0.0
+    return m
+
+
+# a block of CI's `curves --a2 0.001 --a3 12 --q 0.15 --t-max 70` case, whose
+# pivot overflows theta^2
+OVERFLOW_BLOCK = np.array([
+    [0.05000000000000001, 4.525972197681051e-158],
+    [4.525972197681051e-158, 0.2833333333333334],
+])
+
+
+@st.composite
+def symmetric_stacks(draw, complex_entries):
+    """(B, n, n) Hermitian stacks, real symmetric unless complex_entries.
+
+    A random shared zero pattern varies the blocks; members may hold zero
+    rows, a pivot below the 1e-300 rotation guard or the overflowing-theta
+    pivot, and a complex stack may be real-valued.
+    """
+    n = draw(st.integers(min_value=2, max_value=9))
+    members = draw(st.integers(min_value=1, max_value=5))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    a = rng.standard_normal((members, n, n))
+    if complex_entries:  # real-valued or not
+        a = a + 1j * rng.standard_normal((members, n, n)) * draw(st.sampled_from([0.0, 1.0]))
+    a = a + dagger(a)
+    a[:, rng.random((n, n)) < draw(st.floats(min_value=0.0, max_value=0.95))] = 0.0
+    a = (a + dagger(a)) / 2.0  # the zero pattern made symmetric
+    i, j = rng.choice(n, size=2, replace=False)
+    for k in range(members):
+        kind = draw(st.sampled_from(["dense", "zero row", "tiny pivot", "overflow pivot"]))
+        if kind == "zero row":
+            a[k, i, :] = a[k, :, i] = 0.0
+        elif kind == "tiny pivot":
+            a[k, i, :] = a[k, :, i] = 0.0
+            a[k, i, i], a[k, i, j] = 0.5, 1e-301 * draw(st.floats(min_value=0.0, max_value=9.0))
+            a[k, j, i] = np.conj(a[k, i, j])
+        elif kind == "overflow pivot":
+            a[k, [i, j], :] = a[k, :, [i, j]] = 0.0
+            a[k][np.ix_([i, j], [i, j])] = OVERFLOW_BLOCK
+    return a if complex_entries else a.real.copy()
 
 
 def kron_loop(a, b):
@@ -291,6 +369,22 @@ class TestHermitianEigenvalues:
         skew = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(NonHermitianError):
             hermitian_eigenvalues(np.stack([np.eye(2), SX, skew]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(symmetric_stacks(complex_entries=False))
+    def test_real_stack_has_the_bits_of_its_complex_sweep(self, a):
+        real, full = hermitian_eigenvalues(a), hermitian_eigenvalues(a.astype(complex))
+        assert real.dtype == full.dtype == np.float64
+        assert real.tobytes() == full.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(symmetric_stacks(complex_entries=True))
+    def test_phase_has_the_bits_of_the_complex_division(self, a):
+        # pivot * (1/r) against the rotation loop that divides, pivot / r
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "_jacobi_sweep", smith_division_sweep)
+            want = hermitian_eigenvalues(a)
+        assert hermitian_eigenvalues(a).tobytes() == want.tobytes()
 
 
 class TestBlockSplit:
