@@ -72,11 +72,11 @@ GRID_CHUNK = 512
 # contraction temporaries stay in cache, and they add to the peak memory set by
 # the whole draws and the output. A power of two (see haar_bloch_vectors).
 # Sweep (2-core x86-64, numpy 2.4.6; median ms of `haar --seed 7` at the default
-# 200k samples over 8 interleaved rounds, then tracemalloc peak of
-# haar_moment_check(3, 200_000, 42)): 1024: 126 ms, 22.7 MB; 2048: 110 ms,
-# 23.0 MB; 4096: 97 ms, 23.6 MB; 8192: 96 ms, 24.6 MB; 16384: 103 ms, 26.6 MB;
-# 32768: 112 ms, 30.8 MB; unblocked: 150 ms, 52.9 MB. 8192 beat 4096 in 17 of
-# 24 further interleaved pairs, by about 2%.
+# 200k samples over 12 interleaved rounds, then tracemalloc peak of
+# haar_moment_check(3, 200_000, 42)): 1024: 105 ms, 22.6 MB; 2048: 92 ms,
+# 22.9 MB; 4096: 84 ms, 23.4 MB; 8192: 85 ms, 24.0 MB; 16384: 89 ms, 25.7 MB;
+# 32768: 96 ms, 29.0 MB; one block: 118 ms, 54.4 MB. 8192 and 4096 tie: 8192
+# was faster in 14 of 24 further interleaved pairs, medians 85.7 and 86.5 ms.
 _HAAR_BLOCK = 8192
 
 
@@ -223,26 +223,10 @@ def ppt_threshold(d: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def _normalised_rows(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
 def haar_random_states(d: int, samples: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed pure states as rows, via normalized complex Gaussians."""
     v = rng.standard_normal((samples, d)) + 1j * rng.standard_normal((samples, d))
-    return _normalised_rows(v)
-
-
-def _conj_times(x: np.ndarray, y: np.ndarray, g: complex) -> tuple:
-    """(Re, Im) of conj(x + iy) g, rounded as numpy's complex product.
-
-    A unit entry (+-1, +-i) only copies or negates x and y.
-    """
-    if g in (1, -1):
-        return (x, -y) if g == 1 else (-x, y)
-    if g in (1j, -1j):
-        return (y, x) if g == 1j else (-y, -x)
-    return x * g.real + y * g.imag, x * g.imag - y * g.real
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def haar_bloch_vectors(d: int, samples: int, seed: int) -> np.ndarray:
@@ -250,18 +234,23 @@ def haar_bloch_vectors(d: int, samples: int, seed: int) -> np.ndarray:
 
     The draw is that of ``haar_random_states``: all (samples, d) real parts
     g1, then all imaginary parts g2, from one PCG64 stream. The rest runs on
-    blocks of _HAAR_BLOCK samples and writes into the final buffer: a block's
-    states v = (g1 + i g2)/||g1 + i g2||, normalised by the helper that
-    ``haar_random_states`` uses, are contracted. A power-of-two block keeps
-    every element at the same SIMD lane and tail position as in one
+    blocks of _HAAR_BLOCK samples and writes into the final buffer. A block's
+    norms r are numpy's complex ones of g1 + i g2, and its rows x = g1^T (1/r)
+    and y = g2^T (1/r), in real arithmetic, are bitwise the real and imaginary
+    parts of ``haar_random_states``'s v = (g1 + i g2)/r: numpy divides by the
+    real-valued complex r as Smith's algorithm does. A power-of-two block
+    keeps every element at the same SIMD lane and tail position as in one
     whole-array call, so the vectors do not depend on the block size.
 
-    n_i = bloch_scale Re(v^dagger g_i v), contracted over the nonzero entries
-    of each generator only (2 or 3 for the Pauli and Gell-Mann matrices), in
-    real arithmetic on the rows x = Re v and y = Im v: an entry g_ab adds
-    pr x_b - pi y_b with (pr, pi) = conj(v_a) g_ab, and a generator's terms
-    are summed in row-major (a, b) order. That is the scalar order of the
-    dense einsum over all d^2 entries, so the vectors are bitwise the same.
+    n_i = b Re(v^dagger g_i v), b = bloch_scale, is contracted by generator
+    type (su's basis has symmetric and antisymmetric pairs and real
+    diagonals): a symmetric pair (j, k) gives 2b (x_j x_k + y_j y_k), an
+    antisymmetric one 2b (x_j y_k - y_j x_k), and a diagonal with weights g_a
+    gives b sum_a ((x_a g_a) x_a + (y_a g_a) y_a), summed in level order.
+    These are the bits of summing Re(conj(v_a) g_ab v_b) over each
+    generator's nonzero entries in row-major order: a pair's two entries give
+    equal terms, so their sum is an exact doubling, and a real weight's
+    imaginary products are exact zeros.
 
     Layout: a unit scale (the qubit) returns the real part of a complex
     (samples, d^2 - 1) buffer, a strided view; otherwise the scaled vectors
@@ -274,18 +263,28 @@ def haar_bloch_vectors(d: int, samples: int, seed: int) -> np.ndarray:
     g2 = rng.standard_normal((samples, d))
     dtype = complex if basis.bloch_scale == 1.0 else float
     n = np.empty((samples, basis.n_generators), dtype=dtype).real
-    entries = [[(a, b, gen[a, b]) for a, b in zip(*np.nonzero(gen))] for gen in basis.generators]
+    v = np.empty((min(samples, _HAAR_BLOCK), d), dtype=complex)
+    kinds = []  # per generator: its first nonzero entry (j, k), imaginary or not, its diagonal
+    for gen in basis.generators:
+        (j, *_), (k, *_) = np.nonzero(gen)
+        diagonal = [(a, g.real) for a, g in enumerate(gen.diagonal()) if g]
+        kinds.append((j, k, gen[j, k].imag != 0, diagonal))
     for lo in range(0, samples, _HAAR_BLOCK):
         block = slice(lo, lo + _HAAR_BLOCK)
-        v = _normalised_rows(g1[block] + 1j * g2[block])
-        x, y = np.ascontiguousarray(v.real.T), np.ascontiguousarray(v.imag.T)
-        for i, gen_entries in enumerate(entries):
-            terms = []
-            for a, b, g in gen_entries:
-                pr, pi = _conj_times(x[a], y[a], g)
-                terms.append(pr * x[b] - pi * y[b])
-            # a unit scale multiplies exactly
-            np.multiply(basis.bloch_scale, sum(terms[1:], terms[0]), out=n[block, i])
+        v = v[: len(g1[block])]
+        v.real, v.imag = g1[block], g2[block]
+        inv = 1.0 / np.linalg.norm(v, axis=1)
+        x, y = np.multiply(g1[block].T, inv, order="C"), np.multiply(g2[block].T, inv, order="C")
+        for i, (j, k, imaginary, diagonal) in enumerate(kinds):
+            if diagonal:
+                terms = [(x[a] * g) * x[a] + (y[a] * g) * y[a] for a, g in diagonal]
+                s, t = 1.0, sum(terms[1:], terms[0])
+            elif imaginary:  # -i E_jk + i E_kj
+                s, t = 2.0, x[j] * y[k] - y[j] * x[k]
+            else:  # E_jk + E_kj
+                s, t = 2.0, x[j] * x[k] + y[j] * y[k]
+            # a unit scale multiplies exactly, and 2b t is b (t + t)
+            np.multiply(s * basis.bloch_scale, t, out=n[block, i])
     return n
 
 

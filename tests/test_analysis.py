@@ -364,6 +364,19 @@ class TestCrossings:
                     wrong.append((p, par, d, got, want))
         assert not wrong
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 8: s_d - 1/(d+1) loses digits to cancellation near p = 1/(d+1)",
+    )
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_near_threshold_crossings_are_correctly_rounded(self, d):
+        # at p = 1/(d+1) + 1e-10 the crossing prints 4.49999892e-10 (qubit) and
+        # 5.33333037e-10 (qutrit); the 40-digit reference reads 4.49999954e-10
+        # and 5.33333377e-10
+        p = 1.0 / (d + 1) + 1e-10
+        got = indicator_crossing(p, ChannelParams(), d)
+        assert decimal.Decimal(format(got, ".9g")) == decimal_crossing(p, [1.0] * (d - 1))
+
     def test_unresolvable_crossing_raises(self):
         # crossing below the smallest subnormal a1*t
         with pytest.raises(ValueError, match="not resolved"):
@@ -567,8 +580,25 @@ def dense_haar_bloch_vectors(d, samples, seed):
     return n if basis.bloch_scale == 1.0 else basis.bloch_scale * n
 
 
+def conj_times(x, y, g):
+    """(Re, Im) of conj(x + iy) g, rounded as numpy's complex product.
+
+    A unit entry (+-1, +-i) only copies or negates x and y.
+    """
+    if g in (1, -1):
+        return (x, -y) if g == 1 else (-x, y)
+    if g in (1j, -1j):
+        return (y, x) if g == 1j else (-y, -x)
+    return x * g.real + y * g.imag, x * g.imag - y * g.real
+
+
 def whole_array_haar_bloch_vectors(d, samples, seed):
-    """Reference: the unblocked pipeline, every step on all samples at once."""
+    """Reference: the unblocked pipeline, every step on all samples at once.
+
+    Each nonzero generator entry g_ab adds pr x_b - pi y_b with (pr, pi) =
+    conj(v_a) g_ab, summed in row-major (a, b) order, whatever the
+    generator's type.
+    """
     basis = generator_basis(d)
     v = analysis.haar_random_states(d, samples, np.random.default_rng(seed))
     x, y = np.ascontiguousarray(v.real.T), np.ascontiguousarray(v.imag.T)
@@ -576,7 +606,7 @@ def whole_array_haar_bloch_vectors(d, samples, seed):
     for row, gen in zip(rows, basis.generators):
         terms = []
         for a, b in zip(*np.nonzero(gen)):
-            pr, pi = analysis._conj_times(x[a], y[a], gen[a, b])
+            pr, pi = conj_times(x[a], y[a], gen[a, b])
             terms.append(pr * x[b] - pi * y[b])
         row[...] = sum(terms[1:], terms[0])
     if basis.bloch_scale == 1.0:
@@ -621,7 +651,7 @@ class TestHaar:
             with pytest.raises(ValueError, match="samples must be >= 1"):
                 haar_moment_check(3, samples, 1)
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 5])
     @pytest.mark.parametrize("samples", [1, 7, 200, 20_000])
     @pytest.mark.parametrize("seed", [0, 11, 2024])
     def test_matches_dense_reference(self, d, samples, seed):
@@ -634,7 +664,7 @@ class TestHaar:
         m = haar_moment_check(d, samples, seed)
         assert np.max(np.abs(m - ref.T @ ref / samples)) <= 1e-15
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
     @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 5)])
     @pytest.mark.parametrize("seed", [0, 9, 2024])
     def test_blocks_match_the_whole_array_bitwise(self, d, blocks, extra, seed):
@@ -659,9 +689,9 @@ class TestHaar:
         assert runs[0] == runs[1]
 
     def test_peak_memory_of_the_default_sample_count(self):
-        # the samples run in blocks: the whole-array pipeline peaked at
-        # 52,868,152 bytes and _HAAR_BLOCK = 8192 at 24,568,176 (numpy 2.4.6);
-        # the bound is the latter plus 10%, which a 32768 block (30,793,120) fails
+        # the samples run in blocks: one block peaks at 54,403,952 bytes and
+        # _HAAR_BLOCK = 8192 at 24,042,008 (numpy 2.4.6); the bound is 10% above
+        # an earlier 8192 peak (24,568,176), which a 32768 block (28,957,192) fails
         generator_basis(3)  # cached; its one-off build is not the pipeline's
         tracemalloc.start()
         try:
