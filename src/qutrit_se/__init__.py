@@ -23,12 +23,13 @@ from .analysis import (
 from .channels import (
     ChannelParams,
     apply_kraus,
-    bipartite_channel,
+    lift,
     lindblad_evolve,
     lindblad_jump_ops,
     se_affine_map,
     se_kraus,
     se_kraus_qutrit,
+    superoperator,
 )
 from .linalg import (
     NoConvergenceError,

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .channels import ChannelParams, _arm_factors, _check_arms, bipartite_channel, se_kraus
+from .channels import ChannelParams, _arm_factors, _check_arms, lift, se_kraus, superoperator
 from .linalg import hermitian_eigenvalues, partial_transpose
 from .states import (
     _check_weight,
@@ -61,11 +61,11 @@ __all__ = [
 ]
 
 # Time points per batched negativity step of ``separability_report``: a chunk shares
-# the per-call cost of ``bipartite_channel`` and the Jacobi run, and its (T, 9, 9)
-# float64 temporaries set the peak memory of long grids. 512 real against 256 complex
-# (2-core x86-64, numpy 2.4.6; six alternated 25-s pairs of the benchmark's `curves`):
-# 113-118 -> 145-159 tasks/s; a 2000-step run peaks 3.3 MB RSS above the import (was
-# 3.8) and at 1.74 MB traced (was 1.63).
+# the per-call cost of ``superoperator``, ``lift`` and the Jacobi run, and its
+# (T, 9, 9) float64 temporaries set the peak memory of long grids. 512 real against
+# 256 complex (2-core x86-64, numpy 2.4.6; six alternated 25-s pairs of the
+# benchmark's `curves`): 113-118 -> 145-159 tasks/s; a 2000-step run peaks 3.3 MB
+# RSS above the import (was 3.8) and at 1.74 MB traced (was 1.63).
 GRID_CHUNK = 512
 
 # Samples per block of ``haar_bloch_vectors``: a block's normalisation and
@@ -355,11 +355,11 @@ def separability_report(p: float, params: ChannelParams, t_max: float, steps: in
     Closed forms supply s and F for the whole grid at once; the negativity
     columns are measured on Kraus-evolved Werner states, so the two routes
     can disagree only if one of them is wrong. The negativities are computed
-    GRID_CHUNK time points at a time: one Kraus stack, one stack of
-    superoperators applied to each side of the Werner state as a matrix
-    product (``bipartite_channel``) and one stacked Jacobi run per species
-    and chunk, in float64 on the real parts of the (real) operators and state,
-    with the bits of the complex route. The rows do not depend on GRID_CHUNK:
+    GRID_CHUNK time points at a time: one Kraus stack, its stack of
+    ``superoperator``s, applied to each side of the Werner state as one matrix
+    product by ``lift``, and one stacked Jacobi run per species and chunk, in
+    float64 on the real parts of the (real) operators and state, with the
+    bits of the complex route. The rows do not depend on GRID_CHUNK:
     every point sees the same operations in any chunk; only time and memory do.
     A zero arm rate is an undamped arm; a1 must pass ``check_time_unit``.
     """
@@ -370,10 +370,10 @@ def separability_report(p: float, params: ChannelParams, t_max: float, steps: in
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
     _check_weight(p)  # before the grid is built, which indicator_closed needs first
 
+    rows = np.empty((steps + 1, 7))  # before linspace: numpy rejects a huge shape here
     taus = np.linspace(0.0, t_max, steps + 1)
     with np.errstate(over="ignore"):  # t = inf decays even an arm of finite a*t
         times = taus / params.a1
-    rows = np.empty((steps + 1, 7))
     rows[:, 0] = taus
     for i, d in enumerate((2, 3)):
         rows[:, 1 + i] = indicator_closed(p, params.rates(d), times)
@@ -382,6 +382,6 @@ def separability_report(p: float, params: ChannelParams, t_max: float, steps: in
         for lo in range(0, steps + 1, GRID_CHUNK):
             chunk = slice(lo, lo + GRID_CHUNK)
             kraus = se_kraus(params.rates(d), times[chunk]).real
-            rho = bipartite_channel(w, kraus, params.q)
+            rho = lift(w, superoperator(kraus), params.q)
             rows[chunk, 5 + i] = negativity(rho, d)
     return rows

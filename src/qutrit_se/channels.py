@@ -24,18 +24,17 @@ forms that the test suite cross-checks against each other:
 * a Lindblad master equation with jump operators sqrt(a_m) |0><m|,
   integrated with fixed-step RK4, applied as a power of the d^2 x d^2 step
   matrix of the jump operators (Havel, quant-ph/0201127), whose generator
-  sums its jump terms as stacked products over the operator array and lifts
-  the decay term with ``linalg.kron``; the step matrix and its squares are
-  cached read-only per (arm rates, step size h), in a bounded cache.
+  takes its jump term from ``superoperator`` and its decay term from
+  ``linalg.kron``; the step matrix and its squares are cached read-only per
+  (arm rates, step size h), in a bounded cache.
 
-Bipartite use: ``bipartite_channel`` lifts a local channel to two qudits as
-the mixture q (channel on A) + (1-q) (channel on B), through the channel's
-superoperator sum_k K_k (x) conj(K_k) on the row-major vec, the convention
-of ``lindblad_evolve``.
+Bipartite use: ``superoperator`` builds S = sum_k K_k (x) conj(K_k) on the
+row-major vec, the convention of ``lindblad_evolve``, and ``lift`` applies
+it to two qudits as q (S on A) + (1-q) (S on B); both sides is two lifts.
 
 Time grids: ``se_kraus(rates, times)`` builds the operator array at T times
 at once, shape (d, T, d, d), from the same expressions as at a single time;
-``apply_kraus`` and ``bipartite_channel`` then return one state per time.
+``apply_kraus`` and ``lift`` of its ``superoperator`` give one state per time.
 """
 
 from __future__ import annotations
@@ -60,7 +59,8 @@ __all__ = [
     "completeness_defect",
     "lindblad_jump_ops",
     "lindblad_evolve",
-    "bipartite_channel",
+    "superoperator",
+    "lift",
 ]
 
 # (arm rates, step size, rungs) keys of RK4 squaring ladders kept by _rk4_ladder
@@ -160,7 +160,7 @@ def _check_rates(rates) -> tuple:
 
 
 def _check_mixing(q: float) -> None:
-    # the one rule of the two-sided mixing weight, for ChannelParams and bipartite_channel
+    # the one rule of the two-sided mixing weight, for ChannelParams and lift
     if not 0.0 <= q <= 1.0:  # NaN fails too
         raise ValueError("mixing weight q must lie in [0, 1]")
 
@@ -288,11 +288,7 @@ def _rk4_step(rates: tuple, h: float) -> np.ndarray:
     jumps = lindblad_jump_ops(rates)
     gsum = (dagger(jumps) @ jumps).sum(axis=0)
     eye = np.eye(dim)
-    # sum_l l (x) conj(l), one broadcast product per arm summed in arm order
-    lifts = jumps[:, :, None, :, None] * jumps.conj()[:, None, :, None, :]
-    gen = lifts.reshape(-1, dim * dim, dim * dim).sum(axis=0) - 0.5 * (
-        kron(gsum, eye) + kron(eye, gsum.T)
-    )
+    gen = superoperator(jumps) - 0.5 * (kron(gsum, eye) + kron(eye, gsum.T))
     hs = h * gen
     eye = np.eye(dim * dim)
     step = eye + hs @ (eye + hs @ (eye / 2 + hs @ (eye / 6 + hs / 24)))
@@ -300,39 +296,21 @@ def _rk4_step(rates: tuple, h: float) -> np.ndarray:
     return step
 
 
-def bipartite_channel(rho: np.ndarray, kraus: np.ndarray, q: float) -> np.ndarray:
-    """Act with a local channel on a two-qudit state: q.(on A) + (1-q).(on B).
+def superoperator(ops: np.ndarray) -> np.ndarray:
+    """S = sum_k A_k (x) conj(A_k) on the row-major vec, for an operator array.
 
-    ``kraus`` is an operator array from ``se_kraus``, (k, d, d) or (k, T, d, d)
-    on a grid of T times, giving one state (d^2, d^2) or T states (T, d^2, d^2),
-    in float64 when the state and the operators are real, else complex128.
-    q = 1 applies the channel to A only and q = 0 to B only.
-    The superoperator S = sum_k K_k (x) conj(K_k), shape (..., d^2, d^2) with
-    rows (a, z) and columns (x, y), is built once per call, from the products
-    K_k[a, x] conj(K_k[z, y]) of the entries of K_k that are nonzero at some
-    time only (11 of the 81 for the qutrit emission channel, d^2 + d - 1 in
-    general), added in place into a zeroed S in operator order: within one k
-    the targets (a, z, x, y) are distinct, and a skipped product is an exact
-    zero. Side A is then one matrix product S M_A over all times at once, with
-    M_A[(x, y), (b, c)] = rho[(x, b), (y, c)]; side B is the same with rho's
-    B indices. The q-mix moves each side's product into the output layout
-    ((a, b), (z, c)) with one gather (``np.take``) along a permutation cached
-    per d, scales it in place by q or 1 - q and adds the two: the same
-    multiplications and additions as weighing the permuted products directly.
+    ``ops`` is (k, d, d), or (k, T, d, d) on a grid of T times; S is (d^2, d^2)
+    or (T, d^2, d^2) with rows (a, z) and columns (x, y), float64 for real
+    operators, else complex128. Only the products A_k[a, x] conj(A_k[z, y]) of
+    entries nonzero at some time (11 of 81 for qutrit emission) are added, in
+    place into a zeroed S in operator order; within one k their targets differ.
     """
-    dtype = np.result_type(np.asarray(rho), np.asarray(kraus), float)  # real stays real
-    rho, ops = np.asarray(rho, dtype=dtype), np.asarray(kraus, dtype=dtype)  # ops: (k, ..., d, d)
+    ops = np.asarray(ops, dtype=np.result_type(np.asarray(ops), float))  # real stays real
     dim = ops.shape[-1]
     n = dim * dim
-    if rho.shape != (n, n):
-        raise ValueError(f"state shape {rho.shape} does not match two systems of dimension {dim}")
-    _check_mixing(q)
     lead = ops.shape[1:-2]
     ops = ops.reshape(len(ops), -1, n)  # (k, t, (a, x))
-    # S[(a, z), (x, y)] = sum_k K_k[a, x] conj(K_k[z, y]), one row per (t, a, z),
-    # from the entries (a, x) and (z, y) of K_k that are nonzero at some time
-    sup, term = np.empty((2, ops.shape[1]) + (dim,) * 4, dtype=ops.dtype)
-    sup.fill(0.0)
+    sup = np.zeros((ops.shape[1], n * n), dtype=ops.dtype)  # one row per t
     for op, nonzero in zip(ops, ops.any(axis=1).tolist()):
         cols = [ax for ax, keep in enumerate(nonzero) if keep]
         # distinct flat targets ((a, z), (x, y)) within one k
@@ -340,32 +318,52 @@ def bipartite_channel(rho: np.ndarray, kraus: np.ndarray, q: float) -> np.ndarra
                   for ax in cols for zy in cols]
         entries = op[:, cols]
         products = entries[:, :, None] * entries[:, None, :].conj()
-        sup.reshape(len(sup), -1)[:, target] += products.reshape(len(op), -1)
+        sup[:, target] += products.reshape(len(op), -1)
+    return sup.reshape(lead + (n, n))
+
+
+def lift(rho: np.ndarray, sup: np.ndarray, q: float) -> np.ndarray:
+    """q.(S on A) + (1-q).(S on B) for one two-qudit state rho, (d^2, d^2).
+
+    ``sup`` is one ``superoperator`` (d^2, d^2), giving one state, or a stack
+    (T, d^2, d^2), giving T states; float64 when both are real, else
+    complex128. q = 1 acts on A only and q = 0 on B only, so S on both sides
+    is ``lift(lift(rho, S, 1.0), S, 0.0)``. Side A is one product S M_A over
+    all times, with M_A[(x, y), (b, c)] = rho[(x, b), (y, c)]; side B is the
+    same over rho's B indices. Side A's product is gathered into B's layout,
+    both are scaled in place and added there (addition commutes, so the bits
+    are those of the output layout), and one gather gives ((a, b), (z, c)).
+    """
+    dtype = np.result_type(np.asarray(rho), np.asarray(sup), float)  # real stays real
+    rho, sup = np.asarray(rho, dtype=dtype), np.asarray(sup, dtype=dtype)
+    n = sup.shape[-1]
+    dim = math.isqrt(n)
+    if rho.shape != (n, n) or sup.shape[-2:] != (dim * dim, n):
+        raise ValueError(f"state shape {rho.shape} does not match superoperator "
+                         f"{sup.shape} of dimension {dim}")
+    _check_mixing(q)
     tensor = rho.reshape(dim, dim, dim, dim)  # (a, b, a', b'), A slow
-    # S M in term, where the rows (x, y) of M are rho's indices on the acted-on side
+    # the rows (x, y) of M are rho's indices on the acted-on side
     m_a, m_b = tensor.transpose(0, 2, 1, 3), tensor.transpose(1, 3, 0, 2)
-    gather_a, gather_b = _mix_gathers(dim)
-    flat_term, flat_sup = term.reshape(len(term), -1), sup.reshape(len(sup), -1)
-    np.matmul(sup.reshape(-1, n), m_a.reshape(n, n), out=term.reshape(-1, n))
-    # the q-mix gathers the products into the output layout, then weighs them;
-    # mode="clip" lets take write into out without buffering a copy
-    out = np.take(flat_term, gather_a, axis=1, out=np.empty_like(flat_sup), mode="clip")
-    out *= q
+    a_to_b, b_to_out = _mix_gathers(dim)
+    term = np.matmul(sup.reshape(-1, n), m_a.reshape(n, n)).reshape(-1, n * n)
+    mixed = np.take(term, a_to_b, axis=1, mode="clip")  # side A in side B's layout
+    mixed *= q
     np.matmul(sup.reshape(-1, n), m_b.reshape(n, n), out=term.reshape(-1, n))
-    # sup is free after the B product
-    side_b = np.take(flat_term, gather_b, axis=1, out=flat_sup, mode="clip")
-    side_b *= 1.0 - q
-    out += side_b
-    return out.reshape(lead + rho.shape)
+    term *= 1.0 - q
+    mixed += term
+    # mode="clip" lets take write into out without buffering a copy
+    out = np.take(mixed, b_to_out, axis=1, out=term, mode="clip")
+    return out.reshape(sup.shape[:-2] + rho.shape)
 
 
 @functools.lru_cache(maxsize=8)
 def _mix_gathers(dim: int) -> tuple:
-    # flat positions in the side-A and side-B products (rows of S M) of each
-    # output entry ((a, b), (z, c)): side A's product holds it at (a, z, b, c),
-    # side B's at (b, c, a, z); read-only, as they are shared by every call
+    # flat positions, in the rows of S M, of side B's layout (b, c, a, z) in
+    # side A's product (a, z, b, c), and of the output entries ((a, b), (z, c))
+    # in side B's layout; read-only, as they are shared by every call
     pos = np.arange(dim**4).reshape((dim,) * 4)
-    gathers = pos.transpose(0, 2, 1, 3).ravel(), pos.transpose(2, 0, 3, 1).ravel()
+    gathers = pos.transpose(2, 3, 0, 1).ravel(), pos.transpose(2, 0, 3, 1).ravel()
     for gather in gathers:
         gather.flags.writeable = False
     return gathers

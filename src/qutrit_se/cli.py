@@ -190,7 +190,8 @@ def _validate_checks(seed: int):
     yield "affine_semigroup", defect, 1e-12
 
     at = ChannelParams(t=1.0)
-    rho3 = channels.bipartite_channel(states.werner(3, 1.0), channels.se_kraus_qutrit(at), 0.5)
+    sup = channels.superoperator(channels.se_kraus_qutrit(at))
+    rho3 = channels.lift(states.werner(3, 1.0), sup, 0.5)
     closed = analysis.fidelity_closed(at.rates(3), at.t)
     defect = abs(analysis.fidelity_from_state(rho3, 3) - closed)
     yield "fidelity_closed_vs_state", defect, 1e-10

@@ -15,7 +15,7 @@ stays active while any of its blocks is, so the eigenvalues are those of
 the whole-matrix sweep; a dense matrix is the one-block case. The partial
 transpose of a Werner state under emission splits into d blocks of size 1
 and d(d-1)/2 of size 2. ``kron`` takes two matrices (2-D inputs only);
-``channels`` builds the Lindblad generator's superoperator with it.
+``channels`` builds only the decay term of the Lindblad generator with it.
 
 Index convention for bipartite operators: subsystem A is the slow (outer)
 index, i.e. a matrix on A (x) B has row index i*dB + k for A-index i and

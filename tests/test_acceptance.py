@@ -13,7 +13,6 @@ import numpy as np
 from qutrit_se import (
     ChannelParams,
     apply_kraus,
-    bipartite_channel,
     bloch_to_density,
     crossing_time,
     density_to_bloch,
@@ -22,6 +21,7 @@ from qutrit_se import (
     haar_bloch_vectors,
     haar_moment_check,
     indicator_closed,
+    lift,
     lindblad_evolve,
     lindblad_jump_ops,
     max_entangled,
@@ -34,6 +34,7 @@ from qutrit_se import (
     se_kraus,
     se_kraus_qutrit,
     star_product,
+    superoperator,
     werner,
 )
 from qutrit_se.channels import completeness_defect
@@ -98,7 +99,7 @@ def test_criterion_04_closed_vs_state_separability():
         )
         for d in (3, 2):
             rates = params.rates(d)
-            rho = bipartite_channel(werner(d, p), se_kraus(rates, params.t), params.q)
+            rho = lift(werner(d, p), superoperator(se_kraus(rates, params.t)), params.q)
             worst = max(worst, abs(s_from_state(rho, d) - indicator_closed(p, rates, params.t)))
     report(4, "closed vs state-route s(t)", worst, 1e-10)
 
@@ -137,14 +138,14 @@ def test_criterion_07_fidelity_limits():
     for t in (0.3, 1.0, 2.5):
         params = ChannelParams(a2=1.3, a3=0.8, t=t)
         for d in (2, 3):
-            kraus = se_kraus(params.rates(d), t)
-            rho = bipartite_channel(max_entangled(d), kraus, q=0.5)
+            sup = superoperator(se_kraus(params.rates(d), t))
+            rho = lift(max_entangled(d), sup, q=0.5)
             worst_state = max(
                 worst_state,
                 abs(fidelity_from_state(rho, d) - fidelity_closed(params.rates(d), t)),
             )
             for q in (0.0, 0.7, 1.0):
-                rho_q = bipartite_channel(max_entangled(d), kraus, q=q)
+                rho_q = lift(max_entangled(d), sup, q=q)
                 worst_q = max(worst_q, abs(fidelity_from_state(rho_q, d) - fidelity_from_state(rho, d)))
     report(7, "kraus-route fidelity vs closed", worst_state, 1e-10)
     report(7, "fidelity q-independence", worst_q, 1e-12)

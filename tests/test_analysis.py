@@ -35,7 +35,7 @@ from qutrit_se.analysis import (
     s_from_state,
     separability_report,
 )
-from qutrit_se.channels import ChannelParams, bipartite_channel, se_kraus, se_kraus_qutrit
+from qutrit_se.channels import ChannelParams, lift, se_kraus, se_kraus_qutrit, superoperator
 from qutrit_se.linalg import (
     dagger,
     hermitian_eigenvalues,
@@ -190,14 +190,14 @@ class TestStateRoute:
         p = 0.8
         par = ChannelParams(a1=1.1, a2=1.0, a3=0.7, t=0.5)
         for d in (2, 3):
-            rho = bipartite_channel(werner(d, p), se_kraus(par.rates(d), par.t), 0.5)
+            rho = lift(werner(d, p), superoperator(se_kraus(par.rates(d), par.t)), 0.5)
             assert abs(s_from_state(rho, d) - indicator_closed(p, par.rates(d), par.t)) <= 1e-10
 
     def test_q_does_not_enter(self):
         p, par = 0.9, ChannelParams(a2=1.3, a3=0.5, t=0.8)
         vals = [
             s_from_state(
-                bipartite_channel(werner(3, p), se_kraus_qutrit(par), q), 3
+                lift(werner(3, p), superoperator(se_kraus_qutrit(par)), q), 3
             )
             for q in (0.0, 0.5, 1.0)
         ]
@@ -229,15 +229,15 @@ class TestFidelity:
     def test_kraus_route_matches_closed(self):
         par = ChannelParams(a1=0.9, a2=1.2, a3=0.6, t=0.8)
         for d in (2, 3):
-            rho = bipartite_channel(werner(d, 1.0), se_kraus(par.rates(d), par.t), 0.5)
+            rho = lift(werner(d, 1.0), superoperator(se_kraus(par.rates(d), par.t)), 0.5)
             assert abs(fidelity_from_state(rho, d) - fidelity_closed(par.rates(d), par.t)) <= 1e-10
 
     def test_q_independence(self):
         par = ChannelParams(a2=1.0, a3=0.4, t=0.9)
         w = werner(3, 0.65)
         ch = se_kraus_qutrit(par)
-        f03 = fidelity_from_state(bipartite_channel(w, ch, 0.3), 3)
-        f07 = fidelity_from_state(bipartite_channel(w, ch, 0.7), 3)
+        f03 = fidelity_from_state(lift(w, superoperator(ch), 0.3), 3)
+        f07 = fidelity_from_state(lift(w, superoperator(ch), 0.7), 3)
         assert abs(f03 - f07) <= 1e-12
 
 
@@ -455,7 +455,7 @@ class TestFourLevels:
         worst = 0.0
         for p in (0.3, 0.7, 1.0):
             for t in (0.0, 0.2, 0.9, 2.5, 8.0):
-                rho = bipartite_channel(werner(4, p), se_kraus(self.RATES, t), q)
+                rho = lift(werner(4, p), superoperator(se_kraus(self.RATES, t)), q)
                 s = indicator_closed(p, self.RATES, t)
                 worst = max(worst, abs(s_from_state(rho, 4) - s))
                 if p == 1.0:  # F_d is the overlap of the evolved |Psi><Psi|
@@ -561,7 +561,7 @@ class TestNegativity:
         # ROADMAP item 1a: the partial transpose of an evolved Werner state is
         # d populations and the 2x2 blocks {|ij>, |ji>}, so its negativity is
         # the sum of the blocks' max(0, -lambda_minus), with no eigensolver
-        rho = bipartite_channel(werner(d, p), se_kraus(rates[: d - 1], t), q)
+        rho = lift(werner(d, p), superoperator(se_kraus(rates[: d - 1], t)), q)
         want = 0.0
         for i in range(d):
             for j in range(i + 1, d):
@@ -805,7 +805,7 @@ class TestReport:
     @pytest.mark.parametrize("q", [0.0, 1.0, 0.37])
     def test_rows_have_the_bytes_of_the_complex_route(self, q):
         # the report runs the negativities in float64; the same chunks through
-        # the complex werner, se_kraus, bipartite_channel and negativity agree
+        # the complex werner, se_kraus, superoperator, lift and negativity agree
         rng = np.random.default_rng(int(q * 100) + 7)
         steps, chunk = 2 * analysis.GRID_CHUNK + 2, analysis.GRID_CHUNK
         a1, a2, a3 = np.exp(rng.uniform(-1.6, 1.6, 3))
@@ -816,7 +816,7 @@ class TestReport:
             w, kraus = werner(d, p), [se_kraus(par.rates(d), times[lo : lo + chunk])
                                       for lo in range(0, steps + 1, chunk)]
             assert w.dtype == kraus[0].dtype == complex
-            want = np.concatenate([negativity(bipartite_channel(w, k, q), d) for k in kraus])
+            want = np.concatenate([negativity(lift(w, superoperator(k), q), d) for k in kraus])
             assert rows[:, 5 + i].tobytes() == want.tobytes()
 
     def test_no_lapack_eigensolver(self, monkeypatch):

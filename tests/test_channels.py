@@ -12,17 +12,19 @@ import numpy as np
 import pytest
 
 from qutrit_se import channels
+from qutrit_se.analysis import negativity
 from qutrit_se.channels import (
     AffineBlochMap,
     ChannelParams,
     apply_kraus,
-    bipartite_channel,
     completeness_defect,
+    lift,
     lindblad_evolve,
     lindblad_jump_ops,
     se_affine_map,
     se_kraus,
     se_kraus_qutrit,
+    superoperator,
 )
 from qutrit_se.linalg import dagger, hermitian_eigenvalues, kron, random_density_matrix
 from qutrit_se.states import correlation_matrix, max_entangled, werner
@@ -70,7 +72,8 @@ class TestChannelParams:
                       lambda: se_kraus((-1.0, 1.0), 0.5),
                       lambda: lindblad_jump_ops((-1.0,))), id="arm-rate"),
         pytest.param((lambda: ChannelParams(q=1.5),
-                      lambda: bipartite_channel(werner(3, 0.5), se_kraus((1.0, 1.0), 0.5), q=1.5)),
+                      lambda: lift(werner(3, 0.5), superoperator(se_kraus((1.0, 1.0), 0.5)),
+                                   q=1.5)),
                      id="mixing-weight"),
     ])
     def test_one_rule_one_message(self, builds):
@@ -528,7 +531,7 @@ def test_choi_positivity_sampled_times():
     for i in range(20):
         t = 0.05 + 0.3 * i
         ch = se_kraus_qutrit(ChannelParams(a2=1.1, a3=0.6, t=t))
-        choi = bipartite_channel(max_entangled(3), ch, 1.0)  # the channel on A only
+        choi = lift(max_entangled(3), superoperator(ch), 1.0)  # the channel on A only
         assert hermitian_eigenvalues(choi)[0] >= -1e-10
 
 
@@ -637,25 +640,33 @@ def einsum_bipartite(rho, kraus, q):
     return q * one_sided("A") + (1 - q) * one_sided("B")
 
 
-def dense_bipartite(rho, ops, q):
+def dense_superoperator(ops):
     """Reference: every product of S = sum_k K_k (x) conj(K_k), zeros included.
 
-    The k terms are added in operator order and S is applied by the matrix
-    product and output permutation of ``bipartite_channel``.
+    The k terms are added in operator order; S is (..., a, z, x, y).
     """
     dim = ops.shape[-1]
-    n = dim * dim
-    lead = ops.shape[1:-2]
     ops = ops.reshape(len(ops), -1, dim, dim)
     # sup[t, a, z, x, y] = sum_k K_k[t, a, x] conj(K_k[t, z, y])
     sup = ops[0][:, :, None, :, None] * ops[0].conj()[:, None, :, None, :]
     for op in ops[1:]:
         sup = sup + op[:, :, None, :, None] * op.conj()[:, None, :, None, :]
+    return sup
+
+
+def dense_bipartite(rho, ops, q):
+    """Reference: ``dense_superoperator`` applied by the matrix product and
+    output permutation of ``lift``.
+    """
+    dim = ops.shape[-1]
+    n = dim * dim
+    lead = ops.shape[1:-2]
+    sup = dense_superoperator(ops)
     tensor = rho.reshape(dim, dim, dim, dim)
-    lift = {"A": tensor.transpose(0, 2, 1, 3), "B": tensor.transpose(1, 3, 0, 2)}
+    moved = {"A": tensor.transpose(0, 2, 1, 3), "B": tensor.transpose(1, 3, 0, 2)}
 
     def one_sided(side):
-        out = (sup.reshape(-1, n) @ lift[side].reshape(n, n)).reshape(sup.shape)
+        out = (sup.reshape(-1, n) @ moved[side].reshape(n, n)).reshape(sup.shape)
         if side == "A":
             return out.swapaxes(-3, -2)
         return np.moveaxis(out, -2, -4).swapaxes(-2, -1)
@@ -665,11 +676,12 @@ def dense_bipartite(rho, ops, q):
 
 
 def strided_mix_bipartite(rho, ops, q):
-    """Reference: ``bipartite_channel`` with its q-mix as two strided products.
+    """Reference: ``superoperator`` + ``lift`` with the q-mix as two strided products.
 
-    The superoperator and the two matrix products are ``bipartite_channel``'s;
-    each side's permuted product is weighed by one ``np.multiply`` on a
-    strided view, written straight into the output layout.
+    The superoperator and the two matrix products are those of
+    ``superoperator`` and ``lift``; each side's permuted product is weighed by
+    one ``np.multiply`` on a strided view, written straight into the output
+    layout.
     """
     dim = ops.shape[-1]
     n = dim * dim
@@ -707,7 +719,7 @@ class TestBipartite:
         rng = np.random.default_rng(17 + dim)
         rho = random_density_matrix(dim * dim, rng)
         ch = build(ChannelParams(a1=1.2, a2=0.8, a3=2.1, t=0.65))
-        out = bipartite_channel(rho, ch, q)
+        out = lift(rho, superoperator(ch), q)
         np.testing.assert_allclose(out, kron_bipartite(rho, ch, q), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("stack", [None, 1, 7, 64])
@@ -722,17 +734,18 @@ class TestBipartite:
         want = einsum_bipartite(rho, ch, q)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("bipartite_channel must not call np.einsum")
+            raise AssertionError("superoperator and lift must not call np.einsum")
 
         monkeypatch.setattr(np, "einsum", forbidden)
-        got = bipartite_channel(rho, ch, q)
+        got = lift(rho, superoperator(ch), q)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("q", LIFTS)
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_matches_dense_superoperator(self, dim, q):
-        # S is built from the nonzero products only: the values of every product summed
+        # S is built from the nonzero products only: S has the bits, and each lifted
+        # state the values, of every product summed
         rng = np.random.default_rng(70 + dim)
         times = np.r_[0.0, rng.uniform(0.0, 8.0, 40), np.inf]  # K_m = 0 at t = 0 only
         built = [
@@ -743,8 +756,11 @@ class TestBipartite:
             ops = rng.standard_normal((3, *shape)) + 1j * rng.standard_normal((3, *shape))
             built.append(ops)
         for ch in built:
+            sup = superoperator(ch)
+            want = dense_superoperator(ch).reshape(ch.shape[1:-2] + (dim * dim,) * 2)
+            assert_same_bytes(sup, want)
             for rho in (werner(dim, 0.7), random_density_matrix(dim * dim, rng)):
-                got = bipartite_channel(rho, ch, q)
+                got = lift(rho, sup, q)
                 np.testing.assert_array_equal(got, dense_bipartite(rho, ch, q))
 
     @pytest.mark.parametrize("stack", [None, 1, 7, 300])
@@ -756,7 +772,7 @@ class TestBipartite:
         times = rng.uniform(0.0, 6.0, stack or 1)
         ch = se_kraus(rates, times if stack else times[0])
         for rho in (werner(dim, 0.83), random_density_matrix(dim * dim, rng)):
-            assert_same_bytes(bipartite_channel(rho, ch, q), strided_mix_bipartite(rho, ch, q))
+            assert_same_bytes(lift(rho, superoperator(ch), q), strided_mix_bipartite(rho, ch, q))
 
     @pytest.mark.parametrize("q", [0.0, 1.0, 0.37])
     @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -768,9 +784,9 @@ class TestBipartite:
             ch = se_kraus(random_rates(rng, dim, undamped_first=i % 2 == 1), t)
             dense = random_density_matrix(dim * dim, rng).real
             for rho in (werner(dim, 0.83), werner(dim, 0.0), dense):
-                full = bipartite_channel(rho, ch, q)
+                full = lift(rho, superoperator(ch), q)
                 assert full.dtype == complex and not full.imag.any()
-                assert_same_bytes(bipartite_channel(rho.real, ch.real, q), full.real)
+                assert_same_bytes(lift(rho.real, superoperator(ch.real), q), full.real)
 
     def test_stack_matches_per_time_calls(self):
         rng = np.random.default_rng(18)
@@ -778,16 +794,16 @@ class TestBipartite:
         par = ChannelParams(a2=1.4, a3=0.5)
         times = np.linspace(0.0, 4.0, 7)
         for q in (1.0, 0.0, 0.7):
-            out = bipartite_channel(rho, se_kraus(par.rates(3), times), q)
+            out = lift(rho, superoperator(se_kraus(par.rates(3), times)), q)
             assert out.shape == (7, 9, 9)
             for i, t in enumerate(times):
-                single = bipartite_channel(rho, se_kraus_qutrit(par.with_time(t)), q)
+                single = lift(rho, superoperator(se_kraus_qutrit(par.with_time(t))), q)
                 np.testing.assert_allclose(out[i], single, rtol=0, atol=1e-15)
 
     def test_t_zero_identity(self):
         rho = werner(3, 0.7)
         ch = se_kraus_qutrit(ChannelParams(t=0.0))
-        np.testing.assert_allclose(bipartite_channel(rho, ch, 0.5), rho, atol=1e-14)
+        np.testing.assert_allclose(lift(rho, superoperator(ch), 0.5), rho, atol=1e-14)
 
     def test_one_sided_scales_diagonal_correlations(self):
         # equal rates: C_jj(t) = D_jj C_jj(0) for a one-sided channel
@@ -796,7 +812,7 @@ class TestBipartite:
         d_diag = np.diag(se_affine_map(par).damping)
         c0 = np.diag(correlation_matrix(max_entangled(3), 3))
         for q in (1.0, 0.0):
-            evolved = bipartite_channel(max_entangled(3), se_kraus_qutrit(par), q)
+            evolved = lift(max_entangled(3), superoperator(se_kraus_qutrit(par)), q)
             c_t = correlation_matrix(evolved, 3)
             np.testing.assert_allclose(np.diag(c_t), d_diag * c0, atol=1e-12)
 
@@ -804,22 +820,50 @@ class TestBipartite:
         rho = werner(3, 0.8)
         ch = se_kraus_qutrit(ChannelParams(a2=1.0, a3=0.4, t=0.6))
         q = 0.3
-        mixed = bipartite_channel(rho, ch, q)
-        direct = q * bipartite_channel(rho, ch, 1.0) + (1 - q) * bipartite_channel(rho, ch, 0.0)
+        sup = superoperator(ch)
+        mixed = lift(rho, sup, q)
+        direct = q * lift(rho, sup, 1.0) + (1 - q) * lift(rho, sup, 0.0)
         np.testing.assert_allclose(mixed, direct, atol=1e-14)
 
     def test_output_is_a_state(self):
         rho = werner(2, 0.9)
         ch = se_kraus((1.3,), 0.8)
-        out = bipartite_channel(rho, ch, 0.25)
+        out = lift(rho, superoperator(ch), 0.25)
         assert_is_state(out)
 
     def test_rejects_bad_shape_and_weight(self):
         ch = se_kraus_qutrit(ChannelParams(t=0.5))
         with pytest.raises(ValueError):
-            bipartite_channel(werner(2, 0.5), ch, 0.5)
+            lift(werner(2, 0.5), superoperator(ch), 0.5)
         with pytest.raises(ValueError):
-            bipartite_channel(werner(3, 0.5), ch, q=1.1)
+            lift(werner(3, 0.5), superoperator(ch), q=1.1)
+
+
+class TestTwoSided:
+    """The channel on both qudits is two lifts, A only then B only: no option needed."""
+
+    @pytest.mark.parametrize("t", [0.0, 0.8, 2.5, np.inf])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_matches_the_product_channel(self, dim, t):
+        # sum_ij (K_i (x) K_j) rho (K_i (x) K_j)^dag, each product lifted by kron
+        rng = np.random.default_rng(30 + dim)
+        ch = se_kraus(random_rates(rng, dim, undamped_first=False), t)
+        rho = random_density_matrix(dim * dim, rng)
+        sup = superoperator(ch)
+        lifted = [kron(ki, kj) for ki in ch for kj in ch]
+        want = sum(op @ rho @ dagger(op) for op in lifted)
+        np.testing.assert_allclose(lift(lift(rho, sup, 1.0), sup, 0.0), want, rtol=0, atol=1e-15)
+
+    def test_qubit_sudden_death_at_the_closed_form_time(self):
+        # both qubits decaying at unit rate: a Werner pair of weight p > 1/3
+        # turns PPT at a1 t = ln((1 + p) / (2 (1 - p))), ln 4.5 at p = 0.8
+        death = np.log(4.5)
+        negs = []
+        for t in ((1 - 1e-6) * death, (1 + 1e-6) * death):
+            sup = superoperator(se_kraus((1.0,), t))
+            negs.append(negativity(lift(lift(werner(2, 0.8), sup, 1.0), sup, 0.0), 2))
+        assert negs[0] > 0.0
+        assert negs[1] == 0.0
 
 
 def test_affine_map_apply_type():
@@ -970,13 +1014,13 @@ class TestKrausChannelDim:
         ops = rng.standard_normal((3, *shape)) + 1j * rng.standard_normal((3, *shape))
         lead = shape[:-2]
         assert apply_kraus(np.eye(6) / 6, ops).shape == lead + (6, 6)
-        assert bipartite_channel(np.eye(36) / 36, ops, 0.5).shape == lead + (36, 36)
+        assert lift(np.eye(36) / 36, superoperator(ops), 0.5).shape == lead + (36, 36)
         # a state of another dimension: one ValueError naming both shapes
         with pytest.raises(ValueError) as err:
             apply_kraus(np.eye(3) / 3, ops)
         assert str(err.value) == f"state shape (3, 3) does not match operators {ops.shape}"
         with pytest.raises(ValueError, match="dimension 6"):
-            bipartite_channel(np.eye(9) / 9, ops, 0.5)
+            lift(np.eye(9) / 9, superoperator(ops), 0.5)
 
     def test_rejects_a_dim_keyword(self):
         # a dim given apart from the operators could disagree with them
@@ -984,4 +1028,6 @@ class TestKrausChannelDim:
         with pytest.raises(TypeError):
             apply_kraus(np.eye(6) / 6, ops, dim=2)
         with pytest.raises(TypeError):
-            bipartite_channel(np.eye(36) / 36, ops, 0.5, dim=2)
+            lift(np.eye(36) / 36, superoperator(ops), 0.5, dim=2)
+        with pytest.raises(TypeError):
+            superoperator(ops, dim=2)

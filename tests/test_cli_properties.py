@@ -69,6 +69,7 @@ def run(argv):
 @example(["threshold", "--a1=5e-324"])
 @example(["threshold", "--a1=1e-200", "--a2=1e308", "--a3=1e308"])
 @example(["curves", "--t-max=1e308", "--a1=0.5", "--steps=4"])
+@example(["curves", "--steps=9223372036854775807"])
 @example(["haar", "--samples=100", f"--output={MISSING_DIR_OUTPUT}"])
 @example(["threshold", "--p=0.3333333333333333"])
 @example(["threshold", "--p=0.25"])

@@ -20,7 +20,7 @@ from qutrit_se.linalg import (
     partial_transpose,
     random_density_matrix,
 )
-from qutrit_se.channels import bipartite_channel, se_kraus
+from qutrit_se.channels import lift, se_kraus, superoperator
 from qutrit_se.states import max_entangled, werner
 
 SX, SY, SZ = np.array(
@@ -451,7 +451,7 @@ class TestBlockSplit:
             times = np.r_[0.0, rng.uniform(0.0, 10.0, 4)]
             p, q_drawn = rng.uniform(0.05, 1.0), rng.uniform()
             q_mix = q_drawn if q is None else q
-            rho = bipartite_channel(werner(d, p), se_kraus(rates, times), q_mix)
+            rho = lift(werner(d, p), superoperator(se_kraus(rates, times)), q_mix)
             pt = partial_transpose(rho, d, d)
             assert linalg._blocks(pt) == expected
             for member in pt:
