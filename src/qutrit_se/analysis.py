@@ -68,15 +68,16 @@ __all__ = [
 # RSS above the import (was 3.8) and at 1.74 MB traced (was 1.63).
 GRID_CHUNK = 512
 
-# Samples per block of ``haar_bloch_vectors``: a block's normalisation and
-# contraction temporaries stay in cache, and they add to the peak memory set by
-# the whole draws and the output. A power of two (see haar_bloch_vectors).
-# Sweep (2-core x86-64, numpy 2.4.6; median ms of `haar --seed 7` at the default
-# 200k samples over 12 interleaved rounds, then tracemalloc peak of
-# haar_moment_check(3, 200_000, 42)): 1024: 105 ms, 22.6 MB; 2048: 92 ms,
-# 22.9 MB; 4096: 84 ms, 23.4 MB; 8192: 85 ms, 24.0 MB; 16384: 89 ms, 25.7 MB;
-# 32768: 96 ms, 29.0 MB; one block: 118 ms, 54.4 MB. 8192 and 4096 tie: 8192
-# was faster in 14 of 24 further interleaved pairs, medians 85.7 and 86.5 ms.
+# Samples per block of ``haar_bloch_vectors``: a block's imaginary draws,
+# normalisation and contraction temporaries stay in cache, and they add to the
+# peak memory set by the output. A power of two (see haar_bloch_vectors).
+# Sweep (2-core x86-64, numpy 2.4.6, real parts drawn into the output's tail;
+# median ms of `haar --seed 7` at the default 200k samples over 12 interleaved
+# rounds, then tracemalloc peak of haar_moment_check(3, 200_000, 42)): 1024:
+# 96 ms, 13.8 MB; 2048: 83 ms, 13.3 MB; 4096: 74 ms, 13.9 MB; 8192: 74 ms,
+# 14.6 MB; 16384: 84 ms, 16.5 MB; 32768: 89 ms, 20.1 MB; one block: 109 ms,
+# 49.6 MB. 8192 and 4096 tie: 8192 was faster in 14 of 24 further interleaved
+# pairs, medians 67.1 and 67.5 ms.
 _HAAR_BLOCK = 8192
 
 
@@ -232,9 +233,9 @@ def haar_random_states(d: int, samples: int, rng: np.random.Generator) -> np.nda
 def haar_bloch_vectors(d: int, samples: int, seed: int) -> np.ndarray:
     """Bloch vectors of Haar-random pure states, shape (samples, d^2 - 1).
 
-    The draw is that of ``haar_random_states``: all (samples, d) real parts
-    g1, then all imaginary parts g2, from one PCG64 stream. The rest runs on
-    blocks of _HAAR_BLOCK samples and writes into the final buffer. A block's
+    The draw is that of ``haar_random_states``: all (samples, d) real parts g1,
+    into the output buffer's tail, then the imaginary parts g2 per block of
+    _HAAR_BLOCK samples, the PCG64 stream order of two whole draws. A block's
     norms r are numpy's complex ones of g1 + i g2, and its rows x = g1^T (1/r)
     and y = g2^T (1/r), in real arithmetic, are bitwise the real and imaginary
     parts of ``haar_random_states``'s v = (g1 + i g2)/r: numpy divides by the
@@ -259,10 +260,13 @@ def haar_bloch_vectors(d: int, samples: int, seed: int) -> np.ndarray:
     """
     basis = generator_basis(d)
     rng = np.random.default_rng(seed)
-    g1 = rng.standard_normal((samples, d))
-    g2 = rng.standard_normal((samples, d))
     dtype = complex if basis.bloch_scale == 1.0 else float
-    n = np.empty((samples, basis.n_generators), dtype=dtype).real
+    out = np.empty((samples, basis.n_generators), dtype=dtype)
+    n, flat = out.real, out.reshape(-1).view(float)
+    # real parts fill the last S*d floats; a block copies its own to v and x, then
+    # writes rows [0, hi) of n, ending at float hi*k*c (k generators, c = 2 if complex)
+    # <= S*(k*c - d) + hi*d, the first unread real part, as hi <= S and k*c >= d
+    g1 = rng.standard_normal(out=flat[flat.size - samples * d :].reshape(samples, d))
     v = np.empty((min(samples, _HAAR_BLOCK), d), dtype=complex)
     kinds = []  # per generator: its first nonzero entry (j, k), imaginary or not, its diagonal
     for gen in basis.generators:
@@ -271,10 +275,11 @@ def haar_bloch_vectors(d: int, samples: int, seed: int) -> np.ndarray:
         kinds.append((j, k, gen[j, k].imag != 0, diagonal))
     for lo in range(0, samples, _HAAR_BLOCK):
         block = slice(lo, lo + _HAAR_BLOCK)
-        v = v[: len(g1[block])]
-        v.real, v.imag = g1[block], g2[block]
+        g2 = rng.standard_normal((len(g1[block]), d))  # the stream order of g1, then all g2
+        v = v[: len(g2)]
+        v.real, v.imag = g1[block], g2
         inv = 1.0 / np.linalg.norm(v, axis=1)
-        x, y = np.multiply(g1[block].T, inv, order="C"), np.multiply(g2[block].T, inv, order="C")
+        x, y = np.multiply(g1[block].T, inv, order="C"), np.multiply(g2.T, inv, order="C")
         for i, (j, k, imaginary, diagonal) in enumerate(kinds):
             if diagonal:
                 terms = [(x[a] * g) * x[a] + (y[a] * g) * y[a] for a, g in diagonal]

@@ -560,16 +560,21 @@ class TestNegativity:
     def test_evolved_werner_matches_the_pair_blocks(self, d, rates, t, p, q):
         # ROADMAP item 1a: the partial transpose of an evolved Werner state is
         # d populations and the 2x2 blocks {|ij>, |ji>}, so its negativity is
-        # the sum of the blocks' max(0, -lambda_minus), with no eigensolver
+        # the sum of the blocks' max(0, -lambda_minus), and its smallest
+        # eigenvalue the smallest population or lambda_minus, with no eigensolver
         rho = lift(werner(d, p), superoperator(se_kraus(rates[: d - 1], t)), q)
         want = 0.0
+        lam_min = min(rho[i * d + i, i * d + i].real for i in range(d))
         for i in range(d):
             for j in range(i + 1, d):
                 a, b = rho[i * d + j, i * d + j].real, rho[j * d + i, j * d + i].real
                 c = rho[i * d + i, j * d + j]
                 lam = (a + b) / 2 - math.sqrt(((a - b) / 2) ** 2 + abs(c) ** 2)
                 want += max(0.0, -lam)
+                lam_min = min(lam_min, lam)
         assert abs(negativity(rho, d) - want) <= 1e-14
+        eigs = hermitian_eigenvalues(partial_transpose(rho, d, d))
+        assert abs(eigs.min() - lam_min) <= 1e-14
 
 
 def dense_haar_bloch_vectors(d, samples, seed):
@@ -664,11 +669,13 @@ class TestHaar:
         m = haar_moment_check(d, samples, seed)
         assert np.max(np.abs(m - ref.T @ ref / samples)) <= 1e-15
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
     @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 5)])
     @pytest.mark.parametrize("seed", [0, 9, 2024])
     def test_blocks_match_the_whole_array_bitwise(self, d, blocks, extra, seed):
-        # sample counts at the block edges: 1, B - 1, B, B + 1 and 2B + 5
+        # sample counts at the block edges: 1, B - 1, B, B + 1 and 2B + 5; the
+        # real parts are drawn into the output's tail, which the blocks overwrite,
+        # and at d = 8 numpy's add.reduce in the norm sums pairwise
         samples = blocks * analysis._HAAR_BLOCK + extra
         ref = whole_array_haar_bloch_vectors(d, samples, seed)
         n = haar_bloch_vectors(d, samples, seed)
@@ -689,9 +696,10 @@ class TestHaar:
         assert runs[0] == runs[1]
 
     def test_peak_memory_of_the_default_sample_count(self):
-        # the samples run in blocks: one block peaks at 54,403,952 bytes and
-        # _HAAR_BLOCK = 8192 at 24,042,008 (numpy 2.4.6); the bound is 10% above
-        # an earlier 8192 peak (24,568,176), which a 32768 block (28,957,192) fails
+        # the real parts are drawn into the output's tail and the samples run in
+        # blocks: one block peaks at 49,604,064 bytes and _HAAR_BLOCK = 8192 at
+        # 14,638,728 (numpy 2.4.6; 24,042,008 with whole draws of both parts);
+        # the bound is 9% above it, which a 16384 block (16,473,736) fails
         generator_basis(3)  # cached; its one-off build is not the pipeline's
         tracemalloc.start()
         try:
@@ -701,7 +709,7 @@ class TestHaar:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 27_000_000
+        assert peak < 16_000_000
 
     def test_no_dense_einsum(self, monkeypatch):
         ref = [dense_haar_bloch_vectors(d, 50, 3) for d in (2, 3)]
