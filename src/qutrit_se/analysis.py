@@ -29,7 +29,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .channels import ChannelParams, _arm_factors, _check_arms, lift, se_kraus, superoperator
+from .channels import (
+    ChannelParams,
+    _arm_factors,
+    _check_arms,
+    _check_rates,
+    lift,
+    se_kraus,
+    superoperator,
+)
 from .linalg import hermitian_eigenvalues, partial_transpose
 from .states import (
     _check_weight,
@@ -48,6 +56,7 @@ __all__ = [
     "fidelity_from_state",
     "crossing_time",
     "indicator_crossing",
+    "indicator_crossing_grid",
     "indicator_crossings",
     "qutrit_crosses_no_earlier",
     "qubit_crossing_closed",
@@ -121,7 +130,7 @@ def fidelity_from_state(rho: np.ndarray, d: int) -> float:
     return float(np.trace(max_entangled(d) @ _two_qudit_state(rho, d)).real)
 
 
-def crossing_time(f: Callable[[float], float], threshold: float) -> Optional[float]:
+def crossing_time(f: Callable, threshold: float) -> Optional[float] | list:
     """First time a nonincreasing f(t) stops being above ``threshold``, by bisection.
 
     One rule decides every comparison: f(t) > threshold is "still above".
@@ -131,8 +140,23 @@ def crossing_time(f: Callable[[float], float], threshold: float) -> Optional[flo
     not, is halved until hi - lo <= 1e-12 hi, and its midpoint is returned;
     ValueError is raised when the bracket can no longer be halved in
     floating point before that (a crossing below the smallest float).
+
+    Lanes: when f(0.0) is an array, each of its elements is a search of its
+    own. f then takes an array of that shape, one time per lane, and returns
+    each lane's value at its own time. Every lane runs the rule above in
+    lock-step, with its own bracket, doublings and stop, and the result is a
+    list of one value per lane in C order: None, math.inf, or the float of
+    that lane's single search, bit for bit. In each lane f sees only times
+    that the lane's single search asks for, or 0. A lane that can no longer
+    be halved raises the single search's ValueError (the first lane to get
+    stuck; of several at once, the first in order). The path follows
+    np.shape(f(0.0)): a scalar runs the single search, the faster one for
+    one search.
     """
-    if not f(0.0) > threshold:
+    f0 = f(0.0)
+    if np.shape(f0):
+        return _crossing_lanes(f, threshold, np.asarray(f0))
+    if not f0 > threshold:
         return None
     lo, hi = 0.0, 1.0
     while f(hi) > threshold:
@@ -150,6 +174,36 @@ def crossing_time(f: Callable[[float], float], threshold: float) -> Optional[flo
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _crossing_lanes(f: Callable, threshold: float, f0: np.ndarray) -> list:
+    # crossing_time's loops with a mask per lane: `doubling` and `halving` are
+    # the lanes still in each loop; a lane out of a loop is evaluated at its lo
+    above, lo, hi = f0 > threshold, np.zeros(f0.shape), np.ones(f0.shape)
+    doubling, infinite = above.copy(), np.zeros(f0.shape, dtype=bool)
+    while doubling.any():
+        doubling &= f(np.where(doubling, hi, lo)) > threshold
+        hi[doubling] *= 2.0
+        infinite |= doubling & (hi > 2.0**60)
+        doubling &= ~infinite
+    halving = above & ~infinite
+    while True:
+        halving &= hi - lo > 1e-12 * hi
+        if not halving.any():
+            break
+        mid = 0.5 * (lo + hi)
+        stuck = halving & ~((lo < mid) & (mid < hi))
+        if stuck.any():
+            i = np.flatnonzero(stuck)[0]
+            lo_i, hi_i = float(lo.flat[i]), float(hi.flat[i])
+            raise ValueError(
+                f"crossing not resolved in floating point: bracket [{lo_i!r}, {hi_i!r}]"
+            )
+        still = f(np.where(halving, mid, lo)) > threshold
+        lo = np.where(halving & still, mid, lo)
+        hi = np.where(halving & ~still, mid, hi)
+    found = np.where(infinite, math.inf, 0.5 * (lo + hi)).ravel().tolist()
+    return [t if a else None for a, t in zip(above.ravel().tolist(), found)]
 
 
 def _qubit_alpha(p: float) -> float:
@@ -332,6 +386,31 @@ def indicator_crossing(p: float, params: ChannelParams, d: int) -> Optional[floa
     return crossing_time(
         lambda tau: _indicator(p, _arm_factors(rates, tau / a1)), 1.0 / (d + 1)
     )
+
+
+def indicator_crossing_grid(p: float, rates: tuple) -> list:
+    """Indicator crossings over a grid of arm rates at a1 = 1, from one lane search.
+
+    ``rates`` holds the d - 1 arm-rate arrays of one shape; a lane is one
+    position in them, and d = len(rates) + 1. Returns the time at which s_d
+    of each lane reaches 1/(d+1), one per lane in C order, from one lane
+    search of ``crossing_time``. For the qutrit a lane of rates (x, y) gives
+    the bits of ``indicator_crossing(p, ChannelParams(a2=x, a3=y), 3)``. A
+    zero rate is an undamped arm.
+    """
+    _check_weight(p)
+    lanes = np.asarray(rates, dtype=float)
+    _check_rates(lanes.ravel())
+    negated = -lanes  # -a * t / 2.0 is (-a) * t / 2.0, the scalar route's order
+
+    def s(t):
+        # t is a1*t at a1 = 1 and stays finite, so a zero-rate lane gets
+        # exp(-0.0) = 1.0, the h of an undamped arm
+        with np.errstate(over="ignore"):  # a*t = inf is meant: h = exp(-inf) = 0
+            return _indicator(p, np.exp(negated * t / 2.0))
+
+    d = len(lanes) + 1
+    return crossing_time(s, 1.0 / (d + 1))
 
 
 def indicator_crossings(p: float, params: ChannelParams) -> tuple:

@@ -88,17 +88,19 @@ def run_threshold(args: argparse.Namespace, out) -> int:
 
 def run_compare(args: argparse.Namespace, out) -> int:
     grid = np.linspace(0.2, 5.0, 10)
-    out.write("a21,a31,t_qubit,t_qutrit,inequality,agree\n")
+    a21s, a31s = np.repeat(grid, len(grid)), np.tile(grid, len(grid))  # rows a21, then a31
+    # the weight, then the closed forms' domain 1/3 < p <= 1, before any search
+    states._check_weight(args.p)
+    verdicts = [analysis.preservation_inequality(args.p, *a) for a in zip(a21s, a31s)]
     t_qb = analysis.indicator_crossing(args.p, ChannelParams(), 2)
-    for a21 in grid:
-        for a31 in grid:
-            t_qt = analysis.indicator_crossing(args.p, ChannelParams(a2=a21, a3=a31), 3)
-            verdict = analysis.preservation_inequality(args.p, a21, a31)
-            agree = verdict == analysis.qutrit_crosses_no_earlier(t_qb, t_qt)
-            out.write(
-                f"{_fmt(a21)},{_fmt(a31)},{_fmt(t_qb)},{_fmt(t_qt)},"
-                f"{str(verdict).lower()},{str(agree).lower()}\n"
-            )
+    t_qts = analysis.indicator_crossing_grid(args.p, (a21s, a31s))
+    out.write("a21,a31,t_qubit,t_qutrit,inequality,agree\n")
+    for a21, a31, verdict, t_qt in zip(a21s, a31s, verdicts, t_qts):
+        agree = verdict == analysis.qutrit_crosses_no_earlier(t_qb, t_qt)
+        out.write(
+            f"{_fmt(a21)},{_fmt(a31)},{_fmt(t_qb)},{_fmt(t_qt)},"
+            f"{str(verdict).lower()},{str(agree).lower()}\n"
+        )
     return 0
 
 

@@ -383,6 +383,144 @@ class TestCrossings:
             indicator_crossing(1.0, ChannelParams(a1=1e-200, a2=1e308, a3=1e308), 3)
 
 
+def lane_indicator(p, a1, rates):
+    """s_d at a1*t = tau in the operations of the scalar route: t = tau/a1, h = exp(-a t/2).
+
+    Floats give one search's f; arrays (p and a1 of shape (L,), rates of
+    shape (d - 1, L)) give a lane f with lane i at its own tau[i].
+    """
+
+    def s(tau):
+        with np.errstate(over="ignore"):  # a*t = inf is meant: h = exp(-inf) = 0
+            return analysis._indicator(p, [np.exp(-a * (tau / a1) / 2.0) for a in rates])
+
+    return s
+
+
+def bits(crossings):
+    return [None if x is None else x.hex() for x in crossings]
+
+
+@st.composite
+def crossing_lanes(draw):
+    # (d, lanes): a lane is (p, a1, arm rates, step), step meaning the jump
+    # of test_step_is_found_to_a_relative_bracket in place of s_d
+    d = draw(st.sampled_from([2, 3, 4]))
+    # log-uniform over 1e-20..1e4: crossings from below 1e-3 to past the 2^60 bound
+    spread = st.builds(
+        lambda m, e: m * 10.0**e, st.floats(min_value=1.0, max_value=10.0), st.integers(-20, 3)
+    )
+    rate = st.one_of(st.just(0.0), st.just(1e-300), spread)
+    lane = st.tuples(
+        st.one_of(st.floats(min_value=0.0, max_value=1.0), st.just(1.0 / (d + 1))),
+        st.one_of(st.floats(min_value=1e-3, max_value=1e3), st.just(1e-200)),
+        st.tuples(*[rate] * (d - 1)),
+        st.integers(0, 5).map(lambda k: k == 0),
+    )
+    return d, draw(st.lists(lane, min_size=1, max_size=8))
+
+
+class TestCrossingLanes:
+    """crossing_time on an array-valued f: one lock-step search per lane."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(crossing_lanes())
+    def test_lanes_are_the_single_searches_bitwise(self, case):
+        d, lanes = case
+        p, a1, rates, step = zip(*lanes)
+        s = lane_indicator(np.array(p), np.array(a1), np.array(rates).T)
+
+        def jump(t):
+            return 1.0 if t <= 0.3 else 0.0
+
+        got = crossing_time(
+            lambda t: np.where(np.array(step), np.where(t <= 0.3, 1.0, 0.0), s(t)), 1.0 / (d + 1)
+        )
+        want = [
+            crossing_time(jump if j else lane_indicator(*lane[:3]), 1.0 / (d + 1))
+            for *lane, j in lanes
+        ]
+        assert bits(got) == bits(want)
+
+    def test_lanes_around_the_doubling_bound(self):
+        # qubit crossings a1*t = 1.7627.../a from 2^57 to 2^63: each lane stops
+        # doubling, or gives up past 2^60, on its own
+        rates = 1.7627471740390861 / np.geomspace(2.0**57, 2.0**63, 97)
+        s = lane_indicator(np.ones(97), np.ones(97), rates[None, :])
+        got = crossing_time(s, 1.0 / 3.0)
+        want = [crossing_time(lane_indicator(1.0, 1.0, (a,)), 1.0 / 3.0) for a in rates]
+        assert bits(got) == bits(want)
+        assert math.inf in got and got[0] < 2.0**60
+
+    def test_a_lane_below_the_smallest_float_raises_the_single_error(self):
+        # a1 = 1e-200, a2 = a3 = 1e308: s_3 falls past 1/4 below a1*t = 5e-324
+        par = ChannelParams(a1=1e-200, a2=1e308, a3=1e308)
+        with pytest.raises(ValueError, match="not resolved in floating point") as single:
+            indicator_crossing(0.9, par, 3)
+        rates = np.array([[1.0, 1e308, 0.5], [2.0, 1e308, 0.0]])
+        s = lane_indicator(np.full(3, 0.9), np.array([1.0, 1e-200, 1.0]), rates)
+        with pytest.raises(ValueError) as lanes:
+            crossing_time(s, 0.25)
+        assert str(lanes.value) == str(single.value)
+
+    def test_of_lanes_stuck_at_once_the_first_raises(self):
+        # every bracket is dyadic, so jumps just past 7 and 3 times the
+        # smallest subnormal get stuck in the same halving, at different brackets
+        tiny = 5e-324
+        with pytest.raises(ValueError) as single:
+            crossing_time(lambda t: 1.0 if t <= 7 * tiny else 0.0, 0.5)
+        with pytest.raises(ValueError) as lanes:
+            crossing_time(lambda t: np.where(t <= np.array([7, 3]) * tiny, 1.0, 0.0), 0.5)
+        assert str(lanes.value) == str(single.value)
+        assert "[3.5e-323, 4e-323]" in str(single.value)
+
+    def test_the_path_follows_the_shape_of_f(self):
+        # a one-lane array is a lane search, a scalar a single one
+        f = lane_indicator(1.0, 1.0, (1.0, 1.0))
+        lanes = crossing_time(lambda t: np.reshape(f(t), (1,)), 0.25)
+        single = crossing_time(f, 0.25)
+        assert isinstance(lanes, list) and bits(lanes) == bits([single])
+        assert crossing_time(lambda t: np.zeros((0,)), 0.25) == []
+
+
+class TestCrossingGrid:
+    """indicator_crossing_grid: the compare grid's qutrit crossings in one search."""
+
+    @pytest.mark.parametrize("p", [1.0, 0.7, 0.3, 0.25, 0.0])
+    def test_lanes_are_the_single_crossings_bitwise(self, p):
+        grid = np.linspace(0.2, 5.0, 10)
+        a2 = np.concatenate([np.repeat(grid, 10), [0.0, 0.0, 1e-300, 1e308, 3.0, 0.0]])
+        a3 = np.concatenate([np.tile(grid, 10), [0.0, 1.0, 2.0, 1e308, 0.0, 1e-300]])
+        got = analysis.indicator_crossing_grid(p, (a2, a3))
+        # Python float rates: numpy scalars would warn where a*t overflows
+        pairs = zip(a2.tolist(), a3.tolist())
+        want = [indicator_crossing(p, ChannelParams(a2=x, a3=y), 3) for x, y in pairs]
+        assert bits(got) == bits(want)
+
+    def test_grid_shape_and_arm_count(self):
+        # any lane shape, read in C order; d - 1 = len(rates) arms
+        grid = np.linspace(0.2, 5.0, 4)
+        mesh = np.meshgrid(grid, grid, indexing="ij")
+        flat = analysis.indicator_crossing_grid(0.8, tuple(m.ravel() for m in mesh))
+        assert bits(analysis.indicator_crossing_grid(0.8, tuple(mesh))) == bits(flat)
+        for rates in ((grid,), (grid, grid[::-1], np.zeros(4))):
+            d = len(rates) + 1
+            want = [
+                crossing_time(lambda t: indicator_closed(0.8, lane, t), 1.0 / (d + 1))
+                for lane in zip(*rates)
+            ]
+            assert bits(analysis.indicator_crossing_grid(0.8, rates)) == bits(want)
+
+    def test_inputs_are_checked(self):
+        ok = np.ones(3)
+        for p in (1.5, math.nan):
+            with pytest.raises(ValueError, match="Werner weight"):
+                analysis.indicator_crossing_grid(p, (ok, ok))
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="arm rates must be"):
+                analysis.indicator_crossing_grid(1.0, (ok, np.array([1.0, bad, 1.0])))
+
+
 def decimal_crossing(p: float, ratios: list) -> decimal.Decimal | None:
     """a1*t at which the paper's nested-sum s_d reaches 1/(d+1), to 9 digits.
 

@@ -242,7 +242,9 @@ class TestCompare:
         assert verdicts == {"true", "false"}
 
     def test_agree_column_reads_the_one_crossing_rule(self, capsys, monkeypatch):
-        # one qubit crossing for the whole grid, and one rule for "no earlier"
+        # one qubit crossing for the whole grid, and one rule for "no earlier";
+        # the qutrit crossings come from one lane search, each with the bits
+        # of its own indicator_crossing
         rule, crossing = analysis.qutrit_crosses_no_earlier, analysis.indicator_crossing
         calls, species = [], []
 
@@ -256,12 +258,34 @@ class TestCompare:
 
         monkeypatch.setattr(analysis, "qutrit_crosses_no_earlier", recorded_rule)
         monkeypatch.setattr(analysis, "indicator_crossing", recorded_crossing)
-        assert main(["compare"]) == 0
+        assert main(["compare", "--p", "0.7"]) == 0
         rows = [line.split(",") for line in capsys.readouterr().out.split("\n")[1:-1]]
-        assert species.count(2) == 1 and species.count(3) == 100
+        assert species.count(2) == 1
         assert [(cli._fmt(qb), cli._fmt(qt)) for qb, qt in calls] == [
             (row[2], row[3]) for row in rows
         ]
+        grid = np.linspace(0.2, 5.0, 10)
+        pairs = [(a21, a31) for a21 in grid for a31 in grid]
+        assert [row[:2] for row in rows] == [[cli._fmt(a21), cli._fmt(a31)] for a21, a31 in pairs]
+        assert [row[3] for row in rows] == [
+            cli._fmt(crossing(0.7, ChannelParams(a2=a21, a3=a31), 3)) for a21, a31 in pairs
+        ]
+
+    def test_checks_p_before_any_crossing_search(self, capsys, monkeypatch):
+        # the weight, then the closed forms' domain, and only then the searches
+        def no_search(*args, **kwargs):
+            raise ValueError("crossing search called")
+
+        monkeypatch.setattr(analysis, "crossing_time", no_search)
+        for p, err in (
+            ("1.5", "Werner weight p=1.5 outside [0, 1]"),
+            ("nan", "Werner weight p=nan outside [0, 1]"),
+            ("0.3", "qubit closed forms require 1/3 < p <= 1, got p=0.3"),
+            (repr(1.0 / 3.0), "qubit closed forms require 1/3 < p <= 1, got p=0.3333333333333333"),
+            ("1.0", "crossing search called"),
+        ):
+            assert main(["compare", "--p", p]) == 2
+            assert capsys.readouterr() == ("", f"error: {err}\n")
 
     def test_requires_entangled_qubit(self, capsys):
         assert main(["compare", "--p", "0.3"]) == 2
