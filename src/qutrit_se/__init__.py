@@ -12,7 +12,6 @@ from .analysis import (
     haar_bloch_vectors,
     haar_moment_check,
     indicator_closed,
-    indicator_crossings,
     negativity,
     ppt_threshold,
     preservation_inequality,

@@ -56,8 +56,6 @@ __all__ = [
     "fidelity_from_state",
     "crossing_time",
     "indicator_crossing",
-    "indicator_crossing_grid",
-    "indicator_crossings",
     "qutrit_crosses_no_earlier",
     "qubit_crossing_closed",
     "preservation_inequality",
@@ -97,7 +95,7 @@ def _indicator(p: float, h: list):
 
 
 def _checked_factors(rates, t) -> list:
-    # for the public closed forms; bisection calls _arm_factors unchecked
+    # for the public closed forms
     rates, t = _check_arms(rates, t)
     with np.errstate(over="ignore"):  # a*t = inf is meant: h = exp(-inf) = 0
         return _arm_factors(rates, t)
@@ -151,7 +149,7 @@ def crossing_time(f: Callable, threshold: float) -> Optional[float] | list:
     be halved raises the single search's ValueError (the first lane to get
     stuck; of several at once, the first in order). The path follows
     np.shape(f(0.0)): a scalar runs the single search, the faster one for
-    one search.
+    one search. ``indicator_crossing`` runs lanes for arrays of arm rates.
     """
     f0 = f(0.0)
     if np.shape(f0):
@@ -373,54 +371,30 @@ def check_time_unit(a1: float) -> None:
         raise ValueError(f"a1 must be above about {smallest:.3g}, got {a1!r}")
 
 
-def indicator_crossing(p: float, params: ChannelParams, d: int) -> Optional[float]:
-    """a1*t at which the d-level pair's indicator s_d reaches 1/(d+1).
+def indicator_crossing(p: float, rates, a1: float = 1.0) -> Optional[float] | list:
+    """a1*t at which the indicator s_d of a Werner pair reaches 1/(d+1), d = len(rates) + 1.
 
-    None when s_d(0) = p is not above 1/(d+1), math.inf when s_d stays above
-    the threshold up to a1*t = 2^60, as an undamped (zero-rate) qutrit arm
-    can make it. a1 must pass ``check_time_unit``.
+    ``rates`` holds the d - 1 arm rates: floats give one search, and arrays
+    of one shape one lane search of ``crossing_time``, a list of one
+    crossing per position in C order, each with the bits of its single
+    search. a1 sets the time unit and must pass ``check_time_unit``. A
+    crossing is None when s_d(0) = p is not above 1/(d+1), and math.inf
+    when s_d stays above the threshold up to a1*t = 2^60, as an undamped
+    (zero-rate) arm can make it.
     """
     _check_weight(p)
-    check_time_unit(params.a1)
-    rates, a1 = params.rates(d), params.a1
-    return crossing_time(
-        lambda tau: _indicator(p, _arm_factors(rates, tau / a1)), 1.0 / (d + 1)
-    )
+    check_time_unit(a1)
+    _check_rates(np.ravel(rates).tolist())
+    d = len(rates) + 1
 
+    def s(tau):
+        t = tau / a1
+        # not _arm_factors: its zero-rate branch serves t = inf in the closed
+        # forms and Kraus; t stays finite here, and exp(-0.0) = 1.0 at rate 0
+        return _indicator(p, [np.exp(-a * t / 2.0) for a in rates])
 
-def indicator_crossing_grid(p: float, rates: tuple) -> list:
-    """Indicator crossings over a grid of arm rates at a1 = 1, from one lane search.
-
-    ``rates`` holds the d - 1 arm-rate arrays of one shape; a lane is one
-    position in them, and d = len(rates) + 1. Returns the time at which s_d
-    of each lane reaches 1/(d+1), one per lane in C order, from one lane
-    search of ``crossing_time``. For the qutrit a lane of rates (x, y) gives
-    the bits of ``indicator_crossing(p, ChannelParams(a2=x, a3=y), 3)``. A
-    zero rate is an undamped arm.
-    """
-    _check_weight(p)
-    lanes = np.asarray(rates, dtype=float)
-    _check_rates(lanes.ravel())
-    negated = -lanes  # -a * t / 2.0 is (-a) * t / 2.0, the scalar route's order
-
-    def s(t):
-        # t is a1*t at a1 = 1 and stays finite, so a zero-rate lane gets
-        # exp(-0.0) = 1.0, the h of an undamped arm
-        with np.errstate(over="ignore"):  # a*t = inf is meant: h = exp(-inf) = 0
-            return _indicator(p, np.exp(negated * t / 2.0))
-
-    d = len(lanes) + 1
-    return crossing_time(s, 1.0 / (d + 1))
-
-
-def indicator_crossings(p: float, params: ChannelParams) -> tuple:
-    """(t_cross_qubit, t_cross_qutrit, qutrit_preserves_longer) of a Werner pair.
-
-    The verdict is ``qutrit_crosses_no_earlier`` of the two crossings.
-    """
-    cross_qb = indicator_crossing(p, params, 2)
-    cross_qt = indicator_crossing(p, params, 3)
-    return cross_qb, cross_qt, qutrit_crosses_no_earlier(cross_qb, cross_qt)
+    with np.errstate(over="ignore"):  # a*t = inf is meant: h = exp(-inf) = 0
+        return crossing_time(s, 1.0 / (d + 1))
 
 
 def qutrit_crosses_no_earlier(cross_qb: Optional[float], cross_qt: Optional[float]) -> bool:

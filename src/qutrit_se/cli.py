@@ -63,7 +63,8 @@ def run_curves(args: argparse.Namespace, out) -> int:
 
 def run_threshold(args: argparse.Namespace, out) -> int:
     params = ChannelParams(a1=args.a1, a2=args.a2, a3=args.a3)
-    t_qb, t_qt, longer = analysis.indicator_crossings(args.p, params)
+    t_qb = analysis.indicator_crossing(args.p, params.rates(2), params.a1)
+    t_qt = analysis.indicator_crossing(args.p, params.rates(3), params.a1)
     # crossings that are not times print as words ("inf" would parse as one)
     words = {None: "separable_at_t0", np.inf: "beyond_2^60"}
 
@@ -82,6 +83,7 @@ def run_threshold(args: argparse.Namespace, out) -> int:
         # both are defined only while the qubit pair starts entangled
         out.write("t_qubit_closed=separable_at_t0\n")
         out.write("preservation_inequality=undefined\n")
+    longer = analysis.qutrit_crosses_no_earlier(t_qb, t_qt)
     out.write(f"qutrit_preserves_longer={str(longer).lower()}\n")
     return 0
 
@@ -92,8 +94,8 @@ def run_compare(args: argparse.Namespace, out) -> int:
     # the weight, then the closed forms' domain 1/3 < p <= 1, before any search
     states._check_weight(args.p)
     verdicts = [analysis.preservation_inequality(args.p, *a) for a in zip(a21s, a31s)]
-    t_qb = analysis.indicator_crossing(args.p, ChannelParams(), 2)
-    t_qts = analysis.indicator_crossing_grid(args.p, (a21s, a31s))
+    t_qb = analysis.indicator_crossing(args.p, (1.0,))
+    t_qts = analysis.indicator_crossing(args.p, (a21s, a31s))
     out.write("a21,a31,t_qubit,t_qutrit,inequality,agree\n")
     for a21, a31, verdict, t_qt in zip(a21s, a31s, verdicts, t_qts):
         agree = verdict == analysis.qutrit_crosses_no_earlier(t_qb, t_qt)
@@ -199,7 +201,7 @@ def _validate_checks(seed: int):
     yield "fidelity_closed_vs_state", defect, 1e-10
 
     t_closed = analysis.qubit_crossing_closed(1.0)
-    t_bisect = analysis.indicator_crossing(1.0, ChannelParams(), 2)
+    t_bisect = analysis.indicator_crossing(1.0, (1.0,))
     yield "qubit_crossing_closed_vs_bisection", abs(t_closed - t_bisect), 1e-11
 
 

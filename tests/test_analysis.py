@@ -27,7 +27,6 @@ from qutrit_se.analysis import (
     haar_moment_check,
     indicator_closed,
     indicator_crossing,
-    indicator_crossings,
     negativity,
     ppt_threshold,
     preservation_inequality,
@@ -48,6 +47,13 @@ from qutrit_se.su import generator_basis
 
 T_QUBIT_P1 = -2.0 * np.log(np.sqrt(2.0) - 1.0)
 T_QUTRIT_P1 = -2.0 * np.log((np.sqrt(3.0) - 1.0) / 2.0)
+
+
+def threshold_crossings(p, par):
+    """threshold's two searches and its verdict, read through the one rule."""
+    t_qb = indicator_crossing(p, par.rates(2), par.a1)
+    t_qt = indicator_crossing(p, par.rates(3), par.a1)
+    return t_qb, t_qt, analysis.qutrit_crosses_no_earlier(t_qb, t_qt)
 
 
 class TestClosedForms:
@@ -261,8 +267,8 @@ class TestCrossings:
     def test_below_threshold_returns_none(self):
         assert crossing_time(lambda t: indicator_closed(0.2, (1.0, 1.0), t), 0.25) is None
         # s_d(0) = p = 1/(d+1) certifies nothing either: no crossing at t = 0+
-        for d in (2, 3):
-            assert indicator_crossing(1.0 / (d + 1), ChannelParams(), d) is None
+        for d in (2, 3, 4):
+            assert indicator_crossing(1.0 / (d + 1), (1.0,) * (d - 1)) is None
 
     def test_residual_within_tolerance(self):
         f = lambda t: indicator_closed(1.0, (1.0, 1.0), t)
@@ -283,17 +289,17 @@ class TestCrossings:
     def test_undamped_arm_never_crosses(self):
         # with one arm frozen s_qutrit tends to 3p/8 > 1/4 for p > 2/3
         par = ChannelParams(a2=1e-300)
-        assert indicator_crossing(1.0, par, 3) == math.inf
-        assert indicator_crossing(0.6, par, 3) < math.inf
-        t_qb, t_qt, longer = indicator_crossings(1.0, par)
+        assert indicator_crossing(1.0, par.rates(3)) == math.inf
+        assert indicator_crossing(0.6, par.rates(3)) < math.inf
+        t_qb, t_qt, longer = threshold_crossings(1.0, par)
         assert abs(t_qb - T_QUBIT_P1) < 1e-8 and t_qt == math.inf and longer
 
     def test_species_crossing_in_a1_units(self):
         par = ChannelParams(a1=2.5, a2=1.5, a3=0.4)
         for d in (2, 3):
-            tau = indicator_crossing(0.9, par, d)
+            tau = indicator_crossing(0.9, par.rates(d), par.a1)
             assert abs(indicator_closed(0.9, par.rates(d), tau / par.a1) - 1 / (d + 1)) <= 1e-10
-        assert indicator_crossing(0.2, par, 3) is None
+        assert indicator_crossing(0.2, par.rates(3), par.a1) is None
 
     def test_time_unit_too_small_is_rejected(self):
         # t = (a1*t)/a1 overflows within the search range: no silent answer
@@ -301,11 +307,11 @@ class TestCrossings:
             par = ChannelParams(a1=a1)
             for d in (2, 3):
                 with pytest.raises(ValueError, match="a1 must be above"):
-                    indicator_crossing(0.9, par, d)
+                    indicator_crossing(0.9, par.rates(d), a1)
             with pytest.raises(ValueError, match="a1 must be above"):
                 separability_report(0.9, par, t_max=5.0, steps=4)
         # just above the bound the crossing in a1*t units is still the closed form
-        tau = indicator_crossing(0.9, ChannelParams(a1=6.5e-291), 2)
+        tau = indicator_crossing(0.9, (6.5e-291,), 6.5e-291)
         assert abs(tau - qubit_crossing_closed(0.9)) <= 1e-7
 
     def test_grid_just_above_the_time_unit_bound(self):
@@ -320,9 +326,7 @@ class TestCrossings:
         par = ChannelParams(a1=0.0)
         for d in (2, 3):
             with pytest.raises(ValueError, match="a1 must be above"):
-                indicator_crossing(1.0, par, d)
-        with pytest.raises(ValueError, match="a1 must be above"):
-            indicator_crossings(1.0, par)
+                indicator_crossing(1.0, par.rates(d), par.a1)
 
 
     @pytest.mark.parametrize("a", [0.3, 1.0, 4.0])
@@ -330,18 +334,45 @@ class TestCrossings:
     def test_equal_rate_qutrit_closed_form(self, p, a):
         # a2 = a3 = a: s_3 = p (h^2 + h)/2, so t = -(2/a) ln((sqrt(1 + 2/p) - 1)/2)
         closed = -2.0 / a * math.log((math.sqrt(1.0 + 2.0 / p) - 1.0) / 2.0)
-        assert abs(indicator_crossing(p, ChannelParams(a2=a, a3=a), 3) - closed) <= 1e-8 * closed
+        assert abs(indicator_crossing(p, (a, a)) - closed) <= 1e-8 * closed
         if p == 1.0 and a == 1.0:
             assert format(closed, ".9g") == "2.01010508"
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("p", [0.5, 0.8, 1.0])
+    def test_equal_rate_closed_form_for_any_d(self, p, d):
+        # d - 1 arms at rate a: H = (d-1) h solves H (H + 2) = (d-1)/p, so
+        # a t = -2 ln((sqrt(1 + (d-1)/p) - 1)/(d-1)); a1 sets the unit of a1 t
+        closed = -2.0 * math.log((math.sqrt(1.0 + (d - 1) / p) - 1.0) / (d - 1))
+        for a, a1 in ((1.0, 1.0), (2.5, 0.4)):
+            got = indicator_crossing(p, (a,) * (d - 1), a1)
+            assert abs(got - a1 * closed / a) <= 1e-8 * (a1 * closed / a)
+        if (d, p) == (4, 1.0):
+            assert format(closed, ".9g") == "2.19722458"
+
+    def test_numpy_scalar_rates_overflow_silently(self):
+        # a*t overflows to inf as with Python floats, with no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert indicator_crossing(0.9, (np.float64(1e308), 0.0)) == math.inf
+            rates, a1 = (np.float64(1e308), np.float64(1e-300)), np.float64(0.5)
+            assert indicator_crossing(0.9, rates, a1) == math.inf
+
+    @pytest.mark.parametrize("rates, a1", [((1.0,), 1.0), ((1.3, 0.4), 2.5), ((0.2, 0.0, 5.0), 0.7)])
+    def test_numpy_scalar_rates_give_the_float_bits(self, rates, a1):
+        for p in (1.0, 0.6, 0.3):
+            want = indicator_crossing(p, rates, a1)
+            got = indicator_crossing(p, tuple(map(np.float64, rates)), np.float64(a1))
+            assert bits([got]) == bits([want])
 
     @pytest.mark.parametrize("rates", [(1.0, 1.0), (1.3, 0.4), (0.2, 5.0)])
     def test_rate_scale_divides_the_qutrit_crossing(self, rates):
         # scaling a2 and a3 by c (a1 fixed) divides the crossing by c; below
         # c ~ 1e-60 this used to stop at 2^-200 instead
-        base = indicator_crossing(0.9, ChannelParams(a2=rates[0], a3=rates[1]), 3)
+        base = indicator_crossing(0.9, rates)
         for c in np.geomspace(1e-15, 1e300, 64):
-            par = ChannelParams(a2=c * rates[0], a3=c * rates[1])
-            assert abs(c * indicator_crossing(0.9, par, 3) - base) <= 1e-8 * base, c
+            scaled = (c * rates[0], c * rates[1])
+            assert abs(c * indicator_crossing(0.9, scaled) - base) <= 1e-8 * base, c
 
     def test_step_is_found_to_a_relative_bracket(self):
         # the bracket, not a residual, stops the search: a jump is found too
@@ -357,7 +388,7 @@ class TestCrossings:
             a1, a2, a3 = (float(a) for a in np.exp(rng.uniform(np.log(0.2), np.log(5.0), 3)))
             par = ChannelParams(a1=a1, a2=a2, a3=a3)
             for d in (2, 3):
-                got = indicator_crossing(p, par, d)
+                got = indicator_crossing(p, par.rates(d), a1)
                 want = decimal_crossing(p, [a / a1 for a in par.rates(d)])
                 assert (got is None) == (want is None)
                 if got is not None and decimal.Decimal(format(got, ".9g")) != want:
@@ -374,13 +405,13 @@ class TestCrossings:
         # 5.33333037e-10 (qutrit); the 40-digit reference reads 4.49999954e-10
         # and 5.33333377e-10
         p = 1.0 / (d + 1) + 1e-10
-        got = indicator_crossing(p, ChannelParams(), d)
+        got = indicator_crossing(p, (1.0,) * (d - 1))
         assert decimal.Decimal(format(got, ".9g")) == decimal_crossing(p, [1.0] * (d - 1))
 
     def test_unresolvable_crossing_raises(self):
         # crossing below the smallest subnormal a1*t
         with pytest.raises(ValueError, match="not resolved"):
-            indicator_crossing(1.0, ChannelParams(a1=1e-200, a2=1e308, a3=1e308), 3)
+            indicator_crossing(1.0, (1e308, 1e308), 1e-200)
 
 
 def lane_indicator(p, a1, rates):
@@ -454,9 +485,8 @@ class TestCrossingLanes:
 
     def test_a_lane_below_the_smallest_float_raises_the_single_error(self):
         # a1 = 1e-200, a2 = a3 = 1e308: s_3 falls past 1/4 below a1*t = 5e-324
-        par = ChannelParams(a1=1e-200, a2=1e308, a3=1e308)
         with pytest.raises(ValueError, match="not resolved in floating point") as single:
-            indicator_crossing(0.9, par, 3)
+            indicator_crossing(0.9, (1e308, 1e308), 1e-200)
         rates = np.array([[1.0, 1e308, 0.5], [2.0, 1e308, 0.0]])
         s = lane_indicator(np.full(3, 0.9), np.array([1.0, 1e-200, 1.0]), rates)
         with pytest.raises(ValueError) as lanes:
@@ -484,41 +514,54 @@ class TestCrossingLanes:
 
 
 class TestCrossingGrid:
-    """indicator_crossing_grid: the compare grid's qutrit crossings in one search."""
+    """indicator_crossing on arrays of rates: the compare grid's crossings in one search."""
 
     @pytest.mark.parametrize("p", [1.0, 0.7, 0.3, 0.25, 0.0])
     def test_lanes_are_the_single_crossings_bitwise(self, p):
         grid = np.linspace(0.2, 5.0, 10)
         a2 = np.concatenate([np.repeat(grid, 10), [0.0, 0.0, 1e-300, 1e308, 3.0, 0.0]])
         a3 = np.concatenate([np.tile(grid, 10), [0.0, 1.0, 2.0, 1e308, 0.0, 1e-300]])
-        got = analysis.indicator_crossing_grid(p, (a2, a3))
-        # Python float rates: numpy scalars would warn where a*t overflows
-        pairs = zip(a2.tolist(), a3.tolist())
-        want = [indicator_crossing(p, ChannelParams(a2=x, a3=y), 3) for x, y in pairs]
+        got = indicator_crossing(p, (a2, a3))
+        want = [indicator_crossing(p, pair) for pair in zip(a2.tolist(), a3.tolist())]
         assert bits(got) == bits(want)
 
     def test_grid_shape_and_arm_count(self):
         # any lane shape, read in C order; d - 1 = len(rates) arms
         grid = np.linspace(0.2, 5.0, 4)
         mesh = np.meshgrid(grid, grid, indexing="ij")
-        flat = analysis.indicator_crossing_grid(0.8, tuple(m.ravel() for m in mesh))
-        assert bits(analysis.indicator_crossing_grid(0.8, tuple(mesh))) == bits(flat)
+        flat = indicator_crossing(0.8, tuple(m.ravel() for m in mesh))
+        assert bits(indicator_crossing(0.8, tuple(mesh))) == bits(flat)
         for rates in ((grid,), (grid, grid[::-1], np.zeros(4))):
             d = len(rates) + 1
             want = [
                 crossing_time(lambda t: indicator_closed(0.8, lane, t), 1.0 / (d + 1))
                 for lane in zip(*rates)
             ]
-            assert bits(analysis.indicator_crossing_grid(0.8, rates)) == bits(want)
+            assert bits(indicator_crossing(0.8, rates)) == bits(want)
+
+    def test_lanes_in_a1_units(self):
+        # a lane search at a1 != 1 has the bits of the single searches there
+        rates = (np.array([0.0, 1e-300, 0.7, 2.5, 1e308]), np.array([1.3, 0.0, 0.7, 4.0, 2.0]))
+        for a1 in (0.3, 1.0, 6.5e-291):
+            want = [indicator_crossing(0.9, lane, a1) for lane in zip(*map(list, rates))]
+            assert bits(indicator_crossing(0.9, rates, a1)) == bits(want)
 
     def test_inputs_are_checked(self):
+        # the weight, then the time unit, then the rates
         ok = np.ones(3)
         for p in (1.5, math.nan):
             with pytest.raises(ValueError, match="Werner weight"):
-                analysis.indicator_crossing_grid(p, (ok, ok))
+                indicator_crossing(p, (ok, np.array([1.0, -1.0, 1.0])), 0.0)
+        for a1 in (0.0, 5e-324, math.nan):
+            with pytest.raises(ValueError, match="a1 must be above"):
+                indicator_crossing(1.0, (ok, np.array([1.0, -1.0, 1.0])), a1)
         for bad in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="arm rates must be"):
-                analysis.indicator_crossing_grid(1.0, (ok, np.array([1.0, bad, 1.0])))
+                indicator_crossing(1.0, (ok, np.array([1.0, bad, 1.0])))
+            with pytest.raises(ValueError, match="arm rates must be"):
+                indicator_crossing(1.0, (1.0, bad))
+        with pytest.raises(ValueError, match=r"arm rates must be .*, got \(\)"):
+            indicator_crossing(1.0, ())
 
 
 def decimal_crossing(p: float, ratios: list) -> decimal.Decimal | None:
@@ -563,11 +606,9 @@ class TestWernerWeight:
             werner(2, p)
         with pytest.raises(ValueError, match="Werner weight"):
             indicator_closed(p, (1.0,), 0.0)
-        for d in (2, 3):
+        for rates in ((1.0,), (1.0, 1.0)):
             with pytest.raises(ValueError, match="Werner weight"):
-                indicator_crossing(p, ChannelParams(), d)
-        with pytest.raises(ValueError, match="Werner weight"):
-            indicator_crossings(p, ChannelParams())
+                indicator_crossing(p, rates)
         with pytest.raises(ValueError, match="Werner weight"):
             separability_report(p, ChannelParams(), t_max=5.0, steps=4)
 
@@ -600,6 +641,17 @@ class TestFourLevels:
                     f = fidelity_closed(self.RATES, t)
                     worst = max(worst, abs(fidelity_from_state(rho, 4) - f))
         assert worst <= 1e-10
+
+    def test_crossing_lanes_are_the_single_searches(self):
+        # zero, 1e-300 and 1e308 lanes among ordinary ones, each bitwise its single search
+        rates = np.array(
+            [[0.0, 1e-300, 1.3, 0.0, 1e308, 0.4], [0.0, 0.4, 1e-300, 2.1, 1e308, 0.0],
+             [0.0, 2.1, 0.4, 1e-300, 1.3, 5.0]]
+        )
+        for p in (1.0, 0.6, 0.3, 0.2):
+            want = [indicator_crossing(p, lane) for lane in rates.T.tolist()]
+            assert bits(indicator_crossing(p, tuple(rates))) == bits(want)
+        assert indicator_crossing(1.0, tuple(rates))[0] == math.inf
 
     def test_ppt_threshold_is_one_fifth(self):
         assert abs(ppt_threshold(4) - 0.2) <= 1e-4
@@ -865,7 +917,7 @@ class TestReport:
         rows = separability_report(1.0, ChannelParams(), t_max=5.0, steps=50)
         assert rows.shape == (51, 7)
         np.testing.assert_allclose(rows[0], [0, 1, 1, 1, 1, 0.5, 1.0], atol=1e-12)
-        t_qb, t_qt, longer = indicator_crossings(1.0, ChannelParams())
+        t_qb, t_qt, longer = threshold_crossings(1.0, ChannelParams())
         assert abs(t_qb - T_QUBIT_P1) < 1e-8
         assert abs(t_qt - T_QUTRIT_P1) < 1e-8
         assert longer
@@ -875,7 +927,7 @@ class TestReport:
         assert np.all(rows[:, 5] >= 0) and np.all(rows[:, 6] >= 0)
 
     def test_fast_rates_flip_the_verdict(self):
-        t_qb, t_qt, longer = indicator_crossings(1.0, ChannelParams(a2=10.0, a3=10.0))
+        t_qb, t_qt, longer = threshold_crossings(1.0, ChannelParams(a2=10.0, a3=10.0))
         assert not longer
         assert t_qt < t_qb
         # on the grid the qutrit indicator is the first to fall below its threshold
@@ -883,7 +935,7 @@ class TestReport:
         assert rows[1, 2] < 0.25 < 1.0 / 3.0 < rows[1, 1]
 
     def test_below_both_thresholds(self):
-        assert indicator_crossings(0.2, ChannelParams()) == (None, None, False)
+        assert threshold_crossings(0.2, ChannelParams()) == (None, None, False)
         # a Werner pair below 1/(d+1) is separable, and local noise keeps it so
         rows = separability_report(0.2, ChannelParams(), t_max=1.0, steps=5)
         assert np.all(rows[:, 5:] == 0.0)
@@ -902,10 +954,10 @@ class TestReport:
             separability_report(0.5, ChannelParams(), t_max=t_max, steps=4)
 
     def test_indicator_crossings(self):
-        t_qb, t_qt, longer = indicator_crossings(1.0, ChannelParams())
+        t_qb, t_qt, longer = threshold_crossings(1.0, ChannelParams())
         assert abs(t_qb - T_QUBIT_P1) < 1e-8 and abs(t_qt - T_QUTRIT_P1) < 1e-8
         assert longer
-        assert indicator_crossings(0.2, ChannelParams()) == (None, None, False)
+        assert threshold_crossings(0.2, ChannelParams()) == (None, None, False)
 
     @pytest.mark.parametrize("cross_qb, cross_qt, expected", [
         (1.0, 2.0, True), (2.0, 1.0, False), (1.5, 1.5, True),
@@ -919,7 +971,7 @@ class TestReport:
     def test_never_crossing_report(self):
         par = ChannelParams(a2=1e-300)
         rows = separability_report(1.0, par, t_max=2.0, steps=4)
-        _, t_qt, longer = indicator_crossings(1.0, par)
+        _, t_qt, longer = threshold_crossings(1.0, par)
         assert t_qt == math.inf and longer
         assert rows[-1, 2] > 0.25
 

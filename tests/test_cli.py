@@ -242,34 +242,33 @@ class TestCompare:
         assert verdicts == {"true", "false"}
 
     def test_agree_column_reads_the_one_crossing_rule(self, capsys, monkeypatch):
-        # one qubit crossing for the whole grid, and one rule for "no earlier";
-        # the qutrit crossings come from one lane search, each with the bits
-        # of its own indicator_crossing
+        # one qubit search and one lane search for the 100 cells, and one rule
+        # for "no earlier"; each lane has the bits of its own single search
         rule, crossing = analysis.qutrit_crosses_no_earlier, analysis.indicator_crossing
-        calls, species = [], []
+        calls, searches = [], []
 
         def recorded_rule(cross_qb, cross_qt):
             calls.append((cross_qb, cross_qt))
             return rule(cross_qb, cross_qt)
 
-        def recorded_crossing(p, params, d):
-            species.append(d)
-            return crossing(p, params, d)
+        def recorded_crossing(p, rates, a1=1.0):
+            searches.append((p, rates, a1))
+            return crossing(p, rates, a1)
 
         monkeypatch.setattr(analysis, "qutrit_crosses_no_earlier", recorded_rule)
         monkeypatch.setattr(analysis, "indicator_crossing", recorded_crossing)
         assert main(["compare", "--p", "0.7"]) == 0
         rows = [line.split(",") for line in capsys.readouterr().out.split("\n")[1:-1]]
-        assert species.count(2) == 1
+        grid = np.linspace(0.2, 5.0, 10)
+        pairs = [(a21, a31) for a21 in grid for a31 in grid]
+        (p_qb, qubit, a1_qb), (p_qt, lanes, a1_qt) = searches
+        assert (p_qb, qubit, a1_qb) == (0.7, (1.0,), 1.0)
+        assert (p_qt, a1_qt) == (0.7, 1.0) and np.array_equal(np.transpose(lanes), pairs)
         assert [(cli._fmt(qb), cli._fmt(qt)) for qb, qt in calls] == [
             (row[2], row[3]) for row in rows
         ]
-        grid = np.linspace(0.2, 5.0, 10)
-        pairs = [(a21, a31) for a21 in grid for a31 in grid]
         assert [row[:2] for row in rows] == [[cli._fmt(a21), cli._fmt(a31)] for a21, a31 in pairs]
-        assert [row[3] for row in rows] == [
-            cli._fmt(crossing(0.7, ChannelParams(a2=a21, a3=a31), 3)) for a21, a31 in pairs
-        ]
+        assert [row[3] for row in rows] == [cli._fmt(crossing(0.7, pair)) for pair in pairs]
 
     def test_checks_p_before_any_crossing_search(self, capsys, monkeypatch):
         # the weight, then the closed forms' domain, and only then the searches

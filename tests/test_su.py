@@ -16,6 +16,7 @@ from qutrit_se import channels
 from qutrit_se.analysis import (
     fidelity_closed,
     haar_bloch_vectors,
+    indicator_crossing,
     ppt_threshold,
     s_from_state,
 )
@@ -394,6 +395,7 @@ DIMENSION_TAKERS = {
     "s_from_state": lambda d: s_from_state(np.eye(d * d) / (d * d), d),
     # the rate takers get the tuple of d - 1 unit rates
     "fidelity_closed": lambda d: fidelity_closed((1.0,) * (d - 1), 0.5),
+    "indicator_crossing": lambda d: indicator_crossing(1.0, (1.0,) * (d - 1)),
     "haar_bloch_vectors": lambda d: haar_bloch_vectors(d, 10, 0),
     "ppt_threshold": ppt_threshold,
     "se_kraus_on_a_grid": lambda d: se_kraus((1.0,) * (d - 1), [0.5]),
@@ -403,7 +405,7 @@ DIMENSION_TAKERS = {
 }
 
 
-RATE_TAKERS = {"fidelity_closed", "se_kraus_on_a_grid", "se_kraus"}
+RATE_TAKERS = {"fidelity_closed", "indicator_crossing", "se_kraus_on_a_grid", "se_kraus"}
 
 
 @pytest.mark.parametrize("d", [1, 4])
