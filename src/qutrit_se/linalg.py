@@ -42,6 +42,7 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-10
 JACOBI_TOL = 1e-12  # the off-diagonal magnitude hermitian_eigenvalues sweeps down to
+JACOBI_SHIFT_TOL = 1e-15  # the eigenvalue move a rotation left undone may make
 
 
 class NonHermitianError(ValueError):
@@ -96,8 +97,11 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
 
     Unitary 2x2 rotations (with the phase of the pivot entry absorbed) are
     applied in row-cyclic order until every off-diagonal magnitude is <= JACOBI_TOL
-    (1e-12). A pivot below 1e-300 in magnitude is skipped. A real symmetric
-    ``a`` is swept in float64, with the eigenvalue bits of its complex copy.
+    (1e-12) and no rotation left undone could move an eigenvalue by more than
+    JACOBI_SHIFT_TOL (1e-15), so a nearly degenerate pair whose off-diagonal
+    entry starts below JACOBI_TOL is still rotated (``_active``). A pivot below
+    1e-300 in magnitude is skipped. A real symmetric ``a`` is swept in
+    float64, with the eigenvalue bits of its complex copy.
 
     ``a`` may be one (n, n) matrix, giving shape (n,), or a stack
     (..., n, n), giving (..., n). A stack runs one sweep loop over all its
@@ -127,7 +131,7 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     a = _square(a)
     lead, n = a.shape[:-2], a.shape[-1]
     a = a.reshape((math.prod(lead), n, n))  # one batch axis
-    pos, mirror, diag, spans = _layout(n, a.any(axis=0).tobytes())
+    pos, mirror, diag, ends, spans = _layout(n, a.any(axis=0).tobytes())
     flat = a.reshape(len(a), n * n)
     m, m_dag = flat[:, pos], flat[:, mirror]
     np.conjugate(m_dag, out=m_dag)
@@ -140,10 +144,7 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     views = [m[:, start:stop].reshape(len(a), -1, size, size) for start, stop, size in spans]
 
     for _ in range(100):
-        np.abs(m, out=off)
-        off[:, diag] = 0.0
-        # a member is active while any of its blocks is
-        todo = np.flatnonzero(off.max(axis=1, initial=0.0) > JACOBI_TOL)
+        todo = _active(m, off, diag, ends)
         if todo.size == 0:
             break
         for view in views:
@@ -158,29 +159,60 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     return np.sort(eigs, axis=-1).reshape(lead + (n,))
 
 
+def _active(m: np.ndarray, off: np.ndarray, diag: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The members of the (members, entries) gather ``m`` that need another sweep.
+
+    A member is active while any of its blocks is: while an off-diagonal
+    magnitude exceeds JACOBI_TOL, or while one at or below it could still
+    move an eigenvalue by more than JACOBI_SHIFT_TOL. Rotating the pair
+    (p, q) moves a_pp and a_qq by (sqrt(g^2 + 4|a_pq|^2) - g) / 2, with
+    g = |a_pp - a_qq|, which is at most |a_pq|^2 / max(|a_pq|, g): up to
+    |a_pq| itself for a degenerate pair. ``off`` is scratch space of m's shape.
+    """
+    np.abs(m, out=off)
+    off[:, diag] = 0.0
+    most = off.max(axis=1, initial=0.0)
+    active = most > JACOBI_TOL
+    # the bound is at most |a_pq|, so only members with an entry above
+    # JACOBI_SHIFT_TOL need it: rarely any once a sweep has zeroed every pivot
+    rest = np.flatnonzero((most > JACOBI_SHIFT_TOL) & ~active)
+    if rest.size:
+        small, dia = off[rest], m.real[rest]
+        gap = np.abs(dia[:, ends[0]] - dia[:, ends[1]])
+        bound = np.maximum(small, gap)
+        np.divide(small * small, bound, out=bound, where=bound > 0.0)
+        active[rest] = bound.max(axis=1, initial=0.0) > JACOBI_SHIFT_TOL
+    return np.flatnonzero(active)
+
+
 @functools.lru_cache(maxsize=64)
 def _layout(n: int, pattern: bytes) -> tuple:
     """Gather layout of the blocks of an (n, n) nonzero pattern, given as bool bytes.
 
-    Returns (pos, mirror, diag, spans): each block's entries i*n + j, block
-    after block; their mirrors j*n + i; the places in pos of the diagonal
-    entries; and the (start, stop, size) of the entries of each block size
-    above 1. Cached per pattern, as a time grid of states repeats one; the
-    arrays are read-only, as every call with that pattern shares them.
+    Returns (pos, mirror, diag, ends, spans): each block's entries i*n + j,
+    block after block; their mirrors j*n + i; the places in pos of the
+    diagonal entries; a (2, len(pos)) array of the places in pos of each
+    entry's (i, i) and (j, j); and the (start, stop, size) of the entries of
+    each block size above 1. Cached per pattern, as a time grid of states
+    repeats one; the arrays are read-only, as every call with that pattern
+    shares them.
     """
     blocks = _blocks(np.frombuffer(pattern, dtype=bool).reshape(1, n, n))
     pos = np.array([i * n + j for block in blocks for i in block for j in block], dtype=int)
     mirror = pos % n * n + pos // n
     diag = np.flatnonzero(pos == mirror)
+    place = np.empty(n, dtype=int)
+    place[pos[diag] // (n + 1)] = diag
+    ends = place[np.stack([pos // n, pos % n])]
     spans, start = [], 0
     for size, same in itertools.groupby(map(len, blocks)):
         stop = start + len(list(same)) * size * size
         if size > 1:
             spans.append((start, stop, size))
         start = stop
-    for array in (pos, mirror, diag):
+    for array in (pos, mirror, diag, ends):
         array.flags.writeable = False
-    return pos, mirror, diag, tuple(spans)
+    return pos, mirror, diag, ends, tuple(spans)
 
 
 def _blocks(a: np.ndarray) -> list:

@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qutrit_se import analysis, channels, cli
@@ -747,6 +747,9 @@ class TestNegativity:
         p=st.floats(min_value=0.0, max_value=1.0),
         q=st.floats(min_value=0.0, max_value=1.0),
     )
+    # a coherence below JACOBI_TOL on a nearly degenerate pair of populations
+    @example(d=2, rates=[0.0, 0.0, 0.0], t=math.inf, p=1e-12, q=0.0)
+    @example(d=4, rates=[1.0, 2.0, 3.0], t=0.0, p=1e-12, q=0.5)
     def test_evolved_werner_matches_the_pair_blocks(self, d, rates, t, p, q):
         # ROADMAP item 1a: the partial transpose of an evolved Werner state is
         # d populations and the 2x2 blocks {|ij>, |ji>}, so its negativity is

@@ -62,11 +62,14 @@ def scalar_jacobi(a, tol=1e-12):
     return np.sort(m.diagonal().real)
 
 
-def whole_matrix_eigenvalues(a, tol=1e-12):
+def whole_matrix_eigenvalues(a, tol=1e-12, shift_tol=1e-15):
     """Reference: the stacked sweep loop over whole matrices that the block split replaces.
 
     Same Hermiticity guard, symmetrisation, rotation order and member
-    activity, on every (p, q) pair of the (B, n, n) stack.
+    activity, on every (p, q) pair of the (B, n, n) stack. A member is active
+    while an off-diagonal |a_pq| exceeds tol, or while |a_pq|^2 /
+    max(|a_pq|, |a_pp - a_qq|), the most that rotating it could move an
+    eigenvalue, exceeds shift_tol.
     """
     m = np.asarray(a, dtype=complex)
     lead, n = m.shape[:-2], m.shape[-1]
@@ -77,7 +80,13 @@ def whole_matrix_eigenvalues(a, tol=1e-12):
     for _ in range(100):
         off = np.abs(m)
         off[:, diag, diag] = 0.0
-        todo = np.flatnonzero(off.max(axis=(1, 2), initial=0.0) > tol)
+        d = m[:, diag, diag].real
+        bound = np.maximum(off, np.abs(d[:, :, None] - d[:, None, :]))
+        small = np.minimum(off, tol)  # a larger entry makes its member active anyway
+        shift = np.divide(small * small, bound, out=np.zeros_like(bound), where=bound > 0.0)
+        active = off.max(axis=(1, 2), initial=0.0) > tol
+        active |= shift.max(axis=(1, 2), initial=0.0) > shift_tol
+        todo = np.flatnonzero(active)
         if todo.size == 0:
             break
         sub = m[todo]
@@ -419,15 +428,20 @@ class TestBlockSplit:
         stack[4] = np.diag(np.diag(stack[4]))  # converged before the first sweep
         # a sub-tol pivot on a zero diagonal, beside an active block: still rotated
         pair, other = perm[4:6], perm[:3]
-        for k, active in ((5, True), (6, False)):
+        for k, active in ((5, True), (6, False), (7, False)):
             stack[k] = 0.0
             stack[k, pair[0], pair[1]] = stack[k, pair[1], pair[0]] = 5e-13
             if active:
                 stack[k, other[:, None], other[None, :]] = 2.0 * np.eye(3) + 0.5
+        # the same pivot against a diagonal gap of 1 could move an eigenvalue by
+        # 2.5e-25 at most, and is left as is
+        stack[7, pair[1], pair[1]] = 1.0
         eigs = hermitian_eigenvalues(stack)
         np.testing.assert_array_equal(eigs, whole_matrix_eigenvalues(stack))
         assert eigs[5, 0] < -4e-13 and eigs[5, 1] == 0.0  # the pair became -x and +x
-        assert eigs[6].min() == 0.0 == eigs[6].max()  # no block active: left as is
+        # no block above JACOBI_TOL, but a degenerate pair: rotated to -x and +x
+        assert eigs[6, 0] < -4e-13 and eigs[6, -1] > 4e-13 and not eigs[6, 1:-1].any()
+        assert eigs[7, -1] == 1.0 and not eigs[7, :-1].any()  # no member active: left as is
         for k in range(members):
             np.testing.assert_array_equal(eigs[k], whole_matrix_eigenvalues(stack[k]))
 
