@@ -21,6 +21,7 @@ only two rules of its own, --samples >= 100 and --seed >= 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import sys
 
@@ -220,7 +221,9 @@ def run_validate(args: argparse.Namespace, out) -> int:
     return 0 if failed == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Parser built once per process and shared by every ``main`` call: do not mutate it."""
     parser = argparse.ArgumentParser(
         prog="qutrit-se",
         description="Spontaneous-emission channel curves, thresholds and self-checks.",

@@ -1,5 +1,6 @@
 """Command-line behavior: CSV format, reports, self-checks, exit codes."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -484,6 +485,64 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["curves", "--a1", "fast"])
         assert exc.value.code == 2
+
+
+def outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process ``main`` call."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestSharedParser:
+    # usage errors, help and answers in one process, all through one parser
+    SEQUENCE = [
+        ["curves", "--steps", "abc"],
+        ["threshold", "--p", "2"],
+        ["--help"],
+        ["curves", "--help"],
+        ["threshold", "--p", "0.7", "--a1", "1.3", "--a2", "0.4", "--a3", "2.7"],
+        ["compare", "--p", "0.55"],
+        ["curves", "--steps", "60", "--q", "0.37"],
+    ]
+
+    def test_built_once(self, monkeypatch):
+        assert build_parser() is build_parser()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["threshold"]) == 0
+        assert main(["threshold"]) == 0
+        assert built == []
+        # the counter sees every parser a build makes: the top level and five commands
+        build_parser.__wrapped__()
+        assert len(built) == 6
+
+    def test_carries_no_state_between_calls(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        build_parser()
+        shared = [outcome(argv, capsys) for argv in self.SEQUENCE]
+        monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        fresh = [outcome(argv, capsys) for argv in self.SEQUENCE]
+        assert [code for code, _, _ in shared] == [2, 2, 0, 0, 0, 0, 0]
+        assert shared[1][2].startswith("error:")
+        assert shared == fresh
+
+    def test_help_wraps_to_columns_at_call_time(self, capsys, monkeypatch):
+        texts = []
+        for columns in ("40", "200", "40"):
+            monkeypatch.setenv("COLUMNS", columns)
+            texts.append(outcome(["curves", "--help"], capsys))
+        assert texts[0] != texts[1]
+        assert texts[2] == texts[0]
 
 
 def run_cli_process(argv):
