@@ -72,7 +72,7 @@ __all__ = [
 # (T, 9, 9) float64 temporaries set the peak memory of long grids. 512 real against
 # 256 complex (2-core x86-64, numpy 2.4.6; six alternated 25-s pairs of the
 # benchmark's `curves`): 113-118 -> 145-159 tasks/s; a 2000-step run peaks 3.3 MB
-# RSS above the import (was 3.8) and at 1.74 MB traced (was 1.63).
+# RSS above the import and at 1.74 MB traced.
 GRID_CHUNK = 512
 
 # Samples per block of ``haar_bloch_vectors``: a block's imaginary draws,
@@ -94,17 +94,10 @@ def _indicator(p: float, h: list):
     return p / (len(h) * (len(h) + 2)) * (arm_sum * (arm_sum + 2.0))
 
 
-def _checked_factors(rates, t) -> list:
-    # for the public closed forms
-    rates, t = _check_arms(rates, t)
-    with np.errstate(over="ignore"):  # a*t = inf is meant: h = exp(-inf) = 0
-        return _arm_factors(rates, t)
-
-
 def indicator_closed(p: float, rates, t):
     """Indicator s_d(t) of a Werner pair of weight p, d = len(rates) + 1; t may be an array."""
     _check_weight(p)
-    return _indicator(p, _checked_factors(rates, t))
+    return _indicator(p, _arm_factors(*_check_arms(rates, t)))
 
 
 def s_from_state(rho: np.ndarray, d: int) -> float:
@@ -119,7 +112,7 @@ def s_from_state(rho: np.ndarray, d: int) -> float:
 
 def fidelity_closed(rates, t):
     """Overlap F_d(t) of the evolved maximally entangled pair with its t = 0 state."""
-    h = _checked_factors(rates, t)
+    h = _arm_factors(*_check_arms(rates, t))
     return sum(h, 1.0) ** 2 / (len(h) + 1) ** 2
 
 
@@ -205,9 +198,10 @@ def _crossing_lanes(f: Callable, threshold: float, f0: np.ndarray) -> list:
 
 
 def _qubit_alpha(p: float) -> float:
-    # alpha = sqrt(1 + 1/p) - 1 falls below 1 exactly while the qubit pair
-    # starts entangled, p > 1/3: the domain of both qubit closed forms
-    if not 1.0 / 3.0 < p <= 1.0:
+    # alpha = sqrt(1 + 1/p) - 1 falls below 1 exactly while the qubit pair starts
+    # entangled: both qubit closed forms take a Werner weight with p > 1/3
+    _check_weight(p)
+    if not 1.0 / 3.0 < p:
         raise ValueError(f"qubit closed forms require 1/3 < p <= 1, got p={p}")
     return np.sqrt(1.0 + 1.0 / p) - 1.0
 

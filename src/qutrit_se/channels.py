@@ -122,7 +122,8 @@ def _affine_map(rates: tuple, t: float) -> AffineBlochMap:
     # level above m weighs levels 0 and m alike, so u_m is exactly zero
     # there and the block is upper triangular.
     toward, lam_t, eye, pairs, js, ks, shift_scale = _affine_layout(len(rates) + 1)
-    h = np.exp(-np.array((0.0, *rates)) * t / 2.0)
+    t = float(t)  # Python floats overflow to inf silently: a*t = inf gives h = 0
+    h = np.exp([-float(a) * t / 2.0 for a in (0.0, *rates)])
     moved = toward * (1.0 - h * h)
     damping = eye + 0.5 * moved @ lam_t
     damping[pairs, pairs] = h[js] * h[ks]
@@ -147,7 +148,8 @@ def _affine_layout(dim: int) -> tuple:
 
 def _arm_factors(rates: tuple, t) -> list:
     # h_m = exp(-a_m t/2); an undamped arm keeps h = 1, even at t = inf where a*t is nan
-    return [np.exp(-a * t / 2.0) if a else np.ones_like(t, dtype=float) for a in rates]
+    with np.errstate(over="ignore"):  # a*t = inf is meant: h = exp(-inf) = 0
+        return [np.exp(-a * t / 2.0) if a else np.ones_like(t, dtype=float) for a in rates]
 
 
 def _check_rates(rates) -> tuple:
@@ -178,10 +180,9 @@ def _kraus_operators(rates: tuple, t) -> np.ndarray:
     dim = len(rates) + 1
     ops = np.zeros((dim, *np.shape(t), dim, dim), dtype=complex)
     ops[0, ..., 0, 0] = 1.0
-    with np.errstate(over="ignore"):  # a*t = inf is meant: h = exp(-inf) = 0
-        for m, h in enumerate(_arm_factors(rates, t), 1):
-            ops[0, ..., m, m] = h
-            ops[m, ..., 0, m] = np.sqrt(1.0 - h * h)
+    for m, h in enumerate(_arm_factors(rates, t), 1):
+        ops[0, ..., m, m] = h
+        ops[m, ..., 0, m] = np.sqrt(1.0 - h * h)
     return ops
 
 

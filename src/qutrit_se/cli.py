@@ -92,8 +92,7 @@ def run_threshold(args: argparse.Namespace, out) -> int:
 def run_compare(args: argparse.Namespace, out) -> int:
     grid = np.linspace(0.2, 5.0, 10)
     a21s, a31s = np.repeat(grid, len(grid)), np.tile(grid, len(grid))  # rows a21, then a31
-    # the weight, then the closed forms' domain 1/3 < p <= 1, before any search
-    states._check_weight(args.p)
+    # the closed forms check the weight, then 1/3 < p <= 1, before any search
     verdicts = [analysis.preservation_inequality(args.p, *a) for a in zip(a21s, a31s)]
     t_qb = analysis.indicator_crossing(args.p, (1.0,))
     t_qts = analysis.indicator_crossing(args.p, (a21s, a31s))

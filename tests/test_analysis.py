@@ -276,11 +276,14 @@ class TestCrossings:
         assert abs(f(t_star) - 0.25) <= 1e-10
 
     def test_closed_form_domain(self):
-        # both qubit closed forms need a pair that starts entangled
-        for p in (0.2, 1.0 / 3.0, 1.5, math.nan):
-            with pytest.raises(ValueError, match=r"1/3 < p <= 1"):
+        # both qubit closed forms need a pair that starts entangled; a p outside
+        # [0, 1] is no Werner weight, and that is checked first
+        domain, weight = r"1/3 < p <= 1", r"Werner weight p=.* outside \[0, 1\]"
+        for p, message in [(0.0, domain), (0.2, domain), (1.0 / 3.0, domain),
+                           (1.5, weight), (-0.1, weight), (math.nan, weight)]:
+            with pytest.raises(ValueError, match=message):
                 qubit_crossing_closed(p)
-            with pytest.raises(ValueError, match=r"1/3 < p <= 1"):
+            with pytest.raises(ValueError, match=message):
                 preservation_inequality(p, 1.0, 1.0)
 
     def test_never_crossing_is_infinite(self):

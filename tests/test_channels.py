@@ -123,6 +123,19 @@ class TestAffineMap:
         assert np.max(np.abs(m.damping)) < 1e-15
         np.testing.assert_allclose(m.shift, GROUND_BLOCH, atol=1e-14)
 
+    @pytest.mark.parametrize("num", [float, np.float64])
+    @pytest.mark.parametrize("a2, a3", [(1e308, 1.0), (0.5, 1e308)])
+    def test_overflowing_decay_is_the_kraus_limit(self, num, a2, a3):
+        # a*t past the float range is meant: the arm is fully decayed, h = 0,
+        # with no overflow warning, as in the Kraus route
+        params = ChannelParams(a2=num(a2), a3=num(a3), t=num(10.0))
+        rho = random_density_matrix(3, np.random.default_rng(30))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = affine_route(rho, params)
+            want = apply_kraus(rho, se_kraus_qutrit(params))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     def test_semigroup_composition(self):
         par = ChannelParams(a2=1.3, a3=0.4)
         m1 = se_affine_map(par.with_time(0.6))
