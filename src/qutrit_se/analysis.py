@@ -38,10 +38,9 @@ from .channels import (
     se_kraus,
     superoperator,
 )
-from .linalg import hermitian_eigenvalues, partial_transpose
+from .linalg import _pair_dim, hermitian_eigenvalues, partial_transpose
 from .states import (
     _check_weight,
-    _two_qudit_state,
     _werner,
     correlation_matrix,
     max_entangled,
@@ -100,14 +99,15 @@ def indicator_closed(p: float, rates, t):
     return _indicator(p, _arm_factors(*_check_arms(rates, t)))
 
 
-def s_from_state(rho: np.ndarray, d: int) -> float:
-    """Separability indicator read off a two-qudit state.
+def s_from_state(rho: np.ndarray) -> float:
+    """Separability indicator read off a two-qudit state (d^2, d^2).
 
-    Sums the magnitudes of the diagonal of the correlation matrix; each is
-    1/(d-1) for the maximally entangled state, so a Werner state with
-    weight p gives p at t=0.
+    Sums the magnitudes of the diagonal of the (d^2-1)-square correlation
+    matrix; each is 1/(d-1) for the maximally entangled state, so a Werner
+    state with weight p gives p at t=0.
     """
-    return float(np.sum(np.abs(np.diag(correlation_matrix(rho, d)))) / (d + 1))
+    c = correlation_matrix(rho)
+    return float(np.sum(np.abs(np.diag(c))) / (math.isqrt(len(c) + 1) + 1))
 
 
 def fidelity_closed(rates, t):
@@ -116,9 +116,10 @@ def fidelity_closed(rates, t):
     return sum(h, 1.0) ** 2 / (len(h) + 1) ** 2
 
 
-def fidelity_from_state(rho: np.ndarray, d: int) -> float:
-    """<Psi| rho |Psi> against the maximally entangled reference."""
-    return float(np.trace(max_entangled(d) @ _two_qudit_state(rho, d)).real)
+def fidelity_from_state(rho: np.ndarray) -> float:
+    """<Psi| rho |Psi> against the maximally entangled reference, rho (d^2, d^2)."""
+    rho = np.asarray(rho, dtype=complex)
+    return float(np.trace(max_entangled(_pair_dim(rho.shape)) @ rho).real)
 
 
 def crossing_time(f: Callable, threshold: float) -> Optional[float] | list:
@@ -229,13 +230,13 @@ def preservation_inequality(p: float, a21: float, a31: float) -> bool:
     return bool(0.5 * u * (u + 2.0) >= 1.0 / p)
 
 
-def negativity(rho: np.ndarray, d: int) -> float | np.ndarray:
+def negativity(rho: np.ndarray) -> float | np.ndarray:
     """Sum of |negative eigenvalues| of the partial transpose of a two-qudit state.
 
-    Both qudits have d levels. A float for one state; an array of one value
-    per state for a stack (..., d^2, d^2), from one stacked Jacobi run.
+    Each qudit's d levels are read off the shape. A float for one (d^2, d^2)
+    state; one value per state for a stack (..., d^2, d^2), by one Jacobi run.
     """
-    eigs = hermitian_eigenvalues(partial_transpose(rho, d, d))
+    eigs = hermitian_eigenvalues(partial_transpose(rho))
     # negate before summing: a PPT state gets +0.0, not -0.0
     neg = np.where(eigs < 0.0, -eigs, 0.0).sum(axis=-1)
     return float(neg) if neg.ndim == 0 else neg
@@ -252,13 +253,13 @@ def ppt_threshold(d: int) -> float:
     table. The points are exact binary fractions, so the result is that of
     halving one point at a time.
     """
-    if not negativity(werner(d, 1.0), d) > 1e-9:
+    if not negativity(werner(d, 1.0)) > 1e-9:
         raise ValueError("Werner state at p=1 measured separable; no threshold")
     lo, hi = 0.0, 1.0
     while hi - lo > 1e-6:
         step = (hi - lo) / 16
         weights = lo + step * np.arange(1, 16)
-        entangled = negativity(_werner(d, weights[:, None, None]), d) > 1e-9
+        entangled = negativity(_werner(d, weights[:, None, None])) > 1e-9
         below, above = 0, 16  # the bracket in steps from lo
         for _ in range(4):
             mid = (below + above) // 2
@@ -435,5 +436,5 @@ def separability_report(p: float, params: ChannelParams, t_max: float, steps: in
             chunk = slice(lo, lo + GRID_CHUNK)
             kraus = se_kraus(params.rates(d), times[chunk]).real
             rho = lift(w, superoperator(kraus), params.q)
-            rows[chunk, 5 + i] = negativity(rho, d)
+            rows[chunk, 5 + i] = negativity(rho)
     return rows

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, kron
+from .linalg import _pair_dim, dagger, kron
 from .su import generator_basis
 
 __all__ = [
@@ -319,7 +319,7 @@ def superoperator(ops: np.ndarray) -> np.ndarray:
                   for ax in cols for zy in cols]
         entries = op[:, cols]
         products = entries[:, :, None] * entries[:, None, :].conj()
-        sup[:, target] += products.reshape(len(op), -1)
+        sup[:, target] += products.reshape(len(op), len(cols) ** 2)
     return sup.reshape(lead + (n, n))
 
 
@@ -337,9 +337,8 @@ def lift(rho: np.ndarray, sup: np.ndarray, q: float) -> np.ndarray:
     """
     dtype = np.result_type(np.asarray(rho), np.asarray(sup), float)  # real stays real
     rho, sup = np.asarray(rho, dtype=dtype), np.asarray(sup, dtype=dtype)
-    n = sup.shape[-1]
-    dim = math.isqrt(n)
-    if rho.shape != (n, n) or sup.shape[-2:] != (dim * dim, n):
+    dim, n = _pair_dim(sup.shape[-2:]), sup.shape[-1]
+    if rho.shape != (n, n):
         raise ValueError(f"state shape {rho.shape} does not match superoperator "
                          f"{sup.shape} of dimension {dim}")
     _check_mixing(q)

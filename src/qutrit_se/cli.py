@@ -197,7 +197,7 @@ def _validate_checks(seed: int):
     sup = channels.superoperator(channels.se_kraus_qutrit(at))
     rho3 = channels.lift(states.werner(3, 1.0), sup, 0.5)
     closed = analysis.fidelity_closed(at.rates(3), at.t)
-    defect = abs(analysis.fidelity_from_state(rho3, 3) - closed)
+    defect = abs(analysis.fidelity_from_state(rho3) - closed)
     yield "fidelity_closed_vs_state", defect, 1e-10
 
     t_closed = analysis.qubit_crossing_closed(1.0)

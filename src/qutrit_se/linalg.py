@@ -17,9 +17,9 @@ transpose of a Werner state under emission splits into d blocks of size 1
 and d(d-1)/2 of size 2. ``kron`` takes two matrices (2-D inputs only);
 ``channels`` builds only the decay term of the Lindblad generator with it.
 
-Index convention for bipartite operators: subsystem A is the slow (outer)
-index, i.e. a matrix on A (x) B has row index i*dB + k for A-index i and
-B-index k.
+``partial_transpose`` takes a two-qudit operator, shape (d^2, d^2) with
+d >= 2 read off the shape (``_pair_dim``). Subsystem A is the slow (outer)
+index: row i*d + k holds A-index i and B-index k.
 """
 
 from __future__ import annotations
@@ -281,20 +281,23 @@ def _jacobi_sweep(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def partial_transpose(rho: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
-    """Transpose subsystem B of a bipartite operator, or of each in a stack.
+def _pair_dim(shape: tuple) -> int:
+    # the one shape rule of a two-qudit operator: d of a (d^2, d^2) shape, d >= 2
+    d = math.isqrt(shape[-1]) if len(shape) == 2 else 0
+    if d < 2 or shape != (d * d, d * d):
+        raise ValueError(f"expected a two-qudit shape (d^2, d^2) with d >= 2, got {shape}")
+    return d
+
+
+def partial_transpose(rho: np.ndarray) -> np.ndarray:
+    """Transpose subsystem B of a two-qudit operator, or of each in a stack.
 
     Transposing A instead gives the full transpose of this result, which has
     the same spectrum.
     """
     rho = _square(rho)
-    if dim_a < 1 or dim_b < 1:
-        raise ValueError("subsystem dimensions must be positive")
-    if rho.shape[-1] != dim_a * dim_b:
-        raise ValueError(
-            f"matrix of shape {rho.shape} does not factor as {dim_a}x{dim_b}"
-        )
-    t = rho.reshape(rho.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
+    d = _pair_dim(rho.shape[-2:])
+    t = rho.reshape(rho.shape[:-2] + (d, d, d, d))
     return t.swapaxes(-3, -1).reshape(rho.shape)
 
 

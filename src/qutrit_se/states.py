@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import _pair_dim
 from .su import generator_basis
 
 __all__ = [
@@ -53,18 +54,12 @@ def _werner(d: int, p) -> np.ndarray:
     return p * max_entangled(d) + (1.0 - p) / d**2 * np.eye(d * d, dtype=complex)
 
 
-def _two_qudit_state(rho: np.ndarray, d: int) -> np.ndarray:
-    # the one shape rule of a two-qudit state, for correlation_matrix and fidelity_from_state
+def correlation_matrix(rho: np.ndarray) -> np.ndarray:
+    """Generator-generator correlation matrix of a two-qudit state (d^2, d^2)."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (d * d, d * d):
-        raise ValueError(f"expected shape {(d * d, d * d)}, got {rho.shape}")
-    return rho
-
-
-def correlation_matrix(rho: np.ndarray, d: int) -> np.ndarray:
-    """Generator-generator correlation matrix of a two-qudit state."""
+    d = _pair_dim(rho.shape)
     g = generator_basis(d).generators
-    t = _two_qudit_state(rho, d).reshape(d, d, d, d)
+    t = rho.reshape(d, d, d, d)
     # Tr[rho (g_a (x) g_b)] with A as the slow index
     c = np.einsum("ikjl,aji,blk->ab", t, g, g)
     return d / (2 * (d - 1)) * c.real

@@ -100,7 +100,7 @@ def test_criterion_04_closed_vs_state_separability():
         for d in (3, 2):
             rates = params.rates(d)
             rho = lift(werner(d, p), superoperator(se_kraus(rates, params.t)), params.q)
-            worst = max(worst, abs(s_from_state(rho, d) - indicator_closed(p, rates, params.t)))
+            worst = max(worst, abs(s_from_state(rho) - indicator_closed(p, rates, params.t)))
     report(4, "closed vs state-route s(t)", worst, 1e-10)
 
 
@@ -142,11 +142,11 @@ def test_criterion_07_fidelity_limits():
             rho = lift(max_entangled(d), sup, q=0.5)
             worst_state = max(
                 worst_state,
-                abs(fidelity_from_state(rho, d) - fidelity_closed(params.rates(d), t)),
+                abs(fidelity_from_state(rho) - fidelity_closed(params.rates(d), t)),
             )
             for q in (0.0, 0.7, 1.0):
                 rho_q = lift(max_entangled(d), sup, q=q)
-                worst_q = max(worst_q, abs(fidelity_from_state(rho_q, d) - fidelity_from_state(rho, d)))
+                worst_q = max(worst_q, abs(fidelity_from_state(rho_q) - fidelity_from_state(rho)))
     report(7, "kraus-route fidelity vs closed", worst_state, 1e-10)
     report(7, "fidelity q-independence", worst_q, 1e-12)
 

@@ -189,31 +189,23 @@ class TestSharedCore:
 class TestStateRoute:
     def test_werner_at_t_zero(self):
         for p in (0.0, 0.4, 1.0):
-            assert abs(s_from_state(werner(3, p), 3) - p) < 1e-12
-            assert abs(s_from_state(werner(2, p), 2) - p) < 1e-12
+            assert abs(s_from_state(werner(3, p)) - p) < 1e-12
+            assert abs(s_from_state(werner(2, p)) - p) < 1e-12
 
     def test_matches_closed_form_after_evolution(self):
         p = 0.8
         par = ChannelParams(a1=1.1, a2=1.0, a3=0.7, t=0.5)
         for d in (2, 3):
             rho = lift(werner(d, p), superoperator(se_kraus(par.rates(d), par.t)), 0.5)
-            assert abs(s_from_state(rho, d) - indicator_closed(p, par.rates(d), par.t)) <= 1e-10
+            assert abs(s_from_state(rho) - indicator_closed(p, par.rates(d), par.t)) <= 1e-10
 
     def test_q_does_not_enter(self):
         p, par = 0.9, ChannelParams(a2=1.3, a3=0.5, t=0.8)
         vals = [
-            s_from_state(
-                lift(werner(3, p), superoperator(se_kraus_qutrit(par)), q), 3
-            )
+            s_from_state(lift(werner(3, p), superoperator(se_kraus_qutrit(par)), q))
             for q in (0.0, 0.5, 1.0)
         ]
         assert max(vals) - min(vals) <= 1e-12
-
-    def test_shape_checks(self):
-        with pytest.raises(ValueError):
-            s_from_state(np.eye(9) / 9, 2)
-        with pytest.raises(ValueError):
-            s_from_state(np.eye(4) / 4, 4)
 
 
 class TestFidelity:
@@ -229,21 +221,21 @@ class TestFidelity:
         assert abs(fidelity_closed((1.0, 1.0), 1.0) - 0.5441822670595895) < 1e-12
 
     def test_state_route_reference_points(self):
-        assert abs(fidelity_from_state(max_entangled(3), 3) - 1.0) < 1e-14
-        assert abs(fidelity_from_state(np.eye(9) / 9, 3) - 1.0 / 9.0) < 1e-14
+        assert abs(fidelity_from_state(max_entangled(3)) - 1.0) < 1e-14
+        assert abs(fidelity_from_state(np.eye(9) / 9) - 1.0 / 9.0) < 1e-14
 
     def test_kraus_route_matches_closed(self):
         par = ChannelParams(a1=0.9, a2=1.2, a3=0.6, t=0.8)
         for d in (2, 3):
             rho = lift(werner(d, 1.0), superoperator(se_kraus(par.rates(d), par.t)), 0.5)
-            assert abs(fidelity_from_state(rho, d) - fidelity_closed(par.rates(d), par.t)) <= 1e-10
+            assert abs(fidelity_from_state(rho) - fidelity_closed(par.rates(d), par.t)) <= 1e-10
 
     def test_q_independence(self):
         par = ChannelParams(a2=1.0, a3=0.4, t=0.9)
         w = werner(3, 0.65)
         ch = se_kraus_qutrit(par)
-        f03 = fidelity_from_state(lift(w, superoperator(ch), 0.3), 3)
-        f07 = fidelity_from_state(lift(w, superoperator(ch), 0.7), 3)
+        f03 = fidelity_from_state(lift(w, superoperator(ch), 0.3))
+        f07 = fidelity_from_state(lift(w, superoperator(ch), 0.7))
         assert abs(f03 - f07) <= 1e-12
 
 
@@ -639,10 +631,10 @@ class TestFourLevels:
             for t in (0.0, 0.2, 0.9, 2.5, 8.0):
                 rho = lift(werner(4, p), superoperator(se_kraus(self.RATES, t)), q)
                 s = indicator_closed(p, self.RATES, t)
-                worst = max(worst, abs(s_from_state(rho, 4) - s))
+                worst = max(worst, abs(s_from_state(rho) - s))
                 if p == 1.0:  # F_d is the overlap of the evolved |Psi><Psi|
                     f = fidelity_closed(self.RATES, t)
-                    worst = max(worst, abs(fidelity_from_state(rho, 4) - f))
+                    worst = max(worst, abs(fidelity_from_state(rho) - f))
         assert worst <= 1e-10
 
     def test_crossing_lanes_are_the_single_searches(self):
@@ -689,29 +681,29 @@ class TestPreservation:
 
 class TestNegativity:
     def test_max_entangled_values(self):
-        assert abs(negativity(max_entangled(2), 2) - 0.5) < 1e-12
-        assert abs(negativity(max_entangled(3), 3) - 1.0) < 1e-12
+        assert abs(negativity(max_entangled(2)) - 0.5) < 1e-12
+        assert abs(negativity(max_entangled(3)) - 1.0) < 1e-12
 
     def test_product_state_zero(self):
         rng = np.random.default_rng(29)
         rho = kron(random_density_matrix(3, rng), random_density_matrix(3, rng))
-        assert negativity(rho, 3) < 1e-10
+        assert negativity(rho) < 1e-10
 
     def test_werner_threshold_behavior(self):
         for d in (2, 3):
             thr = 1.0 / (d + 1)
             for p in (0.0, thr / 2, thr):
-                assert negativity(werner(d, p), d) <= 1e-10
+                assert negativity(werner(d, p)) <= 1e-10
             for p in (thr + 0.01, 0.6, 1.0):
-                assert negativity(werner(d, p), d) > 1e-4
+                assert negativity(werner(d, p)) > 1e-4
 
     def test_stack_matches_per_state(self):
         rng = np.random.default_rng(30)
         rhos = np.stack([werner(3, 0.9), max_entangled(3), random_density_matrix(9, rng)])
-        negs = negativity(rhos, 3)
+        negs = negativity(rhos)
         assert negs.shape == (3,)
         for k in range(3):
-            single = negativity(rhos[k], 3)
+            single = negativity(rhos[k])
             assert type(single) is float
             assert abs(negs[k] - single) <= 1e-15
 
@@ -723,7 +715,7 @@ class TestNegativity:
     def test_ppt_threshold_is_the_one_point_bisection(self, d):
         # reference: one negativity call per midpoint, 20 halvings of [0, 1]
         def entangled(p):
-            return negativity(werner(d, p), d) > 1e-9
+            return negativity(werner(d, p)) > 1e-9
 
         lo, hi = 0.0, 1.0
         while hi - lo > 1e-6:
@@ -737,9 +729,9 @@ class TestNegativity:
 
     def test_separable_state_is_positive_zero(self):
         for d, p in ((2, 0.2), (3, 0.1)):
-            neg = negativity(werner(d, p), d)
+            neg = negativity(werner(d, p))
             assert neg == 0.0 and math.copysign(1.0, neg) == 1.0
-        negs = negativity(np.stack([werner(2, 0.2), werner(2, 0.3)]), 2)
+        negs = negativity(np.stack([werner(2, 0.2), werner(2, 0.3)]))
         assert np.all(negs == 0.0) and not np.any(np.signbit(negs))
 
     @settings(max_examples=200, deadline=None)
@@ -768,8 +760,8 @@ class TestNegativity:
                 lam = (a + b) / 2 - math.sqrt(((a - b) / 2) ** 2 + abs(c) ** 2)
                 want += max(0.0, -lam)
                 lam_min = min(lam_min, lam)
-        assert abs(negativity(rho, d) - want) <= 1e-14
-        eigs = hermitian_eigenvalues(partial_transpose(rho, d, d))
+        assert abs(negativity(rho) - want) <= 1e-14
+        eigs = hermitian_eigenvalues(partial_transpose(rho))
         assert abs(eigs.min() - lam_min) <= 1e-14
 
 
@@ -1000,7 +992,7 @@ class TestReport:
                     lift_a, lift_b = kron(k, ident), kron(ident, k)
                     rho += q * lift_a @ werner(d, p) @ dagger(lift_a)
                     rho += (1 - q) * lift_b @ werner(d, p) @ dagger(lift_b)
-                eigs = hermitian_eigenvalues(partial_transpose(rho, d, d))
+                eigs = hermitian_eigenvalues(partial_transpose(rho))
                 # a state without negative eigenvalues has negativity +0.0
                 expected.append((-eigs[eigs < 0]).sum())
             assert np.max(np.abs(row - expected)) <= 1e-14
@@ -1020,7 +1012,7 @@ class TestReport:
             w, kraus = werner(d, p), [se_kraus(par.rates(d), times[lo : lo + chunk])
                                       for lo in range(0, steps + 1, chunk)]
             assert w.dtype == kraus[0].dtype == complex
-            want = np.concatenate([negativity(lift(w, superoperator(k), q), d) for k in kraus])
+            want = np.concatenate([negativity(lift(w, superoperator(k), q)) for k in kraus])
             assert rows[:, 5 + i].tobytes() == want.tobytes()
 
     def test_no_lapack_eigensolver(self, monkeypatch):

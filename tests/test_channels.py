@@ -823,10 +823,10 @@ class TestBipartite:
         a = 0.9
         par = ChannelParams(a2=a, a3=a, t=0.75)
         d_diag = np.diag(se_affine_map(par).damping)
-        c0 = np.diag(correlation_matrix(max_entangled(3), 3))
+        c0 = np.diag(correlation_matrix(max_entangled(3)))
         for q in (1.0, 0.0):
             evolved = lift(max_entangled(3), superoperator(se_kraus_qutrit(par)), q)
-            c_t = correlation_matrix(evolved, 3)
+            c_t = correlation_matrix(evolved)
             np.testing.assert_allclose(np.diag(c_t), d_diag * c0, atol=1e-12)
 
     def test_symmetric_mixture_definition(self):
@@ -874,7 +874,7 @@ class TestTwoSided:
         negs = []
         for t in ((1 - 1e-6) * death, (1 + 1e-6) * death):
             sup = superoperator(se_kraus((1.0,), t))
-            negs.append(negativity(lift(lift(werner(2, 0.8), sup, 1.0), sup, 0.0), 2))
+            negs.append(negativity(lift(lift(werner(2, 0.8), sup, 1.0), sup, 0.0)))
         assert negs[0] > 0.0
         assert negs[1] == 0.0
 
@@ -1034,6 +1034,20 @@ class TestKrausChannelDim:
         assert str(err.value) == f"state shape (3, 3) does not match operators {ops.shape}"
         with pytest.raises(ValueError, match="dimension 6"):
             lift(np.eye(9) / 9, superoperator(ops), 0.5)
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_empty_time_grid(self, dim, real):
+        # T = 0 times, as se_kraus and apply_kraus accept: empty stacks all the way
+        ops = se_kraus((1.0,) * (dim - 1), np.array([]))
+        w = werner(dim, 0.5)
+        if real:
+            ops, w = ops.real, w.real
+        sup = superoperator(ops)
+        assert sup.shape == (0, dim * dim, dim * dim)
+        rho = lift(w, sup, 0.5)
+        assert rho.shape == (0, dim * dim, dim * dim)
+        assert negativity(rho).shape == (0,)
 
     def test_rejects_a_dim_keyword(self):
         # a dim given apart from the operators could disagree with them

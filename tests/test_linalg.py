@@ -334,8 +334,8 @@ class TestHermitianEigenvalues:
         rng = np.random.default_rng(60 + n)
         stack = np.stack([random_density_matrix(n, rng) for _ in range(12)])
         stack[3] = np.diag(np.arange(n) / n)  # converged before the first sweep
-        stack[4] = partial_transpose(max_entangled(3), 3, 3)[:n, :n]  # sparse
-        stack[5] = partial_transpose(stack[5], 1, n)
+        stack[4] = partial_transpose(max_entangled(3))[:n, :n]  # sparse
+        stack[5] = stack[5].T
         eigs = hermitian_eigenvalues(stack)
         assert eigs.shape == (12, n)
         for k in range(12):
@@ -466,7 +466,7 @@ class TestBlockSplit:
             p, q_drawn = rng.uniform(0.05, 1.0), rng.uniform()
             q_mix = q_drawn if q is None else q
             rho = lift(werner(d, p), superoperator(se_kraus(rates, times)), q_mix)
-            pt = partial_transpose(rho, d, d)
+            pt = partial_transpose(rho)
             assert linalg._blocks(pt) == expected
             for member in pt:
                 assert linalg._blocks(member[None]) == expected
@@ -480,39 +480,38 @@ class TestPartialTranspose:
         expected = np.zeros((4, 4))
         expected[0, 0] = expected[3, 3] = 0.5
         expected[1, 2] = expected[2, 1] = 0.5
-        pt = partial_transpose(max_entangled(2), 2, 2)
+        pt = partial_transpose(max_entangled(2))
         np.testing.assert_allclose(pt, expected, atol=1e-15)
         eigs = hermitian_eigenvalues(pt)
         np.testing.assert_allclose(eigs, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
     def test_max_entangled_qutrit_min_eigenvalue(self):
-        eigs = hermitian_eigenvalues(partial_transpose(max_entangled(3), 3, 3))
+        eigs = hermitian_eigenvalues(partial_transpose(max_entangled(3)))
         assert abs(eigs[0] + 1.0 / 3.0) < 1e-12
 
     def test_product_state_spectrum_unchanged(self):
         rng = np.random.default_rng(21)
-        rho = kron(random_density_matrix(2, rng), random_density_matrix(3, rng))
-        eigs_pt = hermitian_eigenvalues(partial_transpose(rho, 2, 3))
-        np.testing.assert_allclose(eigs_pt, hermitian_eigenvalues(rho), atol=1e-10)
-        assert eigs_pt[0] >= -1e-10
+        for d in (2, 3, 4):
+            rho = kron(random_density_matrix(d, rng), random_density_matrix(d, rng))
+            eigs_pt = hermitian_eigenvalues(partial_transpose(rho))
+            np.testing.assert_allclose(eigs_pt, hermitian_eigenvalues(rho), atol=1e-10)
+            assert eigs_pt[0] >= -1e-10
 
     def test_involution(self):
         rng = np.random.default_rng(22)
-        rho = random_density_matrix(6, rng)
-        back = partial_transpose(partial_transpose(rho, 2, 3), 2, 3)
-        np.testing.assert_array_equal(back, rho)
+        for d in (2, 3, 4):
+            rho = random_density_matrix(d * d, rng)
+            back = partial_transpose(partial_transpose(rho))
+            np.testing.assert_array_equal(back, rho)
 
     def test_stack_matches_per_matrix(self):
         rng = np.random.default_rng(24)
-        rhos = np.stack([random_density_matrix(6, rng) for _ in range(4)])
-        stacked = partial_transpose(rhos, 2, 3)
-        assert stacked.shape == (4, 6, 6)
-        for k in range(4):
-            np.testing.assert_array_equal(stacked[k], partial_transpose(rhos[k], 2, 3))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            partial_transpose(np.eye(5) / 5, 2, 2)
+        for d in (2, 3, 4):
+            rhos = np.stack([random_density_matrix(d * d, rng) for _ in range(4)])
+            stacked = partial_transpose(rhos)
+            assert stacked.shape == (4, d * d, d * d)
+            for k in range(4):
+                np.testing.assert_array_equal(stacked[k], partial_transpose(rhos[k]))
 
 
 def test_random_density_matrix_is_state():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qutrit_se import states
-from qutrit_se.analysis import fidelity_from_state
+from qutrit_se.analysis import fidelity_from_state, negativity, s_from_state
+from qutrit_se.channels import lift
 from qutrit_se.linalg import hermitian_eigenvalues, partial_transpose
 from qutrit_se.states import correlation_matrix, max_entangled, werner
 
@@ -26,11 +27,11 @@ class TestMaxEntangled:
             np.testing.assert_allclose(reduced, np.eye(d) / d, atol=1e-14)
 
     def test_qubit_correlation_matrix(self):
-        c = correlation_matrix(max_entangled(2), 2)
+        c = correlation_matrix(max_entangled(2))
         np.testing.assert_allclose(c, np.diag([1.0, -1.0, 1.0]), atol=1e-14)
 
     def test_qutrit_correlation_matrix(self):
-        c = correlation_matrix(max_entangled(3), 3)
+        c = correlation_matrix(max_entangled(3))
         np.testing.assert_allclose(c, np.diag(QUTRIT_SIGNS) / 2, atol=1e-14)
 
 
@@ -53,15 +54,15 @@ class TestWerner:
                 np.testing.assert_allclose(reduced, np.eye(d) / d, atol=1e-12)
 
     def test_half_mixing_qubit_correlations(self):
-        c = correlation_matrix(werner(2, 0.5), 2)
+        c = correlation_matrix(werner(2, 0.5))
         np.testing.assert_allclose(c, np.diag([0.5, -0.5, 0.5]), atol=1e-14)
 
     def test_ppt_boundary_eigenvalues(self):
         # partial-transpose minimum: (1-3p)/4 for d=2, (1-4p)/9 for d=3
         for d, p_star in ((2, 1.0 / 3.0), (3, 0.25)):
-            eigs = hermitian_eigenvalues(partial_transpose(werner(d, p_star), d, d))
+            eigs = hermitian_eigenvalues(partial_transpose(werner(d, p_star)))
             assert abs(eigs[0]) < 1e-10
-        eigs = hermitian_eigenvalues(partial_transpose(werner(3, 1.0), 3, 3))
+        eigs = hermitian_eigenvalues(partial_transpose(werner(3, 1.0)))
         assert abs(eigs[0] + 1.0 / 3.0) < 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -88,22 +89,24 @@ def test_correlation_matrix_linear_in_state():
     alpha = 0.37
     mix = alpha * rho1 + (1 - alpha) * rho2
     np.testing.assert_allclose(
-        correlation_matrix(mix, 3),
-        alpha * correlation_matrix(rho1, 3) + (1 - alpha) * correlation_matrix(rho2, 3),
+        correlation_matrix(mix),
+        alpha * correlation_matrix(rho1) + (1 - alpha) * correlation_matrix(rho2),
         atol=1e-12,
     )
 
 
-def test_correlation_matrix_shape_check():
-    with pytest.raises(ValueError):
-        correlation_matrix(np.eye(4) / 4, 3)
-
-
-def test_one_two_qudit_shape_rule():
-    # correlation_matrix and analysis.fidelity_from_state share the check and its message
+@pytest.mark.parametrize("shape", [(1, 1), (5, 5), (6, 6), (2, 9, 9)],
+                         ids=["1x1", "5x5", "6x6", "stack-of-9x9"])
+def test_one_two_qudit_shape_rule(shape):
+    # d is read off a (d^2, d^2) shape by one rule in linalg: every reader of a
+    # two-qudit state, the partial transpose and lift's superoperator give its
+    # one message; the partial transpose and lift take stacks, the readers do not
+    operands = [correlation_matrix, s_from_state, fidelity_from_state]
+    if len(shape) == 2:
+        operands += [partial_transpose, negativity, lambda sup: lift(np.eye(4) / 4, sup, 0.5)]
     messages = set()
-    for read in (correlation_matrix, fidelity_from_state):
+    for take in operands:
         with pytest.raises(ValueError) as err:
-            read(np.eye(4) / 4, 3)
+            take(np.ones(shape) / shape[-1])
         messages.add(str(err.value))
-    assert messages == {"expected shape (9, 9), got (4, 4)"}
+    assert messages == {f"expected a two-qudit shape (d^2, d^2) with d >= 2, got {shape}"}

@@ -18,7 +18,6 @@ from qutrit_se.analysis import (
     haar_bloch_vectors,
     indicator_crossing,
     ppt_threshold,
-    s_from_state,
 )
 from qutrit_se.channels import ChannelParams, se_kraus
 from qutrit_se.linalg import (
@@ -27,7 +26,7 @@ from qutrit_se.linalg import (
     hermitian_eigenvalues,
     random_density_matrix,
 )
-from qutrit_se.states import correlation_matrix, max_entangled, werner
+from qutrit_se.states import max_entangled, werner
 from qutrit_se.su import (
     bloch_to_density,
     density_to_bloch,
@@ -390,9 +389,6 @@ DIMENSION_TAKERS = {
     "generator_basis": generator_basis,
     "werner": lambda d: werner(d, 0.5),
     "max_entangled": max_entangled,
-    # states of the matching shape, so only the dimension can be at fault
-    "correlation_matrix": lambda d: correlation_matrix(np.eye(d * d) / (d * d), d),
-    "s_from_state": lambda d: s_from_state(np.eye(d * d) / (d * d), d),
     # the rate takers get the tuple of d - 1 unit rates
     "fidelity_closed": lambda d: fidelity_closed((1.0,) * (d - 1), 0.5),
     "indicator_crossing": lambda d: indicator_crossing(1.0, (1.0,) * (d - 1)),
