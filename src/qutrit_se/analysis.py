@@ -87,10 +87,15 @@ GRID_CHUNK = 512
 _HAAR_BLOCK = 8192
 
 
+def _indicator_of_sum(p: float, arms: int) -> Callable:
+    # s_d = p H (H + 2)/(d^2-1) as a function of H = sum_k h_k, d - 1 = arms;
+    # the weight p/((d-1)(d+1)) is formed once, not at each H
+    weight = p / (arms * (arms + 2))
+    return lambda arm_sum: weight * (arm_sum * (arm_sum + 2.0))
+
+
 def _indicator(p: float, h: list):
-    # s_d = p H (H + 2)/(d^2-1) with H = sum_k h_k, d - 1 = len(h)
-    arm_sum = sum(h)
-    return p / (len(h) * (len(h) + 2)) * (arm_sum * (arm_sum + 2.0))
+    return _indicator_of_sum(p, len(h))(sum(h))
 
 
 def indicator_closed(p: float, rates, t):
@@ -375,18 +380,23 @@ def indicator_crossing(p: float, rates, a1: float = 1.0) -> Optional[float] | li
     search. a1 sets the time unit and must pass ``check_time_unit``. A
     crossing is None when s_d(0) = p is not above 1/(d+1), and math.inf
     when s_d stays above the threshold up to a1*t = 2^60, as an undamped
-    (zero-rate) arm can make it.
+    (zero-rate) arm can make it. Floats and lanes share one f: the weight
+    of s_d is formed once per search, and an evaluation is the d - 1
+    ``np.exp`` of the arms plus the s_d arithmetic of ``indicator_closed``.
     """
     _check_weight(p)
     check_time_unit(a1)
     _check_rates(np.ravel(rates).tolist())
-    d = len(rates) + 1
+    d, s_of_sum = len(rates) + 1, _indicator_of_sum(p, len(rates))
 
     def s(tau):
-        t = tau / a1
         # not _arm_factors: its zero-rate branch serves t = inf in the closed
-        # forms and Kraus; t stays finite here, and exp(-0.0) = 1.0 at rate 0
-        return _indicator(p, [np.exp(-a * t / 2.0) for a in rates])
+        # forms and Kraus; t stays finite here, and exp(-0.0) = 1.0 at rate 0.
+        # The running sum from 0 in arm order has the bits of Python's sum.
+        t, arm_sum = tau / a1, 0
+        for a in rates:
+            arm_sum = arm_sum + np.exp(-a * t / 2.0)
+        return s_of_sum(arm_sum)
 
     with np.errstate(over="ignore"):  # a*t = inf is meant: h = exp(-inf) = 0
         return crossing_time(s, 1.0 / (d + 1))

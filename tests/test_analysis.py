@@ -177,6 +177,23 @@ class TestSharedCore:
                 np.testing.assert_array_equal(got, want)
             assert np.max(np.abs(got - want) / np.spacing(want)) <= 8
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_indicator_keeps_the_one_expression_bits(self, d):
+        # s_d as one expression, before its weight was split off: the same bytes
+        rng = np.random.default_rng(200 + d)
+        times = np.concatenate([self.TIMES, [np.inf]])
+        for i in range(20):
+            p = float(rng.uniform())
+            rates = np.exp(rng.uniform(np.log(0.05), np.log(40.0), d - 1))
+            rates[0] *= i % 2  # every other draw has an undamped arm
+            for t in (times, *times[::9], np.inf):
+                arm_sum = sum(channels._arm_factors(rates, np.asarray(t)))
+                k = d - 1
+                want = p / (k * (k + 2)) * (arm_sum * (arm_sum + 2.0))
+                got = indicator_closed(p, rates, t)
+                assert np.shape(got) == np.shape(t)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
     def test_fidelity_is_the_per_species_expression(self):
         # F keeps its per-species summation order, so it matches bit for bit
         par = ChannelParams(a1=1.3, a2=0.6, a3=2.2)
@@ -410,7 +427,9 @@ class TestCrossings:
 
 
 def lane_indicator(p, a1, rates):
-    """s_d at a1*t = tau in the operations of the scalar route: t = tau/a1, h = exp(-a t/2).
+    """Reference s_d at a1*t = tau that indicator_crossing's f must match bit for bit.
+
+    t = tau/a1, h = exp(-a t/2) per arm, and s_d by ``analysis._indicator``.
 
     Floats give one search's f; arrays (p and a1 of shape (L,), rates of
     shape (d - 1, L)) give a lane f with lane i at its own tau[i].
@@ -444,6 +463,41 @@ def crossing_lanes(draw):
         st.integers(0, 5).map(lambda k: k == 0),
     )
     return d, draw(st.lists(lane, min_size=1, max_size=8))
+
+
+@st.composite
+def scalar_searches(draw):
+    # (d, p, arm rates, a1) for one indicator_crossing on float rates
+    d = draw(st.sampled_from([2, 3, 4, 5]))
+    log_uniform = lambda lo, hi: st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0**e)
+    rate = st.one_of(st.sampled_from([0.0, 1e-300, 1e308]), log_uniform(-20, 4))
+    # just above 1/(d+1) the search decides s - 1/(d+1) of a few ulps, so
+    # there an ulp of s in the route, not in the reference, moves the crossing
+    near = log_uniform(-16, -8).map(lambda e: 1.0 / (d + 1) + e)
+    p = draw(st.one_of(st.floats(min_value=0.0, max_value=1.0), st.just(1.0 / (d + 1)), near))
+    a1 = draw(st.one_of(st.just(6.5e-291), log_uniform(-3, 3)))
+    return d, p, draw(st.tuples(*[rate] * (d - 1))), a1
+
+
+class TestScalarRoute:
+    @settings(max_examples=300, deadline=None)
+    @given(scalar_searches())
+    def test_float_rates_give_the_reference_bits(self, case):
+        # the single search against crossing_time on lane_indicator, at any a1;
+        # a search that cannot resolve its crossing raises the same error
+        d, p, rates, a1 = case
+        results = []
+        for search in (
+            lambda: indicator_crossing(p, rates, a1),
+            lambda: crossing_time(lane_indicator(p, a1, rates), 1.0 / (d + 1)),
+        ):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    results.append(bits([search()]))
+            except ValueError as error:
+                results.append(str(error))
+        assert results[0] == results[1]
 
 
 class TestCrossingLanes:
