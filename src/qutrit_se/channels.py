@@ -6,9 +6,11 @@ with Einstein coefficients A2 and A3; the qubit is the one-arm case with rate
 A1. Every route below is built from the tuple of arm rates, so one code
 path serves any number of arms: ``se_kraus(rates, t)`` takes it directly,
 and ``ChannelParams.rates`` gives the qubit's (a1,) and the qutrit's
-(a2, a3). The Bloch-vector route also reads the generalized Gell-Mann basis,
-whose order only ``su`` knows. The channel is provided in three independent
-forms that the test suite cross-checks against each other:
+(a2, a3). One owner, ``_arm_factors``, gives every route and ``analysis``'s
+closed forms each arm's h_m = exp(-a_m t/2): 0 once a*t overflows, 1 for an
+undamped arm at any t, inf included. The Bloch-vector route also reads the
+generalized Gell-Mann basis, whose order only ``su`` knows. The channel is
+provided in three independent forms that the test suite cross-checks:
 
 * an affine map n -> D(t) n + T(t) on the Bloch vector, in closed form per
   generator type: a pair generator of levels (j, k) is damped by h_j h_k
@@ -18,9 +20,8 @@ forms that the test suite cross-checks against each other:
   fixed point at t -> infinity; its rate-independent data (the generators'
   diagonals and pair rows) is built once per d, read-only;
 * an operator-sum (Kraus) form: K0 = diag(1, h_1, ..., h_n) and
-  K_m = w_m |0><m| with h_m = exp(-a_m t/2) and w_m = sqrt(1 - h_m^2),
-  in the level basis, held as one complex operator array indexed by k
-  first, shape (d, d, d);
+  K_m = w_m |0><m| with w_m = sqrt(1 - h_m^2), in the level basis, held as
+  one complex operator array indexed by k first, shape (d, d, d);
 * a Lindblad master equation with jump operators sqrt(a_m) |0><m|,
   integrated with fixed-step RK4, applied as a power of the d^2 x d^2 step
   matrix of the jump operators (Havel, quant-ph/0201127), whose generator
@@ -122,8 +123,7 @@ def _affine_map(rates: tuple, t: float) -> AffineBlochMap:
     # level above m weighs levels 0 and m alike, so u_m is exactly zero
     # there and the block is upper triangular.
     toward, lam_t, eye, pairs, js, ks, shift_scale = _affine_layout(len(rates) + 1)
-    t = float(t)  # Python floats overflow to inf silently: a*t = inf gives h = 0
-    h = np.exp([-float(a) * t / 2.0 for a in (0.0, *rates)])
+    h = np.array([1.0, *_arm_factors(rates, t)])
     moved = toward * (1.0 - h * h)
     damping = eye + 0.5 * moved @ lam_t
     damping[pairs, pairs] = h[js] * h[ks]

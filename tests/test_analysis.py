@@ -483,13 +483,15 @@ class TestScalarRoute:
     @settings(max_examples=300, deadline=None)
     @given(scalar_searches())
     def test_float_rates_give_the_reference_bits(self, case):
-        # the single search against crossing_time on lane_indicator, at any a1;
-        # a search that cannot resolve its crossing raises the same error
+        # the single search against crossing_time on lane_indicator and on
+        # indicator_closed, whose h comes from channels._arm_factors, at any
+        # a1; a search that cannot resolve its crossing raises the same error
         d, p, rates, a1 = case
         results = []
         for search in (
             lambda: indicator_crossing(p, rates, a1),
             lambda: crossing_time(lane_indicator(p, a1, rates), 1.0 / (d + 1)),
+            lambda: crossing_time(lambda tau: indicator_closed(p, rates, tau / a1), 1.0 / (d + 1)),
         ):
             try:
                 with warnings.catch_warnings():
@@ -497,7 +499,7 @@ class TestScalarRoute:
                     results.append(bits([search()]))
             except ValueError as error:
                 results.append(str(error))
-        assert results[0] == results[1]
+        assert results[0] == results[1] == results[2]
 
 
 class TestCrossingLanes:

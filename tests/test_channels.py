@@ -6,6 +6,7 @@ equation — three constructions sharing no code path beyond the generator
 tables.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -957,6 +958,21 @@ class TestEveryArmCount:
         m1, m2, m12 = (channels._affine_map(rates, t) for t in (0.6, 1.1, 1.7))
         np.testing.assert_allclose(m2.damping @ m1.damping, m12.damping, atol=1e-12)
         np.testing.assert_allclose(m2.damping @ m1.shift + m2.shift, m12.shift, atol=1e-12)
+
+    @pytest.mark.parametrize("undamped", [False, True])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_affine_map_at_infinite_time(self, dim, undamped):
+        # h comes from _arm_factors: every damped arm fully decayed, an
+        # undamped one kept, as in the Kraus limit
+        rates = (0.0, *ARM_RATES[dim][1:]) if undamped else ARM_RATES[dim]
+        m = channels._affine_map(rates, math.inf)
+        assert np.isfinite(m.damping).all() and np.isfinite(m.shift).all()
+        rng = np.random.default_rng(60 + dim)
+        for _ in range(5):
+            rho = random_density_matrix(dim, rng)
+            got = bloch_to_density(m.apply(density_to_bloch(rho)))
+            want = apply_kraus(rho, se_kraus(rates, math.inf))
+            assert np.max(np.abs(got - want)) <= 1e-12
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_three_way_agreement(self, dim):
