@@ -220,19 +220,24 @@ def qubit_crossing_closed(p: float) -> float:
     return -2.0 * np.log(_qubit_alpha(p))
 
 
-def preservation_inequality(p: float, a21: float, a31: float) -> bool:
-    """Whether s_3 is still above 1/4 when s_2 reaches 1/3: an indicator verdict.
+def preservation_inequality(p: float, rates, a1: float = 1.0) -> bool:
+    """Whether s_d is still above 1/(d+1) when s_2 reaches 1/3: an indicator verdict.
 
-    With alpha = sqrt(1 + 1/p) - 1 and u = alpha^(A2/A1) + alpha^(A3/A1),
-    tests u (u + 2) / 2 >= 1/p. Defined for 1/3 < p <= 1 only: below that
-    alpha >= 1 and the qubit pair is separable from the start. It compares
-    indicator crossings, not entanglement lifetimes: at p = 0.5, A2 = A1 and
-    A3 = 3 A1 it is false, yet the negativity at q = 0.5 vanishes at a1*t ~
-    0.62381 for the qubit pair and ~ 1.76275 for the qutrit pair.
+    Takes ``indicator_crossing``'s float inputs under its checks, d = len(rates) + 1.
+    With alpha = sqrt(1 + 1/p) - 1, the qubit arm at its crossing, and
+    u = sum_k alpha^(a_k/a1), tests u (u + 2)/(d - 1) >= 1/p. Defined for
+    1/3 < p <= 1 only: below that alpha >= 1 and the qubit pair is separable
+    from the start. It compares indicator crossings, not entanglement
+    lifetimes: at p = 0.5, rates (1, 3) and a1 = 1 it is false, yet the
+    negativity at q = 0.5 vanishes at a1*t ~ 0.62381 for the qubit pair and
+    ~ 1.76275 for the qutrit pair.
     """
     alpha = _qubit_alpha(p)
-    u = alpha**a21 + alpha**a31
-    return bool(0.5 * u * (u + 2.0) >= 1.0 / p)
+    check_time_unit(a1)
+    rates, a1 = _check_rates(rates), float(a1)
+    # Python floats: an a_k/a1 that overflows is inf, and alpha^inf = 0 with no warning
+    u = sum(alpha ** (a / a1) for a in rates)
+    return bool(u * (u + 2.0) / len(rates) >= 1.0 / p)
 
 
 def negativity(rho: np.ndarray) -> float | np.ndarray:

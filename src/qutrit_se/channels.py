@@ -70,7 +70,8 @@ RK4_LADDER_CACHE = 128
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Decay rates, a finite elapsed time and the two-sided mixing weight q."""
+    """Decay rates, the elapsed time t >= 0 (inf the decayed limit; RK4 needs it
+    finite) and the two-sided mixing weight q."""
 
     a1: float = 1.0
     a2: float = 1.0
@@ -80,8 +81,8 @@ class ChannelParams:
 
     def __post_init__(self) -> None:
         _check_rates((self.a1, self.a2, self.a3))
-        if not (math.isfinite(self.t) and self.t >= 0):
-            raise ValueError(f"t must be finite and >= 0, got {self.t}")
+        if not self.t >= 0:  # the scalar form of _check_arms's time rule
+            raise ValueError(_NEGATIVE_TIME.format(float(self.t)))
         _check_mixing(self.q)
 
     def rates(self, dim: int) -> tuple:
@@ -167,11 +168,15 @@ def _check_mixing(q: float) -> None:
         raise ValueError("mixing weight q must lie in [0, 1]")
 
 
+# the one time rule: t >= 0, inf the decayed limit (NaN fails too)
+_NEGATIVE_TIME = "times must be >= 0, got {}"
+
+
 def _check_arms(rates, t) -> tuple:
     # checked rates, and times >= 0 (inf included) as a float array
     rates, times = _check_rates(rates), np.asarray(t, dtype=float)
     if not (times >= 0).all():
-        raise ValueError(f"times must be >= 0, got {times[~(times >= 0)][0]}")
+        raise ValueError(_NEGATIVE_TIME.format(float(times[~(times >= 0)][0])))
     return rates, times
 
 
@@ -199,7 +204,7 @@ def se_kraus(rates, t) -> np.ndarray:
 
 
 def se_kraus_qutrit(params: ChannelParams) -> np.ndarray:
-    """Qutrit operator array (3, 3, 3) at params.t, whose rates ChannelParams checked."""
+    """Qutrit operator array (3, 3, 3) at params.t, whose rates and t ChannelParams checked."""
     return _kraus_operators(params.rates(3), params.t)
 
 
@@ -227,7 +232,7 @@ def lindblad_jump_ops(rates) -> np.ndarray:
 
 
 def lindblad_evolve(rho0: np.ndarray, params: ChannelParams, steps: int) -> np.ndarray:
-    """Integrate the master equation with classical RK4, h = t/steps.
+    """Integrate the master equation with classical RK4, h = t/steps, for a finite t.
 
     drho/dt = sum_k ( L_k rho L_k^dag - (1/2){L_k^dag L_k, rho} )
 
@@ -248,6 +253,8 @@ def lindblad_evolve(rho0: np.ndarray, params: ChannelParams, steps: int) -> np.n
         raise ValueError(f"expected a square state, got shape {rho.shape}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not math.isfinite(params.t):  # h = t/steps; ChannelParams took t >= 0
+        raise ValueError(f"RK4 needs a finite t, got {params.t}")
     return _rk4_power(rho, params.rates(rho.shape[0]), params.t, steps)
 
 

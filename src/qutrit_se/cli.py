@@ -77,7 +77,7 @@ def run_threshold(args: argparse.Namespace, out) -> int:
     out.write(f"t_cross_qutrit={words.get(t_qt) or _fmt(t_qt)}\n")
     if args.p > 1.0 / 3.0:
         closed = analysis.qubit_crossing_closed(args.p)
-        verdict = analysis.preservation_inequality(args.p, a21, a31)
+        verdict = analysis.preservation_inequality(args.p, params.rates(3), params.a1)
         out.write(f"t_qubit_closed={_fmt(closed)}\n")
         out.write(f"preservation_inequality={str(verdict).lower()}\n")
     else:
@@ -93,7 +93,7 @@ def run_compare(args: argparse.Namespace, out) -> int:
     grid = np.linspace(0.2, 5.0, 10)
     a21s, a31s = np.repeat(grid, len(grid)), np.tile(grid, len(grid))  # rows a21, then a31
     # the closed forms check the weight, then 1/3 < p <= 1, before any search
-    verdicts = [analysis.preservation_inequality(args.p, *a) for a in zip(a21s, a31s)]
+    verdicts = [analysis.preservation_inequality(args.p, a) for a in zip(a21s, a31s)]
     t_qb = analysis.indicator_crossing(args.p, (1.0,))
     t_qts = analysis.indicator_crossing(args.p, (a21s, a31s))
     out.write("a21,a31,t_qubit,t_qutrit,inequality,agree\n")

@@ -120,7 +120,7 @@ def test_criterion_06_preservation_inequality_grid():
     for a21 in grid:
         for a31 in grid:
             direct = indicator_closed(1.0, (a21, a31), t_qubit) >= 0.25
-            if preservation_inequality(1.0, a21, a31) == direct:
+            if preservation_inequality(1.0, (a21, a31)) == direct:
                 agree += 1
     print(f"[{'PASS' if agree == 100 else 'FAIL'}] criterion 06 "
           f"preservation inequality grid: agreement {agree}/100 (need 100)")

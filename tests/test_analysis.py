@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qutrit_se import analysis, channels, cli
@@ -293,7 +293,7 @@ class TestCrossings:
             with pytest.raises(ValueError, match=message):
                 qubit_crossing_closed(p)
             with pytest.raises(ValueError, match=message):
-                preservation_inequality(p, 1.0, 1.0)
+                preservation_inequality(p, (1.0, 1.0))
 
     def test_never_crossing_is_infinite(self):
         assert crossing_time(lambda t: 1.0, 0.5) == math.inf
@@ -715,10 +715,10 @@ class TestFourLevels:
 
 class TestPreservation:
     def test_equal_rates_verdicts(self):
-        assert preservation_inequality(1.0, 1.0, 1.0)
-        assert preservation_inequality(1.0, 1.14, 1.14)  # just inside boundary
-        assert not preservation_inequality(1.0, 1.15, 1.15)  # just outside
-        assert not preservation_inequality(1.0, 10.0, 10.0)
+        assert preservation_inequality(1.0, (1.0, 1.0))
+        assert preservation_inequality(1.0, (1.14, 1.14))  # just inside boundary
+        assert not preservation_inequality(1.0, (1.15, 1.15))  # just outside
+        assert not preservation_inequality(1.0, (10.0, 10.0))
 
     def test_agrees_with_crossing_comparison(self):
         t_qb = T_QUBIT_P1
@@ -726,13 +726,84 @@ class TestPreservation:
             for a31 in (0.2, 1.0, 2.6, 5.0):
                 par = ChannelParams(a2=a21, a3=a31)
                 t_qt = crossing_time(lambda t: indicator_closed(1.0, par.rates(3), t), 0.25)
-                assert preservation_inequality(1.0, a21, a31) == (t_qt >= t_qb)
+                assert preservation_inequality(1.0, (a21, a31)) == (t_qt >= t_qb)
 
     def test_domain(self):
         # alpha >= 1 for p <= 1/3: the qubit pair is separable from the start
         for p in (0.0, 0.2, 1.0 / 3.0):
             with pytest.raises(ValueError):
-                preservation_inequality(p, 1.0, 1.0)
+                preservation_inequality(p, (1.0, 1.0))
+
+    @pytest.mark.parametrize("rates, a1", [
+        ((math.nan, 1.0), 1.0), ((-5.0, 1.0), 1.0), ((1.0, math.inf), 1.0), ((), 1.0),
+        ((1.0, 1.0), 0.0), ((1.0,), 6.4e-291), ((1.0, 1.0, 1.0), math.nan),
+    ])
+    def test_inputs_take_the_crossing_checks(self, rates, a1):
+        # one rule per input: the verdict and the crossing search reject a bad
+        # rate tuple or time unit with one message
+        messages = set()
+        for verdict in (preservation_inequality, indicator_crossing):
+            with pytest.raises(ValueError, match="arm rates must be|a1 must be above") as err:
+                verdict(1.0, rates, a1)
+            messages.add(str(err.value))
+        assert len(messages) == 1, messages
+
+    @pytest.mark.parametrize("num", [float, np.float64])
+    def test_an_overflowing_ratio_is_a_decayed_arm(self, num):
+        # a2/a1 past the float range: alpha^inf = 0, with no overflow warning
+        # for a numpy time unit either; an undamped arm stays at alpha^0 = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not preservation_inequality(1.0, (num(1e308), num(1.0)), num(1e-290))
+            assert preservation_inequality(1.0, (num(1e308), 0.0, 0.0), num(1e-290))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.sampled_from([2, 3, 4, 5]),
+        p=st.floats(min_value=1.0 / 3.0, max_value=1.0, exclude_min=True),
+        a1=st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e),
+        ratios=st.lists(st.one_of(st.just(0.0), st.floats(min_value=-8.0, max_value=8.0)
+                                  .map(math.exp)), min_size=4, max_size=4),
+    )
+    # threshold --a1 1e-290 --a2 1e308: an a2/a1 past the float range
+    @example(d=3, p=1.0, a1=1e-290, ratios=[math.inf, 1.0, 1.0, 1.0])
+    def test_verdict_is_the_crossing_comparison_for_any_d(self, d, p, a1, ratios):
+        # the closed form against the two bisected crossings, wherever they
+        # are not a tie that the bisection's 1e-12 bracket cannot order
+        rates = tuple(min(r * a1, 1e308) for r in ratios[: d - 1])
+        t_qb = indicator_crossing(p, (a1,), a1)
+        t_qt = indicator_crossing(p, rates, a1)
+        assume(t_qt == math.inf or abs(t_qt - t_qb) > 1e-9 * t_qt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = preservation_inequality(p, rates, a1)
+        assert verdict == analysis.qutrit_crosses_no_earlier(t_qb, t_qt)
+
+    def test_qutrit_verdicts_keep_the_two_ratio_formula(self):
+        # d = 3 against the two-ratio form alpha^a21 + alpha^a31, written out:
+        # seeded draws in threshold's form (rates and a1, a21 = a2/a1) and
+        # compare's grid cells at a1 = 1
+        def two_ratio(p, a21, a31):
+            alpha = np.sqrt(1.0 + 1.0 / p) - 1.0
+            u = alpha**a21 + alpha**a31
+            return bool(0.5 * u * (u + 2.0) >= 1.0 / p)
+
+        rng = np.random.default_rng(35)
+        n = 100_000
+        ps = rng.uniform(np.nextafter(1.0 / 3.0, 1.0), 1.0, n).tolist()
+        a1s = np.exp(rng.uniform(-3.0, 3.0, n))
+        a2s, a3s = a1s * np.exp(rng.uniform(-8.0, 8.0, (2, n)))
+        mismatches, trues = 0, 0
+        for p, a1, a2, a3 in zip(ps, a1s.tolist(), a2s.tolist(), a3s.tolist()):
+            verdict = preservation_inequality(p, (a2, a3), a1)
+            mismatches += verdict != two_ratio(p, a2 / a1, a3 / a1)
+            trues += verdict
+        grid = np.linspace(0.2, 5.0, 10)
+        for p in (1.0, 0.7, 0.5, 0.4, 0.34):
+            for cell in zip(np.repeat(grid, 10), np.tile(grid, 10)):
+                mismatches += preservation_inequality(p, cell) != two_ratio(p, *cell)
+        assert mismatches == 0
+        assert 0.1 * n < trues < 0.9 * n  # both verdicts are drawn
 
 
 class TestNegativity:

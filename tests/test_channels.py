@@ -62,11 +62,9 @@ class TestChannelParams:
         with pytest.raises(ValueError):
             ChannelParams(q=1.5)
         for bad in ({"a1": np.nan}, {"a2": np.inf}, {"a3": -np.inf}, {"t": np.nan},
-                    {"t": np.inf}, {"q": np.nan}):
+                    {"q": np.nan}):
             with pytest.raises(ValueError):
                 ChannelParams(**bad)
-        with pytest.raises(ValueError):
-            ChannelParams(a2=1.0).with_time(np.inf)
 
     @pytest.mark.parametrize("builds", [
         pytest.param((lambda: ChannelParams(a2=-1.0),
@@ -76,6 +74,10 @@ class TestChannelParams:
                       lambda: lift(werner(3, 0.5), superoperator(se_kraus((1.0, 1.0), 0.5)),
                                    q=1.5)),
                      id="mixing-weight"),
+        pytest.param((lambda: ChannelParams(t=-0.1),
+                      lambda: ChannelParams(a2=2.0).with_time(-0.1),
+                      lambda: se_kraus((1.0,), -0.1),
+                      lambda: se_kraus((1.0, 1.0), [0.5, -0.1])), id="time"),
     ])
     def test_one_rule_one_message(self, builds):
         # each input rule has one owner, so every entry point that takes the
@@ -90,6 +92,27 @@ class TestChannelParams:
     def test_rate_map(self):
         par = ChannelParams(a1=0.3, a2=1.7, a3=2.9)
         assert par.rates(2) == (0.3,) and par.rates(3) == (1.7, 2.9)
+
+    @pytest.mark.parametrize("a2, a3", [(1.3, 0.4), (0.0, 0.4), (1.3, 0.0)])
+    def test_infinite_time_is_the_decayed_limit(self, a2, a3):
+        # t = inf as se_kraus takes it: the Kraus operators of the limit, bit
+        # for bit, and an affine map that acts as they do, which a time long
+        # enough to decay every damped arm below 1e-80 also gives
+        par = ChannelParams(a2=a2, a3=a3, t=np.inf)
+        assert par == ChannelParams(a2=a2, a3=a3).with_time(np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kraus, m = se_kraus_qutrit(par), se_affine_map(par)
+        limit = se_kraus((a2, a3), np.inf)
+        np.testing.assert_array_equal(kraus, limit)
+        late = se_affine_map(par.with_time(1e3))
+        np.testing.assert_allclose(m.damping, late.damping, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(m.shift, late.shift, rtol=0, atol=1e-15)
+        rng = np.random.default_rng(47)
+        for _ in range(5):
+            rho = random_density_matrix(3, rng)
+            got = bloch_to_density(m.apply(density_to_bloch(rho)))
+            assert np.max(np.abs(got - apply_kraus(rho, limit))) <= 1e-12
 
 
 class TestAffineMap:
@@ -248,6 +271,13 @@ class TestLindblad:
         expected2[0, 2] = 3.0  # sqrt(9)
         np.testing.assert_allclose(l1, expected1, atol=1e-15)
         np.testing.assert_allclose(l2, expected2, atol=1e-15)
+
+    def test_infinite_time_is_rejected(self):
+        # RK4's step h = t/steps needs a finite t, which ChannelParams does not
+        rho = random_density_matrix(3, np.random.default_rng(17))
+        for par in (ChannelParams(t=np.inf), ChannelParams(a2=1.0).with_time(np.inf)):
+            with pytest.raises(ValueError, match="RK4 needs a finite t, got inf"):
+                lindblad_evolve(rho, par, steps=10)
 
     def test_zero_rates_freeze_the_state(self):
         rng = np.random.default_rng(18)

@@ -18,6 +18,7 @@ from qutrit_se.analysis import (
     haar_bloch_vectors,
     indicator_crossing,
     ppt_threshold,
+    preservation_inequality,
 )
 from qutrit_se.channels import ChannelParams, se_kraus
 from qutrit_se.linalg import (
@@ -392,6 +393,7 @@ DIMENSION_TAKERS = {
     # the rate takers get the tuple of d - 1 unit rates
     "fidelity_closed": lambda d: fidelity_closed((1.0,) * (d - 1), 0.5),
     "indicator_crossing": lambda d: indicator_crossing(1.0, (1.0,) * (d - 1)),
+    "preservation_inequality": lambda d: preservation_inequality(1.0, (1.0,) * (d - 1)),
     "haar_bloch_vectors": lambda d: haar_bloch_vectors(d, 10, 0),
     "ppt_threshold": ppt_threshold,
     "se_kraus_on_a_grid": lambda d: se_kraus((1.0,) * (d - 1), [0.5]),
@@ -401,7 +403,10 @@ DIMENSION_TAKERS = {
 }
 
 
-RATE_TAKERS = {"fidelity_closed", "indicator_crossing", "se_kraus_on_a_grid", "se_kraus"}
+RATE_TAKERS = {
+    "fidelity_closed", "indicator_crossing", "preservation_inequality", "se_kraus_on_a_grid",
+    "se_kraus",
+}
 
 
 @pytest.mark.parametrize("d", [1, 4])
