@@ -233,10 +233,9 @@ def preservation_inequality(p: float, rates, a1: float = 1.0) -> bool:
     ~ 1.76275 for the qutrit pair.
     """
     alpha = _qubit_alpha(p)
-    check_time_unit(a1)
-    rates, a1 = _check_rates(rates), float(a1)
+    rates, a1 = _time_unit(a1, rates, 0.0)  # the verdict measures no time: nothing is scaled
     # Python floats: an a_k/a1 that overflows is inf, and alpha^inf = 0 with no warning
-    u = sum(alpha ** (a / a1) for a in rates)
+    u = sum(alpha ** (float(a) / float(a1)) for a in rates)
     return bool(u * (u + 2.0) / len(rates) >= 1.0 / p)
 
 
@@ -361,18 +360,20 @@ def haar_moment_check(d: int, samples: int, seed: int) -> np.ndarray:
     return n.T @ n / samples
 
 
-def check_time_unit(a1: float) -> None:
-    """Reject an a1 too small to measure time in units of 1/a1, 0 included.
-
-    The crossing search (up to a1*t = 2^60, ``crossing_time``'s doubling
-    bound) and the ``curves`` grid both evaluate the arms at t = (a1*t)/a1.
-    Below about 6.4e-291 that t overflows to inf, where every arm reads as
-    decayed: a crossing would come out wrong, and at a1 = 5e-324 the grid row
-    at a1*t = 1 would read s_qubit = 0, not 0.526980254. So raise.
-    """
-    if not (a1 > 0 and math.isfinite(_SEARCH_HORIZON / a1)):
-        smallest = _SEARCH_HORIZON / np.finfo(float).max
-        raise ValueError(f"a1 must be above about {smallest:.3g}, got {a1!r}")
+def _time_unit(a1: float, rates, horizon: float) -> tuple:
+    # the a1 rule and the arm-rate rule, then (rates, a1) times the least 2^s, s >= 0,
+    # for which t = horizon/a1 is finite: exact, so each a (a1 t)/a1 keeps its bits. A
+    # rate clamped to the largest float decays at every a1 t > 0: t >= (a1 t) max/(2 horizon)
+    if not a1 > 0:  # NaN fails too
+        raise ValueError(f"a1 must be above 0, got {a1!r}")
+    _check_rates(np.ravel(rates).tolist())
+    s, horizon = 0, float(horizon)
+    while not math.isfinite(horizon / math.ldexp(a1, s)):
+        s += 1
+    if not s:  # the inputs as given: Python floats stay Python floats
+        return rates, a1
+    cap = math.ldexp(np.finfo(float).max, -s)  # clamped before scaling: nothing overflows
+    return tuple(np.ldexp(np.minimum(a, cap), s) for a in rates), math.ldexp(a1, s)
 
 
 def indicator_crossing(p: float, rates, a1: float = 1.0) -> Optional[float] | list:
@@ -381,7 +382,7 @@ def indicator_crossing(p: float, rates, a1: float = 1.0) -> Optional[float] | li
     ``rates`` holds the d - 1 arm rates: floats give one search, and arrays
     of one shape one lane search of ``crossing_time``, a list of one
     crossing per position in C order, each with the bits of its single
-    search. a1 sets the time unit and must pass ``check_time_unit``. A
+    search. Any a1 > 0 sets the time unit, by an exact power-of-two rescale. A
     crossing is None when s_d(0) = p is not above 1/(d+1), and math.inf
     when s_d stays above the threshold up to a1*t = 2^60, as an undamped
     (zero-rate) arm can make it. Floats and lanes share one f: the weight
@@ -389,8 +390,7 @@ def indicator_crossing(p: float, rates, a1: float = 1.0) -> Optional[float] | li
     ``np.exp`` of the arms plus the s_d arithmetic of ``indicator_closed``.
     """
     _check_weight(p)
-    check_time_unit(a1)
-    _check_rates(np.ravel(rates).tolist())
+    rates, a1 = _time_unit(a1, rates, _SEARCH_HORIZON)
     d, s_of_sum = len(rates) + 1, _indicator_of_sum(p, len(rates))
 
     def s(tau):
@@ -429,27 +429,26 @@ def separability_report(p: float, params: ChannelParams, t_max: float, steps: in
     float64 on the real parts of the (real) operators and state, with the
     bits of the complex route. The rows do not depend on GRID_CHUNK:
     every point sees the same operations in any chunk; only time and memory do.
-    A zero arm rate is an undamped arm; a1 must pass ``check_time_unit``.
+    A zero arm rate is an undamped arm; any a1 > 0 is a time unit, as in the search.
     """
-    check_time_unit(params.a1)
     if steps < 2:
         raise ValueError("steps must be >= 2")
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
+    (a1, a2, a3), unit = _time_unit(params.a1, (params.a1, params.a2, params.a3), t_max)
     _check_weight(p)  # before the grid is built, which indicator_closed needs first
 
     rows = np.empty((steps + 1, 7))  # before linspace: numpy rejects a huge shape here
     taus = np.linspace(0.0, t_max, steps + 1)
-    with np.errstate(over="ignore"):  # t = inf decays even an arm of finite a*t
-        times = taus / params.a1
+    times = taus / unit
     rows[:, 0] = taus
-    for i, d in enumerate((2, 3)):
-        rows[:, 1 + i] = indicator_closed(p, params.rates(d), times)
-        rows[:, 3 + i] = fidelity_closed(params.rates(d), times)
-        w = werner(d, p).real
+    for i, rates in enumerate(((a1,), (a2, a3))):
+        rows[:, 1 + i] = indicator_closed(p, rates, times)
+        rows[:, 3 + i] = fidelity_closed(rates, times)
+        w = werner(len(rates) + 1, p).real
         for lo in range(0, steps + 1, GRID_CHUNK):
             chunk = slice(lo, lo + GRID_CHUNK)
-            kraus = se_kraus(params.rates(d), times[chunk]).real
+            kraus = se_kraus(rates, times[chunk]).real
             rho = lift(w, superoperator(kraus), params.q)
             rows[chunk, 5 + i] = negativity(rho)
     return rows

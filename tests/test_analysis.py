@@ -313,18 +313,24 @@ class TestCrossings:
             assert abs(indicator_closed(0.9, par.rates(d), tau / par.a1) - 1 / (d + 1)) <= 1e-10
         assert indicator_crossing(0.2, par.rates(3), par.a1) is None
 
-    def test_time_unit_too_small_is_rejected(self):
-        # t = (a1*t)/a1 overflows within the search range: no silent answer
+    def test_tiny_time_unit_is_measured(self):
+        # t = (a1*t)/a1 would overflow within the search range; the arms are
+        # evaluated at a power-of-two rescale of (rates, a1) instead
+        qutrit = indicator_crossing(0.9, (1.0, 1.0))
+        verdict = preservation_inequality(0.9, (1.0, 1.0))
         for a1 in (5e-324, 1e-300, 6.4e-291):
-            par = ChannelParams(a1=a1)
-            for d in (2, 3):
-                with pytest.raises(ValueError, match="a1 must be above"):
-                    indicator_crossing(0.9, par.rates(d), a1)
-            with pytest.raises(ValueError, match="a1 must be above"):
-                separability_report(0.9, par, t_max=5.0, steps=4)
-        # just above the bound the crossing in a1*t units is still the closed form
-        tau = indicator_crossing(0.9, (6.5e-291,), 6.5e-291)
-        assert abs(tau - qubit_crossing_closed(0.9)) <= 1e-7
+            assert abs(indicator_crossing(0.9, (a1,), a1) - qubit_crossing_closed(0.9)) <= 1e-9
+            assert preservation_inequality(0.9, (a1, a1), a1) == verdict
+            if a1 == 5e-324:  # a1*t = 2.01 * 5e-324 is below what bisection resolves
+                with pytest.raises(ValueError, match="not resolved"):
+                    indicator_crossing(0.9, (1.0, 1.0), a1)
+            else:
+                tau = indicator_crossing(0.9, (1.0, 1.0), a1)
+                assert abs(tau / a1 - qutrit) <= 1e-9 * qutrit
+            # the row at a1*t = 1 is the qubit closed form; the unit-rate qutrit has decayed
+            rows = separability_report(0.9, ChannelParams(a1=a1), t_max=5.0, steps=5)
+            assert rows[1, 0] == 1.0 and rows[1, 2] == 0.0
+            assert abs(rows[1, 1] - indicator_closed(0.9, (1.0,), 1.0)) <= 1e-12
 
     def test_grid_just_above_the_time_unit_bound(self):
         # t = (a1*t)/a1 is still finite at a1 = 6.5e-291, so the row at
@@ -603,16 +609,59 @@ class TestCrossingGrid:
         for p in (1.5, math.nan):
             with pytest.raises(ValueError, match="Werner weight"):
                 indicator_crossing(p, (ok, np.array([1.0, -1.0, 1.0])), 0.0)
-        for a1 in (0.0, 5e-324, math.nan):
-            with pytest.raises(ValueError, match="a1 must be above"):
+        for a1 in (0.0, math.nan):
+            with pytest.raises(ValueError, match="a1 must be above 0, got"):
                 indicator_crossing(1.0, (ok, np.array([1.0, -1.0, 1.0])), a1)
+        # a tiny a1 rescales the rates, so they are checked, and named, as given
         for bad in (-1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="arm rates must be"):
-                indicator_crossing(1.0, (ok, np.array([1.0, bad, 1.0])))
-            with pytest.raises(ValueError, match="arm rates must be"):
-                indicator_crossing(1.0, (1.0, bad))
+            for a1 in (1.0, 1e-300):
+                with pytest.raises(ValueError, match=f"arm rates must be .*, got {bad}$"):
+                    indicator_crossing(1.0, (ok, np.array([1.0, bad, 1.0])), a1)
+                with pytest.raises(ValueError, match=f"arm rates must be .*, got {bad}$"):
+                    indicator_crossing(1.0, (1.0, bad), a1)
         with pytest.raises(ValueError, match=r"arm rates must be .*, got \(\)"):
             indicator_crossing(1.0, ())
+
+
+# log-uniform on [1/4, 4]: every rate * 2^-k with k <= 1020 is a normal float,
+# so scaling by 2^-k is exact
+UNIT_RATE = st.floats(min_value=-2.0, max_value=2.0).map(lambda e: 2.0**e)
+
+
+class TestPowerOfTwoUnit:
+    """s_d depends on the products a_k t only: rates and a1 times 2^-k keep every bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 4]).flatmap(
+            lambda d: st.lists(st.tuples(*[UNIT_RATE] * (d - 1)), min_size=1, max_size=4)
+        ),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(0, 1020),
+    )
+    @example([(0.3, 2.5)], 0.9, 1020)
+    def test_crossings(self, lanes, p, k):
+        unit = math.ldexp(1.0, -k)
+        scaled = [tuple(math.ldexp(a, -k) for a in lane) for lane in lanes]
+        for lane, small in zip(lanes, scaled):
+            want = indicator_crossing(p, lane)
+            assert bits([indicator_crossing(p, small, unit)]) == bits([want])
+        columns = lambda rows: tuple(np.array(c) for c in zip(*rows))
+        got = indicator_crossing(p, columns(scaled), unit)
+        assert bits(got) == bits(indicator_crossing(p, columns(lanes)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.tuples(UNIT_RATE, UNIT_RATE, UNIT_RATE),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(0, 1020),
+    )
+    @example((1.0, 0.3, 2.5), 0.9, 0.5, 1020)
+    def test_report(self, rates, p, q, k):
+        want = separability_report(p, ChannelParams(*rates, q=q), t_max=5.0, steps=4)
+        small = ChannelParams(*(math.ldexp(a, -k) for a in rates), q=q)
+        assert separability_report(p, small, t_max=5.0, steps=4).tobytes() == want.tobytes()
 
 
 def decimal_crossing(p: float, ratios: list) -> decimal.Decimal | None:
@@ -736,7 +785,7 @@ class TestPreservation:
 
     @pytest.mark.parametrize("rates, a1", [
         ((math.nan, 1.0), 1.0), ((-5.0, 1.0), 1.0), ((1.0, math.inf), 1.0), ((), 1.0),
-        ((1.0, 1.0), 0.0), ((1.0,), 6.4e-291), ((1.0, 1.0, 1.0), math.nan),
+        ((1.0, 1.0), 0.0), ((1.0,), -1.0), ((1.0, 1.0, 1.0), math.nan),
     ])
     def test_inputs_take_the_crossing_checks(self, rates, a1):
         # one rule per input: the verdict and the crossing search reject a bad

@@ -67,6 +67,9 @@ def run(argv):
 @example(["threshold", "--a2=1e-300"])
 @example(["curves", "--a2=1e-300", "--steps=50"])
 @example(["threshold", "--a1=5e-324"])
+@example(["threshold", "--a1=1e-300", "--a2=1e-300", "--a3=1e-300"])
+@example(["curves", "--a1=5e-324", "--steps=5"])
+@example(["curves", "--a1=1e-200", "--a2=5e-324", "--t-max=1e120", "--steps=2"])
 @example(["threshold", "--a1=1e-200", "--a2=1e308", "--a3=1e308"])
 @example(["curves", "--t-max=1e308", "--a1=0.5", "--steps=4"])
 @example(["curves", "--steps=9223372036854775807"])
