@@ -34,7 +34,6 @@ from .linalg import (
     NoConvergenceError,
     NonHermitianError,
     hermitian_eigenvalues,
-    kron,
     partial_transpose,
     random_density_matrix,
 )

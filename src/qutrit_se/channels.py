@@ -25,9 +25,9 @@ provided in three independent forms that the test suite cross-checks:
 * a Lindblad master equation with jump operators sqrt(a_m) |0><m|,
   integrated with fixed-step RK4, applied as a power of the d^2 x d^2 step
   matrix of the jump operators (Havel, quant-ph/0201127), whose generator
-  takes its jump term from ``superoperator`` and its decay term from
-  ``linalg.kron``; the step matrix and its squares are cached read-only per
-  (arm rates, step size h), in a bounded cache.
+  takes its jump term from ``superoperator`` and its decay term as the
+  diagonal of sum_m L_m^dag L_m, within RK4's stability bound on h; the step
+  matrix and its squares are cached read-only per (arm rates, step size h).
 
 Bipartite use: ``superoperator`` builds S = sum_k K_k (x) conj(K_k) on the
 row-major vec, the convention of ``lindblad_evolve``, and ``lift`` applies
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _pair_dim, dagger, kron
+from .linalg import _pair_dim, dagger
 from .su import generator_basis
 
 __all__ = [
@@ -240,13 +240,16 @@ def lindblad_evolve(rho0: np.ndarray, params: ChannelParams, steps: int) -> np.n
     ``params.rates(d)``. The right-hand side is linear, so one RK4 step is
     exactly the d^2 x d^2 matrix P = I + hS + (hS)^2/2 + (hS)^3/6 + (hS)^4/24
     on the row-major vec, where vec(A X B) = (A kron B^T) vec(X) and S is
-    built from the jump operators alone, its decay term lifted with
-    ``linalg.kron`` (Havel, J. Math. Phys. 44, 534 (2003)); the result is
-    P^steps rho0. P and its squares P^2, P^4, ... are cached read-only per
-    (arm rates, h), in a bounded LRU cache, and multiplied in
-    ``np.linalg.matrix_power``'s order, so a repeated (rates, h), as in
-    piecewise integration, rebuilds nothing and gives the bits of the
-    uncached power.
+    built from the jump operators alone (Havel, J. Math. Phys. 44, 534
+    (2003)), its decay term the diagonal -(g_i + g_j)/2 at (i, j) for
+    sum_k L_k^dag L_k = diag(g); the result is P^steps rho0. S is upper
+    triangular with those eigenvalues, so RK4 is stable while h * max(rates)
+    <= 2.78529356340528, where 1 + z + z^2/2 + z^3/6 + z^4/24 returns to 1
+    on the negative axis; past it, ValueError. P and its squares P^2, P^4,
+    ... are cached read-only per (arm rates, h), in a bounded LRU cache, and
+    multiplied in ``np.linalg.matrix_power``'s order, so a repeated
+    (rates, h), as in piecewise integration, rebuilds nothing and gives the
+    bits of the uncached power.
     """
     rho = np.asarray(rho0, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -258,11 +261,25 @@ def lindblad_evolve(rho0: np.ndarray, params: ChannelParams, steps: int) -> np.n
     return _rk4_power(rho, params.rates(rho.shape[0]), params.t, steps)
 
 
+def _rk4_stability_bound() -> float:
+    # -z at the real root of z^3 + 4z^2 + 12z + 24 (its slope 3z^2 + 8z + 12 > 0), where
+    # RK4's amplification returns to 1, bisected down to adjacent floats
+    lo, hi = -3.0, -2.0  # the cubic is -3 and 8 there
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if ((mid + 4.0) * mid + 12.0) * mid + 24.0 < 0 else (lo, mid)
+    return -hi
+
+
+_RK4_BOUND = _rk4_stability_bound()  # 2.7852935634052813, the float just below the root
+
+
 def _rk4_power(rho: np.ndarray, rates: tuple, t: float, steps: int) -> np.ndarray:
     # P^steps from the cached squares P^(2^k), multiplied in the order of
     # np.linalg.matrix_power: its n = 3 shortcut (P P) P, else the squares of
     # the set bits of n, lowest first
     h = t / steps
+    if h * max(rates) > _RK4_BOUND:
+        raise ValueError(f"RK4 is unstable: h * max(rates) = {h * max(rates):g} > {_RK4_BOUND:g}")
     steps = operator.index(steps)
     ladder = _rk4_ladder(rates, h, steps.bit_length())
     if steps == 3:
@@ -292,13 +309,12 @@ def _rk4_ladder(rates: tuple, h: float, rungs: int) -> tuple:
 
 
 def _rk4_step(rates: tuple, h: float) -> np.ndarray:
-    dim = len(rates) + 1
     jumps = lindblad_jump_ops(rates)
-    gsum = (dagger(jumps) @ jumps).sum(axis=0)
-    eye = np.eye(dim)
-    gen = superoperator(jumps) - 0.5 * (kron(gsum, eye) + kron(eye, gsum.T))
+    # each L_m^dag L_m is a_m |m><m|, so -(1/2){G, rho} is diagonal: -(g_i + g_j)/2 at (i, j)
+    g = (dagger(jumps) @ jumps).sum(axis=0).diagonal()
+    gen = superoperator(jumps) - 0.5 * np.diag((g[:, None] + g[None, :]).ravel())
     hs = h * gen
-    eye = np.eye(dim * dim)
+    eye = np.eye(len(g) ** 2)
     step = eye + hs @ (eye + hs @ (eye / 2 + hs @ (eye / 6 + hs / 24)))
     step.flags.writeable = False
     return step

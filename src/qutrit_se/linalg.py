@@ -14,8 +14,7 @@ stack shares, and each block size is swept as one stacked array. A member
 stays active while any of its blocks is, so the eigenvalues are those of
 the whole-matrix sweep; a dense matrix is the one-block case. The partial
 transpose of a Werner state under emission splits into d blocks of size 1
-and d(d-1)/2 of size 2. ``kron`` takes two matrices (2-D inputs only);
-``channels`` builds only the decay term of the Lindblad generator with it.
+and d(d-1)/2 of size 2.
 
 ``partial_transpose`` takes a two-qudit operator, shape (d^2, d^2) with
 d >= 2 read off the shape (``_pair_dim``). Subsystem A is the slow (outer)
@@ -34,7 +33,6 @@ __all__ = [
     "NonHermitianError",
     "NoConvergenceError",
     "dagger",
-    "kron",
     "hermitian_eigenvalues",
     "partial_transpose",
     "random_density_matrix",
@@ -74,22 +72,6 @@ def _check_hermitian(a: np.ndarray, a_dag: np.ndarray) -> np.ndarray:
     if not defect <= HERMITICITY_TOL:
         raise NonHermitianError(f"matrix deviates from Hermitian by {defect:.3e}")
     return off
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices with A as the slow (outer) factor.
-
-    Both inputs must be 2-D (raises ValueError otherwise). The result is the
-    broadcast product a[i, j] b[k, l] at row i*p + k and column j*q + l for
-    b of shape (p, q): the same complex multiplications as numpy's kron, so
-    the same bits, without its general n-d bookkeeping.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"kron takes two matrices, got shapes {a.shape} and {b.shape}")
-    (m, n), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:

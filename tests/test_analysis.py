@@ -38,7 +38,6 @@ from qutrit_se.channels import ChannelParams, lift, se_kraus, se_kraus_qutrit, s
 from qutrit_se.linalg import (
     dagger,
     hermitian_eigenvalues,
-    kron,
     partial_transpose,
     random_density_matrix,
 )
@@ -817,16 +816,38 @@ class TestPreservation:
     # threshold --a1 1e-290 --a2 1e308: an a2/a1 past the float range
     @example(d=3, p=1.0, a1=1e-290, ratios=[math.inf, 1.0, 1.0, 1.0])
     def test_verdict_is_the_crossing_comparison_for_any_d(self, d, p, a1, ratios):
-        # the closed form against the two bisected crossings, wherever they
-        # are not a tie that the bisection's 1e-12 bracket cannot order
-        rates = tuple(min(r * a1, 1e308) for r in ratios[: d - 1])
-        t_qb = indicator_crossing(p, (a1,), a1)
-        t_qt = indicator_crossing(p, rates, a1)
+        # the closed form against the two bisected crossings, wherever these
+        # are resolvable: not p within 1e-6 of 1/3 (the 9 digits' stated
+        # limit), not an s_d whose t -> inf limit p z(z + 2)/(d^2 - 1), with
+        # z undamped arms, is 1/(d + 1) to 1e-12 relative, and not a tie that
+        # the bisection's 1e-12 bracket cannot order
+        z = ratios[: d - 1].count(0.0)
+        assume(p - 1.0 / 3.0 > 1e-6 and abs(p * z * (z + 2) / (d - 1) - 1.0) > 1e-12)
+        verdict, t_qb, t_qt = self.verdict_and_crossings(d, p, a1, ratios)
         assume(t_qt == math.inf or abs(t_qt - t_qb) > 1e-9 * t_qt)
+        assert verdict == analysis.qutrit_crosses_no_earlier(t_qb, t_qt)
+
+    @pytest.mark.parametrize("d, p, ratios", [
+        # s_5 tends to exactly 1/6 = 1/(d + 1) (p z(z + 2)/24 with z = 2): the
+        # exact crossing is never, but the rounded s_5 reaches 1/6 at 0.48572045
+        pytest.param(5, 0.5, [0.0, 0.0, math.exp(5.0), math.exp(5.0)], id="limit-at-threshold"),
+        # the crossings 9.02e-17 and 1.158e-16 are in the exact ratio e^0.25,
+        # but alpha = sqrt(1 + 1/p) - 1 rounds the verdict to false
+        pytest.param(2, 0.33333333333333337, [math.exp(-0.25)], id="p-next-above-one-third"),
+    ])
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
+    def test_verdict_at_an_unresolvable_crossing(self, d, p, ratios):
+        verdict, t_qb, t_qt = self.verdict_and_crossings(d, p, 1.0, ratios)
+        assert verdict == analysis.qutrit_crosses_no_earlier(t_qb, t_qt)
+
+    @staticmethod
+    def verdict_and_crossings(d, p, a1, ratios):
+        # the closed-form verdict, and the qubit's and the d-level crossings
+        rates = tuple(min(r * a1, 1e308) for r in ratios[: d - 1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             verdict = preservation_inequality(p, rates, a1)
-        assert verdict == analysis.qutrit_crosses_no_earlier(t_qb, t_qt)
+        return verdict, indicator_crossing(p, (a1,), a1), indicator_crossing(p, rates, a1)
 
     def test_qutrit_verdicts_keep_the_two_ratio_formula(self):
         # d = 3 against the two-ratio form alpha^a21 + alpha^a31, written out:
@@ -862,7 +883,7 @@ class TestNegativity:
 
     def test_product_state_zero(self):
         rng = np.random.default_rng(29)
-        rho = kron(random_density_matrix(3, rng), random_density_matrix(3, rng))
+        rho = np.kron(random_density_matrix(3, rng), random_density_matrix(3, rng))
         assert negativity(rho) < 1e-10
 
     def test_werner_threshold_behavior(self):
@@ -1165,7 +1186,7 @@ class TestReport:
                 ident = np.eye(d)
                 rho = np.zeros((d * d, d * d), dtype=complex)
                 for k in se_kraus(at.rates(d), at.t):
-                    lift_a, lift_b = kron(k, ident), kron(ident, k)
+                    lift_a, lift_b = np.kron(k, ident), np.kron(ident, k)
                     rho += q * lift_a @ werner(d, p) @ dagger(lift_a)
                     rho += (1 - q) * lift_b @ werner(d, p) @ dagger(lift_b)
                 eigs = hermitian_eigenvalues(partial_transpose(rho))

@@ -11,6 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qutrit_se import channels
 from qutrit_se.analysis import negativity
@@ -27,7 +29,7 @@ from qutrit_se.channels import (
     se_kraus_qutrit,
     superoperator,
 )
-from qutrit_se.linalg import dagger, hermitian_eigenvalues, kron, random_density_matrix
+from qutrit_se.linalg import dagger, hermitian_eigenvalues, random_density_matrix
 from qutrit_se.states import correlation_matrix, max_entangled, werner
 from qutrit_se.su import bloch_to_density, density_to_bloch, generator_basis
 
@@ -374,7 +376,8 @@ class TestLindblad:
         assert channels._rk4_ladder.cache_info().misses > misses
 
     def test_generator_built_without_numpy_kron(self, monkeypatch):
-        # the superoperator comes from linalg.kron, not np.kron
+        # the generator's jump term comes from superoperator and its decay term
+        # is a diagonal, so neither is built with np.kron
         rng = np.random.default_rng(23)
         rho = random_density_matrix(3, rng)
         par = ChannelParams(a2=0.9, a3=2.2, t=1.4)
@@ -396,6 +399,57 @@ class TestLindblad:
             lindblad_evolve(np.eye(4) / 4, ChannelParams(t=1.0), steps=10)
         with pytest.raises(ValueError):
             lindblad_evolve(np.eye(3) / 3, ChannelParams(t=1.0), steps=0)
+
+
+class TestRk4Stability:
+    """RK4 raises past h * max(rates) = 2.785..., and inside it gives a state."""
+
+    def test_bound_is_where_the_amplification_returns_to_one(self):
+        def amplification(z):
+            return 1.0 + z + z * z / 2.0 + z**3 / 6.0 + z**4 / 24.0
+
+        bound = channels._RK4_BOUND
+        assert abs(bound - 2.785293563405282) <= 1e-15
+        assert abs(amplification(-bound) - 1.0) <= 1e-15
+        assert amplification(-1.001 * bound) > 1.0 > amplification(-0.999 * bound)
+
+    def test_diverging_step_raises(self):
+        # h * max(rates) = 10 returned populations (-290, 145.5, 145.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^RK4 is unstable: h \* max\(rates\) = 10 > 2\.78529$"):
+                lindblad_evolve(np.diag([0.0, 0.5, 0.5]), ChannelParams(t=10.0), steps=1)
+
+    @pytest.mark.parametrize("steps", [1, 4, 1024])
+    def test_step_just_past_the_bound_raises(self, steps):
+        # t = steps * h is exact for these step counts; a3 = 1 is the largest rate
+        rho = np.diag([0.0, 0.5, 0.5])
+        bound = channels._RK4_BOUND
+        inside = lindblad_evolve(rho, ChannelParams(a2=0.5, a3=1.0, t=steps * bound), steps)
+        assert abs(np.trace(inside) - 1.0) <= 1e-12
+        past = ChannelParams(a2=0.5, a3=1.0, t=steps * math.nextafter(bound, 3.0))
+        with pytest.raises(ValueError, match="RK4 is unstable"):
+            lindblad_evolve(rho, past, steps)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rates=st.lists(st.one_of(st.just(0.0), st.floats(-6.0, 6.0).map(math.exp)),
+                       min_size=1, max_size=2),
+        share=st.floats(0.0, 1.0),
+        steps=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_inside_the_bound_the_state_keeps_trace_and_populations(self, rates, share, steps, seed):
+        bound, top = channels._RK4_BOUND, max(rates)
+        t = share * bound * steps / top if top else share * steps
+        assume(t / steps * top <= bound)
+        rate_args = {"a1": rates[0]} if len(rates) == 1 else dict(zip(("a2", "a3"), rates))
+        rho = random_density_matrix(len(rates) + 1, np.random.default_rng(seed))
+        out = lindblad_evolve(rho, ChannelParams(**rate_args, t=t), steps)
+        assert abs(np.trace(out) - 1.0) <= 1e-12
+        # in [0, 1] to rounding: a decayed ground level may round to 1 + 2^-52
+        populations = out.diagonal().real
+        assert populations.min() >= -1e-12 and populations.max() <= 1.0 + 1e-12
 
 
 def reference_rk4_power(rho, rates, t, steps):
@@ -462,7 +516,8 @@ class TestRk4Ladder:
         bound = channels.RK4_LADDER_CACHE
         channels._rk4_ladder.cache_clear()
         for i in range(bound + 10):
-            lindblad_evolve(np.eye(3) / 3, ChannelParams(a2=1.0 + i, t=0.5), 4)
+            # h = 0.0125, so h * a2 <= 1.73 stays within RK4's stability bound
+            lindblad_evolve(np.eye(3) / 3, ChannelParams(a2=1.0 + i, t=0.05), 4)
             assert channels._rk4_ladder.cache_info().currsize <= bound
         assert channels._rk4_ladder.cache_info().currsize == bound
 
@@ -518,15 +573,16 @@ def random_rates(rng, dim, undamped_first):
 class TestBuildersMatchReferences:
     """The Lindblad, affine and Kraus builders return the references' exact bits."""
 
-    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
     def test_lindblad_evolve(self, dim):
         rng = np.random.default_rng(40 + dim)
         for i, steps in enumerate((1, 2, 3, 17, 250, 300, 999, 1000, 2048, 3000)):
             rates = random_rates(rng, dim, undamped_first=i == 5)
-            t = float(rng.uniform(0.0, 20.0))
+            # t up to 20, and h * max(rates) <= 2.5, within RK4's stability bound
+            t = float(rng.uniform(0.0, min(20.0, 2.5 * steps / max(*rates, 0.125))))
             rho = random_density_matrix(dim, rng)
             want = reference_rk4_power(rho, rates, t, steps)
-            if dim == 4:  # ChannelParams maps d = 2 and 3 only
+            if dim > 3:  # ChannelParams maps d = 2 and 3 only
                 got = channels._rk4_power(rho, rates, t, steps)
             else:
                 rate_args = {"a1": rates[0]} if dim == 2 else dict(zip(("a2", "a3"), rates))
@@ -664,7 +720,7 @@ def kron_bipartite(rho, kraus, q):
     ident = np.eye(kraus.shape[-1])
 
     def one_sided(side):
-        lifted = [kron(k, ident) if side == "A" else kron(ident, k) for k in kraus]
+        lifted = [np.kron(k, ident) if side == "A" else np.kron(ident, k) for k in kraus]
         return sum(l @ rho @ dagger(l) for l in lifted)
 
     return q * one_sided("A") + (1 - q) * one_sided("B")
@@ -894,7 +950,7 @@ class TestTwoSided:
         ch = se_kraus(random_rates(rng, dim, undamped_first=False), t)
         rho = random_density_matrix(dim * dim, rng)
         sup = superoperator(ch)
-        lifted = [kron(ki, kj) for ki in ch for kj in ch]
+        lifted = [np.kron(ki, kj) for ki in ch for kj in ch]
         want = sum(op @ rho @ dagger(op) for op in lifted)
         np.testing.assert_allclose(lift(lift(rho, sup, 1.0), sup, 0.0), want, rtol=0, atol=1e-15)
 

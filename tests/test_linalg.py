@@ -1,4 +1,4 @@
-"""Core linear-algebra contracts: kron, Jacobi eigenvalues, partial ops.
+"""Core linear-algebra contracts: Jacobi eigenvalues, partial ops.
 
 Frozen expected values are hand-derived (entrywise expansions, 2x2/3x3
 spectra); randomized checks cross-check against an independent oracle
@@ -16,7 +16,6 @@ from qutrit_se.linalg import (
     NonHermitianError,
     dagger,
     hermitian_eigenvalues,
-    kron,
     partial_transpose,
     random_density_matrix,
 )
@@ -196,75 +195,6 @@ def symmetric_stacks(draw, complex_entries):
             a[k, [i, j], :] = a[k, :, [i, j]] = 0.0
             a[k][np.ix_([i, j], [i, j])] = OVERFLOW_BLOCK
     return a if complex_entries else a.real.copy()
-
-
-def kron_loop(a, b):
-    """Independent entrywise Kronecker oracle."""
-    ra, ca = a.shape
-    rb, cb = b.shape
-    out = np.zeros((ra * rb, ca * cb), dtype=complex)
-    for i in range(ra):
-        for j in range(ca):
-            for k in range(rb):
-                for l in range(cb):
-                    out[i * rb + k, j * cb + l] = a[i, j] * b[k, l]
-    return out
-
-
-class TestKron:
-    def test_identity(self):
-        np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_sx_sz_entrywise(self):
-        # hand expansion: nonzeros at (0,2)=+1, (1,3)=-1, (2,0)=+1, (3,1)=-1
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0, 2] = expected[2, 0] = 1
-        expected[1, 3] = expected[3, 1] = -1
-        np.testing.assert_array_equal(kron(SX, SZ), expected)
-        np.testing.assert_array_equal(kron_loop(SX, SZ), expected)
-
-    def test_matches_loop_oracle_on_random(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        np.testing.assert_allclose(kron(a, b), kron_loop(a, b), atol=1e-15)
-
-    def test_associative_on_integer_matrices(self):
-        rng = np.random.default_rng(4)
-        a, b, c = (rng.integers(-3, 4, size=(2, 2)).astype(complex) for _ in range(3))
-        np.testing.assert_array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
-
-    def test_trace_multiplicative(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        assert abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
-
-    @pytest.mark.parametrize(
-        "shape_a, shape_b", [((2, 3), (3, 2)), ((3, 3), (3, 3)), ((9, 9), (1, 1)), ((1, 4), (2, 1))]
-    )
-    def test_bitwise_equal_to_numpy_kron(self, shape_a, shape_b):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            a = rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)
-            b = rng.standard_normal(shape_b) + 1j * rng.standard_normal(shape_b)
-            for x, y in ((a, b), (a.real, b), (a, b.real), (-a, b * 0.0)):
-                got, want = kron(x, y), np.kron(x.astype(complex), y.astype(complex))
-                np.testing.assert_array_equal(got, want)
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize(
-        "a, b",
-        [
-            (np.ones(3), np.eye(2)),
-            (np.eye(2), np.ones((2, 2, 2))),
-            (np.float64(2.0), np.eye(2)),
-            (np.ones((1, 2, 2)), np.ones((1, 2, 2))),
-        ],
-    )
-    def test_rejects_inputs_that_are_not_matrices(self, a, b):
-        with pytest.raises(ValueError, match="two matrices"):
-            kron(a, b)
 
 
 class TestHermitianEigenvalues:
@@ -492,7 +422,7 @@ class TestPartialTranspose:
     def test_product_state_spectrum_unchanged(self):
         rng = np.random.default_rng(21)
         for d in (2, 3, 4):
-            rho = kron(random_density_matrix(d, rng), random_density_matrix(d, rng))
+            rho = np.kron(random_density_matrix(d, rng), random_density_matrix(d, rng))
             eigs_pt = hermitian_eigenvalues(partial_transpose(rho))
             np.testing.assert_allclose(eigs_pt, hermitian_eigenvalues(rho), atol=1e-10)
             assert eigs_pt[0] >= -1e-10
