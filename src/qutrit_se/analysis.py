@@ -66,12 +66,14 @@ __all__ = [
     "separability_report",
 ]
 
-# Time points per batched negativity step of ``separability_report``: a chunk shares
-# the per-call cost of ``superoperator``, ``lift`` and the Jacobi run, and its
-# (T, 9, 9) float64 temporaries set the peak memory of long grids. 512 real against
-# 256 complex (2-core x86-64, numpy 2.4.6; six alternated 25-s pairs of the
-# benchmark's `curves`): 113-118 -> 145-159 tasks/s; a 2000-step run peaks 3.3 MB
-# RSS above the import and at 1.74 MB traced.
+# Qutrit time points per batched negativity step of ``separability_report``; each
+# species' chunk holds GRID_CHUNK * 3^4 superoperator entries, so the qubit's
+# (T, 4, 4) chunk has GRID_CHUNK * 81/16 points and is no larger in bytes. A chunk
+# shares the per-call cost of ``superoperator``, ``lift`` and the Jacobi run, and
+# its (T, 9, 9) float64 temporaries set the peak memory of long grids. 512 real
+# against 256 complex (2-core x86-64, numpy 2.4.6; six alternated 25-s pairs of
+# the benchmark's `curves`): 113-118 -> 145-159 tasks/s; a 2000-step run peaks
+# 3.3 MB RSS above the import and at 1.74 MB traced.
 GRID_CHUNK = 512
 
 # Samples per block of ``haar_bloch_vectors``: a block's imaginary draws,
@@ -423,11 +425,12 @@ def separability_report(p: float, params: ChannelParams, t_max: float, steps: in
     Closed forms supply s and F for the whole grid at once; the negativity
     columns are measured on Kraus-evolved Werner states, so the two routes
     can disagree only if one of them is wrong. The negativities are computed
-    GRID_CHUNK time points at a time: one Kraus stack, its stack of
+    in chunks of GRID_CHUNK * 3^4 superoperator entries, GRID_CHUNK qutrit or
+    GRID_CHUNK * 81/16 qubit time points: one Kraus stack, its stack of
     ``superoperator``s, applied to each side of the Werner state as one matrix
     product by ``lift``, and one stacked Jacobi run per species and chunk, in
     float64 on the real parts of the (real) operators and state, with the
-    bits of the complex route. The rows do not depend on GRID_CHUNK:
+    bits of the complex route. The rows do not depend on the chunk size:
     every point sees the same operations in any chunk; only time and memory do.
     A zero arm rate is an undamped arm; any a1 > 0 is a time unit, as in the search.
     """
@@ -445,9 +448,11 @@ def separability_report(p: float, params: ChannelParams, t_max: float, steps: in
     for i, rates in enumerate(((a1,), (a2, a3))):
         rows[:, 1 + i] = indicator_closed(p, rates, times)
         rows[:, 3 + i] = fidelity_closed(rates, times)
-        w = werner(len(rates) + 1, p).real
-        for lo in range(0, steps + 1, GRID_CHUNK):
-            chunk = slice(lo, lo + GRID_CHUNK)
+        d = len(rates) + 1
+        w = werner(d, p).real
+        points = GRID_CHUNK * 3**4 // d**4  # the qutrit chunk's superoperator entries, d^4 a point
+        for lo in range(0, steps + 1, points):
+            chunk = slice(lo, lo + points)
             kraus = se_kraus(rates, times[chunk]).real
             rho = lift(w, superoperator(kraus), params.q)
             rows[chunk, 5 + i] = negativity(rho)

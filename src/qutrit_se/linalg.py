@@ -10,7 +10,9 @@ depend on the same code paths as the channel constructions they check.
 stacks (..., n, n) and act on each matrix, so a whole time grid of states is
 diagonalised by one Jacobi sweep loop. That loop runs block by block: the
 indices split into the connected components of the nonzero pattern the
-stack shares, and each block size is swept as one stacked array. A member
+stack shares, and each block size is swept as one stacked array. The stack
+is gathered entry-major, one contiguous row per block entry over all
+members, so a rotation's elementwise calls run on contiguous rows. A member
 stays active while any of its blocks is, so the eigenvalues are those of
 the whole-matrix sweep; a dense matrix is the one-block case. The partial
 transpose of a Werner state under emission splits into d blocks of size 1
@@ -94,9 +96,12 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
 
     The sweeps run block by block: the indices split into the connected
     components of the nonzero pattern the stack shares (``_blocks``), whose
-    gather layout is cached per pattern (``_layout``). The Hermiticity check
-    and the symmetrisation read only the blocks' entries, and each block size
-    s is swept as one stacked (members, blocks, s, s) array. A member stays
+    gather layout is cached per pattern (``_layout``). The gather is
+    entry-major, shape (entries, members): each block entry is one contiguous
+    row over all members, ordered (i, j, block) within a block size. The
+    Hermiticity check and the symmetrisation read only the blocks' entries,
+    and each block size s is swept as one stacked (s, s, blocks, members)
+    view; the sweep is elementwise, so the layout moves no bit. A member stays
     active while any of its blocks has an off-diagonal entry above that, so
     every rotation of the whole-matrix sweep is made: rotations in different
     blocks touch disjoint rows and columns, which meet only in exact zeros,
@@ -114,16 +119,16 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     lead, n = a.shape[:-2], a.shape[-1]
     a = a.reshape((math.prod(lead), n, n))  # one batch axis
     pos, mirror, diag, ends, spans = _layout(n, a.any(axis=0).tobytes())
-    flat = a.reshape(len(a), n * n)
-    m, m_dag = flat[:, pos], flat[:, mirror]
+    entries = a.reshape(len(a), n * n).T  # entry-major: row e holds entry e of every member
+    m, m_dag = entries[pos], entries[mirror]
     np.conjugate(m_dag, out=m_dag)
     off = _check_hermitian(m, m_dag)
     # symmetrize to kill roundoff drift
     m += m_dag
     m *= 0.5
     del m_dag  # free the conjugate copy before the sweeps
-    # one (members, blocks, s, s) view into m per block size s > 1
-    views = [m[:, start:stop].reshape(len(a), -1, size, size) for start, stop, size in spans]
+    # one (s, s, blocks, members) view into m per block size s > 1
+    views = [m[start:stop].reshape(size, size, -1, len(a)) for start, stop, size in spans]
 
     for _ in range(100):
         todo = _active(m, off, diag, ends)
@@ -133,16 +138,16 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
             if todo.size == len(a):
                 _jacobi_sweep(view)  # every member still active: no gather or scatter
             else:
-                view[todo] = _jacobi_sweep(view[todo])
+                view[..., todo] = _jacobi_sweep(view[..., todo])
     else:
         raise NoConvergenceError("off-diagonal norm not below tol after 100 sweeps")
     eigs = np.empty((len(a), n))
-    eigs[:, pos[diag] // (n + 1)] = m[:, diag].real
+    eigs[:, pos[diag] // (n + 1)] = m[diag].real.T
     return np.sort(eigs, axis=-1).reshape(lead + (n,))
 
 
 def _active(m: np.ndarray, off: np.ndarray, diag: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """The members of the (members, entries) gather ``m`` that need another sweep.
+    """The members of the (entries, members) gather ``m`` that need another sweep.
 
     A member is active while any of its blocks is: while an off-diagonal
     magnitude exceeds JACOBI_TOL, or while one at or below it could still
@@ -152,18 +157,18 @@ def _active(m: np.ndarray, off: np.ndarray, diag: np.ndarray, ends: np.ndarray) 
     |a_pq| itself for a degenerate pair. ``off`` is scratch space of m's shape.
     """
     np.abs(m, out=off)
-    off[:, diag] = 0.0
-    most = off.max(axis=1, initial=0.0)
+    off[diag] = 0.0
+    most = off.max(axis=0, initial=0.0)
     active = most > JACOBI_TOL
     # the bound is at most |a_pq|, so only members with an entry above
     # JACOBI_SHIFT_TOL need it: rarely any once a sweep has zeroed every pivot
     rest = np.flatnonzero((most > JACOBI_SHIFT_TOL) & ~active)
     if rest.size:
-        small, dia = off[rest], m.real[rest]
-        gap = np.abs(dia[:, ends[0]] - dia[:, ends[1]])
+        small, dia = off[:, rest], m.real[:, rest]
+        gap = np.abs(dia[ends[0]] - dia[ends[1]])
         bound = np.maximum(small, gap)
         np.divide(small * small, bound, out=bound, where=bound > 0.0)
-        active[rest] = bound.max(axis=1, initial=0.0) > JACOBI_SHIFT_TOL
+        active[rest] = bound.max(axis=0, initial=0.0) > JACOBI_SHIFT_TOL
     return np.flatnonzero(active)
 
 
@@ -171,24 +176,29 @@ def _active(m: np.ndarray, off: np.ndarray, diag: np.ndarray, ends: np.ndarray) 
 def _layout(n: int, pattern: bytes) -> tuple:
     """Gather layout of the blocks of an (n, n) nonzero pattern, given as bool bytes.
 
-    Returns (pos, mirror, diag, ends, spans): each block's entries i*n + j,
-    block after block; their mirrors j*n + i; the places in pos of the
-    diagonal entries; a (2, len(pos)) array of the places in pos of each
-    entry's (i, i) and (j, j); and the (start, stop, size) of the entries of
-    each block size above 1. Cached per pattern, as a time grid of states
-    repeats one; the arrays are read-only, as every call with that pattern
-    shares them.
+    Returns (pos, mirror, diag, ends, spans): the blocks' entries i*n + j,
+    size after size, and within a size ordered (i, j, block), so that the
+    entries of one size are an (s, s, blocks) array; their mirrors j*n + i;
+    the places in pos of the diagonal entries; a (2, len(pos)) array of the
+    places in pos of each entry's (i, i) and (j, j); and the (start, stop,
+    size) of the entries of each block size above 1. Cached per pattern, as a
+    time grid of states repeats one; the arrays are read-only, as every call
+    with that pattern shares them.
     """
     blocks = _blocks(np.frombuffer(pattern, dtype=bool).reshape(1, n, n))
-    pos = np.array([i * n + j for block in blocks for i in block for j in block], dtype=int)
+    groups = [list(same) for _, same in itertools.groupby(blocks, key=len)]
+    pos = np.array([block[i] * n + block[j] for same in groups
+                    for i, j in itertools.product(range(len(same[0])), repeat=2)
+                    for block in same], dtype=int)
     mirror = pos % n * n + pos // n
     diag = np.flatnonzero(pos == mirror)
     place = np.empty(n, dtype=int)
     place[pos[diag] // (n + 1)] = diag
     ends = place[np.stack([pos // n, pos % n])]
     spans, start = [], 0
-    for size, same in itertools.groupby(map(len, blocks)):
-        stop = start + len(list(same)) * size * size
+    for same in groups:
+        size = len(same[0])
+        stop = start + len(same) * size * size
         if size > 1:
             spans.append((start, stop, size))
         start = stop
@@ -216,17 +226,20 @@ def _blocks(a: np.ndarray) -> list:
 
 
 def _jacobi_sweep(m: np.ndarray) -> np.ndarray:
-    """One row-cyclic sweep of Jacobi rotations over a (..., n, n) stack, in place.
+    """One row-cyclic sweep of Jacobi rotations over an (n, n, ...) stack, in place.
 
+    The matrix axes lead, so entry (p, q) of every member is the contiguous
+    block ``m[p, q]``, column p is ``m[:, p]`` and row p is ``m[p]``, and a
+    rotation's scalars broadcast over rows and columns without a new axis.
     Each rotation computes both new columns from views of the old ones before
     writing either, then both new rows likewise, so it copies nothing; a
     skipped pivot's identity rotation and the zeroed pivot are written by
     masked assignment.
     """
-    n = m.shape[-1]
+    n = m.shape[0]
     for p in range(n - 1):
         for q in range(p + 1, n):
-            pivot = m[..., p, q]
+            pivot = m[p, q]
             # hypot rounds like the scalar |z|; np.abs on complex arrays does not
             r = np.hypot(pivot.real, pivot.imag)
             rotate = r >= 1e-300
@@ -236,30 +249,29 @@ def _jacobi_sweep(m: np.ndarray) -> np.ndarray:
             # a pivot tiny against its diagonal gap overflows theta or theta^2
             # to inf, and t = 1/inf = 0 is the exact limit: no rotation
             with np.errstate(over="ignore"):
-                theta = (m[..., q, q].real - m[..., p, p].real) / (2.0 * r)
+                theta = (m[q, q].real - m[p, p].real) / (2.0 * r)
                 sgn = np.where(theta >= 0.0, 1.0, -1.0)
                 t = sgn / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
             c = 1.0 / np.sqrt(t * t + 1.0)
             s = t * c
             s[skip] = 0.0
             c[skip] = 1.0
-            c, s = c[..., None], s[..., None]
-            s_phase = s * phase[..., None]
-            s_conj = s * np.conj(phase)[..., None]
+            s_phase = s * phase
+            s_conj = s * np.conj(phase)
             # m <- U^dag m U with U[p,p]=c, U[p,q]=s*phase,
             # U[q,p]=-s*conj(phase), U[q,q]=c
-            col_p, col_q = m[..., :, p], m[..., :, q]
+            col_p, col_q = m[:, p], m[:, q]
             new_p = c * col_p - s_conj * col_q
-            m[..., :, q] = s_phase * col_p + c * col_q
-            m[..., :, p] = new_p
-            row_p, row_q = m[..., p, :], m[..., q, :]
+            m[:, q] = s_phase * col_p + c * col_q
+            m[:, p] = new_p
+            row_p, row_q = m[p], m[q]
             new_p = c * row_p - s_phase * row_q
-            m[..., q, :] = s_conj * row_p + c * row_q
-            m[..., p, :] = new_p
+            m[q] = s_conj * row_p + c * row_q
+            m[p] = new_p
             pivot[rotate] = 0.0
-            m[..., q, p][rotate] = 0.0
+            m[q, p][rotate] = 0.0
             if np.iscomplexobj(m):  # a real stack has no imaginary parts to zero
-                m[..., p, p].imag = m[..., q, q].imag = 0.0
+                m[p, p].imag = m[q, q].imag = 0.0
     return m
 
 

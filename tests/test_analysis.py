@@ -1222,17 +1222,19 @@ class TestReport:
         assert rows.shape == (71, 7) and rows[0, 6] > 0.5
 
     def test_reads_kraus_coefficients_at_call_time(self, monkeypatch):
+        # each species' chunk holds GRID_CHUNK * 3^4 superoperator entries: the
+        # qubit's GRID_CHUNK * 81/16 points take the whole grid in one call
         good = channels._kraus_operators
-        seen = []
+        seen = {1: [], 2: []}
 
         def recorded(rates, t):
-            if len(rates) == 2:
-                seen.append(np.shape(t))
+            seen[len(rates)].append(np.shape(t))
             return good(rates, t)
 
         monkeypatch.setattr(channels, "_kraus_operators", recorded)
         separability_report(1.0, ChannelParams(), t_max=5.0, steps=analysis.GRID_CHUNK + 6)
-        assert seen == [(analysis.GRID_CHUNK,), (7,)]
+        assert seen[1] == [(analysis.GRID_CHUNK + 7,)]
+        assert seen[2] == [(analysis.GRID_CHUNK,), (7,)]
 
     @pytest.mark.parametrize("q", [0.0, 0.3, 1.0])
     def test_rows_do_not_depend_on_the_chunk_size(self, q, monkeypatch):
@@ -1248,9 +1250,10 @@ class TestReport:
 
     def test_peak_memory_of_a_long_grid(self):
         # the chunked grid keeps the (T, 9, 9) temporaries bounded: a first
-        # call measured 1,740,048 bytes at GRID_CHUNK = 512 in float64 (numpy
-        # 2.4.6); the bound, 25% above the 2,005,505 bytes first measured at
-        # GRID_CHUNK = 256 in complex128, stays
+        # call in a fresh process measured 1,731,146 bytes at GRID_CHUNK = 512
+        # in float64, the qubit's 2001 points in one chunk of as many entries
+        # (numpy 2.4.6); the bound, 25% above the 2,005,505 bytes first
+        # measured at GRID_CHUNK = 256 in complex128, stays
         par = ChannelParams(a1=1.3, a2=0.4, a3=2.7, q=0.37)
         tracemalloc.start()
         try:

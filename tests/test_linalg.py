@@ -124,36 +124,37 @@ def whole_matrix_eigenvalues(a, tol=1e-12, shift_tol=1e-15):
 def smith_division_sweep(m):
     """Reference: the stacked rotation loop with the phase as numpy's complex division.
 
-    The solver's rotation loop with ``pivot / r`` (Smith's algorithm) for the
-    phase, and the diagonal's imaginary parts always zeroed.
+    The solver's rotation loop over an entry-major (n, n, ...) stack with
+    ``pivot / r`` (Smith's algorithm) for the phase, and the diagonal's
+    imaginary parts always zeroed.
     """
-    n = m.shape[-1]
+    n = m.shape[0]
     for p in range(n - 1):
         for q in range(p + 1, n):
-            pivot = m[..., p, q]
+            pivot = m[p, q]
             r = np.hypot(pivot.real, pivot.imag)
             rotate = r >= 1e-300
             r[~rotate] = 1.0
             phase = pivot / r
             with np.errstate(over="ignore"):
-                theta = (m[..., q, q].real - m[..., p, p].real) / (2.0 * r)
+                theta = (m[q, q].real - m[p, p].real) / (2.0 * r)
                 sgn = np.where(theta >= 0.0, 1.0, -1.0)
                 t = sgn / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
             c = 1.0 / np.sqrt(t * t + 1.0)
-            s = np.where(rotate, t * c, 0.0)[..., None]
-            c = np.where(rotate, c, 1.0)[..., None]
-            s_phase = s * phase[..., None]
-            s_conj = s * np.conj(phase)[..., None]
-            col_p, col_q = m[..., :, p].copy(), m[..., :, q].copy()
-            m[..., :, p] = c * col_p - s_conj * col_q
-            m[..., :, q] = s_phase * col_p + c * col_q
-            row_p, row_q = m[..., p, :].copy(), m[..., q, :].copy()
-            m[..., p, :] = c * row_p - s_phase * row_q
-            m[..., q, :] = s_conj * row_p + c * row_q
+            s = np.where(rotate, t * c, 0.0)
+            c = np.where(rotate, c, 1.0)
+            s_phase = s * phase
+            s_conj = s * np.conj(phase)
+            col_p, col_q = m[:, p].copy(), m[:, q].copy()
+            m[:, p] = c * col_p - s_conj * col_q
+            m[:, q] = s_phase * col_p + c * col_q
+            row_p, row_q = m[p].copy(), m[q].copy()
+            m[p] = c * row_p - s_phase * row_q
+            m[q] = s_conj * row_p + c * row_q
             pivot[rotate] = 0.0
-            m[..., q, p][rotate] = 0.0
-            m[..., p, p].imag = 0.0
-            m[..., q, q].imag = 0.0
+            m[q, p][rotate] = 0.0
+            m[p, p].imag = 0.0
+            m[q, q].imag = 0.0
     return m
 
 
@@ -284,7 +285,7 @@ class TestHermitianEigenvalues:
         mixed = np.stack([random_density_matrix(n, rng) for _ in range(8)])
         mixed[2] = np.diag(np.arange(n) / n)  # converged before the first sweep
         sweep, batches = linalg._jacobi_sweep, []
-        monkeypatch.setattr(linalg, "_jacobi_sweep", lambda m: batches.append(len(m)) or sweep(m))
+        monkeypatch.setattr(linalg, "_jacobi_sweep", lambda m: batches.append(m.shape[-1]) or sweep(m))
         for stack, in_place in ((all_active, True), (mixed, False)):
             batches.clear()
             eigs = hermitian_eigenvalues(stack)
