@@ -79,13 +79,12 @@ GRID_CHUNK = 512
 # Samples per block of ``haar_bloch_vectors``: a block's imaginary draws,
 # normalisation and contraction temporaries stay in cache, and they add to the
 # peak memory set by the output. A power of two (see haar_bloch_vectors).
-# Sweep (2-core x86-64, numpy 2.4.6, real parts drawn into the output's tail;
-# median ms of `haar --seed 7` at the default 200k samples over 12 interleaved
-# rounds, then tracemalloc peak of haar_moment_check(3, 200_000, 42)): 1024:
-# 96 ms, 13.8 MB; 2048: 83 ms, 13.3 MB; 4096: 74 ms, 13.9 MB; 8192: 74 ms,
-# 14.6 MB; 16384: 84 ms, 16.5 MB; 32768: 89 ms, 20.1 MB; one block: 109 ms,
-# 49.6 MB. 8192 and 4096 tie: 8192 was faster in 14 of 24 further interleaved
-# pairs, medians 67.1 and 67.5 ms.
+# Sweep (2-core x86-64, numpy 2.4.6; `haar --seed 7` at the default 200k
+# samples, medians of 10 alternated pairs against 8192, then the tracemalloc
+# peak of haar_moment_check(3, 200_000, 42)): 2048: 69.6 against 55.1 ms,
+# faster in 0, 13.4 MB; 4096: 56.4 against 52.9 ms, faster in 1, 14.0 MB;
+# 16384: 49.0 against 48.4 ms, faster in 2, 16.9 MB; 32768: 49.5 against
+# 44.9 ms, faster in 2, 20.7 MB; 8192: 14.8 MB; one block: 49.6 MB.
 _HAAR_BLOCK = 8192
 
 # crossing_time's rule: give up doubling past t = 2^60, stop halving at 1e-12 relative
@@ -288,14 +287,41 @@ def haar_random_states(d: int, samples: int, rng: np.random.Generator) -> np.nda
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def _level_sum(s: np.ndarray) -> np.ndarray:
+    # the sum of the d rows of s, (d, m), in numpy's add.reduce order for a
+    # contiguous row of d terms (from 0, which adds exactly): in turn below 8,
+    # eight running sums up to 128, and halves of whole eights above
+    d = len(s)
+    if d < 8:
+        return sum(s[1:], s[0])
+    if d > 128:
+        half = d // 2 - d // 2 % 8
+        return _level_sum(s[:half]) + _level_sum(s[half:])
+    rest = d - d % 8
+    r = s[:8].copy()
+    for i in range(8, rest, 8):
+        r += s[i : i + 8]
+    return sum(s[rest:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+
+
 def haar_bloch_vectors(d: int, samples: int, seed: int) -> np.ndarray:
     """Bloch vectors of Haar-random pure states, shape (samples, d^2 - 1).
 
     The draw is that of ``haar_random_states``: all (samples, d) real parts g1,
     into the output buffer's tail, then the imaginary parts g2 per block of
-    _HAAR_BLOCK samples, the PCG64 stream order of two whole draws. A block's
-    norms r are numpy's complex ones of g1 + i g2, and its rows x = g1^T (1/r)
-    and y = g2^T (1/r), in real arithmetic, are bitwise the real and imaginary
+    _HAAR_BLOCK samples, the PCG64 stream order of two whole draws. The first
+    block's g2 is drawn on the calling thread; each later block's is drawn on
+    one worker thread while the block before it is contracted, one block ahead
+    with at most one draw pending. A single worker runs its submissions first
+    in, first out, so the stream is read in the serial order. A failed draw
+    raises here, and the worker ends with the call; a one-block call starts
+    none. On one CPU this is no faster.
+
+    A block is level-major, a (d, m) complex w = g1^T + i g2^T. Its squared
+    norms Re(conj(w) w) are summed over the levels in numpy's add.reduce order
+    for a row of d terms (``_level_sum``), so the norms r have the bits of
+    ``np.linalg.norm(v, axis=1)`` on the (m, d) rows v. Its rows x = Re(w) (1/r)
+    and y = Im(w) (1/r), in real arithmetic, are bitwise the real and imaginary
     parts of ``haar_random_states``'s v = (g1 + i g2)/r: numpy divides by the
     real-valued complex r as Smith's algorithm does. A power-of-two block
     keeps every element at the same SIMD lane and tail position as in one
@@ -316,38 +342,45 @@ def haar_bloch_vectors(d: int, samples: int, seed: int) -> np.ndarray:
     are C-contiguous. numpy sums the second moments ``n.T @ n`` of the two
     layouts in different orders, and ``haar`` prints them to 17 digits.
     """
+    # imported here, not with the module: it imports logging, several ms per process
+    from concurrent.futures import ThreadPoolExecutor
+
     basis = generator_basis(d)
     rng = np.random.default_rng(seed)
     dtype = complex if basis.bloch_scale == 1.0 else float
     out = np.empty((samples, basis.n_generators), dtype=dtype)
     n, flat = out.real, out.reshape(-1).view(float)
-    # real parts fill the last S*d floats; a block copies its own to v and x, then
+    # real parts fill the last S*d floats; a block copies its own to w, then
     # writes rows [0, hi) of n, ending at float hi*k*c (k generators, c = 2 if complex)
     # <= S*(k*c - d) + hi*d, the first unread real part, as hi <= S and k*c >= d
     g1 = rng.standard_normal(out=flat[flat.size - samples * d :].reshape(samples, d))
-    v = np.empty((min(samples, _HAAR_BLOCK), d), dtype=complex)
+    w = np.empty((d, min(samples, _HAAR_BLOCK)), dtype=complex)
     kinds = []  # per generator: its first nonzero entry (j, k), imaginary or not, its diagonal
     for gen in basis.generators:
         (j, *_), (k, *_) = np.nonzero(gen)
         diagonal = [(a, g.real) for a, g in enumerate(gen.diagonal()) if g]
         kinds.append((j, k, gen[j, k].imag != 0, diagonal))
-    for lo in range(0, samples, _HAAR_BLOCK):
-        block = slice(lo, lo + _HAAR_BLOCK)
-        g2 = rng.standard_normal((len(g1[block]), d))  # the stream order of g1, then all g2
-        v = v[: len(g2)]
-        v.real, v.imag = g1[block], g2
-        inv = 1.0 / np.linalg.norm(v, axis=1)
-        x, y = np.multiply(g1[block].T, inv, order="C"), np.multiply(g2.T, inv, order="C")
-        for i, (j, k, imaginary, diagonal) in enumerate(kinds):
-            if diagonal:
-                terms = [(x[a] * g) * x[a] + (y[a] * g) * y[a] for a, g in diagonal]
-                s, t = 1.0, sum(terms[1:], terms[0])
-            elif imaginary:  # -i E_jk + i E_kj
-                s, t = 2.0, x[j] * y[k] - y[j] * x[k]
-            else:  # E_jk + E_kj
-                s, t = 2.0, x[j] * x[k] + y[j] * y[k]
-            # a unit scale multiplies exactly, and 2b t is b (t + t)
-            np.multiply(s * basis.bloch_scale, t, out=n[block, i])
+    blocks = [slice(lo, lo + _HAAR_BLOCK) for lo in range(0, samples, _HAAR_BLOCK)]
+    g2 = rng.standard_normal(g1[:_HAAR_BLOCK].shape)  # here: a lone block starts no thread
+    with ThreadPoolExecutor(1) as worker:  # its thread starts at the first submit
+        draws = (worker.submit(rng.standard_normal, g1[block].shape) for block in blocks[1:])
+        for block in blocks:
+            pending = next(draws, None)  # the next block's g2, drawn while this one is used
+            w = w[:, : len(g2)]
+            w.real, w.imag = g1[block].T, g2.T
+            inv = 1.0 / np.sqrt(_level_sum((w.conj() * w).real))
+            x, y = w.real * inv, w.imag * inv
+            for i, (j, k, imaginary, diagonal) in enumerate(kinds):
+                if diagonal:
+                    terms = [(x[a] * g) * x[a] + (y[a] * g) * y[a] for a, g in diagonal]
+                    s, t = 1.0, sum(terms[1:], terms[0])
+                elif imaginary:  # -i E_jk + i E_kj
+                    s, t = 2.0, x[j] * y[k] - y[j] * x[k]
+                else:  # E_jk + E_kj
+                    s, t = 2.0, x[j] * x[k] + y[j] * y[k]
+                # a unit scale multiplies exactly, and 2b t is b (t + t)
+                np.multiply(s * basis.bloch_scale, t, out=n[block, i])
+            g2 = pending.result() if pending else None
     return n
 
 

@@ -10,6 +10,7 @@ Hand-derived anchors used below:
 
 import decimal
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -1011,6 +1012,25 @@ def whole_array_moment_check(d, samples, seed):
     return n.T @ n / samples
 
 
+class FailingDraws:
+    """A Generator whose ``fail_at``-th standard_normal call (None: none) raises MemoryError.
+
+    Records the thread of every call. haar_bloch_vectors draws the real parts
+    first, then each block's imaginary parts: call 3 is the second block's.
+    """
+
+    def __init__(self, seed, fail_at):
+        # default_rng(seed)'s generator, built without the patched default_rng
+        self.rng = np.random.Generator(np.random.PCG64(seed))
+        self.fail_at, self.threads = fail_at, []
+
+    def standard_normal(self, *args, **kwargs):
+        self.threads.append(threading.current_thread())
+        if len(self.threads) == self.fail_at:
+            raise MemoryError("imaginary parts could not be drawn")
+        return self.rng.standard_normal(*args, **kwargs)
+
+
 class TestHaar:
     def test_seed_determinism(self):
         m1 = haar_moment_check(3, 2000, seed=123)
@@ -1054,13 +1074,14 @@ class TestHaar:
         m = haar_moment_check(d, samples, seed)
         assert np.max(np.abs(m - ref.T @ ref / samples)) <= 1e-15
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 9])
     @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 5)])
     @pytest.mark.parametrize("seed", [0, 9, 2024])
     def test_blocks_match_the_whole_array_bitwise(self, d, blocks, extra, seed):
         # sample counts at the block edges: 1, B - 1, B, B + 1 and 2B + 5; the
         # real parts are drawn into the output's tail, which the blocks overwrite,
-        # and at d = 8 numpy's add.reduce in the norm sums pairwise
+        # later blocks' imaginary parts on the worker thread, and at d = 8 and 9
+        # the level-major norm follows numpy's eight running sums, with a remainder at 9
         samples = blocks * analysis._HAAR_BLOCK + extra
         ref = whole_array_haar_bloch_vectors(d, samples, seed)
         n = haar_bloch_vectors(d, samples, seed)
@@ -1069,6 +1090,55 @@ class TestHaar:
         assert n.flags.f_contiguous == ref.flags.f_contiguous
         m = haar_moment_check(d, samples, seed)
         assert m.tobytes() == whole_array_moment_check(d, samples, seed).tobytes()
+
+    @pytest.mark.parametrize("d", [*range(2, 18), 64, 128, 129, 130])
+    def test_level_sum_has_the_bits_of_the_norm(self, d):
+        # in turn below 8, eight running sums with and without a remainder up to
+        # 128, split in halves above
+        rng = np.random.default_rng(d)
+        v = rng.standard_normal((300, d)) + 1j * rng.standard_normal((300, d))
+        w = np.ascontiguousarray(v.T)
+        r = np.sqrt(analysis._level_sum((w.conj() * w).real))
+        assert r.tobytes() == np.linalg.norm(v, axis=1).tobytes()
+
+    @staticmethod
+    def failing_draws(monkeypatch, fail_at):
+        rngs = []
+
+        def default_rng(seed):
+            rngs.append(FailingDraws(seed, fail_at))
+            return rngs[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        return rngs
+
+    def test_later_blocks_draw_on_one_worker_that_ends_with_the_call(self, monkeypatch):
+        samples = 2 * analysis._HAAR_BLOCK + 5
+        ref = [haar_bloch_vectors(3, s, 4) for s in (samples, analysis._HAAR_BLOCK)]
+        rngs = self.failing_draws(monkeypatch, None)
+        threads = threading.active_count()
+        assert haar_bloch_vectors(3, samples, 4).tobytes() == ref[0].tobytes()
+        assert threading.active_count() == threads
+        main, worker = threading.current_thread(), rngs[0].threads[2]
+        assert rngs[0].threads == [main, main, worker, worker] and worker is not main
+        # one block: its imaginary parts are drawn here, and no thread starts
+        assert haar_bloch_vectors(3, analysis._HAAR_BLOCK, 4).tobytes() == ref[1].tobytes()
+        assert rngs[1].threads == [main, main]
+
+    def test_a_failed_draw_on_the_worker_raises_here(self, monkeypatch):
+        self.failing_draws(monkeypatch, 3)
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match="imaginary parts could not be drawn"):
+            haar_bloch_vectors(3, 2 * analysis._HAAR_BLOCK + 5, 4)
+        assert threading.active_count() == threads
+
+    def test_a_failed_draw_on_the_worker_is_one_error_line(self, capsys, monkeypatch):
+        # the qubit's 10,000 samples are two blocks; its second block's draw fails
+        self.failing_draws(monkeypatch, 3)
+        assert cli.main(["haar", "--samples", "20000", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: imaginary parts could not be drawn\n"
+        assert captured.out == ""
 
     def test_reports_match_the_whole_array(self, capsys, monkeypatch):
         runs = []
@@ -1082,9 +1152,9 @@ class TestHaar:
 
     def test_peak_memory_of_the_default_sample_count(self):
         # the real parts are drawn into the output's tail and the samples run in
-        # blocks: one block peaks at 49,604,064 bytes and _HAAR_BLOCK = 8192 at
-        # 14,638,728 (numpy 2.4.6; 24,042,008 with whole draws of both parts);
-        # the bound is 9% above it, which a 16384 block (16,473,736) fails
+        # blocks, with the next block's imaginary parts drawn ahead: one block
+        # peaks at 49,606,885 bytes and _HAAR_BLOCK = 8192 at 14,846,364 (numpy
+        # 2.4.6); the bound is 8% above it, which a 16384 block (16,877,032) fails
         generator_basis(3)  # cached; its one-off build is not the pipeline's
         tracemalloc.start()
         try:
