@@ -288,20 +288,10 @@ def haar_random_states(d: int, samples: int, rng: np.random.Generator) -> np.nda
 
 
 def _level_sum(s: np.ndarray) -> np.ndarray:
-    # the sum of the d rows of s, (d, m), in numpy's add.reduce order for a
-    # contiguous row of d terms (from 0, which adds exactly): in turn below 8,
-    # eight running sums up to 128, and halves of whole eights above
-    d = len(s)
-    if d < 8:
-        return sum(s[1:], s[0])
-    if d > 128:
-        half = d // 2 - d // 2 % 8
-        return _level_sum(s[:half]) + _level_sum(s[half:])
-    rest = d - d % 8
-    r = s[:8].copy()
-    for i in range(8, rest, 8):
-        r += s[i : i + 8]
-    return sum(s[rest:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    # the sum of the d rows of s, (d, m), with the bits of numpy's add.reduce
+    # over a row of d terms: below 8 it adds in turn from 0 (exact), which the
+    # level-major sum repeats; from 8 up, numpy's own reduce on the rows
+    return sum(s[1:], s[0]) if len(s) < 8 else np.ascontiguousarray(s.T).sum(axis=1)
 
 
 def haar_bloch_vectors(d: int, samples: int, seed: int) -> np.ndarray:
@@ -318,8 +308,8 @@ def haar_bloch_vectors(d: int, samples: int, seed: int) -> np.ndarray:
     none. On one CPU this is no faster.
 
     A block is level-major, a (d, m) complex w = g1^T + i g2^T. Its squared
-    norms Re(conj(w) w) are summed over the levels in numpy's add.reduce order
-    for a row of d terms (``_level_sum``), so the norms r have the bits of
+    norms Re(conj(w) w) are summed over the levels as numpy's add.reduce sums
+    a row of d terms (``_level_sum``), so the norms r have the bits of
     ``np.linalg.norm(v, axis=1)`` on the (m, d) rows v. Its rows x = Re(w) (1/r)
     and y = Im(w) (1/r), in real arithmetic, are bitwise the real and imaginary
     parts of ``haar_random_states``'s v = (g1 + i g2)/r: numpy divides by the

@@ -133,12 +133,8 @@ def _validate_checks(seed: int):
     times = (0.0, 0.1, 1.0, 10.0)
 
     for d, name in _SPECIES:
-        defect = 0.0
-        for a2, a3 in rate_pairs:
-            for t in times:
-                kraus = channels.se_kraus((a2, a3)[: d - 1], t)
-                defect = max(defect, channels.completeness_defect(kraus))
-        yield f"kraus_completeness_{name}", defect, 1e-12
+        kraus = (channels.se_kraus(rates[: d - 1], times) for rates in rate_pairs)
+        yield f"kraus_completeness_{name}", max(map(channels.completeness_defect, kraus)), 1e-12
 
     par = ChannelParams(a2=1.0, a3=0.7)
     defect = 0.0

@@ -1081,7 +1081,7 @@ class TestHaar:
         # sample counts at the block edges: 1, B - 1, B, B + 1 and 2B + 5; the
         # real parts are drawn into the output's tail, which the blocks overwrite,
         # later blocks' imaginary parts on the worker thread, and at d = 8 and 9
-        # the level-major norm follows numpy's eight running sums, with a remainder at 9
+        # the norm is numpy's own row reduce: eight running sums, and a remainder at 9
         samples = blocks * analysis._HAAR_BLOCK + extra
         ref = whole_array_haar_bloch_vectors(d, samples, seed)
         n = haar_bloch_vectors(d, samples, seed)
@@ -1091,10 +1091,10 @@ class TestHaar:
         m = haar_moment_check(d, samples, seed)
         assert m.tobytes() == whole_array_moment_check(d, samples, seed).tobytes()
 
-    @pytest.mark.parametrize("d", [*range(2, 18), 64, 128, 129, 130])
+    @pytest.mark.parametrize("d", [*range(2, 18), 64, 128, 129, 130, 255, 256, 257, 300, 1031])
     def test_level_sum_has_the_bits_of_the_norm(self, d):
-        # in turn below 8, eight running sums with and without a remainder up to
-        # 128, split in halves above
+        # level-major in turn below 8; from 8 up numpy's own row reduce, across a
+        # second pairwise level and tails that are not whole eights
         rng = np.random.default_rng(d)
         v = rng.standard_normal((300, d)) + 1j * rng.standard_normal((300, d))
         w = np.ascontiguousarray(v.T)
