@@ -29,16 +29,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .channels import (
-    ChannelParams,
-    _arm_factors,
-    _check_arms,
-    _check_rates,
-    lift,
-    se_kraus,
-    superoperator,
-)
-from .linalg import _pair_dim, hermitian_eigenvalues, partial_transpose
+from . import channels
+from .channels import ChannelParams, _arm_factors, _check_arms, _check_rates
+from .linalg import _eigenvalues, _pair_dim, _pt_order, _square
 from .states import (
     _check_weight,
     _werner,
@@ -69,11 +62,10 @@ __all__ = [
 # Qutrit time points per batched negativity step of ``separability_report``; each
 # species' chunk holds GRID_CHUNK * 3^4 superoperator entries, so the qubit's
 # (T, 4, 4) chunk has GRID_CHUNK * 81/16 points and is no larger in bytes. A chunk
-# shares the per-call cost of ``superoperator``, ``lift`` and the Jacobi run, and
-# its (T, 9, 9) float64 temporaries set the peak memory of long grids. 512 real
-# against 256 complex (2-core x86-64, numpy 2.4.6; six alternated 25-s pairs of
-# the benchmark's `curves`): 113-118 -> 145-159 tasks/s; a 2000-step run peaks
-# 3.3 MB RSS above the import and at 1.74 MB traced.
+# shares per-call costs, and its three float64 workspace rows set the peak memory
+# of long grids. 512 real against 256 complex (2-core x86-64, numpy 2.4.6; six
+# alternated 25-s pairs of the benchmark's `curves`): 113-118 -> 145-159 tasks/s;
+# a 2000-step run peaks 3.0 MB RSS above the import and at 1.90 MB traced.
 GRID_CHUNK = 512
 
 # Samples per block of ``haar_bloch_vectors``: a block's imaginary draws,
@@ -244,9 +236,12 @@ def negativity(rho: np.ndarray) -> float | np.ndarray:
     """Sum of |negative eigenvalues| of the partial transpose of a two-qudit state.
 
     Each qudit's d levels are read off the shape. A float for one (d^2, d^2)
-    state; one value per state for a stack (..., d^2, d^2), by one Jacobi run.
+    state; one value per state for a stack (..., d^2, d^2), by one Jacobi run
+    that reads rho^T_B from rho by index, with the bits of a transposed copy.
     """
-    eigs = hermitian_eigenvalues(partial_transpose(rho))
+    rho = _square(rho)
+    d, lead = _pair_dim(rho.shape[-2:]), rho.shape[:-2]
+    eigs = _eigenvalues(rho.reshape(math.prod(lead), d**4), _pt_order(d)).reshape(lead + (d * d,))
     # negate before summing: a PPT state gets +0.0, not -0.0
     neg = np.where(eigs < 0.0, -eigs, 0.0).sum(axis=-1)
     return float(neg) if neg.ndim == 0 else neg
@@ -450,11 +445,13 @@ def separability_report(p: float, params: ChannelParams, t_max: float, steps: in
     can disagree only if one of them is wrong. The negativities are computed
     in chunks of GRID_CHUNK * 3^4 superoperator entries, GRID_CHUNK qutrit or
     GRID_CHUNK * 81/16 qubit time points: one Kraus stack, its stack of
-    ``superoperator``s, applied to each side of the Werner state as one matrix
-    product by ``lift``, and one stacked Jacobi run per species and chunk, in
-    float64 on the real parts of the (real) operators and state, with the
-    bits of the complex route. The rows do not depend on the chunk size:
-    every point sees the same operations in any chunk; only time and memory do.
+    superoperators, applied to each side of the Werner state as one matrix
+    product, and one stacked Jacobi run per species and chunk, in float64 on
+    the real parts of the (real) operators and state, with the bits of the
+    complex route. The cores of ``superoperator`` and ``lift`` build every
+    chunk in one workspace per call, with the bits of the public calls. The
+    rows do not depend on the chunk size: every point sees the same operations
+    in any chunk; only time and memory do.
     A zero arm rate is an undamped arm; any a1 > 0 is a time unit, as in the search.
     """
     if steps < 2:
@@ -468,15 +465,17 @@ def separability_report(p: float, params: ChannelParams, t_max: float, steps: in
     taus = np.linspace(0.0, t_max, steps + 1)
     times = taus / unit
     rows[:, 0] = taus
+    work = np.empty((3, min(steps + 1, GRID_CHUNK) * 3**4))  # each chunk's S, states, scratch
     for i, rates in enumerate(((a1,), (a2, a3))):
-        rows[:, 1 + i] = indicator_closed(p, rates, times)
+        rows[:, 1 + i] = indicator_closed(p, rates, times)  # checks rates and times once
         rows[:, 3 + i] = fidelity_closed(rates, times)
         d = len(rates) + 1
         w = werner(d, p).real
         points = GRID_CHUNK * 3**4 // d**4  # the qutrit chunk's superoperator entries, d^4 a point
         for lo in range(0, steps + 1, points):
             chunk = slice(lo, lo + points)
-            kraus = se_kraus(rates, times[chunk]).real
-            rho = lift(w, superoperator(kraus), params.q)
-            rows[chunk, 5 + i] = negativity(rho)
+            kraus = channels._kraus_operators(rates, times[chunk]).real
+            sup, rho, scratch = (row[: kraus.shape[1] * d**4].reshape(-1, d**4) for row in work)
+            channels._lift(w, channels._superoperator(kraus, sup), params.q, rho, scratch)
+            rows[chunk, 5 + i] = negativity(rho.reshape(-1, d * d, d * d))
     return rows

@@ -32,6 +32,7 @@ provided in three independent forms that the test suite cross-checks:
 Bipartite use: ``superoperator`` builds S = sum_k K_k (x) conj(K_k) on the
 row-major vec, the convention of ``lindblad_evolve``, and ``lift`` applies
 it to two qudits as q (S on A) + (1-q) (S on B); both sides is two lifts.
+Both write through private cores, which ``separability_report`` hands one workspace.
 
 Time grids: ``se_kraus(rates, times)`` builds the operator array at T times
 at once, shape (d, T, d, d), from the same expressions as at a single time;
@@ -330,20 +331,36 @@ def superoperator(ops: np.ndarray) -> np.ndarray:
     place into a zeroed S in operator order; within one k their targets differ.
     """
     ops = np.asarray(ops, dtype=np.result_type(np.asarray(ops), float))  # real stays real
+    lead, n = ops.shape[1:-2], ops.shape[-1] ** 2
+    sup = np.empty((math.prod(lead), n * n), dtype=ops.dtype)  # one row per t
+    return _superoperator(ops, sup).reshape(lead + (n, n))
+
+
+def _superoperator(ops: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # superoperator's S of an operator array of its dtype, written into out (T, d^4)
     dim = ops.shape[-1]
-    n = dim * dim
-    lead = ops.shape[1:-2]
-    ops = ops.reshape(len(ops), -1, n)  # (k, t, (a, x))
-    sup = np.zeros((ops.shape[1], n * n), dtype=ops.dtype)  # one row per t
-    for op, nonzero in zip(ops, ops.any(axis=1).tolist()):
-        cols = [ax for ax, keep in enumerate(nonzero) if keep]
-        # distinct flat targets ((a, z), (x, y)) within one k
-        target = [(ax // dim * dim + zy // dim) * n + ax % dim * dim + zy % dim
-                  for ax in cols for zy in cols]
-        entries = op[:, cols]
+    ops = ops.reshape(len(ops), -1, dim * dim)  # (k, t, (a, x))
+    out.fill(0.0)
+    for k, cols, target in _scatter_layout(dim, ops.any(axis=1).tobytes()):
+        entries = ops[k][:, cols]
         products = entries[:, :, None] * entries[:, None, :].conj()
-        sup[:, target] += products.reshape(len(op), len(cols) ** 2)
-    return sup.reshape(lead + (n, n))
+        out[:, target] += products.reshape(len(entries), len(cols) ** 2)
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _scatter_layout(dim: int, pattern: bytes) -> tuple:
+    # per nonzero operator k of a (k, d^2) bool pattern: k, its entries (a, x) nonzero at
+    # some time and the distinct flat targets ((a, z), (x, y)) of their products, read-only
+    place = np.arange(dim**4).reshape((dim,) * 4).transpose(0, 2, 1, 3).reshape(dim * dim, -1)
+    layout = []
+    for k, nonzero in enumerate(np.frombuffer(pattern, dtype=bool).reshape(-1, dim * dim)):
+        cols = np.flatnonzero(nonzero)
+        if cols.size:
+            target = place[np.ix_(cols, cols)].ravel()
+            cols.flags.writeable = target.flags.writeable = False
+            layout.append((k, cols, target))
+    return tuple(layout)
 
 
 def lift(rho: np.ndarray, sup: np.ndarray, q: float) -> np.ndarray:
@@ -365,19 +382,27 @@ def lift(rho: np.ndarray, sup: np.ndarray, q: float) -> np.ndarray:
         raise ValueError(f"state shape {rho.shape} does not match superoperator "
                          f"{sup.shape} of dimension {dim}")
     _check_mixing(q)
+    out, scratch = np.empty((2, sup.size // (n * n), n * n), dtype=dtype)
+    return _lift(rho, sup, q, out, scratch).reshape(sup.shape[:-2] + rho.shape)
+
+
+def _lift(rho: np.ndarray, sup: np.ndarray, q: float,
+          out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    # lift of a checked rho (d^2, d^2) by sup, T superoperators of its dtype,
+    # written into out (T, d^4) by way of scratch of the same shape
+    dim, n = math.isqrt(len(rho)), len(rho)
     tensor = rho.reshape(dim, dim, dim, dim)  # (a, b, a', b'), A slow
     # the rows (x, y) of M are rho's indices on the acted-on side
     m_a, m_b = tensor.transpose(0, 2, 1, 3), tensor.transpose(1, 3, 0, 2)
     a_to_b, b_to_out = _mix_gathers(dim)
-    term = np.matmul(sup.reshape(-1, n), m_a.reshape(n, n)).reshape(-1, n * n)
-    mixed = np.take(term, a_to_b, axis=1, mode="clip")  # side A in side B's layout
-    mixed *= q
-    np.matmul(sup.reshape(-1, n), m_b.reshape(n, n), out=term.reshape(-1, n))
-    term *= 1.0 - q
-    mixed += term
+    np.matmul(sup.reshape(-1, n), m_a.reshape(n, n), out=out.reshape(-1, n))
     # mode="clip" lets take write into out without buffering a copy
-    out = np.take(mixed, b_to_out, axis=1, out=term, mode="clip")
-    return out.reshape(sup.shape[:-2] + rho.shape)
+    np.take(out, a_to_b, axis=1, out=scratch, mode="clip")  # side A in side B's layout
+    scratch *= q
+    np.matmul(sup.reshape(-1, n), m_b.reshape(n, n), out=out.reshape(-1, n))
+    out *= 1.0 - q
+    scratch += out
+    return np.take(scratch, b_to_out, axis=1, out=out, mode="clip")
 
 
 @functools.lru_cache(maxsize=8)

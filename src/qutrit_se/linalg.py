@@ -20,7 +20,9 @@ and d(d-1)/2 of size 2.
 
 ``partial_transpose`` takes a two-qudit operator, shape (d^2, d^2) with
 d >= 2 read off the shape (``_pair_dim``). Subsystem A is the slow (outer)
-index: row i*d + k holds A-index i and B-index k.
+index: row i*d + k holds A-index i and B-index k. ``_pt_order`` owns the
+transpose's index rule: ``partial_transpose`` is one gather along it, and the
+Jacobi core reads rho^T_B in place through it.
 """
 
 from __future__ import annotations
@@ -117,10 +119,16 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     """
     a = _square(a)
     lead, n = a.shape[:-2], a.shape[-1]
-    a = a.reshape((math.prod(lead), n, n))  # one batch axis
-    pos, mirror, diag, ends, spans = _layout(n, a.any(axis=0).tobytes())
-    entries = a.reshape(len(a), n * n).T  # entry-major: row e holds entry e of every member
-    m, m_dag = entries[pos], entries[mirror]
+    rows = a.reshape(math.prod(lead), n * n)  # one batch axis
+    return _eigenvalues(rows, np.arange(n * n)).reshape(lead + (n,))
+
+
+def _eigenvalues(rows: np.ndarray, order: np.ndarray) -> np.ndarray:
+    # eigenvalues (members, n) of the matrices with entry e at rows[:, order[e]], e.g. rho^T_B
+    n = math.isqrt(rows.shape[1])
+    pos, mirror, diag, ends, spans = _layout(n, rows.any(axis=0)[order].tobytes())
+    entries = rows.T  # entry-major: row e holds entry e of every member
+    m, m_dag = entries[order[pos]], entries[order[mirror]]
     np.conjugate(m_dag, out=m_dag)
     off = _check_hermitian(m, m_dag)
     # symmetrize to kill roundoff drift
@@ -128,22 +136,22 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     m *= 0.5
     del m_dag  # free the conjugate copy before the sweeps
     # one (s, s, blocks, members) view into m per block size s > 1
-    views = [m[start:stop].reshape(size, size, -1, len(a)) for start, stop, size in spans]
+    views = [m[start:stop].reshape(size, size, -1, len(rows)) for start, stop, size in spans]
 
     for _ in range(100):
         todo = _active(m, off, diag, ends)
         if todo.size == 0:
             break
         for view in views:
-            if todo.size == len(a):
+            if todo.size == len(rows):
                 _jacobi_sweep(view)  # every member still active: no gather or scatter
             else:
                 view[..., todo] = _jacobi_sweep(view[..., todo])
     else:
         raise NoConvergenceError("off-diagonal norm not below tol after 100 sweeps")
-    eigs = np.empty((len(a), n))
+    eigs = np.empty((len(rows), n))
     eigs[:, pos[diag] // (n + 1)] = m[diag].real.T
-    return np.sort(eigs, axis=-1).reshape(lead + (n,))
+    return np.sort(eigs, axis=-1)
 
 
 def _active(m: np.ndarray, off: np.ndarray, diag: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -291,8 +299,16 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
     """
     rho = _square(rho)
     d = _pair_dim(rho.shape[-2:])
-    t = rho.reshape(rho.shape[:-2] + (d, d, d, d))
-    return t.swapaxes(-3, -1).reshape(rho.shape)
+    return np.take(rho.reshape(rho.shape[:-2] + (d**4,)), _pt_order(d), axis=-1).reshape(rho.shape)
+
+
+@functools.lru_cache(maxsize=8)
+def _pt_order(d: int) -> np.ndarray:
+    # the one partial-transpose index rule: entry ((i, k), (j, l)) of rho^T_B is
+    # flat entry ((i, l), (j, k)) of rho; read-only, as every call shares it
+    order = np.arange(d**4).reshape(d, d, d, d).swapaxes(1, 3).ravel()
+    order.flags.writeable = False
+    return order
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:

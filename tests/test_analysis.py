@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qutrit_se import analysis, channels, cli
+from qutrit_se import analysis, channels, cli, linalg
 from qutrit_se.analysis import (
     crossing_time,
     fidelity_closed,
@@ -932,6 +932,29 @@ class TestNegativity:
         negs = negativity(np.stack([werner(2, 0.2), werner(2, 0.3)]))
         assert np.all(negs == 0.0) and not np.any(np.signbit(negs))
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_in_place_read_has_the_bits_of_the_partial_transpose_route(self, d):
+        # negativity reads rho^T_B's entries straight from rho; the public route
+        # copies the partial transpose first, then diagonalises it
+        rng = np.random.default_rng(110 + d)
+        dense = np.stack([random_density_matrix(d * d, rng) for _ in range(12)])
+        diagonal = np.diag(rng.dirichlet(np.ones(d * d))).astype(complex)
+        times = np.r_[0.0, rng.uniform(0.0, 8.0, 30), np.inf]
+        rates = tuple(np.exp(rng.uniform(-1.5, 1.5, d - 1)))
+        lifted = [lift(werner(d, p).real, superoperator(se_kraus(rates, times).real), q)
+                  for p, q in ((0.9, 0.37), (0.6, 0.0), (1.0, 1.0))]
+        # a member diagonal from the start sits out every sweep: the gather/scatter path
+        for stack in (dense, np.stack([dense[0], diagonal, dense[1]]), *lifted):
+            eigs = hermitian_eigenvalues(partial_transpose(stack))
+            in_place = linalg._eigenvalues(stack.reshape(len(stack), -1), linalg._pt_order(d))
+            assert in_place.tobytes() == eigs.tobytes()
+            # negativity's own sum: summing the negatives alone is another order
+            # of numpy's pairwise sum over the d^2 terms, which shows at d = 4
+            want = np.where(eigs < 0.0, -eigs, 0.0).sum(axis=-1)
+            assert negativity(stack).tobytes() == want.tobytes()
+            for member, value in zip(stack, want):
+                assert negativity(member) == value and type(negativity(member)) is float
+
     @settings(max_examples=200, deadline=None)
     @given(
         d=st.sampled_from([2, 3, 4]),
@@ -1282,6 +1305,40 @@ class TestReport:
             want = np.concatenate([negativity(lift(w, superoperator(k), q)) for k in kraus])
             assert rows[:, 5 + i].tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("steps", [2, 511, 512, 513, 600, 2591, 2592, 2600])
+    def test_rows_are_the_public_route_chunk_by_chunk(self, steps):
+        # the report builds each chunk in its one workspace; the public builders
+        # allocate theirs: a short chunk after a full one, and the qubit's second
+        # chunk, must read nothing left over from the chunk before
+        rng = np.random.default_rng(steps)
+        a1, a2, a3 = np.exp(rng.uniform(-1.6, 1.6, 3))
+        p = rng.uniform(1 / 3, 1.0)
+        times = np.linspace(0.0, 5.0, steps + 1) / a1
+        for q in (0.0, 0.37, 1.0):
+            par = ChannelParams(a1=a1, a2=a2, a3=a3, q=q)
+            rows = separability_report(p, par, t_max=5.0, steps=steps)
+            for i, d in enumerate((2, 3)):
+                w, points = werner(d, p).real, analysis.GRID_CHUNK * 81 // d**4
+                kraus = [se_kraus(par.rates(d), times[lo : lo + points]).real
+                         for lo in range(0, steps + 1, points)]
+                want = [negativity(lift(w, superoperator(k), q)) for k in kraus]
+                assert rows[:, 5 + i].tobytes() == np.concatenate(want).tobytes()
+
+    def test_one_workspace_serves_every_chunk(self, monkeypatch):
+        # every chunk of both species writes its superoperators into one array
+        good, seen = channels._superoperator, []
+
+        def recorded(ops, out):
+            seen.append(out)
+            return good(ops, out)
+
+        monkeypatch.setattr(channels, "_superoperator", recorded)
+        steps = 2600  # six qutrit chunks, then the qubit's 2592 points and 9
+        separability_report(0.9, ChannelParams(q=0.4), t_max=5.0, steps=steps)
+        assert [out.shape for out in seen] == [(2592, 16), (9, 16)] + [(512, 81)] * 5 + [(41, 81)]
+        assert all(out.base is seen[0].base is not None for out in seen)
+        assert seen[0].base.nbytes == 3 * analysis.GRID_CHUNK * 81 * 8
+
     def test_no_lapack_eigensolver(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("negativity must not use a LAPACK eigensolver")
@@ -1319,11 +1376,11 @@ class TestReport:
         np.testing.assert_array_equal(rows[7], rows[default])
 
     def test_peak_memory_of_a_long_grid(self):
-        # the chunked grid keeps the (T, 9, 9) temporaries bounded: a first
-        # call in a fresh process measured 1,731,146 bytes at GRID_CHUNK = 512
-        # in float64, the qubit's 2001 points in one chunk of as many entries
-        # (numpy 2.4.6); the bound, 25% above the 2,005,505 bytes first
-        # measured at GRID_CHUNK = 256 in complex128, stays
+        # the chunked grid keeps its workspace bounded: a first call in a fresh
+        # process measured 1,898,701 bytes at GRID_CHUNK = 512 in float64, the
+        # qubit's 2001 points in one chunk of as many entries, every chunk in
+        # one three-row workspace (numpy 2.4.6); the bound, 25% above the
+        # 2,005,505 bytes first measured at GRID_CHUNK = 256 in complex128, stays
         par = ChannelParams(a1=1.3, a2=0.4, a3=2.7, q=0.37)
         tracemalloc.start()
         try:

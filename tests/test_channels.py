@@ -754,6 +754,23 @@ def dense_superoperator(ops):
     return sup
 
 
+def uncached_superoperator(ops):
+    """Reference: the sparse build with its scatter layout made anew in Python."""
+    dim = ops.shape[-1]
+    n = dim * dim
+    lead = ops.shape[1:-2]
+    ops = ops.reshape(len(ops), -1, n)
+    sup = np.zeros((ops.shape[1], n * n), dtype=ops.dtype)
+    for op, nonzero in zip(ops, ops.any(axis=1).tolist()):
+        cols = [ax for ax, keep in enumerate(nonzero) if keep]
+        target = [(ax // dim * dim + zy // dim) * n + ax % dim * dim + zy % dim
+                  for ax in cols for zy in cols]
+        entries = op[:, cols]
+        products = entries[:, :, None] * entries[:, None, :].conj()
+        sup[:, target] += products.reshape(len(op), len(cols) ** 2)
+    return sup.reshape(lead + (n, n))
+
+
 def dense_bipartite(rho, ops, q):
     """Reference: ``dense_superoperator`` applied by the matrix product and
     output permutation of ``lift``.
@@ -862,6 +879,26 @@ class TestBipartite:
             for rho in (werner(dim, 0.7), random_density_matrix(dim * dim, rng)):
                 got = lift(rho, sup, q)
                 np.testing.assert_array_equal(got, dense_bipartite(rho, ch, q))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_cached_scatter_layout_has_the_uncached_bits(self, dim):
+        # patterns that differ only by an all-zero operator: K_m = 0 at t = 0
+        # alone, K_0's arm entries 0 at t = inf alone, and grids that mix them;
+        # then the RK4 jump operators, an undamped arm's all zero
+        rng = np.random.default_rng(130 + dim)
+        rates = random_rates(rng, dim, undamped_first=False)
+        cases = [se_kraus(rates, t) for t in (0.0, np.inf, [0.0], [np.inf], [0.0, np.inf],
+                                               [0.0, 0.0, 1.3], [np.inf, 2.0], 0.7)]
+        cases += [op.real for op in cases]
+        cases += [lindblad_jump_ops(random_rates(rng, dim, undamped_first=first))
+                  for first in (False, True)]
+        for ops in cases:
+            want = uncached_superoperator(ops)
+            assert_same_bytes(superoperator(ops), want)
+            assert_same_bytes(superoperator(ops), want)  # from the cached layout
+        pattern = cases[4].reshape(dim, -1, dim * dim).any(axis=1).tobytes()  # t = 0 and inf
+        for _, cols, target in channels._scatter_layout(dim, pattern):
+            assert not cols.flags.writeable and not target.flags.writeable
 
     @pytest.mark.parametrize("stack", [None, 1, 7, 300])
     @pytest.mark.parametrize("q", [0.0, 0.37, 1.0])

@@ -435,6 +435,20 @@ class TestPartialTranspose:
             back = partial_transpose(partial_transpose(rho))
             np.testing.assert_array_equal(back, rho)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_gather_has_the_bytes_of_the_axis_swap(self, d):
+        # partial_transpose is one gather along the cached _pt_order; the
+        # reference swaps the B axes of the (d, d, d, d) tensor
+        rng = np.random.default_rng(120 + d)
+        dense = random_density_matrix(d * d, rng)
+        for rho in (dense, dense.real, np.stack([dense, dense.conj()]), np.stack([dense.real] * 3)):
+            want = rho.reshape(rho.shape[:-2] + (d,) * 4).swapaxes(-3, -1).reshape(rho.shape)
+            got = partial_transpose(rho)
+            assert got.dtype == rho.dtype and got.shape == rho.shape
+            assert got.tobytes() == want.tobytes()
+            assert partial_transpose(got).tobytes() == rho.tobytes()
+        assert not linalg._pt_order(d).flags.writeable
+
     def test_stack_matches_per_matrix(self):
         rng = np.random.default_rng(24)
         for d in (2, 3, 4):
