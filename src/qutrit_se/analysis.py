@@ -289,6 +289,60 @@ def _level_sum(s: np.ndarray) -> np.ndarray:
     return sum(s[1:], s[0]) if len(s) < 8 else np.ascontiguousarray(s.T).sum(axis=1)
 
 
+def _haar_contract(basis, n: np.ndarray, g1: np.ndarray, g2_blocks) -> np.ndarray:
+    # haar_bloch_vectors' contraction: rows n[lo : lo + m] from the real parts
+    # g1[lo : lo + m] and the imaginary parts g2 (m, d), the next of g2_blocks, per
+    # block of _HAAR_BLOCK samples; a block's rows may overwrite only read real parts
+    samples, d = g1.shape
+    w = np.empty((d, min(samples, _HAAR_BLOCK)), dtype=complex)
+    kinds = []  # per generator: its first nonzero entry (j, k), imaginary or not, its diagonal
+    for gen in basis.generators:
+        (j, *_), (k, *_) = np.nonzero(gen)
+        diagonal = [(a, g.real) for a, g in enumerate(gen.diagonal()) if g]
+        kinds.append((j, k, gen[j, k].imag != 0, diagonal))
+    for lo, g2 in zip(range(0, samples, _HAAR_BLOCK), g2_blocks):
+        block = slice(lo, lo + len(g2))
+        w = w[:, : len(g2)]
+        w.real, w.imag = g1[block].T, g2.T
+        inv = 1.0 / np.sqrt(_level_sum((w.conj() * w).real))
+        x, y = w.real * inv, w.imag * inv
+        for i, (j, k, imaginary, diagonal) in enumerate(kinds):
+            if diagonal:
+                terms = [(x[a] * g) * x[a] + (y[a] * g) * y[a] for a, g in diagonal]
+                s, t = 1.0, sum(terms[1:], terms[0])
+            elif imaginary:  # -i E_jk + i E_kj
+                s, t = 2.0, x[j] * y[k] - y[j] * x[k]
+            else:  # E_jk + E_kj
+                s, t = 2.0, x[j] * x[k] + y[j] * y[k]
+            # a unit scale multiplies exactly, and 2b t is b (t + t)
+            np.multiply(s * basis.bloch_scale, t, out=n[block, i])
+    return n
+
+
+def _haar_imaginary(rng: np.random.Generator, worker, g1: np.ndarray):
+    # each block's imaginary parts, shaped as its rows of g1: the first drawn on
+    # the calling thread (a lone block submits nothing, so no thread starts),
+    # each later one on the worker while the block before it is used
+    shapes = [g1[lo : lo + _HAAR_BLOCK].shape for lo in range(0, len(g1), _HAAR_BLOCK)]
+    g2 = rng.standard_normal(shapes[0])
+    for shape in shapes[1:]:
+        pending = worker.submit(rng.standard_normal, shape)
+        yield g2
+        g2 = pending.result()
+    yield g2
+
+
+def _haar_output(basis, samples: int) -> tuple:
+    # the output (samples, k) for k generators, complex if the scale is unit, and
+    # its real-part tail, the last samples * d floats; a block copies its own real
+    # parts to w, then writes rows [0, hi) of n, ending at float hi*k*c (c = 2 if
+    # complex) <= S*(k*c - d) + hi*d, the first unread real part, as hi <= S, k*c >= d
+    dtype = complex if basis.bloch_scale == 1.0 else float
+    out = np.empty((samples, basis.n_generators), dtype=dtype)
+    flat = out.reshape(-1).view(float)
+    return out, flat, flat[flat.size - samples * basis.dim :]
+
+
 def haar_bloch_vectors(d: int, samples: int, seed: int) -> np.ndarray:
     """Bloch vectors of Haar-random pure states, shape (samples, d^2 - 1).
 
@@ -301,6 +355,13 @@ def haar_bloch_vectors(d: int, samples: int, seed: int) -> np.ndarray:
     in, first out, so the stream is read in the serial order. A failed draw
     raises here, and the worker ends with the call; a one-block call starts
     none. On one CPU this is no faster.
+
+    One stream per seed: Generator fills its draws in sequence, so the qubit's
+    whole draw at S // 2 samples, its 2 (S // 2) real parts, then as many
+    imaginary parts, is the first 4 (S // 2) of the qutrit's 3S real parts at
+    S samples and the same seed. ``haar`` takes both species' moments from the
+    qutrit's draw that way (``_haar_pair_moments``), with the qubit's rows in
+    the head of the qutrit's output; both share the contraction below.
 
     A block is level-major, a (d, m) complex w = g1^T + i g2^T. Its squared
     norms Re(conj(w) w) are summed over the levels as numpy's add.reduce sums
@@ -332,41 +393,10 @@ def haar_bloch_vectors(d: int, samples: int, seed: int) -> np.ndarray:
 
     basis = generator_basis(d)
     rng = np.random.default_rng(seed)
-    dtype = complex if basis.bloch_scale == 1.0 else float
-    out = np.empty((samples, basis.n_generators), dtype=dtype)
-    n, flat = out.real, out.reshape(-1).view(float)
-    # real parts fill the last S*d floats; a block copies its own to w, then
-    # writes rows [0, hi) of n, ending at float hi*k*c (k generators, c = 2 if complex)
-    # <= S*(k*c - d) + hi*d, the first unread real part, as hi <= S and k*c >= d
-    g1 = rng.standard_normal(out=flat[flat.size - samples * d :].reshape(samples, d))
-    w = np.empty((d, min(samples, _HAAR_BLOCK)), dtype=complex)
-    kinds = []  # per generator: its first nonzero entry (j, k), imaginary or not, its diagonal
-    for gen in basis.generators:
-        (j, *_), (k, *_) = np.nonzero(gen)
-        diagonal = [(a, g.real) for a, g in enumerate(gen.diagonal()) if g]
-        kinds.append((j, k, gen[j, k].imag != 0, diagonal))
-    blocks = [slice(lo, lo + _HAAR_BLOCK) for lo in range(0, samples, _HAAR_BLOCK)]
-    g2 = rng.standard_normal(g1[:_HAAR_BLOCK].shape)  # here: a lone block starts no thread
+    out, _, reals = _haar_output(basis, samples)
+    g1 = rng.standard_normal(out=reals.reshape(samples, d))
     with ThreadPoolExecutor(1) as worker:  # its thread starts at the first submit
-        draws = (worker.submit(rng.standard_normal, g1[block].shape) for block in blocks[1:])
-        for block in blocks:
-            pending = next(draws, None)  # the next block's g2, drawn while this one is used
-            w = w[:, : len(g2)]
-            w.real, w.imag = g1[block].T, g2.T
-            inv = 1.0 / np.sqrt(_level_sum((w.conj() * w).real))
-            x, y = w.real * inv, w.imag * inv
-            for i, (j, k, imaginary, diagonal) in enumerate(kinds):
-                if diagonal:
-                    terms = [(x[a] * g) * x[a] + (y[a] * g) * y[a] for a, g in diagonal]
-                    s, t = 1.0, sum(terms[1:], terms[0])
-                elif imaginary:  # -i E_jk + i E_kj
-                    s, t = 2.0, x[j] * y[k] - y[j] * x[k]
-                else:  # E_jk + E_kj
-                    s, t = 2.0, x[j] * x[k] + y[j] * y[k]
-                # a unit scale multiplies exactly, and 2b t is b (t + t)
-                np.multiply(s * basis.bloch_scale, t, out=n[block, i])
-            g2 = pending.result() if pending else None
-    return n
+        return _haar_contract(basis, out.real, g1, _haar_imaginary(rng, worker, g1))
 
 
 def haar_moment_check(d: int, samples: int, seed: int) -> np.ndarray:
@@ -378,6 +408,33 @@ def haar_moment_check(d: int, samples: int, seed: int) -> np.ndarray:
         raise ValueError(f"samples must be >= 1, got {samples}")
     n = haar_bloch_vectors(d, samples, seed)
     return n.T @ n / samples
+
+
+def _haar_pair_moments(samples: int, seed: int) -> tuple:
+    # haar_moment_check(2, samples // 2, seed) and haar_moment_check(3, samples,
+    # seed), bit for bit, from the qutrit's one stream: the qubit's 4 (S // 2)
+    # normals are drawn here into the head of the qutrit's real parts, the rest
+    # of them on the worker while the qubit is contracted from that prefix
+    from concurrent.futures import ThreadPoolExecutor
+
+    half = samples // 2  # >= 50: haar takes --samples >= 100
+    qubit, qutrit = generator_basis(2), generator_basis(3)
+    rng = np.random.default_rng(seed)
+    out, flat, reals = _haar_output(qutrit, samples)
+    prefix = rng.standard_normal(out=reals[: 4 * half])
+    with ThreadPoolExecutor(1) as worker:
+        rest = worker.submit(rng.standard_normal, out=reals[4 * half :])
+        # the qubit's rows, strided as the .real of a complex (S // 2, 3) buffer, in
+        # the first 6 (S // 2) <= 3S floats of out: below the real parts at 5S
+        n = flat[: 6 * half].reshape(half, 3, 2)[..., 0]
+        g1, g2 = prefix.reshape(2, half, 2)
+        g2_blocks = (g2[lo : lo + _HAAR_BLOCK] for lo in range(0, half, _HAAR_BLOCK))
+        n = _haar_contract(qubit, n, g1, g2_blocks)
+        qubit_moments = n.T @ n / half  # before the qutrit's rows reach the head
+        rest.result()
+        g1 = reals.reshape(samples, 3)
+        n = _haar_contract(qutrit, out, g1, _haar_imaginary(rng, worker, g1))
+    return qubit_moments, n.T @ n / samples
 
 
 def _time_unit(a1: float, rates, horizon: float) -> tuple:

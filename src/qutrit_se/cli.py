@@ -112,9 +112,10 @@ def run_haar(args: argparse.Namespace, out) -> int:
     seed = _checked_seed(args.seed)
     out.write(f"generator={_GENERATOR_NAME}\n")
     out.write(f"seed={seed}\n")
-    for (d, name), samples in zip(_SPECIES, (args.samples // 2, args.samples)):
+    # the qubit at half the samples, both from one stream (one haar_moment_check each, bit for bit)
+    moments = analysis._haar_pair_moments(args.samples, seed)
+    for (d, name), samples, m in zip(_SPECIES, (args.samples // 2, args.samples), moments):
         target, quantum = 1.0 / (d * d - 1), 1.0 / (d - 1)
-        m = analysis.haar_moment_check(d, samples, seed)
         diag_dev = np.max(np.abs(np.diag(m) - target))
         off_dev = np.max(np.abs(m - np.diag(np.diag(m))))
         ratio = np.mean(np.diag(m)) / quantum

@@ -1040,6 +1040,9 @@ class FailingDraws:
 
     Records the thread of every call. haar_bloch_vectors draws the real parts
     first, then each block's imaginary parts: call 3 is the second block's.
+    _haar_pair_moments draws the qubit's normals (call 1), the rest of the
+    qutrit's real parts on the worker (call 2), then the qutrit's imaginary
+    parts block by block: call 3 is its first block's, call 4 its second's.
     """
 
     def __init__(self, seed, fail_at):
@@ -1050,7 +1053,7 @@ class FailingDraws:
     def standard_normal(self, *args, **kwargs):
         self.threads.append(threading.current_thread())
         if len(self.threads) == self.fail_at:
-            raise MemoryError("imaginary parts could not be drawn")
+            raise MemoryError("normals could not be drawn")
         return self.rng.standard_normal(*args, **kwargs)
 
 
@@ -1151,43 +1154,90 @@ class TestHaar:
     def test_a_failed_draw_on_the_worker_raises_here(self, monkeypatch):
         self.failing_draws(monkeypatch, 3)
         threads = threading.active_count()
-        with pytest.raises(MemoryError, match="imaginary parts could not be drawn"):
+        with pytest.raises(MemoryError, match="normals could not be drawn"):
             haar_bloch_vectors(3, 2 * analysis._HAAR_BLOCK + 5, 4)
         assert threading.active_count() == threads
 
     def test_a_failed_draw_on_the_worker_is_one_error_line(self, capsys, monkeypatch):
-        # the qubit's 10,000 samples are two blocks; its second block's draw fails
-        self.failing_draws(monkeypatch, 3)
+        # the worker's draw of the qutrit's real parts past the qubit's 20,000 normals fails
+        self.failing_draws(monkeypatch, 2)
         assert cli.main(["haar", "--samples", "20000", "--seed", "1"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: imaginary parts could not be drawn\n"
+        assert captured.err == "error: normals could not be drawn\n"
         assert captured.out == ""
 
     def test_reports_match_the_whole_array(self, capsys, monkeypatch):
+        # haar's pair route against two whole-array moment checks, validate's
+        # haar_bloch_vectors calls against the whole-array vectors
+        def whole_array_pair(samples, seed):
+            pair = ((2, samples // 2), (3, samples))
+            return tuple(whole_array_moment_check(d, s, seed) for d, s in pair)
+
         runs = []
         for patch in (False, True):
             if patch:
+                monkeypatch.setattr(analysis, "_haar_pair_moments", whole_array_pair)
                 monkeypatch.setattr(analysis, "haar_bloch_vectors", whole_array_haar_bloch_vectors)
             assert cli.main(["haar", "--samples", "20000", "--seed", "42"]) == 0
             assert cli.main(["validate", "--seed", "42"]) == 0
             runs.append(capsys.readouterr().out)
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("samples", [100, 101, 8192, 8193, 2 * 8192 + 5, 20_000, 200_000])
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_pair_moments_match_two_checks_bitwise(self, samples, seed):
+        # the qubit's normals are the head of the qutrit's real parts, and its
+        # rows, at the head of the qutrit's output, have the strides of a complex .real
+        m2, m3 = analysis._haar_pair_moments(samples, seed)
+        assert m2.tobytes() == haar_moment_check(2, samples // 2, seed).tobytes()
+        assert m3.tobytes() == haar_moment_check(3, samples, seed).tobytes()
+
+    def test_pair_reads_the_stream_in_order(self, monkeypatch):
+        # 20,000 qutrit samples are three blocks: the qubit's 20,000 normals here,
+        # the other 40,000 real parts on the worker, the first imaginary block
+        # here and the next two on the worker, one ahead
+        ref = [haar_moment_check(2, 10_000, 4), haar_moment_check(3, 20_000, 4)]
+        rngs = self.failing_draws(monkeypatch, None)
+        threads = threading.active_count()
+        pair = analysis._haar_pair_moments(20_000, 4)
+        assert [m.tobytes() for m in pair] == [m.tobytes() for m in ref]
+        assert threading.active_count() == threads
+        main, worker = threading.current_thread(), rngs[0].threads[1]
+        assert rngs[0].threads == [main, worker, main, worker, worker] and worker is not main
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 3, 4])
+    def test_a_failed_pair_draw_raises_here(self, monkeypatch, fail_at):
+        # calls 1 and 3 run here, 2 and 4 on the worker
+        self.failing_draws(monkeypatch, fail_at)
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match="normals could not be drawn"):
+            analysis._haar_pair_moments(20_000, 4)
+        assert threading.active_count() == threads
+
+    @staticmethod
+    def traced_peak(run):
+        # the bases are cached; their one-off builds are not the pipeline's
+        generator_basis(2), generator_basis(3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
     def test_peak_memory_of_the_default_sample_count(self):
         # the real parts are drawn into the output's tail and the samples run in
         # blocks, with the next block's imaginary parts drawn ahead: one block
         # peaks at 49,606,885 bytes and _HAAR_BLOCK = 8192 at 14,846,364 (numpy
         # 2.4.6); the bound is 8% above it, which a 16384 block (16,877,032) fails
-        generator_basis(3)  # cached; its one-off build is not the pipeline's
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            haar_moment_check(3, 200_000, 42)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < 16_000_000
+        assert self.traced_peak(lambda: haar_moment_check(3, 200_000, 42)) < 16_000_000
+
+    def test_peak_memory_of_the_pair(self):
+        # the qubit lives in the qutrit's output, so the pair peaks as the qutrit
+        # alone: 14,847,856 bytes (numpy 2.4.6); a qubit buffer of its own adds 4.8 MB
+        assert self.traced_peak(lambda: analysis._haar_pair_moments(200_000, 42)) < 16_000_000
 
     def test_no_dense_einsum(self, monkeypatch):
         ref = [dense_haar_bloch_vectors(d, 50, 3) for d in (2, 3)]

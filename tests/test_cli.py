@@ -464,7 +464,7 @@ class TestUsageErrors:
         def no_memory(*args):
             raise MemoryError("Unable to allocate 745. GiB for an array")
 
-        monkeypatch.setattr(analysis, "haar_moment_check", no_memory)
+        monkeypatch.setattr(analysis, "_haar_pair_moments", no_memory)
         assert main(["haar", "--samples", "100000000000"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: Unable to allocate 745. GiB for an array\n"
