@@ -321,8 +321,8 @@ def _haar_contract(basis, n: np.ndarray, g1: np.ndarray, g2_blocks) -> np.ndarra
 
 def _haar_imaginary(rng: np.random.Generator, worker, g1: np.ndarray):
     # each block's imaginary parts, shaped as its rows of g1: the first drawn on
-    # the calling thread (a lone block submits nothing, so no thread starts),
-    # each later one on the worker while the block before it is used
+    # the calling thread, each later one on the worker while the block before it
+    # is used, one block ahead with at most one draw pending
     shapes = [g1[lo : lo + _HAAR_BLOCK].shape for lo in range(0, len(g1), _HAAR_BLOCK)]
     g2 = rng.standard_normal(shapes[0])
     for shape in shapes[1:]:
@@ -348,20 +348,8 @@ def haar_bloch_vectors(d: int, samples: int, seed: int) -> np.ndarray:
 
     The draw is that of ``haar_random_states``: all (samples, d) real parts g1,
     into the output buffer's tail, then the imaginary parts g2 per block of
-    _HAAR_BLOCK samples, the PCG64 stream order of two whole draws. The first
-    block's g2 is drawn on the calling thread; each later block's is drawn on
-    one worker thread while the block before it is contracted, one block ahead
-    with at most one draw pending. A single worker runs its submissions first
-    in, first out, so the stream is read in the serial order. A failed draw
-    raises here, and the worker ends with the call; a one-block call starts
-    none. On one CPU this is no faster.
-
-    One stream per seed: Generator fills its draws in sequence, so the qubit's
-    whole draw at S // 2 samples, its 2 (S // 2) real parts, then as many
-    imaginary parts, is the first 4 (S // 2) of the qutrit's 3S real parts at
-    S samples and the same seed. ``haar`` takes both species' moments from the
-    qutrit's draw that way (``_haar_pair_moments``), with the qubit's rows in
-    the head of the qutrit's output; both share the contraction below.
+    _HAAR_BLOCK samples, each drawn on the calling thread as its block is
+    reached, the PCG64 stream order of two whole draws.
 
     A block is level-major, a (d, m) complex w = g1^T + i g2^T. Its squared
     norms Re(conj(w) w) are summed over the levels as numpy's add.reduce sums
@@ -388,15 +376,13 @@ def haar_bloch_vectors(d: int, samples: int, seed: int) -> np.ndarray:
     are C-contiguous. numpy sums the second moments ``n.T @ n`` of the two
     layouts in different orders, and ``haar`` prints them to 17 digits.
     """
-    # imported here, not with the module: it imports logging, several ms per process
-    from concurrent.futures import ThreadPoolExecutor
-
     basis = generator_basis(d)
     rng = np.random.default_rng(seed)
     out, _, reals = _haar_output(basis, samples)
     g1 = rng.standard_normal(out=reals.reshape(samples, d))
-    with ThreadPoolExecutor(1) as worker:  # its thread starts at the first submit
-        return _haar_contract(basis, out.real, g1, _haar_imaginary(rng, worker, g1))
+    blocks = range(0, samples, _HAAR_BLOCK)
+    g2_blocks = (rng.standard_normal(g1[lo : lo + _HAAR_BLOCK].shape) for lo in blocks)
+    return _haar_contract(basis, out.real, g1, g2_blocks)
 
 
 def haar_moment_check(d: int, samples: int, seed: int) -> np.ndarray:
@@ -412,9 +398,16 @@ def haar_moment_check(d: int, samples: int, seed: int) -> np.ndarray:
 
 def _haar_pair_moments(samples: int, seed: int) -> tuple:
     # haar_moment_check(2, samples // 2, seed) and haar_moment_check(3, samples,
-    # seed), bit for bit, from the qutrit's one stream: the qubit's 4 (S // 2)
-    # normals are drawn here into the head of the qutrit's real parts, the rest
-    # of them on the worker while the qubit is contracted from that prefix
+    # seed), bit for bit, from the qutrit's one stream: Generator fills its draws
+    # in sequence, so the qubit's whole draw at S // 2 samples, its 2 (S // 2)
+    # real parts, then as many imaginary parts, is the first 4 (S // 2) of the
+    # qutrit's 3S real parts at S samples and the same seed. Those normals are
+    # drawn here into the head of the qutrit's real parts, the rest of them on
+    # the worker while the qubit is contracted from that prefix; the qubit's rows
+    # go to the head of the qutrit's output. The worker runs its submissions
+    # first in, first out, so the stream is read in the serial order; a failed
+    # draw raises here, and the worker ends with the call. concurrent.futures is
+    # imported here, not with the module: it imports logging, several ms per process
     from concurrent.futures import ThreadPoolExecutor
 
     half = samples // 2  # >= 50: haar takes --samples >= 100

@@ -1038,20 +1038,23 @@ def whole_array_moment_check(d, samples, seed):
 class FailingDraws:
     """A Generator whose ``fail_at``-th standard_normal call (None: none) raises MemoryError.
 
-    Records the thread of every call. haar_bloch_vectors draws the real parts
-    first, then each block's imaginary parts: call 3 is the second block's.
-    _haar_pair_moments draws the qubit's normals (call 1), the rest of the
-    qutrit's real parts on the worker (call 2), then the qutrit's imaginary
-    parts block by block: call 3 is its first block's, call 4 its second's.
+    Records the thread of every call and the count of threads alive at it.
+    haar_bloch_vectors draws the real parts first, then each block's imaginary
+    parts in turn on the calling thread: call 2 is the first block's, call 3
+    the second's. _haar_pair_moments draws the qubit's normals (call 1), the
+    rest of the qutrit's real parts on the worker (call 2), then the qutrit's
+    imaginary parts block by block: call 3 is its first block's, call 4 its
+    second's.
     """
 
     def __init__(self, seed, fail_at):
         # default_rng(seed)'s generator, built without the patched default_rng
         self.rng = np.random.Generator(np.random.PCG64(seed))
-        self.fail_at, self.threads = fail_at, []
+        self.fail_at, self.threads, self.alive = fail_at, [], []
 
     def standard_normal(self, *args, **kwargs):
         self.threads.append(threading.current_thread())
+        self.alive.append(threading.active_count())
         if len(self.threads) == self.fail_at:
             raise MemoryError("normals could not be drawn")
         return self.rng.standard_normal(*args, **kwargs)
@@ -1106,7 +1109,7 @@ class TestHaar:
     def test_blocks_match_the_whole_array_bitwise(self, d, blocks, extra, seed):
         # sample counts at the block edges: 1, B - 1, B, B + 1 and 2B + 5; the
         # real parts are drawn into the output's tail, which the blocks overwrite,
-        # later blocks' imaginary parts on the worker thread, and at d = 8 and 9
+        # each block's imaginary parts as it is reached, and at d = 8 and 9
         # the norm is numpy's own row reduce: eight running sums, and a remainder at 9
         samples = blocks * analysis._HAAR_BLOCK + extra
         ref = whole_array_haar_bloch_vectors(d, samples, seed)
@@ -1138,25 +1141,34 @@ class TestHaar:
         monkeypatch.setattr(np.random, "default_rng", default_rng)
         return rngs
 
-    def test_later_blocks_draw_on_one_worker_that_ends_with_the_call(self, monkeypatch):
+    def test_every_block_draws_on_the_calling_thread(self, monkeypatch):
         samples = 2 * analysis._HAAR_BLOCK + 5
-        ref = [haar_bloch_vectors(3, s, 4) for s in (samples, analysis._HAAR_BLOCK)]
+        ref = whole_array_haar_bloch_vectors(3, samples, 4)
         rngs = self.failing_draws(monkeypatch, None)
         threads = threading.active_count()
-        assert haar_bloch_vectors(3, samples, 4).tobytes() == ref[0].tobytes()
-        assert threading.active_count() == threads
-        main, worker = threading.current_thread(), rngs[0].threads[2]
-        assert rngs[0].threads == [main, main, worker, worker] and worker is not main
-        # one block: its imaginary parts are drawn here, and no thread starts
-        assert haar_bloch_vectors(3, analysis._HAAR_BLOCK, 4).tobytes() == ref[1].tobytes()
-        assert rngs[1].threads == [main, main]
+        assert haar_bloch_vectors(3, samples, 4).tobytes() == ref.tobytes()
+        assert rngs[0].alive == [threads] * 4 and threading.active_count() == threads
+        assert rngs[0].threads == [threading.current_thread()] * 4
 
-    def test_a_failed_draw_on_the_worker_raises_here(self, monkeypatch):
-        self.failing_draws(monkeypatch, 3)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_no_samples_is_an_empty_draw_and_starts_no_thread(self, monkeypatch, d):
+        rngs = self.failing_draws(monkeypatch, None)
+        threads = threading.active_count()
+        n = haar_bloch_vectors(d, 0, 4)
+        assert n.shape == (0, d * d - 1) and n.dtype == float
+        # the real parts' empty draw, and no block
+        assert rngs[0].alive == [threads] and threading.active_count() == threads
+        assert rngs[0].threads == [threading.current_thread()]
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 3, 4])
+    def test_a_failed_draw_raises_here(self, monkeypatch, fail_at):
+        # call 1 draws the real parts, calls 2-4 the three blocks' imaginary parts
+        rngs = self.failing_draws(monkeypatch, fail_at)
         threads = threading.active_count()
         with pytest.raises(MemoryError, match="normals could not be drawn"):
             haar_bloch_vectors(3, 2 * analysis._HAAR_BLOCK + 5, 4)
-        assert threading.active_count() == threads
+        assert rngs[0].alive == [threads] * fail_at and threading.active_count() == threads
+        assert rngs[0].threads == [threading.current_thread()] * fail_at
 
     def test_a_failed_draw_on_the_worker_is_one_error_line(self, capsys, monkeypatch):
         # the worker's draw of the qutrit's real parts past the qubit's 20,000 normals fails
@@ -1229,9 +1241,9 @@ class TestHaar:
 
     def test_peak_memory_of_the_default_sample_count(self):
         # the real parts are drawn into the output's tail and the samples run in
-        # blocks, with the next block's imaginary parts drawn ahead: one block
-        # peaks at 49,606,885 bytes and _HAAR_BLOCK = 8192 at 14,846,364 (numpy
-        # 2.4.6); the bound is 8% above it, which a 16384 block (16,877,032) fails
+        # blocks, each block's imaginary parts drawn as it is reached: one block
+        # peaks at 49,604,856 bytes and _HAAR_BLOCK = 8192 at 14,639,944 (numpy
+        # 2.4.6); the bound is 9% above it, which a 16384 block (16,474,952) fails
         assert self.traced_peak(lambda: haar_moment_check(3, 200_000, 42)) < 16_000_000
 
     def test_peak_memory_of_the_pair(self):
