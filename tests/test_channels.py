@@ -452,10 +452,15 @@ class TestRk4Stability:
         assert populations.min() >= -1e-12 and populations.max() <= 1.0 + 1e-12
 
 
-def reference_rk4_power(rho, rates, t, steps):
-    """The RK4 step-matrix power with the generator built by np.kron."""
+def reference_rk4_power(rho, rates, t, steps, dtype=float):
+    """The RK4 step-matrix power with the generator built by np.kron.
+
+    The jump operators are real, so by default the generator, the step matrix
+    and its power are float64, as in ``lindblad_evolve``; ``dtype=complex``
+    builds them all in complex128. The state is complex128 either way.
+    """
     dim = len(rates) + 1
-    jumps = lindblad_jump_ops(rates)
+    jumps = lindblad_jump_ops(rates).real.astype(dtype)
     gsum = sum(dagger(l) @ l for l in jumps)
     eye = np.eye(dim)
     gen = sum(np.kron(l, l.conj()) for l in jumps) - 0.5 * (
@@ -509,8 +514,10 @@ class TestRk4Ladder:
             assert not square.flags.writeable
             with pytest.raises(ValueError):
                 square[0, 0] = 0.0
+            assert square.dtype == np.float64
         out = lindblad_evolve(np.eye(3) / 3, ChannelParams(**self.RATES, t=8e-3), 8)
         assert out.flags.writeable
+        assert out.dtype == np.complex128
 
     def test_cache_stays_bounded(self):
         bound = channels.RK4_LADDER_CACHE
@@ -588,6 +595,21 @@ class TestBuildersMatchReferences:
                 rate_args = {"a1": rates[0]} if dim == 2 else dict(zip(("a2", "a3"), rates))
                 got = lindblad_evolve(rho, ChannelParams(**rate_args, t=t), steps)
             assert_same_bytes(got, want)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_lindblad_evolve_stays_near_the_complex_route(self, dim):
+        # the float64 step matrix and its powers sum in dgemm's order, not
+        # zgemm's, so a general draw may differ from the complex128 kron
+        # reference in the last bits, here by at most 4e-15
+        rng = np.random.default_rng(70 + dim)
+        for i, steps in enumerate((1, 2, 3, 5, 17, 64, 250, 999, 1000, 2048, 3000)):
+            rates = random_rates(rng, dim, undamped_first=i == 4)
+            t = float(rng.uniform(0.0, min(20.0, 2.7 * steps / max(*rates, 0.125))))
+            rho = random_density_matrix(dim, rng)
+            got = channels._rk4_power(rho, rates, t, steps)
+            want = reference_rk4_power(rho, rates, t, steps, dtype=complex)
+            assert got.dtype == want.dtype == np.complex128
+            assert np.max(np.abs(got - want)) <= 4e-15
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_affine_map(self, dim):
