@@ -434,8 +434,8 @@ def _time_unit(a1: float, rates, horizon: float) -> tuple:
     # the a1 rule and the arm-rate rule, then (rates, a1) times the least 2^s, s >= 0,
     # for which t = horizon/a1 is finite: exact, so each a (a1 t)/a1 keeps its bits. A
     # rate clamped to the largest float decays at every a1 t > 0: t >= (a1 t) max/(2 horizon)
-    if not a1 > 0:  # NaN fails too
-        raise ValueError(f"a1 must be above 0, got {a1!r}")
+    if not a1 > 0:  # NaN fails too; a numpy scalar prints as a plain float, on numpy 1 and 2
+        raise ValueError(f"a1 must be above 0, got {float(a1)}")
     _check_rates(np.ravel(rates).tolist())
     s, horizon = 0, float(horizon)
     while not math.isfinite(horizon / math.ldexp(a1, s)):
@@ -464,9 +464,10 @@ def indicator_crossing(p: float, rates, a1: float = 1.0) -> Optional[float] | li
     d, s_of_sum = len(rates) + 1, _indicator_of_sum(p, len(rates))
 
     def s(tau):
-        # not _arm_factors: its errstate per call made a search 2.4-2.7x slower
-        # (2-core x86-64, numpy 2.4.6, p = 0.7, unit rates: qubit 54 -> 131 us,
-        # qutrit 60 -> 159 us); a test pins the bits to it (t < inf: exp(-0.0) = 1).
+        # not _arm_factors: when it entered its errstate on every call, a search ran
+        # 2.4-2.7x slower (2-core x86-64, numpy 2.4.6, p = 0.7, unit rates: qubit
+        # 54 -> 131 us, qutrit 60 -> 159 us), and numpy operands, such as the lane
+        # form's, still enter it; a test pins the bits to it (t < inf: exp(-0.0) = 1).
         # The running sum from 0 in arm order has the bits of Python's sum.
         t, arm_sum = tau / a1, 0
         for a in rates:

@@ -25,8 +25,9 @@ provided in three independent forms that the test suite cross-checks:
 * a Lindblad master equation with jump operators sqrt(a_m) |0><m|,
   integrated with fixed-step RK4, applied as a power of the d^2 x d^2 step
   matrix of the jump operators (Havel, quant-ph/0201127), whose generator
-  takes its jump term from ``superoperator`` and its decay term as the
-  diagonal of sum_m L_m^dag L_m, within RK4's stability bound on h; the
+  takes its jump term sum_m L_m (x) L_m from one einsum over them, not from
+  the Kraus route's ``superoperator``, and its decay term as the diagonal of
+  sum_m L_m^dag L_m, within RK4's stability bound on h; the
   emission generator is real, so the step matrix, its squares and their
   products are float64 and only the returned state is complex128; the
   squares are cached read-only per (arm rates, step size h), at half the
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _pair_dim, dagger
+from .linalg import _identity, _pair_dim, dagger
 from .su import generator_basis
 
 __all__ = [
@@ -85,8 +86,7 @@ class ChannelParams:
 
     def __post_init__(self) -> None:
         _check_rates((self.a1, self.a2, self.a3))
-        if not self.t >= 0:  # the scalar form of _check_arms's time rule
-            raise ValueError(_NEGATIVE_TIME.format(float(self.t)))
+        _check_time(self.t)
         _check_mixing(self.q)
 
     def rates(self, dim: int) -> tuple:
@@ -96,7 +96,11 @@ class ChannelParams:
         return (self.a1,) if dim == 2 else (self.a2, self.a3)
 
     def with_time(self, t: float) -> "ChannelParams":
-        return ChannelParams(self.a1, self.a2, self.a3, t, self.q)
+        # the rates and q were checked when self was made, so t alone is
+        _check_time(t)
+        moved = object.__new__(ChannelParams)
+        moved.__dict__.update(self.__dict__, t=t)
+        return moved
 
 
 @dataclass(frozen=True)
@@ -130,9 +134,10 @@ def _affine_map(rates: tuple, t: float) -> AffineBlochMap:
     toward, lam_t, eye, pairs, js, ks, shift_scale = _affine_layout(len(rates) + 1)
     h = np.array([1.0, *_arm_factors(rates, t)])
     moved = toward * (1.0 - h * h)
-    damping = eye + 0.5 * moved @ lam_t
+    damping = 0.5 * moved @ lam_t
+    damping += eye
     damping[pairs, pairs] = h[js] * h[ks]
-    return AffineBlochMap(damping=damping, shift=shift_scale * moved.sum(axis=1))
+    return AffineBlochMap(damping=damping, shift=shift_scale * np.add.reduce(moved, axis=1))
 
 
 @functools.lru_cache(maxsize=8)
@@ -151,9 +156,17 @@ def _affine_layout(dim: int) -> tuple:
     return arrays + (basis.bloch_scale / dim,)
 
 
-@np.errstate(over="ignore")  # a*t = inf is meant: h = exp(-inf) = 0
 def _arm_factors(rates: tuple, t) -> list:
-    # h_m = exp(-a_m t/2); an undamped arm keeps h = 1, even at t = inf where a*t is nan
+    # h_m = exp(-a_m t/2); an undamped arm keeps h = 1, even at t = inf where a*t is nan.
+    # An a*t that overflows is meant, h = exp(-inf) = 0: Python floats overflow to inf
+    # silently, numpy operands (np.float64, a float subclass, too) warn outside the errstate
+    if type(t) is float and all(type(a) is float for a in rates):
+        return _arm_exponentials(rates, t)
+    with np.errstate(over="ignore"):
+        return _arm_exponentials(rates, t)
+
+
+def _arm_exponentials(rates: tuple, t) -> list:
     return [np.exp(-a * t / 2.0) if a else np.ones_like(t, dtype=float) for a in rates]
 
 
@@ -174,6 +187,12 @@ def _check_mixing(q: float) -> None:
 
 # the one time rule: t >= 0, inf the decayed limit (NaN fails too)
 _NEGATIVE_TIME = "times must be >= 0, got {}"
+
+
+def _check_time(t) -> None:
+    # the scalar form of _check_arms's time rule, for ChannelParams and with_time
+    if not t >= 0:
+        raise ValueError(_NEGATIVE_TIME.format(float(t)))
 
 
 def _check_arms(rates, t) -> tuple:
@@ -220,16 +239,20 @@ def completeness_defect(kraus: np.ndarray) -> float:
 
 def apply_kraus(rho: np.ndarray, kraus: np.ndarray) -> np.ndarray:
     """sum_k K_k rho K_k^dag for a (d, d) state; a grid array (d, T, d, d) gives T states."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != np.shape(kraus)[-2:]:
-        raise ValueError(f"state shape {rho.shape} does not match operators {np.shape(kraus)}")
-    return (kraus @ rho @ dagger(kraus)).sum(axis=0)
+    rho, kraus = np.asarray(rho, dtype=complex), np.asarray(kraus)
+    if rho.shape != kraus.shape[-2:]:
+        raise ValueError(f"state shape {rho.shape} does not match operators {kraus.shape}")
+    return np.add.reduce(kraus @ rho @ dagger(kraus), axis=0)
 
 
 def lindblad_jump_ops(rates) -> np.ndarray:
     """Jump operators sqrt(a_m) |0><m|, one per arm, as one (d - 1, d, d) complex array."""
-    rates = _check_rates(rates)
-    ops = np.zeros((len(rates), len(rates) + 1, len(rates) + 1), dtype=complex)
+    return _jump_operators(_check_rates(rates), complex)
+
+
+def _jump_operators(rates: tuple, dtype) -> np.ndarray:
+    # lindblad_jump_ops of checked rates, in dtype
+    ops = np.zeros((len(rates), len(rates) + 1, len(rates) + 1), dtype=dtype)
     for m, a in enumerate(rates, 1):
         ops[m - 1, 0, m] = np.sqrt(a)
     return ops
@@ -320,12 +343,16 @@ def _rk4_ladder(rates: tuple, h: float, rungs: int) -> tuple:
 
 
 def _rk4_step(rates: tuple, h: float) -> np.ndarray:
-    jumps = lindblad_jump_ops(rates).real  # real operators, so P and its powers are float64
-    # each L_m^dag L_m is a_m |m><m|, so -(1/2){G, rho} is diagonal: -(g_i + g_j)/2 at (i, j)
-    g = (dagger(jumps) @ jumps).sum(axis=0).diagonal()
-    gen = superoperator(jumps) - 0.5 * np.diag((g[:, None] + g[None, :]).ravel())
+    jumps = _jump_operators(rates, float)  # real operators, so P and its powers are float64
+    n = jumps.shape[-1] ** 2
+    # the jump term sum_m L_m (x) L_m on the row-major vec; each L_m^dag L_m is a_m |m><m|,
+    # so -(1/2){G, rho} is diagonal: -(g_i + g_j)/2 at (i, j). An entry of either sum has
+    # one nonzero product at most, so no summation order can round it
+    gen = np.einsum("kax,kzy->azxy", jumps, jumps).reshape(n, n)
+    g = (jumps * jumps).sum(axis=(0, 1))
+    gen.ravel()[:: n + 1] -= 0.5 * (g[:, None] + g[None, :]).ravel()
     hs = h * gen
-    eye = np.eye(len(g) ** 2)
+    eye = _identity(n)
     step = eye + hs @ (eye + hs @ (eye / 2 + hs @ (eye / 6 + hs / 24)))
     step.flags.writeable = False
     return step

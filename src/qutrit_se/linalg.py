@@ -60,6 +60,14 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().swapaxes(-1, -2)
 
 
+@functools.lru_cache(maxsize=8)
+def _identity(n: int) -> np.ndarray:
+    # the float64 identity of size n, built once and read-only, as every caller shares it
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def _square(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     a = a.astype(np.result_type(a, float), copy=False)  # a real stack stays real

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import _check_hermitian, dagger
+from .linalg import _check_hermitian, _identity
 
 __all__ = [
     "GeneratorBasis",
@@ -129,11 +129,18 @@ def _basis_for_bloch(n: np.ndarray) -> GeneratorBasis:
 
 
 def bloch_to_density(n: np.ndarray) -> np.ndarray:
-    """Density matrix of a Bloch vector of length d^2 - 1, any d >= 2."""
+    """Density matrix of a Bloch vector of length d^2 - 1, any d >= 2.
+
+    A NaN or infinite component raises ValueError.
+    """
     n = np.asarray(n, dtype=float)
     basis = _basis_for_bloch(n)
-    weighted = np.einsum("i,iab->ab", n, basis.generators)
-    return (np.eye(basis.dim, dtype=complex) + basis.bloch_norm * weighted) / basis.dim
+    if not np.isfinite(n).all():
+        raise ValueError(f"Bloch vector must be finite, got {float(n[~np.isfinite(n)][0])}")
+    rho = basis.bloch_norm * np.einsum("i,iab->ab", n, basis.generators)
+    rho += _identity(basis.dim)
+    rho /= basis.dim
+    return rho
 
 
 def density_to_bloch(rho: np.ndarray) -> np.ndarray:
@@ -142,9 +149,10 @@ def density_to_bloch(rho: np.ndarray) -> np.ndarray:
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
     basis = generator_basis(rho.shape[0])
-    _check_hermitian(rho, dagger(rho))
-    if not abs(np.trace(rho).real - 1.0) <= 1e-10:
-        raise ValueError(f"matrix trace {np.trace(rho).real!r} is not 1")
+    _check_hermitian(rho, rho.conj().T)
+    trace = rho.trace().real
+    if not abs(trace - 1.0) <= 1e-10:
+        raise ValueError(f"matrix trace {float(trace)!r} is not 1")
     coeffs = np.einsum("iab,ba->i", basis.generators, rho)
     return basis.bloch_scale * coeffs.real
 

@@ -346,6 +346,18 @@ class TestCrossings:
             with pytest.raises(ValueError, match="a1 must be above"):
                 indicator_crossing(1.0, par.rates(d), par.a1)
 
+    @pytest.mark.parametrize("run, text", [
+        pytest.param(lambda: indicator_crossing(0.9, (1.0, 1.0), a1=np.float64(-1.0)),
+                     "a1 must be above 0, got -1.0", id="indicator_crossing"),
+        pytest.param(lambda: separability_report(0.9, ChannelParams(a1=np.float64(0)), 5.0, 5),
+                     "a1 must be above 0, got 0.0", id="separability_report"),
+    ])
+    def test_numpy_scalar_a1_prints_a_plain_float(self, run, text):
+        # the same text under numpy 1 and 2, never np.float64(-1.0)
+        with pytest.raises(ValueError) as err:
+            run()
+        assert str(err.value) == text
+
 
     @pytest.mark.parametrize("a", [0.3, 1.0, 4.0])
     @pytest.mark.parametrize("p", [0.3, 0.5, 0.8, 1.0])

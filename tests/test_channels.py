@@ -376,8 +376,8 @@ class TestLindblad:
         assert channels._rk4_ladder.cache_info().misses > misses
 
     def test_generator_built_without_numpy_kron(self, monkeypatch):
-        # the generator's jump term comes from superoperator and its decay term
-        # is a diagonal, so neither is built with np.kron
+        # the generator's jump term is one einsum over the jump operators and
+        # its decay term a diagonal, so neither is built with np.kron
         rng = np.random.default_rng(23)
         rho = random_density_matrix(3, rng)
         par = ChannelParams(a2=0.9, a3=2.2, t=1.4)
@@ -634,6 +634,204 @@ class TestBuildersMatchReferences:
         for kraus in kraus_cases(rng, dim):
             got = np.float64(completeness_defect(kraus))
             assert_same_bytes(got, np.float64(reference_completeness_defect(kraus)))
+
+
+@np.errstate(over="ignore")  # a*t = inf is meant: h = exp(-inf) = 0
+def errstate_arm_factors(rates, t):
+    """The arm factors with np.errstate entered for every operand type."""
+    return [np.exp(-a * t / 2.0) if a else np.ones_like(t, dtype=float) for a in rates]
+
+
+def errstate_kraus_operators(rates, t):
+    """The operator array of se_kraus, its arm factors from ``errstate_arm_factors``."""
+    dim = len(rates) + 1
+    ops = np.zeros((dim, *np.shape(t), dim, dim), dtype=complex)
+    ops[0, ..., 0, 0] = 1.0
+    for m, h in enumerate(errstate_arm_factors(rates, t), 1):
+        ops[0, ..., m, m] = h
+        ops[m, ..., 0, m] = np.sqrt(1.0 - h * h)
+    return ops
+
+
+def allocating_affine_map(rates, t):
+    """The affine map with a new array for every term and the shift by ``.sum``."""
+    toward, lam_t, eye, pairs, js, ks, shift_scale = channels._affine_layout(len(rates) + 1)
+    h = np.array([1.0, *errstate_arm_factors(rates, t)])
+    moved = toward * (1.0 - h * h)
+    damping = eye + 0.5 * moved @ lam_t
+    damping[pairs, pairs] = h[js] * h[ks]
+    return damping, shift_scale * moved.sum(axis=1)
+
+
+def summed_apply_kraus(rho, kraus):
+    """sum_k K_k rho K_k^dag by ``.sum`` over the stacked products."""
+    return (kraus @ rho @ dagger(kraus)).sum(axis=0)
+
+
+def complex_jump_ops(rates):
+    """The jump operators sqrt(a_m) |0><m| written into a complex array."""
+    ops = np.zeros((len(rates), len(rates) + 1, len(rates) + 1), dtype=complex)
+    for m, a in enumerate(rates, 1):
+        ops[m - 1, 0, m] = np.sqrt(a)
+    return ops
+
+
+def superoperator_rk4_step(rates, h):
+    """The RK4 step matrix, its jump term from superoperator, its decay term by np.diag."""
+    jumps = complex_jump_ops(rates).real
+    g = (dagger(jumps) @ jumps).sum(axis=0).diagonal()
+    gen = superoperator(jumps) - 0.5 * np.diag((g[:, None] + g[None, :]).ravel())
+    hs = h * gen
+    eye = np.eye(len(g) ** 2)
+    return eye + hs @ (eye + hs @ (eye / 2 + hs @ (eye / 6 + hs / 24)))
+
+
+def operand_types(rates, t):
+    """(rates, t) as Python floats, as np.float64, and the two mixed."""
+    plain, wide = tuple(map(float, rates)), tuple(map(np.float64, rates))
+    return [(plain, float(t)), (wide, np.float64(t)),
+            (plain, np.float64(t)), (wide, float(t))]
+
+
+def single_time_draws(rng, dim, times=None):
+    """(rates, t) at t = 0, inf (unless ``times`` is given) and U(0, 20), each in every
+    operand type; every third draw has an undamped first arm, at rate 0.0 or -0.0."""
+    times = (0.0, np.inf, *rng.uniform(0.0, 20.0, 7)) if times is None else times
+    for i, t in enumerate(times):
+        rates = random_rates(rng, dim, undamped_first=i % 3 == 1)
+        if i % 6 == 4:
+            rates = (-0.0, *rates[1:])
+        yield from operand_types(rates, t)
+
+
+def signed_zero_state(rng, dim):
+    """A random state with -0.0 in the real or imaginary part of some entries."""
+    rho = random_density_matrix(dim, rng)
+    rho[0, 1] = complex(-0.0, rho[0, 1].imag)
+    rho[1, 0] = complex(-0.0, -rho[0, 1].imag)
+    rho[0, 0] = complex(rho[0, 0].real, -0.0)
+    return rho
+
+
+class TestSingleTimeRoutesKeepTheirBits:
+    """The single-time Kraus, affine and RK4 builders give the exact bytes of their
+    allocating, always-errstate forms, for float and np.float64 operands."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_arm_factors(self, dim):
+        rng = np.random.default_rng(140 + dim)
+        for rates, t in single_time_draws(rng, dim):
+            got, want = channels._arm_factors(rates, t), errstate_arm_factors(rates, t)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert_same_bytes(np.asarray(a), np.asarray(b))
+
+    def test_numpy_operands_overflow_without_a_warning(self):
+        # np.float64 is a float, yet its products warn on overflow, so the
+        # errstate of _arm_factors must cover them
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            np.float64(1e300) * 1e10
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rates, t in operand_types((1e300, 0.0, 2.0), 1e10):
+                h = channels._arm_factors(rates, t)
+                assert [float(x) for x in h] == [0.0, 1.0, float(np.exp(-1e10))]
+
+    def test_plain_float_operands_enter_no_errstate(self, monkeypatch):
+        # no Python float product warns, so floats skip the errstate's cost
+        want = channels._arm_factors((1e300, 0.0), 1e10)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("entered np.errstate")
+
+        monkeypatch.setattr(np, "errstate", forbidden)
+        assert channels._arm_factors((1e300, 0.0), 1e10) == want
+        with pytest.raises(AssertionError, match="entered np.errstate"):
+            channels._arm_factors((np.float64(1e300), 0.0), 1e10)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_kraus_operators(self, dim):
+        rng = np.random.default_rng(150 + dim)
+        for rates, t in single_time_draws(rng, dim):
+            want = errstate_kraus_operators(rates, t)
+            assert_same_bytes(channels._kraus_operators(rates, t), want)
+            assert_same_bytes(se_kraus(rates, t), want)
+            if dim < 4:
+                names = ("a2", "a3") if dim == 3 else ("a1",)
+                par = ChannelParams(**dict(zip(names, rates)), t=t)
+                assert_same_bytes(se_kraus(par.rates(dim), par.t), want)
+                if dim == 3:
+                    assert_same_bytes(se_kraus_qutrit(par), want)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_affine_map(self, dim):
+        rng = np.random.default_rng(160 + dim)
+        for rates, t in single_time_draws(rng, dim):
+            damping, shift = allocating_affine_map(rates, t)
+            got = channels._affine_map(rates, t)
+            assert_same_bytes(got.damping, damping)
+            assert_same_bytes(got.shift, shift)
+            if dim == 3:
+                got = se_affine_map(ChannelParams(a2=rates[0], a3=rates[1], t=t))
+                assert_same_bytes(got.damping, damping)
+                assert_same_bytes(got.shift, shift)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_apply_kraus(self, dim):
+        rng = np.random.default_rng(170 + dim)
+        for i, (rates, t) in enumerate(single_time_draws(rng, dim)):
+            rho = signed_zero_state(rng, dim) if i % 2 else random_density_matrix(dim, rng)
+            kraus = se_kraus(rates, t)
+            assert_same_bytes(apply_kraus(rho, kraus), summed_apply_kraus(rho, kraus))
+            # a list of operators is an operator array too
+            assert_same_bytes(apply_kraus(rho, list(kraus)), summed_apply_kraus(rho, kraus))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_jump_operators(self, dim):
+        rng = np.random.default_rng(180 + dim)
+        for rates, _ in single_time_draws(rng, dim, times=(1.0,) * 6):
+            want = complex_jump_ops(tuple(map(float, rates)))
+            assert_same_bytes(lindblad_jump_ops(rates), want)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_rk4_step(self, dim):
+        rng = np.random.default_rng(190 + dim)
+        for rates, t in single_time_draws(rng, dim, times=(0.0, *rng.uniform(0.0, 20.0, 7))):
+            for steps in (1, 3, 1000):
+                h = t / steps
+                want = superoperator_rk4_step(rates, h)
+                assert_same_bytes(channels._rk4_step(rates, h), want)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_with_time(self, dim):
+        rng = np.random.default_rng(200 + dim)
+        names = ("a2", "a3") if dim == 3 else ("a1",)
+        for rates, t in single_time_draws(rng, dim):
+            par = ChannelParams(**dict(zip(names, rates)), q=float(rng.uniform()))
+            got, want = par.with_time(t), ChannelParams(par.a1, par.a2, par.a3, t, par.q)
+            assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+            assert list(map(type, vars(got).values())) == list(map(type, vars(want).values()))
+            assert type(got) is ChannelParams and got.rates(dim) == rates
+            with pytest.raises(AttributeError):
+                got.t = 1.0  # still frozen
+
+    def test_checked_inputs_are_not_checked_again(self, monkeypatch):
+        # ChannelParams checked the rates and q once: a new time, the RK4 step
+        # matrix and the single-time routes read them unchecked
+        par = ChannelParams(a2=1.3, a3=0.4)
+        rho = random_density_matrix(3, np.random.default_rng(24))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("checked again")
+
+        for name in ("_check_rates", "_check_mixing", "_check_arms"):
+            monkeypatch.setattr(channels, name, forbidden)
+        channels._rk4_ladder.cache_clear()  # a cached ladder would skip the step build
+        at = par.with_time(0.8)
+        assert at.t == 0.8
+        lindblad_evolve(rho, at, 800)
+        se_kraus_qutrit(at)
+        se_affine_map(at)
 
 
 def test_diffusive_short_time_order():

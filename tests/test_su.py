@@ -9,6 +9,9 @@ hand-computed anchors; the full product identity
 is reconstructed entrywise for every pair.
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -165,6 +168,61 @@ class TestGeneratorSets:
                 generator_basis(dim)
 
 
+def eye_bloch_to_density(n):
+    """rho = (I + b n . g)/d with a new complex identity and a new array for every term."""
+    basis = generator_basis(math.isqrt(len(n) + 1))
+    weighted = np.einsum("i,iab->ab", n, basis.generators)
+    return (np.eye(basis.dim, dtype=complex) + basis.bloch_norm * weighted) / basis.dim
+
+
+def dagger_density_to_bloch(rho):
+    """n_i = (b/(d-1)) Tr(rho g_i) after the Hermiticity check against dagger(rho)."""
+    basis = generator_basis(len(rho))
+    assert np.max(np.abs(rho - dagger(rho))) <= 1e-10
+    assert abs(np.trace(rho).real - 1.0) <= 1e-10
+    coeffs = np.einsum("iab,ba->i", basis.generators, rho)
+    return basis.bloch_scale * coeffs.real
+
+
+def signed_zero_states(rng, dim, count):
+    """Random states, every other one with -0.0 in some real and imaginary parts."""
+    for i in range(count):
+        rho = random_density_matrix(dim, rng)
+        if i % 2:
+            rho[0, 1] = complex(-0.0, rho[0, 1].imag)
+            rho[1, 0] = complex(-0.0, -rho[0, 1].imag)
+            rho[-1, -1] = complex(rho[-1, -1].real, -0.0)
+        yield rho
+
+
+class TestBlochMapsKeepTheirBits:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_density_to_bloch(self, dim):
+        rng = np.random.default_rng(210 + dim)
+        for rho in signed_zero_states(rng, dim, 40):
+            got, want = density_to_bloch(rho), dagger_density_to_bloch(rho)
+            assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_bloch_to_density(self, dim):
+        rng = np.random.default_rng(220 + dim)
+        for i, rho in enumerate(signed_zero_states(rng, dim, 40)):
+            n = dagger_density_to_bloch(rho)
+            if i % 4 == 1:  # signed zeros in the vector itself
+                n[::3] = -0.0
+            elif i % 4 == 3:
+                n[1::3] = 0.0
+            got, want = bloch_to_density(n), eye_bloch_to_density(n)
+            assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
+            assert got.flags.writeable
+
+    def test_identity_stays_shared_and_unchanged(self):
+        # bloch_to_density adds a cached identity in place into its own result
+        first = bloch_to_density(np.zeros(8))
+        first += 1.0
+        np.testing.assert_array_equal(bloch_to_density(np.zeros(8)), np.eye(3) / 3)
+
+
 class TestBlochMaps:
     def test_zero_vector_is_maximally_mixed(self):
         np.testing.assert_allclose(bloch_to_density(np.zeros(8)), np.eye(3) / 3)
@@ -221,6 +279,24 @@ class TestBlochMaps:
                     check(rho)
                 messages.add(str(err.value))
             assert messages == {"matrix deviates from Hermitian by 1.500e-10"}
+
+    def test_trace_message_prints_a_plain_float(self):
+        # the same text under numpy 1 and 2, never np.float64(1.5)
+        with pytest.raises(ValueError) as err:
+            density_to_bloch(np.eye(3) / 2)
+        assert str(err.value) == "matrix trace 1.5 is not 1"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_non_finite_vector_fails_closed(self, bad, dim):
+        # a NaN component gave a NaN "state", an infinite one a RuntimeWarning
+        n = np.zeros(dim * dim - 1)
+        n[-1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                bloch_to_density(n)
+        assert str(err.value) == f"Bloch vector must be finite, got {bad}"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix_fails_closed(self, bad):
