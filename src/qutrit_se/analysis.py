@@ -227,7 +227,12 @@ def preservation_inequality(p: float, rates, a1: float = 1.0) -> bool:
     """
     alpha = _qubit_alpha(p)
     rates, a1 = _time_unit(a1, rates, 0.0)  # the verdict measures no time: nothing is scaled
-    # Python floats: an a_k/a1 that overflows is inf, and alpha^inf = 0 with no warning
+    return _preserves(p, alpha, rates, a1)
+
+
+def _preserves(p: float, alpha: float, rates, a1: float) -> bool:
+    # preservation_inequality of checked inputs, alpha = _qubit_alpha(p). Python
+    # floats: an a_k/a1 that overflows is inf, and alpha^inf = 0 with no warning
     u = sum(alpha ** (float(a) / float(a1)) for a in rates)
     return bool(u * (u + 2.0) / len(rates) >= 1.0 / p)
 
@@ -462,18 +467,27 @@ def indicator_crossing(p: float, rates, a1: float = 1.0) -> Optional[float] | li
     _check_weight(p)
     rates, a1 = _time_unit(a1, rates, _SEARCH_HORIZON)
     d, s_of_sum = len(rates) + 1, _indicator_of_sum(p, len(rates))
+    # Python floats (a rescaled a1 makes the rates numpy scalars): each h is taken as
+    # a Python float, whose arithmetic has the bits of numpy scalars' and costs less,
+    # and nothing can warn, so no errstate: a Python float product overflows to inf
+    # silently, and np.exp of a value <= 0 cannot overflow (channels._arm_factors' rule)
+    plain = type(a1) is float and all(type(a) is float for a in rates)
+    exp, h = np.exp, (float if plain else lambda x: x)
 
     def s(tau):
-        # not _arm_factors: when it entered its errstate on every call, a search ran
-        # 2.4-2.7x slower (2-core x86-64, numpy 2.4.6, p = 0.7, unit rates: qubit
-        # 54 -> 131 us, qutrit 60 -> 159 us), and numpy operands, such as the lane
-        # form's, still enter it; a test pins the bits to it (t < inf: exp(-0.0) = 1).
-        # The running sum from 0 in arm order has the bits of Python's sum.
+        # not _arm_factors, whose errstate was once entered on every evaluation: a
+        # search ran 2.4-2.7x slower so (2-core x86-64, numpy 2.4.6, p = 0.7, unit
+        # rates: qubit 54 -> 131 us, qutrit 60 -> 159 us). Numpy operands, the lane
+        # form's and a rescaled a1's, enter it here once per search, and floats never;
+        # a test pins the bits to it (t < inf: exp(-0.0) = 1). The running sum from 0
+        # in arm order has the bits of Python's sum.
         t, arm_sum = tau / a1, 0
         for a in rates:
-            arm_sum = arm_sum + np.exp(-a * t / 2.0)
+            arm_sum = arm_sum + h(exp(-a * t / 2.0))
         return s_of_sum(arm_sum)
 
+    if plain:
+        return crossing_time(s, 1.0 / (d + 1))
     with np.errstate(over="ignore"):  # a*t = inf is meant: h = exp(-inf) = 0
         return crossing_time(s, 1.0 / (d + 1))
 

@@ -92,8 +92,11 @@ def run_threshold(args: argparse.Namespace, out) -> int:
 def run_compare(args: argparse.Namespace, out) -> int:
     grid = np.linspace(0.2, 5.0, 10)
     a21s, a31s = np.repeat(grid, len(grid)), np.tile(grid, len(grid))  # rows a21, then a31
-    # the closed forms check the weight, then 1/3 < p <= 1, before any search
-    verdicts = [analysis.preservation_inequality(args.p, a) for a in zip(a21s, a31s)]
+    # preservation_inequality's checks, once: the weight, then 1/3 < p <= 1, before
+    # any search, then the grid's rates; each cell's verdict from its unchecked core
+    alpha = analysis._qubit_alpha(args.p)
+    (a21s, a31s), a1 = analysis._time_unit(1.0, (a21s, a31s), 0.0)
+    verdicts = [analysis._preserves(args.p, alpha, a, a1) for a in zip(a21s, a31s)]
     t_qb = analysis.indicator_crossing(args.p, (1.0,))
     t_qts = analysis.indicator_crossing(args.p, (a21s, a31s))
     out.write("a21,a31,t_qubit,t_qutrit,inequality,agree\n")
@@ -263,8 +266,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
+    # The top level passes every token after the command to that command's
+    # sub-parser and adds only the command's name, so when the first token
+    # names a command whose sub-parser takes all the others, parsing them with
+    # it alone gives the same namespace, help and errors at half the cost.
+    # Else the full two-level parse: top-level usage and errors, unknown commands.
+    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(build_parser(), sys.argv[1:] if argv is None else list(argv))
     handler = {
         "curves": run_curves,
         "threshold": run_threshold,

@@ -501,23 +501,49 @@ class TestScalarRoute:
     @settings(max_examples=300, deadline=None)
     @given(scalar_searches())
     def test_float_rates_give_the_reference_bits(self, case):
-        # the single search against crossing_time on lane_indicator and on
-        # indicator_closed, whose h comes from channels._arm_factors, at any
-        # a1; a search that cannot resolve its crossing raises the same error
+        # each case three ways: Python floats (the float path, no errstate),
+        # np.float64 operands and an a1 small enough for _time_unit's rescale
+        # (the errstate path), against crossing_time on lane_indicator, and on
+        # indicator_closed, whose h comes from channels._arm_factors; a search
+        # that cannot resolve its crossing raises the same error
         d, p, rates, a1 = case
-        results = []
-        for search in (
-            lambda: indicator_crossing(p, rates, a1),
-            lambda: crossing_time(lane_indicator(p, a1, rates), 1.0 / (d + 1)),
-            lambda: crossing_time(lambda tau: indicator_closed(p, rates, tau / a1), 1.0 / (d + 1)),
-        ):
+        threshold = 1.0 / (d + 1)
+
+        def outcome(search):
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    results.append(bits([search()]))
+                    return bits([search()])
             except ValueError as error:
-                results.append(str(error))
-        assert results[0] == results[1] == results[2]
+                return str(error)
+
+        def reference(rates):
+            return outcome(lambda: crossing_time(lane_indicator(p, a1, rates), threshold))
+
+        def closed(tau):
+            return indicator_closed(p, rates, tau / a1)
+
+        want = reference(rates)
+        assert outcome(lambda: crossing_time(closed, threshold)) == want
+        assert outcome(lambda: indicator_crossing(p, rates, a1)) == want
+        as_numpy = tuple(map(np.float64, rates)), np.float64(a1)
+        assert outcome(lambda: indicator_crossing(p, *as_numpy)) == want
+        # a1 and the rates times 2^-k, the least power that puts t = 2^60/a1 past the
+        # largest float: the rescale multiplies them back by a power of two, exactly,
+        # and a rate that fell below the normal range keeps the bits scaled back here
+        k = 1
+        while math.isfinite(2.0**60 / math.ldexp(a1, -k)):
+            k += 1
+        low = tuple(math.ldexp(a, -k) for a in rates)
+        back = tuple(math.ldexp(a, k) for a in low)
+        rescaled = outcome(lambda: indicator_crossing(p, low, math.ldexp(a1, -k)))
+        want = want if back == rates else reference(back)
+        if isinstance(want, str):
+            # below the smallest float the rescaled t = tau/a1 keeps bits that the
+            # reference's rounds away, so the search may stop at another bracket
+            assert rescaled.split(": bracket")[0] == want.split(": bracket")[0]
+        else:
+            assert rescaled == want
 
 
 class TestCrossingLanes:

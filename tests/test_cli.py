@@ -1,13 +1,19 @@
 """Command-line behavior: CSV format, reports, self-checks, exit codes."""
 
 import argparse
+import io
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qutrit_se import analysis, channels, cli
 from qutrit_se.channels import ChannelParams
@@ -499,6 +505,52 @@ def outcome(argv, capsys):
     return code, captured.out, captured.err
 
 
+def two_level_parse(parser, argv):
+    return parser.parse_args(argv)
+
+
+COMMANDS = ["curves", "threshold", "compare", "haar", "validate"]
+OPTION_NAMES = ["--a1", "--a2", "--a3", "--p", "--q", "--t-max", "--steps", "--samples", "--seed"]
+OPTION_NAMES += ["--output", "--help", "-h"]
+ABBREVIATIONS = ["--a", "--t", "--t-m", "--s", "--st", "--sa", "--se", "--o", "--out", "--he"]
+VALUE_TOKENS = ["0.7", "3", "4", "-1", "1e308", "nan", "abc", ""]
+JUNK = ["extra", "frobnicate", "--bogus", "-x", "-p", "-", "--", ""]
+
+
+@st.composite
+def command_lines(draw):
+    # argv from command names, option names and abbreviations, --name=value
+    # forms and junk, often but not always led by a command
+    options = st.sampled_from(OPTION_NAMES + ABBREVIATIONS)
+    token = st.one_of(
+        st.sampled_from(COMMANDS + VALUE_TOKENS + JUNK),
+        options,
+        st.builds("{}={}".format, options, st.sampled_from(VALUE_TOKENS)),
+    )
+    head = draw(st.one_of(st.sampled_from(COMMANDS), token).map(lambda t: [t]) | st.just([]))
+    return head + draw(st.lists(token, max_size=6))
+
+
+def run_in(directory, argv):
+    """(exit code, stdout, stderr, files written) of one ``main`` call run in ``directory``."""
+    out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(directory)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        written = {}
+        for name in os.listdir():
+            with open(name) as fh:
+                written[name] = fh.read()
+            os.remove(name)
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue(), written
+
+
 class TestSharedParser:
     # usage errors, help and answers in one process, all through one parser
     SEQUENCE = [
@@ -509,6 +561,14 @@ class TestSharedParser:
         ["threshold", "--p", "0.7", "--a1", "1.3", "--a2", "0.4", "--a3", "2.7"],
         ["compare", "--p", "0.55"],
         ["curves", "--steps", "60", "--q", "0.37"],
+        ["threshold", "--p", "0.7", "extra"],
+        ["threshold", "--bogus", "1"],
+        ["curves", "--t-m", "3", "--steps", "4"],
+        ["curves", "--steps=4"],
+        ["threshold", "--p", "0.6", "--p", "0.7"],
+        ["threshold", "--p"],
+        ["frobnicate"],
+        [],
     ]
 
     def test_built_once(self, monkeypatch):
@@ -532,11 +592,29 @@ class TestSharedParser:
         monkeypatch.setenv("COLUMNS", "80")
         build_parser()
         shared = [outcome(argv, capsys) for argv in self.SEQUENCE]
+        # fresh: a new parser per call, and the full two-level parse of every argv
         monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        monkeypatch.setattr(cli, "_parse_args", two_level_parse)
         fresh = [outcome(argv, capsys) for argv in self.SEQUENCE]
-        assert [code for code, _, _ in shared] == [2, 2, 0, 0, 0, 0, 0]
+        assert [code for code, _, _ in shared] == [2, 2, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0, 2, 2, 2]
         assert shared[1][2].startswith("error:")
         assert shared == fresh
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=command_lines())
+    def test_one_level_parse_is_the_two_level_one(self, argv):
+        # every handler prints its namespace, so the property is about the parse
+        # alone; a run's --output file, if any, is read back into its outcome
+        def namespace(args, out):
+            out.write(f"{sorted(vars(args).items())}\n")
+            return 0
+
+        handlers = {f"run_{command}": namespace for command in COMMANDS}
+        with mock.patch.multiple(cli, **handlers), tempfile.TemporaryDirectory() as tmp:
+            one_level = run_in(tmp, argv)
+            with mock.patch.object(cli, "_parse_args", two_level_parse):
+                two_level = run_in(tmp, argv)
+        assert one_level == two_level
 
     def test_help_wraps_to_columns_at_call_time(self, capsys, monkeypatch):
         texts = []
