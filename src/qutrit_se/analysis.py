@@ -468,26 +468,21 @@ def indicator_crossing(p: float, rates, a1: float = 1.0) -> Optional[float] | li
     rates, a1 = _time_unit(a1, rates, _SEARCH_HORIZON)
     d, s_of_sum = len(rates) + 1, _indicator_of_sum(p, len(rates))
     # Python floats (a rescaled a1 makes the rates numpy scalars): each h is taken as
-    # a Python float, whose arithmetic has the bits of numpy scalars' and costs less,
-    # and nothing can warn, so no errstate: a Python float product overflows to inf
-    # silently, and np.exp of a value <= 0 cannot overflow (channels._arm_factors' rule)
+    # a Python float, whose arithmetic has the bits of numpy scalars' and costs less
     plain = type(a1) is float and all(type(a) is float for a in rates)
     exp, h = np.exp, (float if plain else lambda x: x)
 
     def s(tau):
         # not _arm_factors, whose errstate was once entered on every evaluation: a
         # search ran 2.4-2.7x slower so (2-core x86-64, numpy 2.4.6, p = 0.7, unit
-        # rates: qubit 54 -> 131 us, qutrit 60 -> 159 us). Numpy operands, the lane
-        # form's and a rescaled a1's, enter it here once per search, and floats never;
-        # a test pins the bits to it (t < inf: exp(-0.0) = 1). The running sum from 0
-        # in arm order has the bits of Python's sum.
+        # rates: qubit 54 -> 131 us, qutrit 60 -> 159 us); it is entered here once
+        # per search. A test pins the bits to it (t < inf: exp(-0.0) = 1). The running
+        # sum from 0 in arm order has the bits of Python's sum.
         t, arm_sum = tau / a1, 0
         for a in rates:
             arm_sum = arm_sum + h(exp(-a * t / 2.0))
         return s_of_sum(arm_sum)
 
-    if plain:
-        return crossing_time(s, 1.0 / (d + 1))
     with np.errstate(over="ignore"):  # a*t = inf is meant: h = exp(-inf) = 0
         return crossing_time(s, 1.0 / (d + 1))
 

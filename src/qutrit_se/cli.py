@@ -92,11 +92,10 @@ def run_threshold(args: argparse.Namespace, out) -> int:
 def run_compare(args: argparse.Namespace, out) -> int:
     grid = np.linspace(0.2, 5.0, 10)
     a21s, a31s = np.repeat(grid, len(grid)), np.tile(grid, len(grid))  # rows a21, then a31
-    # preservation_inequality's checks, once: the weight, then 1/3 < p <= 1, before
-    # any search, then the grid's rates; each cell's verdict from its unchecked core
+    # p checked once (the weight, then 1/3 < p <= 1) before any search; the fixed
+    # grid's rates once, by the lane search: each cell's verdict from the unchecked core
     alpha = analysis._qubit_alpha(args.p)
-    (a21s, a31s), a1 = analysis._time_unit(1.0, (a21s, a31s), 0.0)
-    verdicts = [analysis._preserves(args.p, alpha, a, a1) for a in zip(a21s, a31s)]
+    verdicts = [analysis._preserves(args.p, alpha, a, 1.0) for a in zip(a21s, a31s)]
     t_qb = analysis.indicator_crossing(args.p, (1.0,))
     t_qts = analysis.indicator_crossing(args.p, (a21s, a31s))
     out.write("a21,a31,t_qubit,t_qutrit,inequality,agree\n")

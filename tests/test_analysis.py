@@ -501,9 +501,9 @@ class TestScalarRoute:
     @settings(max_examples=300, deadline=None)
     @given(scalar_searches())
     def test_float_rates_give_the_reference_bits(self, case):
-        # each case three ways: Python floats (the float path, no errstate),
-        # np.float64 operands and an a1 small enough for _time_unit's rescale
-        # (the errstate path), against crossing_time on lane_indicator, and on
+        # each case three ways: Python floats (the float path), np.float64
+        # operands and an a1 small enough for _time_unit's rescale (numpy
+        # scalars), against crossing_time on lane_indicator, and on
         # indicator_closed, whose h comes from channels._arm_factors; a search
         # that cannot resolve its crossing raises the same error
         d, p, rates, a1 = case
