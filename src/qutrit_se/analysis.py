@@ -25,6 +25,7 @@ for a scalar t or a whole time grid at once.
 from __future__ import annotations
 
 import math
+from collections import deque
 from typing import Callable, Optional
 
 import numpy as np
@@ -71,12 +72,13 @@ GRID_CHUNK = 512
 # Samples per block of ``haar_bloch_vectors``: a block's imaginary draws,
 # normalisation and contraction temporaries stay in cache, and they add to the
 # peak memory set by the output. A power of two (see haar_bloch_vectors).
-# Sweep (2-core x86-64, numpy 2.4.6; `haar --seed 7` at the default 200k
-# samples, medians of 10 alternated pairs against 8192, then the tracemalloc
-# peak of haar_moment_check(3, 200_000, 42)): 2048: 69.6 against 55.1 ms,
-# faster in 0, 13.4 MB; 4096: 56.4 against 52.9 ms, faster in 1, 14.0 MB;
-# 16384: 49.0 against 48.4 ms, faster in 2, 16.9 MB; 32768: 49.5 against
-# 44.9 ms, faster in 2, 20.7 MB; 8192: 14.8 MB; one block: 49.6 MB.
+# Sweep (2-core x86-64, numpy 2.4.6; in-process `haar --seed 7` at the default
+# 200k samples, medians of 10 alternated pairs against 8192, then the warm
+# tracemalloc peaks of haar_moment_check(3, 200_000, 42) and of haar's pair):
+# 2048: 36.2 against 28.3 ms, faster in 1, 13.4/13.5 MB; 4096: 30.6 against
+# 28.9 ms, faster in 1, 13.8/14.0 MB; 16384: 27.2 against 27.0 ms, faster in 3,
+# 16.6/17.3 MB; 32768: 29.8 against 27.7 ms, faster in 1, 20.4/21.7 MB; one
+# block: 59.8 against 30.1 ms, faster in 0, 56.0 MB; 8192: 14.7/15.1 MB.
 _HAAR_BLOCK = 8192
 
 # crossing_time's rule: give up doubling past t = 2^60, stop halving at 1e-12 relative
@@ -297,44 +299,51 @@ def _level_sum(s: np.ndarray) -> np.ndarray:
 def _haar_contract(basis, n: np.ndarray, g1: np.ndarray, g2_blocks) -> np.ndarray:
     # haar_bloch_vectors' contraction: rows n[lo : lo + m] from the real parts
     # g1[lo : lo + m] and the imaginary parts g2 (m, d), the next of g2_blocks, per
-    # block of _HAAR_BLOCK samples; a block's rows may overwrite only read real parts
+    # block of _HAAR_BLOCK samples; a block's rows may overwrite only read real parts.
+    # Level-major workspaces, each row contiguous: w and its squared moduli cw, then
+    # x and y in cw's memory, and the block's k rows, scaled and stored at once
     samples, d = g1.shape
-    w = np.empty((d, min(samples, _HAAR_BLOCK)), dtype=complex)
+    width = min(samples, _HAAR_BLOCK)
+    w, cw = np.empty((2, d, width), dtype=complex)
+    rows, scratch = np.empty((basis.n_generators, width)), np.empty((2, width))
     kinds = []  # per generator: its first nonzero entry (j, k), imaginary or not, its diagonal
     for gen in basis.generators:
         (j, *_), (k, *_) = np.nonzero(gen)
         diagonal = [(a, g.real) for a, g in enumerate(gen.diagonal()) if g]
         kinds.append((j, k, gen[j, k].imag != 0, diagonal))
+    # a unit scale multiplies exactly, and 2b t is b (t + t)
+    scales = np.multiply([1.0 if diagonal else 2.0 for *_, diagonal in kinds], basis.bloch_scale)
     for lo, g2 in zip(range(0, samples, _HAAR_BLOCK), g2_blocks):
-        block = slice(lo, lo + len(g2))
-        w = w[:, : len(g2)]
-        w.real, w.imag = g1[block].T, g2.T
-        inv = 1.0 / np.sqrt(_level_sum((w.conj() * w).real))
-        x, y = w.real * inv, w.imag * inv
-        for i, (j, k, imaginary, diagonal) in enumerate(kinds):
-            if diagonal:
-                terms = [(x[a] * g) * x[a] + (y[a] * g) * y[a] for a, g in diagonal]
-                s, t = 1.0, sum(terms[1:], terms[0])
-            elif imaginary:  # -i E_jk + i E_kj
-                s, t = 2.0, x[j] * y[k] - y[j] * x[k]
-            else:  # E_jk + E_kj
-                s, t = 2.0, x[j] * x[k] + y[j] * y[k]
-            # a unit scale multiplies exactly, and 2b t is b (t + t)
-            np.multiply(s * basis.bloch_scale, t, out=n[block, i])
+        m = len(g2)
+        wm, cm, t, (tmp, term) = w[:, :m], cw[:, :m], rows[:, :m], scratch[:, :m]
+        wm.real, wm.imag = g1[lo : lo + m].T, g2.T
+        # the squared moduli stay the complex conj(w) w: numpy's SIMD complex product
+        # rounds the real part through an FMA, so x x + y y in real arithmetic differs
+        # (in 3,946 of 24,576 entries of a (3, 8192) block at seed 0); conjugate(out=)
+        # then an in-place *= rounds as w.conj() * w
+        np.conjugate(wm, out=cm)
+        cm *= wm
+        inv = 1.0 / np.sqrt(_level_sum(cm.real))
+        x, y = cw.reshape(-1).view(float)[: 2 * d * m].reshape(2, d, m)
+        np.multiply(wm.real, inv, out=x)
+        np.multiply(wm.imag, inv, out=y)
+        for row, (j, k, imaginary, diagonal) in zip(t, kinds):
+            if diagonal:  # sum_a ((x_a g_a) x_a + (y_a g_a) y_a), in level order
+                for i, (a, g) in enumerate(diagonal):
+                    part = term if i else row
+                    np.multiply(np.multiply(x[a], g, out=part), x[a], out=part)
+                    part += np.multiply(np.multiply(y[a], g, out=tmp), y[a], out=tmp)
+                    if i:
+                        row += part
+            elif imaginary:  # -i E_jk + i E_kj: x_j y_k - y_j x_k
+                np.multiply(x[j], y[k], out=row)
+                row -= np.multiply(y[j], x[k], out=tmp)
+            else:  # E_jk + E_kj: x_j x_k + y_j y_k
+                np.multiply(x[j], x[k], out=row)
+                row += np.multiply(y[j], y[k], out=tmp)
+        t *= scales[:, None]
+        n[lo : lo + m] = t.T
     return n
-
-
-def _haar_imaginary(rng: np.random.Generator, worker, g1: np.ndarray):
-    # each block's imaginary parts, shaped as its rows of g1: the first drawn on
-    # the calling thread, each later one on the worker while the block before it
-    # is used, one block ahead with at most one draw pending
-    shapes = [g1[lo : lo + _HAAR_BLOCK].shape for lo in range(0, len(g1), _HAAR_BLOCK)]
-    g2 = rng.standard_normal(shapes[0])
-    for shape in shapes[1:]:
-        pending = worker.submit(rng.standard_normal, shape)
-        yield g2
-        g2 = pending.result()
-    yield g2
 
 
 def _haar_output(basis, samples: int) -> tuple:
@@ -406,32 +415,52 @@ def _haar_pair_moments(samples: int, seed: int) -> tuple:
     # seed), bit for bit, from the qutrit's one stream: Generator fills its draws
     # in sequence, so the qubit's whole draw at S // 2 samples, its 2 (S // 2)
     # real parts, then as many imaginary parts, is the first 4 (S // 2) of the
-    # qutrit's 3S real parts at S samples and the same seed. Those normals are
-    # drawn here into the head of the qutrit's real parts, the rest of them on
-    # the worker while the qubit is contracted from that prefix; the qubit's rows
-    # go to the head of the qutrit's output. The worker runs its submissions
-    # first in, first out, so the stream is read in the serial order; a failed
-    # draw raises here, and the worker ends with the call. concurrent.futures is
-    # imported here, not with the module: it imports logging, several ms per process
+    # qutrit's 3S real parts at S samples and the same seed. Every normal is drawn
+    # on the worker, in stream order, while this thread contracts: the qubit's
+    # real parts, its imaginary parts one block at a time, all into the head of
+    # the qutrit's real parts, then the rest of those real parts, then the
+    # qutrit's imaginary blocks, at most two ahead of the block in use. The
+    # qubit's rows go to the head of the qutrit's output. The worker runs its
+    # submissions first in, first out, so the stream is read in the serial order;
+    # a failed draw raises here, the draws still queued are cancelled, and the
+    # worker ends with the call. concurrent.futures is imported here, not with
+    # the module: it imports logging, several ms per process
     from concurrent.futures import ThreadPoolExecutor
 
     half = samples // 2  # >= 50: haar takes --samples >= 100
     qubit, qutrit = generator_basis(2), generator_basis(3)
     rng = np.random.default_rng(seed)
     out, flat, reals = _haar_output(qutrit, samples)
-    prefix = rng.standard_normal(out=reals[: 4 * half])
+    g1, g2 = reals[: 4 * half].reshape(2, half, 2)
+    # the qubit's rows, strided as the .real of a complex (S // 2, 3) buffer, in
+    # the first 6 (S // 2) <= 3S floats of out: below the real parts at 5S
+    n = flat[: 6 * half].reshape(half, 3, 2)[..., 0]
+    shapes = [(min(_HAAR_BLOCK, samples - lo), 3) for lo in range(0, samples, _HAAR_BLOCK)]
     with ThreadPoolExecutor(1) as worker:
-        rest = worker.submit(rng.standard_normal, out=reals[4 * half :])
-        # the qubit's rows, strided as the .real of a complex (S // 2, 3) buffer, in
-        # the first 6 (S // 2) <= 3S floats of out: below the real parts at 5S
-        n = flat[: 6 * half].reshape(half, 3, 2)[..., 0]
-        g1, g2 = prefix.reshape(2, half, 2)
-        g2_blocks = (g2[lo : lo + _HAAR_BLOCK] for lo in range(0, half, _HAAR_BLOCK))
-        n = _haar_contract(qubit, n, g1, g2_blocks)
-        qubit_moments = n.T @ n / half  # before the qutrit's rows reach the head
-        rest.result()
-        g1 = reals.reshape(samples, 3)
-        n = _haar_contract(qutrit, out, g1, _haar_imaginary(rng, worker, g1))
+
+        def draw(*args, **kwargs):
+            return worker.submit(rng.standard_normal, *args, **kwargs)
+
+        def imaginary():  # the qutrit's blocks in turn; taking one submits the one two past it
+            for shape in shapes[2:]:
+                block = ahead.popleft().result()
+                ahead.append(draw(shape))
+                yield block
+            while ahead:
+                yield ahead.popleft().result()
+
+        try:
+            real = draw(out=g1)
+            pieces = [draw(out=g2[lo : lo + _HAAR_BLOCK]) for lo in range(0, half, _HAAR_BLOCK)]
+            rest = draw(out=reals[4 * half :])
+            ahead = deque(draw(shape) for shape in shapes[:2])
+            n = _haar_contract(qubit, n, real.result(), (piece.result() for piece in pieces))
+            qubit_moments = n.T @ n / half  # before the qutrit's rows reach the head
+            rest.result()
+            n = _haar_contract(qutrit, out, reals.reshape(samples, 3), imaginary())
+        except BaseException:
+            worker.shutdown(cancel_futures=True)
+            raise
     return qubit_moments, n.T @ n / samples
 
 

@@ -1079,10 +1079,13 @@ class FailingDraws:
     Records the thread of every call and the count of threads alive at it.
     haar_bloch_vectors draws the real parts first, then each block's imaginary
     parts in turn on the calling thread: call 2 is the first block's, call 3
-    the second's. _haar_pair_moments draws the qubit's normals (call 1), the
-    rest of the qutrit's real parts on the worker (call 2), then the qutrit's
-    imaginary parts block by block: call 3 is its first block's, call 4 its
-    second's.
+    the second's. _haar_pair_moments draws every normal on its worker, in
+    stream order: the qubit's real parts (call 1), its imaginary parts one
+    block at a time (a call per block), the rest of the qutrit's real parts,
+    then the qutrit's imaginary parts block by block. At 20,000 qutrit samples
+    the qubit's 10,000 are two blocks, so calls 2-3 are the qubit's imaginary
+    parts, call 4 the qutrit's remaining real parts and calls 5-7 its three
+    imaginary blocks.
     """
 
     def __init__(self, seed, fail_at):
@@ -1209,7 +1212,7 @@ class TestHaar:
         assert rngs[0].threads == [threading.current_thread()] * fail_at
 
     def test_a_failed_draw_on_the_worker_is_one_error_line(self, capsys, monkeypatch):
-        # the worker's draw of the qutrit's real parts past the qubit's 20,000 normals fails
+        # the worker's draw of the qubit's first block of imaginary parts fails
         self.failing_draws(monkeypatch, 2)
         assert cli.main(["haar", "--samples", "20000", "--seed", "1"]) == 2
         captured = capsys.readouterr()
@@ -1233,19 +1236,23 @@ class TestHaar:
             runs.append(capsys.readouterr().out)
         assert runs[0] == runs[1]
 
-    @pytest.mark.parametrize("samples", [100, 101, 8192, 8193, 2 * 8192 + 5, 20_000, 200_000])
+    @pytest.mark.parametrize(
+        "samples", [100, 101, 8192, 8193, 16384, 16385, 16386, 2 * 8192 + 5, 20_000, 200_000]
+    )
     @pytest.mark.parametrize("seed", [0, 7, 42])
     def test_pair_moments_match_two_checks_bitwise(self, samples, seed):
         # the qubit's normals are the head of the qutrit's real parts, and its
-        # rows, at the head of the qutrit's output, have the strides of a complex .real
+        # rows, at the head of the qutrit's output, have the strides of a complex .real;
+        # 16384 to 16386 give the qubit exactly one block, then one block plus one
+        # sample, in imaginary parts drawn block by block
         m2, m3 = analysis._haar_pair_moments(samples, seed)
         assert m2.tobytes() == haar_moment_check(2, samples // 2, seed).tobytes()
         assert m3.tobytes() == haar_moment_check(3, samples, seed).tobytes()
 
     def test_pair_reads_the_stream_in_order(self, monkeypatch):
-        # 20,000 qutrit samples are three blocks: the qubit's 20,000 normals here,
-        # the other 40,000 real parts on the worker, the first imaginary block
-        # here and the next two on the worker, one ahead
+        # 20,000 qutrit samples are three blocks, and every draw is the worker's:
+        # the qubit's 10,000 real-part pairs, its imaginary parts in two blocks,
+        # the other 40,000 real parts, then the qutrit's three imaginary blocks
         ref = [haar_moment_check(2, 10_000, 4), haar_moment_check(3, 20_000, 4)]
         rngs = self.failing_draws(monkeypatch, None)
         threads = threading.active_count()
@@ -1253,11 +1260,13 @@ class TestHaar:
         assert [m.tobytes() for m in pair] == [m.tobytes() for m in ref]
         assert threading.active_count() == threads
         main, worker = threading.current_thread(), rngs[0].threads[1]
-        assert rngs[0].threads == [main, worker, main, worker, worker] and worker is not main
+        assert rngs[0].threads == [worker] * 7 and worker is not main
 
-    @pytest.mark.parametrize("fail_at", [1, 2, 3, 4])
+    @pytest.mark.parametrize("fail_at", [1, 2, 3, 4, 5, 6, 7])
     def test_a_failed_pair_draw_raises_here(self, monkeypatch, fail_at):
-        # calls 1 and 3 run here, 2 and 4 on the worker
+        # every call runs on the worker: the qubit's real parts (1), a qubit
+        # imaginary block (2, 3), the qutrit's remaining real parts (4) and a
+        # qutrit imaginary block (5-7); the error reaches this thread
         self.failing_draws(monkeypatch, fail_at)
         threads = threading.active_count()
         with pytest.raises(MemoryError, match="normals could not be drawn"):
@@ -1280,13 +1289,16 @@ class TestHaar:
     def test_peak_memory_of_the_default_sample_count(self):
         # the real parts are drawn into the output's tail and the samples run in
         # blocks, each block's imaginary parts drawn as it is reached: one block
-        # peaks at 49,604,856 bytes and _HAAR_BLOCK = 8192 at 14,639,944 (numpy
-        # 2.4.6); the bound is 9% above it, which a 16384 block (16,474,952) fails
+        # peaks at 56,004,436 bytes and _HAAR_BLOCK = 8192 at 14,705,564 (numpy
+        # 2.4.6; 15,470,376 on a process's first call, which also traces numpy's
+        # lazy imports); the bound is 9% above it, which a 16384 block (16,606,108) fails
         assert self.traced_peak(lambda: haar_moment_check(3, 200_000, 42)) < 16_000_000
 
     def test_peak_memory_of_the_pair(self):
-        # the qubit lives in the qutrit's output, so the pair peaks as the qutrit
-        # alone: 14,847,856 bytes (numpy 2.4.6); a qubit buffer of its own adds 4.8 MB
+        # the qubit lives in the qutrit's output, so the pair peaks near the qutrit
+        # alone, plus its imaginary blocks drawn ahead: 15,069,144 bytes (numpy
+        # 2.4.6; 15,678,150 on a process's first call, which also traces the
+        # lazy imports); a qubit buffer of its own adds 4.8 MB
         assert self.traced_peak(lambda: analysis._haar_pair_moments(200_000, 42)) < 16_000_000
 
     def test_no_dense_einsum(self, monkeypatch):
