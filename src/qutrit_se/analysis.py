@@ -410,12 +410,30 @@ def haar_moment_check(d: int, samples: int, seed: int) -> np.ndarray:
     return n.T @ n / samples
 
 
+def _haar_head(stream: np.ndarray, d: int, samples: int) -> np.ndarray:
+    # the one prefix rule of a seed's stream: haar_bloch_vectors(d, samples, seed) reads
+    # its first 2 samples d normals, real parts (samples, d) then imaginary parts
+    return stream[: 2 * samples * d].reshape(2, samples, d)
+
+
+def _haar_heads(seed: int, draws) -> list:
+    # haar_bloch_vectors(d, samples, seed) for each (d, samples) of draws, bit for bit, from
+    # one draw of the longest head on this thread; each gets its own output, unlike the pair
+    stream = np.random.default_rng(seed).standard_normal(max(2 * s * d for d, s in draws))
+    vectors = []
+    for d, samples in draws:
+        basis = generator_basis(d)
+        g1, g2 = _haar_head(stream, d, samples)
+        g2_blocks = (g2[lo : lo + _HAAR_BLOCK] for lo in range(0, samples, _HAAR_BLOCK))
+        vectors.append(_haar_contract(basis, _haar_output(basis, samples)[0].real, g1, g2_blocks))
+    return vectors
+
+
 def _haar_pair_moments(samples: int, seed: int) -> tuple:
     # haar_moment_check(2, samples // 2, seed) and haar_moment_check(3, samples,
     # seed), bit for bit, from the qutrit's one stream: Generator fills its draws
-    # in sequence, so the qubit's whole draw at S // 2 samples, its 2 (S // 2)
-    # real parts, then as many imaginary parts, is the first 4 (S // 2) of the
-    # qutrit's 3S real parts at S samples and the same seed. Every normal is drawn
+    # in sequence, so the qubit's whole draw at S // 2 samples is the first 4 (S // 2)
+    # of the qutrit's 3S real parts at S samples (_haar_head). Every normal is drawn
     # on the worker, in stream order, while this thread contracts: the qubit's
     # real parts, its imaginary parts one block at a time, all into the head of
     # the qutrit's real parts, then the rest of those real parts, then the
@@ -431,7 +449,7 @@ def _haar_pair_moments(samples: int, seed: int) -> tuple:
     qubit, qutrit = generator_basis(2), generator_basis(3)
     rng = np.random.default_rng(seed)
     out, flat, reals = _haar_output(qutrit, samples)
-    g1, g2 = reals[: 4 * half].reshape(2, half, 2)
+    g1, g2 = _haar_head(reals, 2, half)
     # the qubit's rows, strided as the .real of a complex (S // 2, 3) buffer, in
     # the first 6 (S // 2) <= 3S floats of out: below the real parts at 5S
     n = flat[: 6 * half].reshape(half, 3, 2)[..., 0]

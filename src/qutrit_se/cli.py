@@ -29,7 +29,7 @@ import numpy as np
 
 from . import analysis, channels, states, su
 from .channels import ChannelParams
-from .linalg import random_density_matrix
+from .linalg import _random_density_matrices
 
 __all__ = ["main"]
 
@@ -99,12 +99,11 @@ def run_compare(args: argparse.Namespace, out) -> int:
     t_qb = analysis.indicator_crossing(args.p, (1.0,))
     t_qts = analysis.indicator_crossing(args.p, (a21s, a31s))
     out.write("a21,a31,t_qubit,t_qutrit,inequality,agree\n")
-    for a21, a31, verdict, t_qt in zip(a21s, a31s, verdicts, t_qts):
+    cells = []  # one % call for the table: "%.9g" formats as _fmt does, inf included
+    for a21, a31, verdict, t_qt in zip(a21s.tolist(), a31s.tolist(), verdicts, t_qts):
         agree = verdict == analysis.qutrit_crosses_no_earlier(t_qb, t_qt)
-        out.write(
-            f"{_fmt(a21)},{_fmt(a31)},{_fmt(t_qb)},{_fmt(t_qt)},"
-            f"{str(verdict).lower()},{str(agree).lower()}\n"
-        )
+        cells += (a21, a31, t_qb, t_qt, str(verdict).lower(), str(agree).lower())
+    out.write("%.9g,%.9g,%.9g,%.9g,%s,%s\n" * len(verdicts) % tuple(cells))
     return 0
 
 
@@ -139,22 +138,24 @@ def _validate_checks(seed: int):
         kraus = (channels.se_kraus(rates[: d - 1], times) for rates in rate_pairs)
         yield f"kraus_completeness_{name}", max(map(channels.completeness_defect, kraus)), 1e-12
 
+    # states are checked as stacks, each member with the bits of its own calls
     par = ChannelParams(a2=1.0, a3=0.7)
+    rhos = _random_density_matrices(3, 5, rng)
+    n0 = su.density_to_bloch(rhos)[..., None]
     defect = 0.0
-    for _ in range(5):
-        rho = random_density_matrix(3, rng)
-        n0 = su.density_to_bloch(rho)
-        for t in (0.3, 1.0, 2.5):
-            at = par.with_time(t)
-            via_kraus = channels.apply_kraus(rho, channels.se_kraus_qutrit(at))
-            via_affine = su.bloch_to_density(channels.se_affine_map(at).apply(n0))
-            defect = max(defect, float(np.max(np.abs(via_kraus - via_affine))))
+    for t in (0.3, 1.0, 2.5):
+        at = par.with_time(t)
+        kraus = channels.se_kraus_qutrit(at)
+        via_kraus = np.array([channels.apply_kraus(rho, kraus) for rho in rhos])
+        m = channels.se_affine_map(at)
+        # apply's D @ n for each member; n @ D.T rounds differently
+        via_affine = su.bloch_to_density((m.damping @ n0)[..., 0] + m.shift)
+        defect = max(defect, float(np.max(np.abs(via_kraus - via_affine))))
     yield "kraus_vs_affine", defect, 1e-10
 
     defect = 0.0
-    for _ in range(2):
-        rho = random_density_matrix(3, rng)
-        at = par.with_time(0.7)
+    at = par.with_time(0.7)
+    for rho in _random_density_matrices(3, 2, rng):
         via_kraus = channels.apply_kraus(rho, channels.se_kraus_qutrit(at))
         via_ode = channels.lindblad_evolve(rho, at, steps=700)
         defect = max(defect, float(np.max(np.abs(via_kraus - via_ode))))
@@ -162,23 +163,22 @@ def _validate_checks(seed: int):
 
     defect = 0.0
     for d in (2, 3):
-        for _ in range(20):
-            rho = random_density_matrix(d, rng)
-            back = su.bloch_to_density(su.density_to_bloch(rho))
-            defect = max(defect, float(np.max(np.abs(back - rho))))
+        rhos = _random_density_matrices(d, 20, rng)
+        back = su.bloch_to_density(su.density_to_bloch(rhos))
+        defect = max(defect, float(np.max(np.abs(back - rhos))))
     yield "bloch_round_trip", defect, 1e-12
 
-    defects = [0.0]  # of the pure-state conditions |n| = 1 and n * n = n
-    for n in analysis.haar_bloch_vectors(3, 200, seed):
-        defects.append(abs(n @ n - 1.0))
-        defects.append(float(np.max(np.abs(su.star_product(n, n) - n))))
-    # np.max, not max: a NaN defect fails the check
+    # the pure states and both moment checks read heads of one normal stream
+    pure, *moment_draws = analysis._haar_heads(seed, ((3, 200), (2, 20_000), (3, 20_000)))
+    norms = (pure[:, None, :] @ pure[:, :, None])[:, 0, 0]  # n @ n's bits, unlike an einsum's
+    # of the pure-state conditions |n| = 1 and n * n = n; np.max, not max: a NaN fails
+    defects = [0.0, np.max(np.abs(norms - 1.0)), np.max(np.abs(su.star_product(pure, pure) - pure))]
     yield "pure_state_conditions", float(np.max(defects)), 1e-10
 
     for d, name in _SPECIES:
         yield f"ppt_threshold_{name}", abs(analysis.ppt_threshold(d) - 1.0 / (d + 1)), 1e-4
-    for d, name in _SPECIES:
-        m = analysis.haar_moment_check(d, 20_000, seed)
+    for (d, name), n in zip(_SPECIES, moment_draws):
+        m = n.T @ n / len(n)  # haar_moment_check(d, 20_000, seed)
         defect = float(np.max(np.abs(m - np.eye(d * d - 1) / (d * d - 1))))
         yield f"haar_moments_{name}", defect, 0.02
 

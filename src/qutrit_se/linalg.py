@@ -321,6 +321,13 @@ def _pt_order(d: int) -> np.ndarray:
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random full-rank density matrix (normalized Ginibre G G^dag)."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return _random_density_matrices(dim, 1, rng)[0]
+
+
+def _random_density_matrices(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    # count random_density_matrix calls in turn as one (count, dim, dim) stack, bit
+    # for bit: one draw holds each state's real parts, then its imaginary parts
+    g = rng.standard_normal((count, 2, dim, dim))
+    g = g[:, 0] + 1j * g[:, 1]
     rho = g @ dagger(g)
-    return rho / np.trace(rho).real
+    return rho / rho.trace(axis1=-2, axis2=-1).real[:, None, None]

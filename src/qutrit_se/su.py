@@ -21,13 +21,16 @@ extracted from traces,
 
 not hard-coded tables. The symmetric star product carries b/(d-2) so that
 pure states (d >= 3) satisfy n * n = n together with |n| = 1.
+
+The Bloch maps and the star product also take stacks, (..., d, d) or (..., d^2 - 1), as
+linalg's stacked functions do: each member gets the bits of a call on it alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -82,12 +85,12 @@ class GeneratorBasis:
     def n_generators(self) -> int:
         return self.dim * self.dim - 1
 
-    @property
+    @cached_property  # read on every Bloch-map call: computed once per basis
     def bloch_norm(self) -> float:
         """b = sqrt(d(d-1)/2) in rho = (I + b n . g)/d."""
         return math.sqrt(self.dim * (self.dim - 1) / 2.0)
 
-    @property
+    @cached_property
     def bloch_scale(self) -> float:
         """b/(d-1), the factor in n_i = bloch_scale Tr(rho g_i)."""
         return self.bloch_norm / (self.dim - 1)
@@ -122,14 +125,14 @@ def generator_basis(dim: int) -> GeneratorBasis:
 
 
 def _basis_for_bloch(n: np.ndarray) -> GeneratorBasis:
-    dim = math.isqrt(n.size + 1)
-    if n.ndim != 1 or dim * dim != n.size + 1:
+    dim = math.isqrt(n.shape[-1] + 1) if n.ndim else 0
+    if not n.ndim or dim * dim != n.shape[-1] + 1:
         raise ValueError(f"Bloch vector must have length d^2 - 1, got shape {n.shape}")
     return generator_basis(dim)
 
 
 def bloch_to_density(n: np.ndarray) -> np.ndarray:
-    """Density matrix of a Bloch vector of length d^2 - 1, any d >= 2.
+    """Density matrix of a Bloch vector of length d^2 - 1, any d >= 2, or of each in a stack.
 
     A NaN or infinite component raises ValueError.
     """
@@ -137,32 +140,33 @@ def bloch_to_density(n: np.ndarray) -> np.ndarray:
     basis = _basis_for_bloch(n)
     if not np.isfinite(n).all():
         raise ValueError(f"Bloch vector must be finite, got {float(n[~np.isfinite(n)][0])}")
-    rho = basis.bloch_norm * np.einsum("i,iab->ab", n, basis.generators)
+    rho = basis.bloch_norm * np.einsum("...i,iab->...ab", n, basis.generators)
     rho += _identity(basis.dim)
     rho /= basis.dim
     return rho
 
 
 def density_to_bloch(rho: np.ndarray) -> np.ndarray:
-    """Bloch vector, length d^2 - 1, of a unit-trace Hermitian d x d matrix, any d >= 2."""
+    """Bloch vector, length d^2 - 1, of a trace-1 Hermitian d x d matrix, d >= 2, or a stack's."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
-    basis = generator_basis(rho.shape[0])
-    _check_hermitian(rho, rho.conj().T)
-    trace = rho.trace().real
-    if not abs(trace - 1.0) <= 1e-10:
-        raise ValueError(f"matrix trace {float(trace)!r} is not 1")
-    coeffs = np.einsum("iab,ba->i", basis.generators, rho)
+    basis = generator_basis(rho.shape[-1])
+    _check_hermitian(rho, rho.conj().swapaxes(-1, -2))
+    trace = rho.trace(axis1=-2, axis2=-1).real
+    inside = abs(trace - 1.0) <= 1e-10
+    if not all(inside.flat):  # cheaper than .all() on one state's numpy bool
+        raise ValueError(f"matrix trace {float(trace[~inside][0])!r} is not 1")
+    coeffs = np.einsum("iab,...ba->...i", basis.generators, rho)
     return basis.bloch_scale * coeffs.real
 
 
 def star_product(n: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Symmetric product (n * m)_i = (b/(d-2)) d_ijk n_j m_k, for d >= 3."""
+    """Symmetric product (n * m)_i = (b/(d-2)) d_ijk n_j m_k, for d >= 3; n, m may be stacks."""
     n = np.asarray(n, dtype=float)
     m = np.asarray(m, dtype=float)
     basis = _basis_for_bloch(n)
     if basis.dim < 3 or m.shape != n.shape:
         raise ValueError("star product needs two Bloch vectors of one d >= 3")
-    return basis.bloch_norm / (basis.dim - 2) * np.einsum("ijk,j,k->i", basis.d, n, m)
+    return basis.bloch_norm / (basis.dim - 2) * np.einsum("ijk,...j,...k->...i", basis.d, n, m)
 

@@ -1221,16 +1221,19 @@ class TestHaar:
 
     def test_reports_match_the_whole_array(self, capsys, monkeypatch):
         # haar's pair route against two whole-array moment checks, validate's
-        # haar_bloch_vectors calls against the whole-array vectors
+        # draws from one stream against the whole-array vectors
         def whole_array_pair(samples, seed):
             pair = ((2, samples // 2), (3, samples))
             return tuple(whole_array_moment_check(d, s, seed) for d, s in pair)
+
+        def whole_array_heads(seed, draws):
+            return [whole_array_haar_bloch_vectors(d, s, seed) for d, s in draws]
 
         runs = []
         for patch in (False, True):
             if patch:
                 monkeypatch.setattr(analysis, "_haar_pair_moments", whole_array_pair)
-                monkeypatch.setattr(analysis, "haar_bloch_vectors", whole_array_haar_bloch_vectors)
+                monkeypatch.setattr(analysis, "_haar_heads", whole_array_heads)
             assert cli.main(["haar", "--samples", "20000", "--seed", "42"]) == 0
             assert cli.main(["validate", "--seed", "42"]) == 0
             runs.append(capsys.readouterr().out)
@@ -1248,6 +1251,25 @@ class TestHaar:
         m2, m3 = analysis._haar_pair_moments(samples, seed)
         assert m2.tobytes() == haar_moment_check(2, samples // 2, seed).tobytes()
         assert m3.tobytes() == haar_moment_check(3, samples, seed).tobytes()
+
+    @pytest.mark.parametrize(
+        "samples", [200, 201, 8192, 8193, 16384, 20_000, 24_576, 24_577, 30_000, 50_001]
+    )
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_heads_of_one_stream_match_three_draws_bitwise(self, samples, seed):
+        # validate's draws: the qubit's 4S normals are the qutrit's 3S real parts and
+        # the head of its imaginary parts, the 200 pure states the first 1,200 normals
+        pure, qubit, qutrit = analysis._haar_heads(seed, ((3, 200), (2, samples), (3, samples)))
+        assert pure.tobytes() == haar_bloch_vectors(3, 200, seed).tobytes()
+        for d, n in ((2, qubit), (3, qutrit)):
+            assert (n.T @ n / samples).tobytes() == haar_moment_check(d, samples, seed).tobytes()
+
+    def test_heads_draw_once_on_the_calling_thread(self, monkeypatch):
+        rngs = self.failing_draws(monkeypatch, None)
+        threads = threading.active_count()
+        analysis._haar_heads(3, ((3, 200), (2, 20_000), (3, 20_000)))
+        assert rngs[0].threads == [threading.current_thread()] and len(rngs) == 1
+        assert threading.active_count() == threads
 
     def test_pair_reads_the_stream_in_order(self, monkeypatch):
         # 20,000 qutrit samples are three blocks, and every draw is the worker's:
@@ -1275,8 +1297,12 @@ class TestHaar:
 
     @staticmethod
     def traced_peak(run):
-        # the bases are cached; their one-off builds are not the pipeline's
+        # the bases are cached, and concurrent.futures and numpy's Generator import
+        # once per process: their one-off costs are not the pipeline's
+        import concurrent.futures  # noqa: F401
+
         generator_basis(2), generator_basis(3)
+        np.random.default_rng(0)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -1289,16 +1315,16 @@ class TestHaar:
     def test_peak_memory_of_the_default_sample_count(self):
         # the real parts are drawn into the output's tail and the samples run in
         # blocks, each block's imaginary parts drawn as it is reached: one block
-        # peaks at 56,004,436 bytes and _HAAR_BLOCK = 8192 at 14,705,564 (numpy
-        # 2.4.6; 15,470,376 on a process's first call, which also traces numpy's
-        # lazy imports); the bound is 9% above it, which a 16384 block (16,606,108) fails
+        # peaks at 56,004,684 bytes and _HAAR_BLOCK = 8192 at 14,705,844 (numpy
+        # 2.4.6; 14,706,948 on a process's first call, the imports made before
+        # tracing); the bound is 9% above it, which a 16384 block (16,606,388) fails
         assert self.traced_peak(lambda: haar_moment_check(3, 200_000, 42)) < 16_000_000
 
     def test_peak_memory_of_the_pair(self):
         # the qubit lives in the qutrit's output, so the pair peaks near the qutrit
-        # alone, plus its imaginary blocks drawn ahead: 15,069,144 bytes (numpy
-        # 2.4.6; 15,678,150 on a process's first call, which also traces the
-        # lazy imports); a qubit buffer of its own adds 4.8 MB
+        # alone, plus its imaginary blocks drawn ahead: 15,070,412 bytes (numpy
+        # 2.4.6; 15,104,724 on a process's first call, the imports made before
+        # tracing); a qubit buffer of its own adds 4.8 MB
         assert self.traced_peak(lambda: analysis._haar_pair_moments(200_000, 42)) < 16_000_000
 
     def test_no_dense_einsum(self, monkeypatch):

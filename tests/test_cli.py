@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qutrit_se import analysis, channels, cli
+from qutrit_se import analysis, channels, cli, states, su
 from qutrit_se.channels import ChannelParams
 from qutrit_se.cli import build_parser, main
+from qutrit_se.linalg import random_density_matrix
 from qutrit_se.su import generator_basis
 
 HEADER = "t,s_qubit,s_qutrit,F_qubit,F_qutrit,neg_qubit,neg_qutrit"
@@ -324,6 +325,81 @@ class TestHaarCommand:
         assert d1 == d2
 
 
+def loop_validate_checks(seed):
+    """Reference: validate's checks one state and one draw at a time, each through
+    the public single-state calls, with a Haar draw of its own for every check."""
+    rng = np.random.default_rng(seed)
+    rate_pairs = ((1.0, 1.0), (2.0, 1.0), (0.5, 3.0))
+    times = (0.0, 0.1, 1.0, 10.0)
+
+    for d, name in cli._SPECIES:
+        kraus = (channels.se_kraus(rates[: d - 1], times) for rates in rate_pairs)
+        yield f"kraus_completeness_{name}", max(map(channels.completeness_defect, kraus)), 1e-12
+
+    par = ChannelParams(a2=1.0, a3=0.7)
+    defect = 0.0
+    for _ in range(5):
+        rho = random_density_matrix(3, rng)
+        n0 = su.density_to_bloch(rho)
+        for t in (0.3, 1.0, 2.5):
+            at = par.with_time(t)
+            via_kraus = channels.apply_kraus(rho, channels.se_kraus_qutrit(at))
+            via_affine = su.bloch_to_density(channels.se_affine_map(at).apply(n0))
+            defect = max(defect, float(np.max(np.abs(via_kraus - via_affine))))
+    yield "kraus_vs_affine", defect, 1e-10
+
+    defect = 0.0
+    for _ in range(2):
+        rho = random_density_matrix(3, rng)
+        at = par.with_time(0.7)
+        via_kraus = channels.apply_kraus(rho, channels.se_kraus_qutrit(at))
+        via_ode = channels.lindblad_evolve(rho, at, steps=700)
+        defect = max(defect, float(np.max(np.abs(via_kraus - via_ode))))
+    yield "kraus_vs_lindblad", defect, 1e-6
+
+    defect = 0.0
+    for d in (2, 3):
+        for _ in range(20):
+            rho = random_density_matrix(d, rng)
+            back = su.bloch_to_density(su.density_to_bloch(rho))
+            defect = max(defect, float(np.max(np.abs(back - rho))))
+    yield "bloch_round_trip", defect, 1e-12
+
+    defects = [0.0]
+    for n in analysis.haar_bloch_vectors(3, 200, seed):
+        defects.append(abs(n @ n - 1.0))
+        defects.append(float(np.max(np.abs(su.star_product(n, n) - n))))
+    yield "pure_state_conditions", float(np.max(defects)), 1e-10
+
+    for d, name in cli._SPECIES:
+        yield f"ppt_threshold_{name}", abs(analysis.ppt_threshold(d) - 1.0 / (d + 1)), 1e-4
+    for d, name in cli._SPECIES:
+        m = analysis.haar_moment_check(d, 20_000, seed)
+        defect = float(np.max(np.abs(m - np.eye(d * d - 1) / (d * d - 1))))
+        yield f"haar_moments_{name}", defect, 0.02
+
+    par = ChannelParams(a2=1.3, a3=0.4)
+    m_a = channels.se_affine_map(par.with_time(0.6))
+    m_b = channels.se_affine_map(par.with_time(1.1))
+    m_ab = channels.se_affine_map(par.with_time(1.7))
+    defect = max(
+        float(np.max(np.abs(m_b.damping @ m_a.damping - m_ab.damping))),
+        float(np.max(np.abs(m_b.damping @ m_a.shift + m_b.shift - m_ab.shift))),
+    )
+    yield "affine_semigroup", defect, 1e-12
+
+    at = ChannelParams(t=1.0)
+    sup = channels.superoperator(channels.se_kraus_qutrit(at))
+    rho3 = channels.lift(states.werner(3, 1.0), sup, 0.5)
+    closed = analysis.fidelity_closed(at.rates(3), at.t)
+    defect = abs(analysis.fidelity_from_state(rho3) - closed)
+    yield "fidelity_closed_vs_state", defect, 1e-10
+
+    t_closed = analysis.qubit_crossing_closed(1.0)
+    t_bisect = analysis.indicator_crossing(1.0, (1.0,))
+    yield "qubit_crossing_closed_vs_bisection", abs(t_closed - t_bisect), 1e-11
+
+
 class TestValidate:
     def test_default_run_passes(self, capsys):
         assert main(["validate"]) == 0
@@ -337,6 +413,14 @@ class TestValidate:
     def test_seed_variation_keeps_passing(self, capsys):
         assert main(["validate", "--seed", "1234"]) == 0
         assert "result=pass" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", range(41))
+    def test_stacked_checks_keep_every_defect_bit(self, seed):
+        # stacked states and one Haar stream against the loop, defect for defect
+        def bits(checks):
+            return [(name, float(defect).hex(), tol) for name, defect, tol in checks]
+
+        assert bits(cli._validate_checks(seed)) == bits(loop_validate_checks(seed))
 
     def test_corrupted_coefficient_fails(self, capsys, monkeypatch):
         good = channels._kraus_operators
@@ -367,13 +451,14 @@ class TestValidate:
         # validate's pure_state_conditions is the one owner of the pure-state rule
         n = np.zeros(size)
         n[index] = value
-        haar = analysis.haar_bloch_vectors
+        heads = analysis._haar_heads
 
-        def draws(d, samples, seed):
+        def draws(seed, shapes):
             # the check's 200 draws; the moment checks keep theirs
-            return np.array([n]) if samples == 200 else haar(d, samples, seed)
+            vectors = heads(seed, shapes)
+            return [np.array([n]) if s == 200 else v for (_, s), v in zip(shapes, vectors)]
 
-        monkeypatch.setattr(analysis, "haar_bloch_vectors", draws)
+        monkeypatch.setattr(analysis, "_haar_heads", draws)
         assert main(["validate"]) == 1
         out = capsys.readouterr().out
         line = next(l for l in out.split("\n") if "pure_state_conditions" in l)

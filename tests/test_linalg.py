@@ -465,3 +465,15 @@ def test_random_density_matrix_is_state():
     assert np.max(np.abs(rho - dagger(rho))) < 1e-14
     assert abs(np.trace(rho) - 1) < 1e-14
     assert hermitian_eigenvalues(rho)[0] >= -1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("count", [1, 2, 5, 20])
+def test_stacked_random_states_are_sequential_draws(dim, count):
+    # one (count, 2, dim, dim) draw is count random_density_matrix calls in turn,
+    # bit for bit, and leaves the stream where those calls leave it
+    rng, seq_rng = (np.random.default_rng(dim * 100 + count) for _ in range(2))
+    got = linalg._random_density_matrices(dim, count, rng)
+    want = np.stack([random_density_matrix(dim, seq_rng) for _ in range(count)])
+    assert got.shape == (count, dim, dim) and got.tobytes() == want.tobytes()
+    assert rng.standard_normal() == seq_rng.standard_normal()

@@ -223,6 +223,59 @@ class TestBlochMapsKeepTheirBits:
         np.testing.assert_array_equal(bloch_to_density(np.zeros(8)), np.eye(3) / 3)
 
 
+class TestStackedFormsKeepTheirBits:
+    # a stack gives each member the bits of a call on that member alone
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_density_to_bloch(self, dim):
+        rhos = np.stack(list(signed_zero_states(np.random.default_rng(230 + dim), dim, 24)))
+        got = density_to_bloch(rhos.reshape(2, 12, dim, dim))
+        want = np.stack([density_to_bloch(rho) for rho in rhos])
+        assert got.shape == (2, 12, dim * dim - 1)
+        assert got.reshape(want.shape).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_bloch_to_density(self, dim):
+        rng = np.random.default_rng(240 + dim)
+        n = density_to_bloch(np.stack(list(signed_zero_states(rng, dim, 24))))
+        n[1::4, ::3] = -0.0  # signed zeros in the vectors themselves
+        got = bloch_to_density(n.reshape(3, 8, -1))
+        want = np.stack([bloch_to_density(m) for m in n])
+        assert got.shape == (3, 8, dim, dim)
+        assert got.reshape(want.shape).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_star_product(self, dim):
+        rng = np.random.default_rng(250 + dim)
+        n = density_to_bloch(np.stack([random_density_matrix(dim, rng) for _ in range(24)]))
+        m = n[::-1].copy()
+        for a, b in ((n, n), (n, m)):
+            got = star_product(a.reshape(4, 6, -1), b.reshape(4, 6, -1))
+            want = np.stack([star_product(x, y) for x, y in zip(a, b)])
+            assert got.reshape(want.shape).tobytes() == want.tobytes()
+
+    def test_haar_pure_states(self):
+        # validate's stacked pure-state check: 200 star products at once, and norms
+        # by a stacked matmul, which keeps n @ n's bits where an einsum does not
+        for seed in range(41):
+            n = haar_bloch_vectors(3, 200, seed)
+            star = star_product(n, n)
+            assert star.tobytes() == np.stack([star_product(m, m) for m in n]).tobytes()
+            norms = (n[:, None, :] @ n[:, :, None])[:, 0, 0]
+            assert norms.tobytes() == np.array([m @ m for m in n]).tobytes()
+
+    def test_a_stack_names_its_first_bad_trace(self):
+        rhos = np.stack([np.eye(3) / 3, np.eye(3) / 2, np.eye(3)])
+        with pytest.raises(ValueError) as err:
+            density_to_bloch(rhos)
+        assert str(err.value) == "matrix trace 1.5 is not 1"
+        with pytest.raises(ValueError, match="square"):
+            density_to_bloch(np.zeros((4, 2, 3)))
+        with pytest.raises(ValueError, match="length d\\^2 - 1"):
+            bloch_to_density(np.zeros((4, 5)))
+        with pytest.raises(ValueError, match="one d >= 3"):
+            star_product(np.zeros((2, 8)), np.zeros((3, 8)))
+
+
 class TestBlochMaps:
     def test_zero_vector_is_maximally_mixed(self):
         np.testing.assert_allclose(bloch_to_density(np.zeros(8)), np.eye(3) / 3)
