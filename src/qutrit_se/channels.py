@@ -105,13 +105,13 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class AffineBlochMap:
-    """Bloch-space action n -> damping @ n + shift at a fixed time."""
+    """Bloch-space action n -> damping @ n + shift at a fixed time, on a vector or a stack."""
 
     damping: np.ndarray
     shift: np.ndarray
 
     def apply(self, n: np.ndarray) -> np.ndarray:
-        return self.damping @ np.asarray(n, dtype=float) + self.shift
+        return (self.damping @ np.asarray(n, dtype=float)[..., None])[..., 0] + self.shift
 
 
 def se_affine_map(params: ChannelParams) -> AffineBlochMap:

@@ -141,15 +141,13 @@ def _validate_checks(seed: int):
     # states are checked as stacks, each member with the bits of its own calls
     par = ChannelParams(a2=1.0, a3=0.7)
     rhos = _random_density_matrices(3, 5, rng)
-    n0 = su.density_to_bloch(rhos)[..., None]
+    n0 = su.density_to_bloch(rhos)
     defect = 0.0
     for t in (0.3, 1.0, 2.5):
         at = par.with_time(t)
         kraus = channels.se_kraus_qutrit(at)
         via_kraus = np.array([channels.apply_kraus(rho, kraus) for rho in rhos])
-        m = channels.se_affine_map(at)
-        # apply's D @ n for each member; n @ D.T rounds differently
-        via_affine = su.bloch_to_density((m.damping @ n0)[..., 0] + m.shift)
+        via_affine = su.bloch_to_density(channels.se_affine_map(at).apply(n0))
         defect = max(defect, float(np.max(np.abs(via_kraus - via_affine))))
     yield "kraus_vs_affine", defect, 1e-10
 

@@ -14,13 +14,13 @@ So level k's generators start at index k^2 - 1 and its diagonal one sits at
 (k+1)^2 - 2. For d = 2 this is (sigma_x, sigma_y, sigma_z), for d = 3 the
 usual lambda_1 ... lambda_8 (array index i-1 for label i).
 
-Generators are normalized to Tr(g_i g_j) = 2 delta_ij. Structure constants are
-extracted from traces,
+Generators are normalized to Tr(g_i g_j) = 2 delta_ij. ``structure_constants``
+extracts f and d from traces,
 
     f_ijk = Tr([g_i, g_j] g_k) / (4i),   d_ijk = Tr({g_i, g_j} g_k) / 4,
 
-not hard-coded tables. The symmetric star product carries b/(d-2) so that
-pure states (d >= 3) satisfy n * n = n together with |n| = 1.
+not hard-coded tables; a basis is its generators and builds d on first read.
+The star product carries b/(d-2) so that pure states (d >= 3) satisfy n * n = n with |n| = 1.
 
 The Bloch maps and the star product also take stacks, (..., d, d) or (..., d^2 - 1), as
 linalg's stacked functions do: each member gets the bits of a call on it alone.
@@ -71,15 +71,10 @@ def structure_constants(generators: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 @dataclass(frozen=True)
 class GeneratorBasis:
-    """An orthonormal su(d) generator set with its structure constants.
-
-    ``d`` is identically zero for the qubit.
-    """
+    """An orthonormal su(d) generator set; f comes from ``structure_constants``."""
 
     dim: int
     generators: np.ndarray
-    f: np.ndarray
-    d: np.ndarray
 
     @property
     def n_generators(self) -> int:
@@ -94,6 +89,13 @@ class GeneratorBasis:
     def bloch_scale(self) -> float:
         """b/(d-1), the factor in n_i = bloch_scale Tr(rho g_i)."""
         return self.bloch_norm / (self.dim - 1)
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        """Read-only d_ijk of ``structure_constants``, built on first read; 0 for the qubit."""
+        d = structure_constants(self.generators)[1]
+        d.setflags(write=False)
+        return d
 
 
 @lru_cache(maxsize=None)
@@ -118,10 +120,8 @@ def generator_basis(dim: int) -> GeneratorBasis:
         diag = [1.0] * k + [-k] + [0.0] * (dim - 1 - k)
         gens.append(np.diag(diag) / math.sqrt(k * (k + 1) / 2))
     g = np.array(gens, dtype=complex)
-    f, d = structure_constants(g)
-    for arr in (g, f, d):
-        arr.setflags(write=False)
-    return GeneratorBasis(dim=dim, generators=g, f=f, d=d)
+    g.setflags(write=False)
+    return GeneratorBasis(dim=dim, generators=g)
 
 
 def _basis_for_bloch(n: np.ndarray) -> GeneratorBasis:

@@ -1232,6 +1232,21 @@ def test_affine_map_apply_type():
 ARM_RATES = {2: (0.8,), 3: (1.9, 0.35), 4: (1.3, 0.4, 2.1), 5: (1.3, 0.4, 2.1, 0.05)}
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_affine_map_apply_on_a_stack(dim):
+    # a stack maps each member with the bits of apply on it alone, and those are
+    # the bits of damping @ n + shift
+    rng = np.random.default_rng(70 + dim)
+    n = density_to_bloch(np.stack([random_density_matrix(dim, rng) for _ in range(30)]))
+    for t in (0.3, 1.0, 2.5):
+        m = channels._affine_map(ARM_RATES[dim], t)
+        got = m.apply(n.reshape(5, 6, -1))
+        assert got.shape == (5, 6, dim * dim - 1)
+        want = np.stack([m.apply(x) for x in n])
+        assert got.reshape(want.shape).tobytes() == want.tobytes()
+        assert want.tobytes() == np.stack([m.damping @ x + m.shift for x in n]).tobytes()
+
+
 class TestEveryArmCount:
     """The rate-tuple builders for one to four arms (d = 2 to 5)."""
 

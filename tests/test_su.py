@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qutrit_se import channels
+from qutrit_se import channels, su
 from qutrit_se.analysis import (
     fidelity_closed,
     haar_bloch_vectors,
@@ -91,8 +91,9 @@ class TestGeneratorSets:
         np.testing.assert_array_equal(g[:8, :3, :3], GELL_MANN)
         assert not g[:8, 3].any() and not g[:8, :, 3].any()
 
-    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("dim", range(2, 10))
     def test_orthonormal_traceless_hermitian(self, dim):
+        # the build checks nothing: structure_constants does, when d is first read
         g = generator_basis(dim).generators
         k = len(g)
         gram = np.einsum("iab,jba->ij", g, g)
@@ -104,16 +105,17 @@ class TestGeneratorSets:
     def test_structure_constant_spot_values(self):
         b = generator_basis(3)
         s3 = np.sqrt(3.0)
-        assert abs(b.f[0, 1, 2] - 1.0) < 1e-14
+        assert abs(structure_constants(b.generators)[0][0, 1, 2] - 1.0) < 1e-14
         assert abs(b.d[2, 2, 7] - 1 / s3) < 1e-14
         assert abs(b.d[7, 7, 7] + 1 / s3) < 1e-14
-        assert abs(generator_basis(2).f[0, 1, 2] - 1.0) < 1e-14
+        assert abs(structure_constants(generator_basis(2).generators)[0][0, 1, 2] - 1.0) < 1e-14
 
     def test_f_antisymmetric_d_symmetric(self):
         for dim in (2, 3):
             b = generator_basis(dim)
-            assert np.max(np.abs(b.f + b.f.transpose(1, 0, 2))) < 1e-12
-            assert np.max(np.abs(b.f - b.f.transpose(2, 0, 1))) < 1e-12
+            f = structure_constants(b.generators)[0]
+            assert np.max(np.abs(f + f.transpose(1, 0, 2))) < 1e-12
+            assert np.max(np.abs(f - f.transpose(2, 0, 1))) < 1e-12
             assert np.max(np.abs(b.d - b.d.transpose(1, 0, 2))) < 1e-12
             assert np.max(np.abs(b.d - b.d.transpose(2, 0, 1))) < 1e-12
 
@@ -124,11 +126,12 @@ class TestGeneratorSets:
     def test_product_identity_reconstruction(self, dim):
         b = generator_basis(dim)
         g = b.generators
+        f = structure_constants(g)[0]
         eye = np.eye(dim)
         for i in range(len(g)):
             for j in range(len(g)):
                 rebuilt = (2.0 / dim) * (i == j) * eye + np.einsum(
-                    "k,kab->ab", b.d[i, j] + 1j * b.f[i, j], g
+                    "k,kab->ab", b.d[i, j] + 1j * f[i, j], g
                 )
                 np.testing.assert_allclose(g[i] @ g[j], rebuilt, atol=1e-12)
 
@@ -155,6 +158,42 @@ class TestGeneratorSets:
         for arr in layout[:-1]:
             assert not arr.flags.writeable
         assert channels._affine_layout(dim) is layout  # built once
+
+    def test_the_basis_builds_no_structure_constants(self, monkeypatch):
+        # d is built by the first star product at each d >= 3, once; a zero
+        # stand-in keeps su(9)'s O(d^9) build out of this count, and the cache
+        # is cleared on both sides so no basis holding it outlives the test
+        calls = []
+
+        def counting(generators):
+            k = len(generators)
+            calls.append(k)
+            return np.zeros((k, k, k)), np.zeros((k, k, k))
+
+        monkeypatch.setattr(su, "structure_constants", counting)
+        generator_basis.cache_clear()
+        try:
+            for dim in range(2, 10):
+                generator_basis(dim)
+            assert calls == []
+            for dim in range(3, 10):
+                n = np.zeros(dim * dim - 1)
+                for _ in range(2):
+                    star_product(n, n)
+                assert calls == [k * k - 1 for k in range(3, dim + 1)]
+        finally:
+            generator_basis.cache_clear()
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_d_is_structure_constants_own_and_read_only(self, dim):
+        b = generator_basis(dim)
+        want = structure_constants(b.generators)[1]
+        assert b.d.tobytes() == want.tobytes() and b.d.dtype == want.dtype
+        assert b.d is b.d and not b.d.flags.writeable
+        with pytest.raises(ValueError):
+            b.d[0, 0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            b.d = want
 
     def test_rejects_non_orthonormal_basis(self):
         bad = PAULI.copy()
