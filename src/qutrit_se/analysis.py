@@ -4,7 +4,8 @@ Two independent routes are provided for every headline quantity:
 
 * closed-form separability indicators s(t) and fidelities F(t) in the decay
   rates, versus the same quantities measured on an explicitly evolved state;
-* closed-form crossing times versus bisection on the indicator;
+* closed-form crossing times versus a bisection on the indicator that
+  evaluates it only where its monotonicity leaves the answer open;
 * the closed-form preservation inequality versus the crossing-time comparison;
 * PPT negativity computed from the partial-transpose spectrum, which touches
   none of the closed forms.
@@ -84,6 +85,25 @@ _HAAR_BLOCK = 8192
 # crossing_time's rule: give up doubling past t = 2^60, stop halving at 1e-12 relative
 _SEARCH_HORIZON = 2.0**60
 _SEARCH_RTOL = 1e-12
+_SECANT_STEPS = 16  # Illinois steps of the single search before its window's probes
+# The window's margin m. If the computed f is within e of a nonincreasing F, then
+# f(L) > threshold + m gives, for every t <= L, f(t) >= F(t) - e >= F(L) - e >=
+# f(L) - 2e > threshold once m >= 2e, and likewise f(t) <= threshold for t >= R.
+# Bound on e for indicator_crossing's s, with u = 2^-53, n = d - 1 arms, and F the
+# exact s after the weight p/(n(n + 2)) is rounded (a constant factor):
+# - the exponent x = -a (tau/a1)/2 <= 0 takes two roundings (tau/a1 and a*t; the
+#   sign and the /2 are exact above the subnormals), so x(1 + th) with |th| <=
+#   2.0001u, which moves e^x by at most e^x |x th| e^|x th| <= 2.0001u/e < 0.75u,
+#   since |x| e^x <= 1/e (past x = -746 both values are below 2^-1075);
+# - np.exp is within 4 ulps of e^x <= 1, so 8u (a test checks 3 ulps against
+#   math.exp, itself within 1 ulp; numpy 1.24 is checked in CI too);
+# - the running arm sum from 0 adds at most u(2 + ... + n) to H <= n;
+# - the arm errors reach s times its slope w (2H + 2) <= (2n + 2)/(n (n + 2)), and
+#   H + 2, H (H + 2) and the weight's product round thrice, 3u on s <= 1.
+# So e <= (2n + 2)/(n (n + 2)) (8.75n + n(n + 1)/2 - 1)u + 3u <= (n + 22)u: 15u for
+# the qubit, 18u for the qutrit. m = 2^-44 = 512u is at least 16e up to d = 11, and
+# 2e up to d = 235. g = f - threshold is exact near the threshold (Sterbenz).
+_SEARCH_MARGIN = 2.0**-44
 _UNRESOLVED = "crossing not resolved in floating point: bracket [{!r}, {!r}]"
 
 
@@ -138,17 +158,30 @@ def crossing_time(f: Callable, threshold: float) -> Optional[float] | list:
     ValueError is raised when the bracket can no longer be halved in
     floating point before that (a crossing below the smallest float).
 
+    Most halvings need no evaluation. Up to 16 Illinois (safeguarded secant)
+    steps on f - threshold inside the doubling's last bracket, then two probes
+    around the root they point at, look for a window (L, R) with f(L) above
+    threshold + m and f(R) below threshold - m, m = 2^-44. A midpoint at or
+    below L is then above and one at or above R is not, by monotonicity, so f
+    is evaluated only at midpoints inside the window; a side that does not
+    certify falls back to the bracket's end, so every midpoint there is
+    evaluated. This relies on the computed f being within m/2 of a
+    nonincreasing function (``_SEARCH_MARGIN`` derives the indicators' bound,
+    at most m/16 for d <= 11); then the result, or the ValueError, is that of
+    evaluating every midpoint. Besides the midpoints, f sees up to 18 points
+    inside the doubling's last bracket.
+
     Lanes: when f(0.0) is an array, each of its elements is a search of its
     own. f then takes an array of that shape, one time per lane, and returns
     each lane's value at its own time. Every lane runs the rule above in
     lock-step, with its own bracket, doublings and stop, and the result is a
     list of one value per lane in C order: None, math.inf, or the float of
     that lane's single search, bit for bit. In each lane f sees only times
-    that the lane's single search asks for, or 0. A lane that can no longer
-    be halved raises the single search's ValueError (the first lane to get
-    stuck; of several at once, the first in order). The path follows
-    np.shape(f(0.0)): a scalar runs the single search, the faster one for
-    one search. ``indicator_crossing`` runs lanes for arrays of arm rates.
+    the plain bisection asks for, or 0. A lane that can no longer be halved
+    raises the single search's ValueError (the first lane to get stuck; of
+    several at once, the first in order). The path follows np.shape(f(0.0)):
+    a scalar runs the single search, the faster one for one search.
+    ``indicator_crossing`` runs lanes for arrays of arm rates.
     """
     f0 = f(0.0)
     if np.shape(f0):
@@ -156,19 +189,60 @@ def crossing_time(f: Callable, threshold: float) -> Optional[float] | list:
     if not f0 > threshold:
         return None
     lo, hi, horizon, rtol = 0.0, 1.0, _SEARCH_HORIZON, _SEARCH_RTOL
-    while f(hi) > threshold:
+    above, f_above = lo, f0
+    while (f_hi := f(hi)) > threshold:
+        above, f_above = hi, f_hi
         hi *= 2.0
         if hi > horizon:
             return math.inf
+    left, right = _certified_window(f, threshold, above, f_above, hi, f_hi)
     while hi - lo > rtol * hi:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             raise ValueError(_UNRESOLVED.format(lo, hi))
-        if f(mid) > threshold:
+        if mid <= left or mid < right and f(mid) > threshold:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _certified_window(f: Callable, threshold: float, a, fa, b, fb) -> tuple:
+    # (left, right) with f(left) > threshold + m and f(right) < threshold - m, found
+    # by Illinois steps on g = f - threshold in the bracket [a, b], g(a) > 0 >= g(b),
+    # then two probes around the first step within m of the threshold. A side that
+    # does not certify keeps the bracket's end: 0 or b, which decide no midpoint
+    m, left, right = _SEARCH_MARGIN, 0.0, b
+    ga, gb = float(fa) - threshold, float(fb) - threshold
+    if ga > m:
+        left = a
+    t1, g1, side = b, gb, 0
+    for _ in range(_SECANT_STEPS):
+        c = b - gb * (b - a) / (gb - ga) if ga > gb else 0.5 * (a + b)
+        if not a < c < b:
+            c = 0.5 * (a + b)
+            if not a < c < b:
+                break
+        gc = float(f(c)) - threshold
+        if gc > m:
+            left = c
+        elif gc < -m:
+            right = c
+        else:  # c is within m of the threshold: probe either side at the local slope
+            slope = (gc - g1) / (c - t1)
+            if slope < 0.0:
+                root, step = c - gc / slope, max(1.5 * m / -slope, 2.0**-46 * c)
+                if a < root - step and float(f(root - step)) - threshold > m:
+                    left = root - step
+                if root + step < b and float(f(root + step)) - threshold < -m:
+                    right = root + step
+            break
+        t1, g1 = c, gc
+        if gc > 0.0:  # Illinois: an end kept twice running has its g halved
+            a, ga, gb, side = c, gc, gb * 0.5 if side > 0 else gb, 1
+        else:
+            b, gb, ga, side = c, gc, ga * 0.5 if side < 0 else ga, -1
+    return left, right
 
 
 def _crossing_lanes(f: Callable, threshold: float, f0: np.ndarray) -> list:

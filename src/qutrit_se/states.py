@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import _pair_dim
-from .su import generator_basis
+from .su import _check_dim, generator_basis
 
 __all__ = [
     "max_entangled",
@@ -30,7 +30,7 @@ __all__ = [
 
 def max_entangled(d: int) -> np.ndarray:
     """Projector onto d^{-1/2} sum_i |ii>, shape (d^2, d^2)."""
-    generator_basis(d)  # rejects an unsupported d
+    _check_dim(d)
     psi = np.eye(d, dtype=complex).reshape(d * d) / np.sqrt(d)
     return np.outer(psi, psi.conj())
 

@@ -29,6 +29,7 @@ linalg's stacked functions do: each member gets the bits of a call on it alone.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -98,16 +99,22 @@ class GeneratorBasis:
         return d
 
 
+def _check_dim(dim: int) -> None:
+    # the one dimension rule, for generator_basis and for callers that need no basis
+    if dim < 2:
+        raise ValueError(f"dimension must be at least 2, got {dim}")
+    operator.index(dim)  # a float dim raises the TypeError that range(dim) would
+
+
 @lru_cache(maxsize=None)
 def generator_basis(dim: int) -> GeneratorBasis:
     """Shared immutable generalized Gell-Mann basis of su(dim), dim >= 2.
 
-    The one place that knows the generator order (see the module docstring)
-    and rejects a dimension below 2: every function taking a dimension
-    reaches it.
+    The one place that knows the generator order (see the module docstring).
+    It rejects a dimension below 2 by the one check that every function
+    taking a dimension reaches.
     """
-    if dim < 2:
-        raise ValueError(f"dimension must be at least 2, got {dim}")
+    _check_dim(dim)
     gens = []
     for k in range(1, dim):
         for j in range(k):

@@ -13,6 +13,7 @@ import math
 import threading
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -544,6 +545,143 @@ class TestScalarRoute:
             assert rescaled.split(": bracket")[0] == want.split(": bracket")[0]
         else:
             assert rescaled == want
+
+
+def plain_crossing(f, threshold):
+    """crossing_time's single search evaluating every midpoint: the window's reference."""
+    if not f(0.0) > threshold:
+        return None
+    lo, hi = 0.0, 1.0
+    while f(hi) > threshold:
+        hi *= 2.0
+        if hi > 2.0**60:
+            return math.inf
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            raise ValueError(analysis._UNRESOLVED.format(lo, hi))
+        if f(mid) > threshold:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def search_outcome(search):
+    # a search's bits, or its ValueError's text; a warning fails the test
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return bits([search()])
+    except ValueError as error:
+        return str(error)
+
+
+def logged(f, times):
+    def g(t):
+        times.append(t)
+        return f(t)
+
+    return g
+
+
+class TestCertifiedWindow:
+    """The single search, which evaluates f only inside its window, against plain_crossing."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scalar_searches())
+    def test_indicator_searches_give_the_plain_bits(self, case):
+        # both searches run on the f that indicator_crossing builds, inside its
+        # errstate, on Python float and on np.float64 operands
+        d, p, rates, a1 = case
+        certified = analysis.crossing_time
+        for rates, a1 in ((rates, a1), (tuple(map(np.float64, rates)), np.float64(a1))):
+            plain = []
+
+            def both(f, threshold):
+                plain.append(search_outcome(lambda: plain_crossing(f, threshold)))
+                return certified(f, threshold)
+
+            with mock.patch.object(analysis, "crossing_time", both):
+                got = search_outcome(lambda: analysis.indicator_crossing(p, rates, a1))
+            assert got == plain[0]
+
+    def test_steps_constants_and_starts_below(self):
+        tiny = 5e-324
+        cases = [
+            (lambda t: 1.0 if t <= 0.3 else 0.0, 0.5),
+            (lambda t: 1.0 if t <= 7 * tiny else 0.0, 0.5),  # below the smallest float
+            (lambda t: 1.0, 0.5),  # never crosses: inf
+            (lambda t: 0.5, 0.5),  # f(0) not above: None
+            (lambda t: 0.2 * math.exp(-t), 0.5),
+        ]
+        for f, threshold in cases:
+            want = search_outcome(lambda: plain_crossing(f, threshold))
+            assert search_outcome(lambda: crossing_time(f, threshold)) == want
+        assert search_outcome(lambda: crossing_time(*cases[1])).endswith("[3.5e-323, 4e-323]")
+        assert crossing_time(*cases[2]) == math.inf and crossing_time(*cases[3]) is None
+
+    def test_a_side_that_cannot_certify_evaluates_every_midpoint(self):
+        # the qutrit at the float just above p = 1/4 starts an ulp above the
+        # threshold, so no time below the crossing clears the margin; a step of
+        # 1e-15 about the threshold, and a slope of 1e-14 with a wobble of 1e-15
+        # (far inside the margin, but not monotone), clear it on neither side.
+        # The search asks f for every time on such a side that the plain one asks for
+        qutrit = lane_indicator(float(np.nextafter(0.25, 1.0)), 1.0, (1.0, 1.0))
+        for f, side in [
+            (qutrit, lambda t: qutrit(t) > 0.25),
+            (lambda t: 0.25 + (1e-15 if t <= 0.3 else -1e-15), lambda t: True),
+            (lambda t: 0.25 + 1e-14 * (0.3 - t) + 1e-15 * math.sin(1e7 * t), lambda t: True),
+        ]:
+            certified, plain = [], []
+            got = crossing_time(logged(f, certified), 0.25)
+            want = plain_crossing(logged(f, plain), 0.25)
+            assert bits([got]) == bits([want])
+            assert {t for t in plain if side(t)} <= set(certified)
+
+    def test_default_threshold_evaluates_f_at_most_20_times_per_search(self, monkeypatch, capsys):
+        certified, calls = analysis.crossing_time, []
+
+        def counted(f, threshold):
+            calls.append([])
+            return certified(logged(f, calls[-1]), threshold)
+
+        monkeypatch.setattr(analysis, "crossing_time", counted)
+        assert cli.main(["threshold"]) == 0
+        assert len(calls) == 2 and all(len(times) <= 20 for times in calls), calls
+
+    def test_np_exp_stays_within_the_margin_budget(self):
+        # _SEARCH_MARGIN's bound takes np.exp within 4 ulps of e^x on the search's
+        # exponents x in (-745, 0]; math.exp is within 1 ulp, so 3 ulps between them,
+        # for np.exp of Python floats (the float path) and of an array (the lanes)
+        rng = np.random.default_rng(44)
+        x = np.concatenate([-rng.uniform(0.0, 745.0, 20_000), -np.geomspace(1e-300, 745.0, 5_000)])
+        exact = [math.exp(v) for v in x.tolist()]
+        budget = 3.0 * np.array([math.ulp(v) for v in exact])
+        scalar = np.array([float(np.exp(v)) for v in x.tolist()])
+        assert np.all(np.abs(scalar - exact) <= budget)
+        assert np.all(np.abs(np.exp(x) - exact) <= budget)
+
+    def test_indicator_error_stays_within_the_derived_bound(self):
+        # _SEARCH_MARGIN derives |s - F| <= (n + 22) 2^-53 for n = d - 1 arms, F
+        # the exact s with the rounded weight; measured against 40-digit decimals
+        rng = np.random.default_rng(45)
+        worst = 0.0
+        for _ in range(1_000):
+            d = int(rng.integers(2, 6))
+            p = float(rng.uniform(0.0, 1.0))
+            rates = tuple(float(10.0 ** rng.uniform(-3, 3)) for _ in range(d - 1))
+            a1, tau = float(10.0 ** rng.uniform(-3, 3)), float(10.0 ** rng.uniform(-4, 3))
+            s = lane_indicator(p, a1, rates)(tau)
+            with decimal.localcontext() as ctx:
+                ctx.prec = 40
+                D = decimal.Decimal
+                arm_sum = sum((((-D(a) * D(tau)) / (2 * D(a1))).exp() for a in rates), D(0))
+                exact = D(p / ((d - 1) * (d + 1))) * arm_sum * (arm_sum + 2)
+                error = float(abs(D(float(s)) - exact) / D(2.0**-53))
+            assert error <= d - 1 + 22, (d, p, rates, a1, tau)
+            worst = max(worst, error)
+        assert worst > 0.0
 
 
 class TestCrossingLanes:

@@ -1,5 +1,7 @@
 """Werner states and correlation matrices."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from qutrit_se.analysis import fidelity_from_state, negativity, s_from_state
 from qutrit_se.channels import lift
 from qutrit_se.linalg import hermitian_eigenvalues, partial_transpose
 from qutrit_se.states import correlation_matrix, max_entangled, werner
+from qutrit_se.su import generator_basis
 
 QUTRIT_SIGNS = np.array([1, -1, 1, 1, -1, 1, -1, 1.0])
 
@@ -33,6 +36,20 @@ class TestMaxEntangled:
     def test_qutrit_correlation_matrix(self):
         c = correlation_matrix(max_entangled(3))
         np.testing.assert_allclose(c, np.diag(QUTRIT_SIGNS) / 2, atol=1e-14)
+
+    def test_checks_d_without_building_a_basis(self):
+        # the projector needs only su's dimension rule, not the 899 generators of d = 30
+        before = generator_basis.cache_info().currsize
+        assert max_entangled(30).shape == (900, 900)
+        assert generator_basis.cache_info().currsize == before
+
+    @pytest.mark.parametrize("d", [2.0, 3.5, 1, 0, -3])
+    def test_rejects_d_as_generator_basis_does(self, d):
+        # ValueError below 2 before TypeError for a float, with the same texts
+        with pytest.raises((TypeError, ValueError)) as want:
+            generator_basis(d)
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            max_entangled(d)
 
 
 class TestWerner:

@@ -580,9 +580,10 @@ RATE_TAKERS = {
 @pytest.mark.parametrize("d", [1, 4])
 @pytest.mark.parametrize("name", sorted(DIMENSION_TAKERS))
 def test_unsupported_dimension_rejected_by_the_one_check(name, d):
-    # every public function taking a dimension reaches generator_basis, which
-    # rejects d < 2, and every one taking arm rates reaches the one rate check,
-    # which rejects d = 1's empty tuple; all of them answer d = 4, apart from
+    # every public function taking a dimension reaches su's one dimension check
+    # (through generator_basis, or alone where it needs no basis), which rejects
+    # d < 2, and every one taking arm rates reaches the one rate check, which
+    # rejects d = 1's empty tuple; all of them answer d = 4, apart from
     # ChannelParams.rates, whose fields hold the qubit's and the qutrit's rates
     if d == 4 and name != "ChannelParams.rates":
         DIMENSION_TAKERS[name](d)
