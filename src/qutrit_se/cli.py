@@ -48,17 +48,142 @@ def _checked_seed(seed: int) -> int:
     return seed
 
 
+# Decimal exponents e that _render_rows certifies: |x| * 10^(8 - e) then takes
+# at most two exact powers of ten (10^0..10^22 are floats), so with two
+# roundings y lies within 2.3e-7 of the exact product while y < 1e9
+_EXP_LO, _EXP_HI = -36, 30
+_N_EXP = _EXP_HI - _EXP_LO + 1
+_ZERO, _EXACT = _N_EXP * 9, _N_EXP * 9 + 1  # layouts after the 9 per exponent
+
+
+@functools.cache
+def _csv_tables():
+    """Constant tables of ``_render_rows``, built on first use (about 120 KB).
+
+    A value is laid out in 32 bytes, as four 8-byte words: the sign at 0, "0.000"
+    at 1-5, digit j of the 9 at 6 + 2j with a point after it (the point after the
+    last is an "e"), the exponent's sign and two digits at 24-26, a "?" at 27
+    and the separator at 28. A layout masks the bytes one value keeps (0xff)
+    and clears the others: one per (exponent, significant digits), one for
+    zero, and one for the "?" that stands in for a value of the exact path.
+    """
+    exps = np.arange(_EXP_LO, _EXP_HI + 1)
+    e = exps[:, None, None]
+    n = np.arange(1, 10)[:, None]  # significant digits
+    b = np.arange(32)
+    digit = np.where((b >= 6) & (b <= 22) & (b % 2 == 0), (b - 6) // 2, 9)
+    fixed = (-4 <= e) & (e <= 8)  # %.9g's fixed form
+    point = np.where(fixed, e, 0)  # the digit the point follows: ddd.ddd, d.ddde+XY
+    keep = digit < np.maximum(n, np.where(fixed, e + 1, 0))  # every integer digit kept
+    keep = keep | (b == 7 + 2 * point) & (n > point + 1) & (point >= 0)
+    keep = keep | fixed & (e < 0) & (b >= 1) & (b <= 1 - e)  # 0.000ddd
+    keep = keep | ~fixed & (b >= 23) & (b <= 26)  # e-XY
+    keep = np.concatenate([keep.reshape(-1, 32), np.zeros((2, 32), bool)])
+    keep[_ZERO, 1] = keep[_EXACT, 27] = True
+    keep[:, 28] = True
+
+    lead = np.tile(np.frombuffer(b"\x000.000\x00.", np.uint8), (10, 1))  # the sign's byte, "0.000"
+    lead[:, 6] = np.arange(10) + ord("0")  # digit 0
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T  # of 0000..9999
+    quad = np.full((10_000, 8), ord("."), np.uint8)  # digits 1-4 or 5-8, each with its point
+    quad[:, 0::2] = digits + ord("0")
+    tail = np.zeros((_N_EXP, 8), np.uint8)
+    tail[:, 0] = np.where(exps < 0, ord("-"), ord("+"))
+    tail[:, 1:3] = np.abs(exps)[:, None] // np.array([10, 1]) % 10 + ord("0")
+    tail[:, 3:5] = ord("?"), ord(",")
+
+    # significant digits of m = lead * 10^8 + hi * 10^4 + lo: the larger of
+    # sig[0][hi] = 1 + hi's digits up to its last nonzero one and sig[1][lo] =
+    # 5 + lo's (0 for lo = 0)
+    last = ((digits != 0) * np.arange(1, 5, dtype=np.int8)).max(axis=1)
+    sig = np.stack([1 + last, np.where(last > 0, 5 + last, 0)]).astype(np.int8)
+
+    p10 = np.array([float(10**j) for j in range(23)])
+    k = 8 - exps  # y = |x| * m1 * m2 / dv: one or two exact products, or one exact quotient
+    scale = p10[np.clip(k, 0, 22)], p10[np.clip(k - 22, 0, 22)], p10[np.clip(-k, 0, 22)]
+    masks = (keep * np.uint8(0xFF)).view(np.uint64)  # (layouts, 4) words
+    return masks, [w.view(np.uint64)[:, 0] for w in (lead, quad, tail)], sig, scale
+
+
+def _exact(values: np.ndarray) -> list:
+    """The "%.9g" text of each value the kernel of ``_render_rows`` cannot certify."""
+    return ["%.9g" % x for x in values.tolist()]
+
+
+def _value_words(v: np.ndarray):
+    """Each value's 32 bytes (see ``_csv_tables``) as four masked uint64 words,
+    and the positions of the values left to ``_exact``.
+
+    With e the decimal exponent of |x| and y = |x| * 10^(8 - e) (at most two
+    roundings, so within 2.3e-7 of the exact product), %.9g prints the digits
+    of m = rint(y) wherever 1e8 <= y, m < 1e9 and |y - m| < 1/2 - 1e-6: the
+    exact product then rounds to the same m, and if e was one too large (y at
+    1e8 from below), its 9-digit rounding carries up to the same 1e8 * 10^(e-8).
+    np.log10 only proposes e and one step corrects it; the test above, not
+    log10, certifies. Non-finite values, values outside 10^_EXP_LO..10^(_EXP_HI+1)
+    and those near a half-unit are left to ``_exact``.
+    """
+    masks, (lead_w, quad_w, tail_w), sig, (m1, m2, dv) = _csv_tables()
+    a = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log10(0), and y - m at inf
+        e = np.fmin(np.fmax(np.floor(np.log10(a)), _EXP_LO), _EXP_HI).astype(np.intp) - _EXP_LO
+        y = a * m1.take(e) * m2.take(e) / dv.take(e)
+        under, over = y < 1e8, y >= 1e9
+        miss = np.flatnonzero(under | over)
+        if len(miss):
+            e[miss] = np.clip(e[miss] + np.where(over[miss], 1, -1), 0, _N_EXP - 1)
+            y[miss] = a[miss] * m1.take(e[miss]) * m2.take(e[miss]) / dv.take(e[miss])
+        m = np.rint(y)
+        certified = (np.abs(y - m) < 0.5 - 1e-6) & (y >= 1e8) & (m < 1e9)
+    m = np.where(certified, m, 1e8).astype(np.intp)
+    lead = m // 100_000_000
+    rest = m - lead * 100_000_000
+    hi = rest // 10_000
+    lo = rest - hi * 10_000
+    layout = e * 9 + np.maximum(sig[0].take(hi), sig[1].take(lo)) - 1
+    zero = v == 0
+    layout[zero] = _ZERO
+    exact = np.flatnonzero(~(certified | zero))
+    layout[exact] = _EXACT
+
+    words = np.empty((len(v), 4), np.uint64)
+    words[:, 0] = lead_w.take(lead)
+    words[:, 1] = quad_w.take(hi)
+    words[:, 2] = quad_w.take(lo)
+    words[:, 3] = tail_w.take(e)
+    words.view(np.uint8)[:, 23] = ord("e")  # over the last point: one quad table serves both words
+    words &= masks.take(layout, axis=0)
+    return words, exact
+
+
+def _render_rows(rows: np.ndarray) -> str:
+    """The rows as "%.9g" values joined by "," and ended by "\\n", byte for byte.
+
+    Each value's masked bytes, from ``_value_words``, with its sign and
+    separator; one ``bytes.translate`` drops the cleared ones, and each value
+    the kernel cannot certify is formatted by ``_exact`` in its place.
+    """
+    v, cols = rows.ravel(), rows.shape[1]
+    words, exact = _value_words(v)
+    text = words.view(np.uint8)
+    text[cols - 1 :: cols, 28] = ord("\n")
+    text[np.signbit(v), 0] = ord("-")
+    text[exact, 0] = 0  # the exact text brings its own sign
+    out = text.tobytes().translate(None, b"\0").decode("ascii")
+    if len(exact):  # each exact value in place of its "?"
+        parts = out.split("?")
+        out = "".join([s for pair in zip(parts, _exact(v[exact])) for s in pair] + parts[-1:])
+    return out
+
+
 def run_curves(args: argparse.Namespace, out) -> int:
     params = ChannelParams(a1=args.a1, a2=args.a2, a3=args.a3, q=args.q)
     rows = analysis.separability_report(args.p, params, t_max=args.t_max, steps=args.steps)
     out.write("t,s_qubit,s_qutrit,F_qubit,F_qutrit,neg_qubit,neg_qutrit\n")
-    # "%.9g" formats a float exactly as _fmt does, -0 and inf included; one
-    # % call per block of rows, not per row, and a block, not the whole
-    # table, so the formatted text adds no more than a block to peak memory
-    row = ",".join(["%.9g"] * rows.shape[1]) + "\n"
+    # a block of rows at a time, not the whole table, so the kernel's
+    # temporaries stay one block's whatever the grid length
     for lo in range(0, len(rows), analysis.GRID_CHUNK):
-        block = rows[lo : lo + analysis.GRID_CHUNK]
-        out.write((row * len(block)) % tuple(block.ravel().tolist()))
+        out.write(_render_rows(rows[lo : lo + analysis.GRID_CHUNK]))
     return 0
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -160,6 +161,105 @@ class TestCurves:
         last = capsys.readouterr().out.strip().split("\n")[-1].split(",")
         expected = analysis.indicator_closed(1.0, (5e-324 / 1e-200, 1e200), 1e120)
         assert abs(float(last[2]) - expected) <= 1e-8
+
+
+def percent_rows(table: np.ndarray) -> str:
+    return "".join(",".join("%.9g" % x for x in row) + "\n" for row in table.tolist())
+
+
+SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+                  1.7976931348623157e308, -1.7976931348623157e308]
+
+
+class TestCsvKernel:
+    """``cli._render_rows`` against "%.9g" joined by "," and "\\n"."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda cols: st.lists(
+                st.lists(
+                    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+                    | st.sampled_from(SPECIAL_FLOATS),
+                    min_size=cols,
+                    max_size=cols,
+                ),
+                min_size=1,
+                max_size=12,
+            )
+        )
+    )
+    def test_any_float64_table(self, table):
+        table = np.array(table, dtype=np.float64)
+        assert cli._render_rows(table) == percent_rows(table)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # 10^k and both float neighbours, with their negatives
+            [x for k in range(-30, 31) for p in [float(f"1e{k}")]
+             for x in (np.nextafter(p, 0), p, np.nextafter(p, np.inf), -p)],
+            # 9-digit roundings that carry into the next decade, and their neighbours
+            [x for c in (9.999999995e-05, 0.9999999995, 999999999.5)
+             for x in (np.nextafter(c, 0), c, np.nextafter(c, np.inf), -c)],
+            # decimal near-ties j * 1e-9 + 5e-10, on both sides of the half-unit
+            (np.arange(10**8, 10**8 + 2000) * 1e-9 + 5e-10).tolist(),
+            (np.random.default_rng(5).integers(10**8, 10**9, 3000) * 1e-9 + 5e-10).tolist(),
+            # one rounding cannot carry y across a half-unit, which is a float;
+            # scaled by 10^28 in two roundings it can, and the 1e-6 margin holds
+            ((np.random.default_rng(5).integers(10**8, 10**9, 3000) * 1e-9 + 5e-10) * 1e-20).tolist(),
+            SPECIAL_FLOATS,
+        ],
+        ids=["powers-of-ten", "decade-carries", "near-ties-low", "near-ties-spread",
+             "near-ties-two-roundings", "specials"],
+    )
+    def test_edge_values(self, values):
+        for cols in (1, 7):
+            table = np.resize(np.array(values, dtype=np.float64), (-(-len(values) // cols), cols))
+            assert cli._render_rows(table) == percent_rows(table)
+
+    def test_a_report_takes_no_value_to_the_exact_path(self, capsys, monkeypatch):
+        # the certified kernel renders every value of a long seeded report, so
+        # the fast path cannot quietly hand its work to "%.9g"
+        sent = []
+        exact = cli._exact
+        monkeypatch.setattr(cli, "_exact", lambda values: sent.append(len(values)) or exact(values))
+        argv = ["curves", "--steps", "2000", "--p", "0.83", "--q", "0.37",
+                "--a1", "1.3", "--a2", "0.4", "--a3", "2.7"]
+        assert main(argv) == 0
+        args = build_parser().parse_args(argv)
+        params = ChannelParams(a1=args.a1, a2=args.a2, a3=args.a3, q=args.q)
+        rows = analysis.separability_report(args.p, params, t_max=args.t_max, steps=args.steps)
+        assert capsys.readouterr().out == HEADER + "\n" + percent_rows(rows)
+        assert sum(sent) == 0
+        # while values it cannot certify do take it
+        assert cli._render_rows(np.array([[np.nan, 0.9999999995, 1.0]])) == "nan,0.999999999,1\n"
+        assert sum(sent) == 2
+
+    def test_writer_peak_memory_is_flat_in_the_grid_length(self, monkeypatch):
+        # the writer renders GRID_CHUNK rows at a time into a sink that keeps
+        # nothing: its traced peak is the same at 2000 and 20000 steps, within
+        # the peak of a one-block report (a whole-table writer's grows tenfold)
+        report = analysis.separability_report
+
+        def writer_peak(steps):
+            args = build_parser().parse_args(["curves", "--steps", str(steps)])
+            params = ChannelParams(a1=args.a1, a2=args.a2, a3=args.a3, q=args.q)
+            rows = report(args.p, params, t_max=args.t_max, steps=steps)
+            monkeypatch.setattr(analysis, "separability_report", lambda *a, **k: rows)
+            sink = mock.Mock(write=lambda text: None)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                cli.run_curves(args, sink)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        writer_peak(10)  # the kernel's constant tables, built once
+        one_block = writer_peak(analysis.GRID_CHUNK - 1)
+        assert abs(writer_peak(20_000) - writer_peak(2000)) < one_block
 
 
 class TestThreshold:
