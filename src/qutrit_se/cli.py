@@ -388,14 +388,76 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _plain_options(command: argparse.ArgumentParser):
+    """A command sub-parser's defaults in argparse's order, its plain store actions
+    (no nargs, const or choices) by option string as (dest, type function), and
+    its prefix characters; None where a parse of option pairs could do more than
+    store values (a required action, a mutually exclusive group, argument files,
+    a string default that argparse converts). Read once per sub-parser, which
+    ``build_parser`` never changes after it is built."""
+    actions = command._actions
+    defaults = {
+        a.dest: a.default
+        for a in actions
+        if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS
+    }
+    if (
+        any(a.required for a in actions)
+        or any(isinstance(v, str) for v in defaults.values())
+        or command._mutually_exclusive_groups
+        or command.fromfile_prefix_chars is not None
+    ):
+        return None
+    defaults |= {k: v for k, v in command._defaults.items() if k not in defaults}
+    plain = {}
+    for option, a in command._option_string_actions.items():
+        convert = command._registry_get("type", a.type, a.type)
+        if (
+            type(a) is argparse._StoreAction
+            and (a.nargs, a.const, a.choices) == (None, None, None)
+            and not getattr(a, "deprecated", False)
+            and callable(convert)
+        ):
+            plain[option] = a.dest, convert
+    return defaults, plain, tuple(command.prefix_chars)
+
+
+def _plain_namespace(command: argparse.ArgumentParser, tokens: list):
+    """The namespace ``command.parse_known_args(tokens)`` returns with no tokens
+    left over, when tokens are only pairs of a plain store action's exact option
+    string and a value its type accepts that does not start with a prefix
+    character; else None."""
+    derived = _plain_options(command)
+    if derived is None or len(tokens) % 2:
+        return None
+    defaults, plain, prefix = derived
+    values = {}
+    for option, value in zip(tokens[::2], tokens[1::2]):
+        store = plain.get(option)
+        if store is None or value.startswith(prefix):
+            return None
+        try:
+            values[store[0]] = store[1](value)
+        except Exception:  # argparse reports it, or raises it, on the general path
+            return None
+    return argparse.Namespace(**(defaults | values))
+
+
 def _parse_args(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
     # The top level passes every token after the command to that command's
     # sub-parser and adds only the command's name, so when the first token
     # names a command whose sub-parser takes all the others, parsing them with
-    # it alone gives the same namespace, help and errors at half the cost.
+    # it alone gives the same namespace, help and errors at half the cost. When
+    # those tokens are only plain `--option value` pairs, storing each converted
+    # value over the sub-parser's defaults is all that parse would do.
     # Else the full two-level parse: top-level usage and errors, unknown commands.
     commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     if argv and argv[0] in commands:
+        args = _plain_namespace(commands[argv[0]], argv[1:])
+        if args is not None:
+            args.command = argv[0]
+            return args
         args, rest = commands[argv[0]].parse_known_args(argv[1:])
         if not rest:
             args.command = argv[0]

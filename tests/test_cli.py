@@ -699,6 +699,9 @@ OPTION_NAMES = ["--a1", "--a2", "--a3", "--p", "--q", "--t-max", "--steps", "--s
 OPTION_NAMES += ["--output", "--help", "-h"]
 ABBREVIATIONS = ["--a", "--t", "--t-m", "--s", "--st", "--sa", "--se", "--o", "--out", "--he"]
 VALUE_TOKENS = ["0.7", "3", "4", "-1", "1e308", "nan", "abc", ""]
+# either side of the plain-pair selection: "-1e5" reads as an option, not a
+# number; "3.0" is no int; " 0.7", "1_000", "inf" and "+2" convert
+VALUE_TOKENS += ["-0.5", "-1e5", " 0.7", "1_000", "3.0", "inf", "+2"]
 JUNK = ["extra", "frobnicate", "--bogus", "-x", "-p", "-", "--", ""]
 
 
@@ -714,6 +717,20 @@ def command_lines(draw):
     )
     head = draw(st.one_of(st.sampled_from(COMMANDS), token).map(lambda t: [t]) | st.just([]))
     return head + draw(st.lists(token, max_size=6))
+
+
+def command_options(command):
+    commands = next(a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sorted(commands[command]._option_string_actions)
+
+
+@st.composite
+def option_pairs(draw):
+    # a command and pairs of its own option strings (help included) and values,
+    # on either side of the plain-pair selection
+    command = draw(st.sampled_from(COMMANDS))
+    pair = st.tuples(st.sampled_from(command_options(command)), st.sampled_from(VALUE_TOKENS))
+    return [command] + [t for p in draw(st.lists(pair, max_size=3)) for t in p]
 
 
 def run_in(directory, argv):
@@ -754,6 +771,7 @@ class TestSharedParser:
         ["threshold", "--p"],
         ["frobnicate"],
         [],
+        ["curves", "--t-max", "2", "--steps", "5", "--p", "0.9", "--a3", "0.25"],
     ]
 
     def test_built_once(self, monkeypatch):
@@ -781,12 +799,12 @@ class TestSharedParser:
         monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
         monkeypatch.setattr(cli, "_parse_args", two_level_parse)
         fresh = [outcome(argv, capsys) for argv in self.SEQUENCE]
-        assert [code for code, _, _ in shared] == [2, 2, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0, 2, 2, 2]
+        assert [code for code, _, _ in shared] == [2, 2, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0, 2, 2, 2, 0]
         assert shared[1][2].startswith("error:")
         assert shared == fresh
 
     @settings(max_examples=300, deadline=None)
-    @given(argv=command_lines())
+    @given(argv=command_lines() | option_pairs())
     def test_one_level_parse_is_the_two_level_one(self, argv):
         # every handler prints its namespace, so the property is about the parse
         # alone; a run's --output file, if any, is read back into its outcome
@@ -800,6 +818,83 @@ class TestSharedParser:
             with mock.patch.object(cli, "_parse_args", two_level_parse):
                 two_level = run_in(tmp, argv)
         assert one_level == two_level
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curves", "--steps", "4", "--q", "0.37", "--a2", "1.3"],
+            ["threshold", "--p", "0.7", "--a2", "1.3", "--a3", "0.4"],
+            ["compare", "--p", "0.55"],
+            ["haar", "--samples", "100", "--seed", "3"],
+            ["validate", "--seed", "1"],
+        ],
+    )
+    def test_plain_pairs_skip_argparse(self, capsys, monkeypatch, argv):
+        expected = outcome(argv, capsys)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("argparse parsed a plain argv")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+        assert outcome(argv, capsys) == expected
+        assert expected[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["threshold", "--p=0.7"],
+            ["validate", "--seed", "-1"],
+            ["curves", "--steps", "3.0"],
+            ["threshold", "-h"],
+            ["curves", "--t-m", "3", "--steps", "4"],
+        ],
+    )
+    def test_other_argv_reach_argparse(self, capsys, monkeypatch, argv):
+        expected = outcome(argv, capsys)
+        parsed = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def recording(self, *args, **kwargs):
+            parsed.append(self.prog)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+        assert outcome(argv, capsys) == expected
+        assert parsed[0] == f"qutrit-se {argv[0]}"
+
+    def test_plain_pairs_follow_argparse_on_other_actions(self):
+        # the selection on actions this CLI does not define: only plain store
+        # actions take the plain-pair parse, and it returns argparse's namespace
+        parser = argparse.ArgumentParser(prog="x")
+        parser.add_argument("--n", type=int, choices=[1, 2])
+        parser.add_argument("--c", action="store_const", const=5)
+        parser.add_argument("--f", action="store_true")
+        parser.add_argument("--k", nargs=1)
+        parser.add_argument("--a", action="append")
+        parser.add_argument("--s", "--same")
+        parser.add_argument("--x", type=float, default=argparse.SUPPRESS)
+        parser.set_defaults(extra=3, f=None)
+        for tokens in [[], ["--s", "a"], ["--same", "b", "--s", "c"], ["--x", "1.5", "--s", ""]]:
+            args = cli._plain_namespace(parser, tokens)
+            reference, rest = parser.parse_known_args(tokens)
+            assert rest == [] and list(vars(args).items()) == list(vars(reference).items())
+        for tokens in [["--n", "1"], ["--c", "7"], ["--f", "1"], ["--k", "a"], ["--a", "z"], ["--x", "-1"]]:
+            assert cli._plain_namespace(parser, tokens) is None
+        # a parse that could do more than store: a required option or positional,
+        # a string default that argparse converts, a mutually exclusive group,
+        # argument files
+        for extra in [("--r", {"required": True}), ("pos", {}), ("--o", {"type": int, "default": "1"})]:
+            other = argparse.ArgumentParser(prog="x")
+            other.add_argument("--s")
+            other.add_argument(extra[0], **extra[1])
+            assert cli._plain_namespace(other, ["--s", "a"]) is None
+        other = argparse.ArgumentParser(prog="x")
+        other.add_mutually_exclusive_group().add_argument("--s")
+        assert cli._plain_namespace(other, ["--s", "a"]) is None
+        other = argparse.ArgumentParser(prog="x", fromfile_prefix_chars="@")
+        other.add_argument("--s")
+        assert cli._plain_namespace(other, ["--s", "@a"]) is None
 
     def test_help_wraps_to_columns_at_call_time(self, capsys, monkeypatch):
         texts = []
