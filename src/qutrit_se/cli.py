@@ -342,6 +342,39 @@ def run_validate(args: argparse.Namespace, out) -> int:
     return 0 if failed == 0 else 1
 
 
+# Every command's options, in help order: command -> (help, ((flag, type,
+# default, help), ...)). build_parser makes argparse's parser from it and
+# _parse_args reads plain argv with it; each dest is argparse's (--t-max -> t_max).
+_RATES = (
+    ("--a1", float, 1.0, "qubit decay rate"),
+    ("--a2", float, 1.0, "first qutrit decay rate"),
+    ("--a3", float, 1.0, "second qutrit decay rate"),
+)
+_P = ("--p", float, 1.0, "Werner weight")
+_SEED = ("--seed", int, 42, "RNG seed")
+_OUTPUT = ("--output", str, None, "write to file instead of stdout")
+_COMMANDS = {
+    "curves": (
+        "indicator-curve CSV over a1*t",
+        (
+            *_RATES,
+            _P,
+            ("--q", float, 0.5, "two-sided mixing weight"),
+            ("--t-max", float, 5.0, "max a1*t"),
+            ("--steps", int, 500, "grid intervals"),
+            _OUTPUT,
+        ),
+    ),
+    "threshold": ("crossing times and preservation verdict", (*_RATES, _P, _OUTPUT)),
+    "compare": ("verdict grid over (a2/a1, a3/a1)", (_P, _OUTPUT)),
+    "haar": (
+        "Haar second-moment report",
+        (("--samples", int, 200_000, "qutrit sample count"), _SEED, _OUTPUT),
+    ),
+    "validate": ("run the self-check suite", (_SEED, _OUTPUT)),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """Parser built once per process and shared by every ``main`` call: do not mutate it."""
@@ -350,117 +383,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spontaneous-emission channel curves, thresholds and self-checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_rates(sp):
-        sp.add_argument("--a1", type=float, default=1.0, help="qubit decay rate")
-        sp.add_argument("--a2", type=float, default=1.0, help="first qutrit decay rate")
-        sp.add_argument("--a3", type=float, default=1.0, help="second qutrit decay rate")
-
-    def add_output(sp):
-        sp.add_argument("--output", default=None, help="write to file instead of stdout")
-
-    sp = sub.add_parser("curves", help="indicator-curve CSV over a1*t")
-    add_rates(sp)
-    sp.add_argument("--p", type=float, default=1.0, help="Werner weight")
-    sp.add_argument("--q", type=float, default=0.5, help="two-sided mixing weight")
-    sp.add_argument("--t-max", type=float, default=5.0, help="max a1*t")
-    sp.add_argument("--steps", type=int, default=500, help="grid intervals")
-    add_output(sp)
-
-    sp = sub.add_parser("threshold", help="crossing times and preservation verdict")
-    add_rates(sp)
-    sp.add_argument("--p", type=float, default=1.0, help="Werner weight")
-    add_output(sp)
-
-    sp = sub.add_parser("compare", help="verdict grid over (a2/a1, a3/a1)")
-    sp.add_argument("--p", type=float, default=1.0, help="Werner weight")
-    add_output(sp)
-
-    sp = sub.add_parser("haar", help="Haar second-moment report")
-    sp.add_argument("--samples", type=int, default=200_000, help="qutrit sample count")
-    sp.add_argument("--seed", type=int, default=42, help="RNG seed")
-    add_output(sp)
-
-    sp = sub.add_parser("validate", help="run the self-check suite")
-    sp.add_argument("--seed", type=int, default=42, help="RNG seed")
-    add_output(sp)
-
+    for command, (summary, options) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=summary)
+        for flag, convert, default, text in options:
+            sp.add_argument(flag, type=convert, default=default, help=text)
     return parser
 
 
-@functools.cache
-def _plain_options(command: argparse.ArgumentParser):
-    """A command sub-parser's defaults in argparse's order, its plain store actions
-    (no nargs, const or choices) by option string as (dest, type function), and
-    its prefix characters; None where a parse of option pairs could do more than
-    store values (a required action, a mutually exclusive group, argument files,
-    a string default that argparse converts). Read once per sub-parser, which
-    ``build_parser`` never changes after it is built."""
-    actions = command._actions
-    defaults = {
-        a.dest: a.default
-        for a in actions
-        if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS
-    }
-    if (
-        any(a.required for a in actions)
-        or any(isinstance(v, str) for v in defaults.values())
-        or command._mutually_exclusive_groups
-        or command.fromfile_prefix_chars is not None
-    ):
-        return None
-    defaults |= {k: v for k, v in command._defaults.items() if k not in defaults}
-    plain = {}
-    for option, a in command._option_string_actions.items():
-        convert = command._registry_get("type", a.type, a.type)
-        if (
-            type(a) is argparse._StoreAction
-            and (a.nargs, a.const, a.choices) == (None, None, None)
-            and not getattr(a, "deprecated", False)
-            and callable(convert)
-        ):
-            plain[option] = a.dest, convert
-    return defaults, plain, tuple(command.prefix_chars)
-
-
-def _plain_namespace(command: argparse.ArgumentParser, tokens: list):
-    """The namespace ``command.parse_known_args(tokens)`` returns with no tokens
-    left over, when tokens are only pairs of a plain store action's exact option
-    string and a value its type accepts that does not start with a prefix
-    character; else None."""
-    derived = _plain_options(command)
-    if derived is None or len(tokens) % 2:
-        return None
-    defaults, plain, prefix = derived
-    values = {}
-    for option, value in zip(tokens[::2], tokens[1::2]):
-        store = plain.get(option)
-        if store is None or value.startswith(prefix):
-            return None
-        try:
-            values[store[0]] = store[1](value)
-        except Exception:  # argparse reports it, or raises it, on the general path
-            return None
-    return argparse.Namespace(**(defaults | values))
-
-
 def _parse_args(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
-    # The top level passes every token after the command to that command's
-    # sub-parser and adds only the command's name, so when the first token
-    # names a command whose sub-parser takes all the others, parsing them with
-    # it alone gives the same namespace, help and errors at half the cost. When
-    # those tokens are only plain `--option value` pairs, storing each converted
-    # value over the sub-parser's defaults is all that parse would do.
-    # Else the full two-level parse: top-level usage and errors, unknown commands.
-    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    if argv and argv[0] in commands:
-        args = _plain_namespace(commands[argv[0]], argv[1:])
-        if args is not None:
-            args.command = argv[0]
-            return args
-        args, rest = commands[argv[0]].parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
+    # A command followed by pairs of its own exact flag and a value that does
+    # not start with "-" and that the flag's type accepts: argparse would store
+    # each converted value over the command's defaults (a repeated flag keeps
+    # its last), and so does this, without argparse's general parse. Every
+    # other argv takes that parse: help, --name=value, abbreviations, negative
+    # or rejected values, junk, unknown commands and usage errors.
+    spec = _COMMANDS.get(argv[0]) if len(argv) % 2 else None
+    if spec is not None:
+        args = argparse.Namespace(command=argv[0])
+        options, values = {}, vars(args)  # values are the namespace's attributes
+        for flag, convert, default, _ in spec[1]:
+            dest = flag[2:].replace("-", "_")
+            options[flag] = dest, convert
+            values[dest] = default
+        for flag, value in zip(argv[1::2], argv[2::2]):
+            if flag not in options or value.startswith("-"):
+                break
+            dest, convert = options[flag]
+            try:
+                values[dest] = convert(value)
+            except ValueError:
+                break
+        else:
             return args
     return parser.parse_args(argv)
 

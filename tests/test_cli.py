@@ -702,6 +702,10 @@ VALUE_TOKENS = ["0.7", "3", "4", "-1", "1e308", "nan", "abc", ""]
 # either side of the plain-pair selection: "-1e5" reads as an option, not a
 # number; "3.0" is no int; " 0.7", "1_000", "inf" and "+2" convert
 VALUE_TOKENS += ["-0.5", "-1e5", " 0.7", "1_000", "3.0", "inf", "+2"]
+# either side of a type's ValueError: 5,000 digits are past int's digit limit
+# but a float (inf), "1e999" is inf and no int, "0x10" is neither, and the
+# Arabic-Indic digits "١٢" are 12 to int and float alike
+VALUE_TOKENS += ["1" * 5000, "0x10", "1e999", "١٢"]
 JUNK = ["extra", "frobnicate", "--bogus", "-x", "-p", "-", "--", ""]
 
 
@@ -719,9 +723,13 @@ def command_lines(draw):
     return head + draw(st.lists(token, max_size=6))
 
 
-def command_options(command):
+def subparser(command):
     commands = next(a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return sorted(commands[command]._option_string_actions)
+    return commands[command]
+
+
+def command_options(command):
+    return sorted(subparser(command)._option_string_actions)
 
 
 @st.composite
@@ -861,40 +869,48 @@ class TestSharedParser:
 
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
         assert outcome(argv, capsys) == expected
-        assert parsed[0] == f"qutrit-se {argv[0]}"
+        assert parsed[0] == "qutrit-se"
 
-    def test_plain_pairs_follow_argparse_on_other_actions(self):
-        # the selection on actions this CLI does not define: only plain store
-        # actions take the plain-pair parse, and it returns argparse's namespace
-        parser = argparse.ArgumentParser(prog="x")
-        parser.add_argument("--n", type=int, choices=[1, 2])
-        parser.add_argument("--c", action="store_const", const=5)
-        parser.add_argument("--f", action="store_true")
-        parser.add_argument("--k", nargs=1)
-        parser.add_argument("--a", action="append")
-        parser.add_argument("--s", "--same")
-        parser.add_argument("--x", type=float, default=argparse.SUPPRESS)
-        parser.set_defaults(extra=3, f=None)
-        for tokens in [[], ["--s", "a"], ["--same", "b", "--s", "c"], ["--x", "1.5", "--s", ""]]:
-            args = cli._plain_namespace(parser, tokens)
-            reference, rest = parser.parse_known_args(tokens)
-            assert rest == [] and list(vars(args).items()) == list(vars(reference).items())
-        for tokens in [["--n", "1"], ["--c", "7"], ["--f", "1"], ["--k", "a"], ["--a", "z"], ["--x", "-1"]]:
-            assert cli._plain_namespace(parser, tokens) is None
-        # a parse that could do more than store: a required option or positional,
-        # a string default that argparse converts, a mutually exclusive group,
-        # argument files
-        for extra in [("--r", {"required": True}), ("pos", {}), ("--o", {"type": int, "default": "1"})]:
-            other = argparse.ArgumentParser(prog="x")
-            other.add_argument("--s")
-            other.add_argument(extra[0], **extra[1])
-            assert cli._plain_namespace(other, ["--s", "a"]) is None
-        other = argparse.ArgumentParser(prog="x")
-        other.add_mutually_exclusive_group().add_argument("--s")
-        assert cli._plain_namespace(other, ["--s", "a"]) is None
-        other = argparse.ArgumentParser(prog="x", fromfile_prefix_chars="@")
-        other.add_argument("--s")
-        assert cli._plain_namespace(other, ["--s", "@a"]) is None
+    # each command's option strings in help order, its bare namespace, and its
+    # namespace with every option given "7", which shows each type; written out
+    # here, not read from cli, since both parses read one option table and
+    # agree on any flag, type or default it holds
+    PINNED = {
+        "curves": (
+            ["-h", "--help", "--a1", "--a2", "--a3", "--p", "--q", "--t-max", "--steps", "--output"],
+            "Namespace(command='curves', a1=1.0, a2=1.0, a3=1.0, p=1.0, q=0.5, t_max=5.0, steps=500, output=None)",
+            "Namespace(command='curves', a1=7.0, a2=7.0, a3=7.0, p=7.0, q=7.0, t_max=7.0, steps=7, output='7')",
+        ),
+        "threshold": (
+            ["-h", "--help", "--a1", "--a2", "--a3", "--p", "--output"],
+            "Namespace(command='threshold', a1=1.0, a2=1.0, a3=1.0, p=1.0, output=None)",
+            "Namespace(command='threshold', a1=7.0, a2=7.0, a3=7.0, p=7.0, output='7')",
+        ),
+        "compare": (
+            ["-h", "--help", "--p", "--output"],
+            "Namespace(command='compare', p=1.0, output=None)",
+            "Namespace(command='compare', p=7.0, output='7')",
+        ),
+        "haar": (
+            ["-h", "--help", "--samples", "--seed", "--output"],
+            "Namespace(command='haar', samples=200000, seed=42, output=None)",
+            "Namespace(command='haar', samples=7, seed=7, output='7')",
+        ),
+        "validate": (
+            ["-h", "--help", "--seed", "--output"],
+            "Namespace(command='validate', seed=42, output=None)",
+            "Namespace(command='validate', seed=7, output='7')",
+        ),
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_options_keep_their_flags_types_and_defaults(self, command):
+        flags, bare, sevens = self.PINNED[command]
+        assert [s for a in subparser(command)._actions for s in a.option_strings] == flags
+        argv = [command] + [t for flag in flags[2:] for t in (flag, "7")]
+        for parse in (cli._parse_args, two_level_parse):
+            assert repr(parse(build_parser(), [command])) == bare
+            assert repr(parse(build_parser(), argv)) == sevens
 
     def test_help_wraps_to_columns_at_call_time(self, capsys, monkeypatch):
         texts = []
