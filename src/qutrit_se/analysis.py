@@ -114,14 +114,11 @@ def _indicator_of_sum(p: float, arms: int) -> Callable:
     return lambda arm_sum: weight * (arm_sum * (arm_sum + 2.0))
 
 
-def _indicator(p: float, h: list):
-    return _indicator_of_sum(p, len(h))(sum(h))
-
-
 def indicator_closed(p: float, rates, t):
     """Indicator s_d(t) of a Werner pair of weight p, d = len(rates) + 1; t may be an array."""
     _check_weight(p)
-    return _indicator(p, _arm_factors(*_check_arms(rates, t)))
+    h = _arm_factors(*_check_arms(rates, t))
+    return _indicator_of_sum(p, len(h))(sum(h))
 
 
 def s_from_state(rho: np.ndarray) -> float:

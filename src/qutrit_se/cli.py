@@ -342,9 +342,9 @@ def run_validate(args: argparse.Namespace, out) -> int:
     return 0 if failed == 0 else 1
 
 
-# Every command's options, in help order: command -> (help, ((flag, type,
-# default, help), ...)). build_parser makes argparse's parser from it and
-# _parse_args reads plain argv with it; each dest is argparse's (--t-max -> t_max).
+# Every command, in help order: command -> (runner, help, ((flag, type, default,
+# help), ...)). build_parser makes argparse's parser from it, _parse_args reads plain
+# argv with it and main dispatches through it; each dest is argparse's (--t-max -> t_max).
 _RATES = (
     ("--a1", float, 1.0, "qubit decay rate"),
     ("--a2", float, 1.0, "first qutrit decay rate"),
@@ -355,6 +355,7 @@ _SEED = ("--seed", int, 42, "RNG seed")
 _OUTPUT = ("--output", str, None, "write to file instead of stdout")
 _COMMANDS = {
     "curves": (
+        run_curves,
         "indicator-curve CSV over a1*t",
         (
             *_RATES,
@@ -365,13 +366,14 @@ _COMMANDS = {
             _OUTPUT,
         ),
     ),
-    "threshold": ("crossing times and preservation verdict", (*_RATES, _P, _OUTPUT)),
-    "compare": ("verdict grid over (a2/a1, a3/a1)", (_P, _OUTPUT)),
+    "threshold": (run_threshold, "crossing times and preservation verdict", (*_RATES, _P, _OUTPUT)),
+    "compare": (run_compare, "verdict grid over (a2/a1, a3/a1)", (_P, _OUTPUT)),
     "haar": (
+        run_haar,
         "Haar second-moment report",
         (("--samples", int, 200_000, "qutrit sample count"), _SEED, _OUTPUT),
     ),
-    "validate": ("run the self-check suite", (_SEED, _OUTPUT)),
+    "validate": (run_validate, "run the self-check suite", (_SEED, _OUTPUT)),
 }
 
 
@@ -383,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spontaneous-emission channel curves, thresholds and self-checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, options) in _COMMANDS.items():
+    for command, (_, summary, options) in _COMMANDS.items():
         sp = sub.add_parser(command, help=summary)
         for flag, convert, default, text in options:
             sp.add_argument(flag, type=convert, default=default, help=text)
@@ -401,7 +403,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespa
     if spec is not None:
         args = argparse.Namespace(command=argv[0])
         options, values = {}, vars(args)  # values are the namespace's attributes
-        for flag, convert, default, _ in spec[1]:
+        for flag, convert, default, _ in spec[2]:
             dest = flag[2:].replace("-", "_")
             options[flag] = dest, convert
             values[dest] = default
@@ -420,16 +422,9 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespa
 
 def main(argv=None) -> int:
     args = _parse_args(build_parser(), sys.argv[1:] if argv is None else list(argv))
-    handler = {
-        "curves": run_curves,
-        "threshold": run_threshold,
-        "compare": run_compare,
-        "haar": run_haar,
-        "validate": run_validate,
-    }[args.command]
     report = io.StringIO()
     try:
-        code = handler(args, report)
+        code = _COMMANDS[args.command][0](args, report)
         if args.output is None:
             sys.stdout.write(report.getvalue())
         else:

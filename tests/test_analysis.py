@@ -448,7 +448,7 @@ class TestCrossings:
 def lane_indicator(p, a1, rates):
     """Reference s_d at a1*t = tau that indicator_crossing's f must match bit for bit.
 
-    t = tau/a1, h = exp(-a t/2) per arm, and s_d by ``analysis._indicator``.
+    t = tau/a1, h = exp(-a t/2) per arm, and s_d by ``analysis._indicator_of_sum``.
 
     Floats give one search's f; arrays (p and a1 of shape (L,), rates of
     shape (d - 1, L)) give a lane f with lane i at its own tau[i].
@@ -456,7 +456,8 @@ def lane_indicator(p, a1, rates):
 
     def s(tau):
         with np.errstate(over="ignore"):  # a*t = inf is meant: h = exp(-inf) = 0
-            return analysis._indicator(p, [np.exp(-a * (tau / a1) / 2.0) for a in rates])
+            h = [np.exp(-a * (tau / a1) / 2.0) for a in rates]
+            return analysis._indicator_of_sum(p, len(h))(sum(h))
 
     return s
 

@@ -399,6 +399,9 @@ class TestLindblad:
             lindblad_evolve(np.eye(4) / 4, ChannelParams(t=1.0), steps=10)
         with pytest.raises(ValueError):
             lindblad_evolve(np.eye(3) / 3, ChannelParams(t=1.0), steps=0)
+        for rho in (np.ones((3, 2)), np.ones(3) / 3):
+            with pytest.raises(ValueError, match="expected a square state"):
+                lindblad_evolve(rho, ChannelParams(t=1.0), steps=10)
 
 
 class TestRk4Stability:

@@ -820,8 +820,8 @@ class TestSharedParser:
             out.write(f"{sorted(vars(args).items())}\n")
             return 0
 
-        handlers = {f"run_{command}": namespace for command in COMMANDS}
-        with mock.patch.multiple(cli, **handlers), tempfile.TemporaryDirectory() as tmp:
+        rows = {command: (namespace, *row[1:]) for command, row in cli._COMMANDS.items()}
+        with mock.patch.dict(cli._COMMANDS, rows), tempfile.TemporaryDirectory() as tmp:
             one_level = run_in(tmp, argv)
             with mock.patch.object(cli, "_parse_args", two_level_parse):
                 two_level = run_in(tmp, argv)
